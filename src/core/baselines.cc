@@ -34,20 +34,24 @@ void SingleBestStrategy::BeginVideo(const StrategyContext& ctx) {
   // each singleton over the video; keep every singleton's average so the
   // choice can degrade to the best *eligible* detector when a breaker
   // opens the calibrated one.
+  //
+  // Frame-major, so a lazy source touches each frame once; every model's
+  // sum still folds its frames in ascending order, as a model-major loop
+  // would.
   num_models_ = ctx.num_models;
   singleton_ap_.assign(static_cast<size_t>(ctx.num_models), 0.0);
+  for (size_t t = 0; t < ctx.oracle->num_frames(); ++t) {
+    for (int i = 0; i < ctx.num_models; ++i) {
+      singleton_ap_[static_cast<size_t>(i)] +=
+          ctx.oracle->TrueAp(t, Singleton(i));
+    }
+  }
   choice_ = 1;
   double best_ap = -1.0;
   for (int i = 0; i < ctx.num_models; ++i) {
-    const EnsembleId s = Singleton(i);
-    double sum = 0.0;
-    for (size_t t = 0; t < ctx.oracle->num_frames(); ++t) {
-      sum += ctx.oracle->TrueAp(t, s);
-    }
-    singleton_ap_[static_cast<size_t>(i)] = sum;
-    if (sum > best_ap) {
-      best_ap = sum;
-      choice_ = s;
+    if (singleton_ap_[static_cast<size_t>(i)] > best_ap) {
+      best_ap = singleton_ap_[static_cast<size_t>(i)];
+      choice_ = Singleton(i);
     }
   }
 }

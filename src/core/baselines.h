@@ -63,6 +63,7 @@ class SingleBestStrategy : public SelectionStrategy {
   EnsembleId Select(size_t t) override;
   void Observe(const FrameFeedback&) override {}
   bool UsesReferenceModel() const override { return false; }
+  bool calibrates_on_video() const override { return true; }
   Status SaveState(ByteWriter& writer) const override;
   Status RestoreState(ByteReader& reader) override;
 

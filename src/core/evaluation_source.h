@@ -11,7 +11,9 @@
 //     ⟨est_ap, true_ap, cost, overhead⟩ cell on first access, memoized
 //     per (frame, mask). Online strategies (MES family, SGL, RAND, EF)
 //     only ever touch the subset lattices of their selections, so runs
-//     cost O(|V|·2^|S|) fusions instead of O(|V|·2^m).
+//     cost O(|V|·2^|S|) fusions instead of O(|V|·2^m). Per-model outputs
+//     live only while their frame is evaluated; a touched frame keeps
+//     its cells and Stats() scalars.
 //
 // Both run mask evaluations through the same FrameEvalContext kernel, so
 // every value a strategy can observe is bit-identical across sources.
@@ -35,7 +37,8 @@ namespace vqe {
 /// cost normalizer max_S c_{S|v}.
 struct FrameStats {
   SceneContext context = SceneContext::kClear;
-  /// Per-model inference cost c_{M_i|v}, ms (size m); owned by the source.
+  /// Per-model inference cost c_{M_i|v}, ms (size m); owned by the source
+  /// and valid for its lifetime.
   const std::vector<double>* model_cost_ms = nullptr;
   double ref_cost_ms = 0.0;
   /// max_S c_{S|v}: the normalizer of ĉ (§5.4).
@@ -62,7 +65,8 @@ class EvaluationSource {
   virtual size_t num_frames() const = 0;
   uint32_t num_ensembles() const { return NumEnsembles(num_models()); }
 
-  /// Frame-level scalars (materializes the frame on lazy sources).
+  /// Frame-level scalars (a lazy source runs the frame's detectors on the
+  /// first read only).
   virtual FrameStats Stats(size_t t) = 0;
 
   /// One mask's cell on frame t. `mask` must be in [1, num_ensembles()].

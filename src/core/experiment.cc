@@ -20,6 +20,129 @@ std::string SanitizeLabel(const std::string& label) {
   return out;
 }
 
+/// Steps `runs` in lockstep from frame `*frontier` up to (excluding)
+/// `end`: frame f of every run before any run moves past f. A shared lazy
+/// evaluator keeps one live frame context and no run reads a frame again
+/// after stepping past it, so the whole line-up builds each frame once.
+Status StepLockstep(const std::vector<EngineRun*>& runs, size_t end,
+                    size_t* frontier) {
+  for (; *frontier < end; ++*frontier) {
+    for (EngineRun* run : runs) {
+      if (!run->done() && run->next_frame() == *frontier) {
+        VQE_RETURN_NOT_OK(run->StepFrame());
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// The source a calibrating run (SelectionStrategy::calibrates_on_video)
+/// is created on. Before a read of frame t it steps the line-up's online
+/// runs through t, so a whole-video calibration reads each frame while
+/// its context is live for them, instead of touching every frame ahead
+/// of them. Everything else forwards to the shared source.
+class CatchUpSource final : public EvaluationSource {
+ public:
+  CatchUpSource(EvaluationSource& inner, const std::vector<EngineRun*>& runs)
+      : inner_(&inner), runs_(&runs) {}
+
+  /// First error a caught-up run returned (reads cannot carry a Status).
+  const Status& status() const { return status_; }
+
+  int num_models() const override { return inner_->num_models(); }
+  size_t num_frames() const override { return inner_->num_frames(); }
+  FrameStats Stats(size_t t) override {
+    CatchUp(t);
+    return inner_->Stats(t);
+  }
+  MaskEvaluation Eval(size_t t, EnsembleId mask) override {
+    CatchUp(t);
+    return inner_->Eval(t, mask);
+  }
+  const std::vector<EnsembleId>* TrueFrontier(size_t t) override {
+    return inner_->TrueFrontier(t);
+  }
+  SceneContext PeekContext(size_t t) override {
+    return inner_->PeekContext(t);
+  }
+  bool SupportsPropagation() const override {
+    return inner_->SupportsPropagation();
+  }
+  Result<double> ScorePropagated(size_t t,
+                                 const DetectionList& dets) override {
+    return inner_->ScorePropagated(t, dets);
+  }
+  const DetectionList* FusedOutput(size_t t, EnsembleId mask) override {
+    CatchUp(t);
+    return inner_->FusedOutput(t, mask);
+  }
+  Status SaveState(ByteWriter& writer) const override {
+    return inner_->SaveState(writer);
+  }
+  Status RestoreState(ByteReader& reader) override {
+    return inner_->RestoreState(reader);
+  }
+
+ private:
+  void CatchUp(size_t t) {
+    if (status_.ok()) status_ = StepLockstep(*runs_, t + 1, &frontier_);
+  }
+
+  EvaluationSource* inner_;
+  const std::vector<EngineRun*>* runs_;
+  size_t frontier_ = 0;
+  Status status_ = Status::OK();
+};
+
+/// Runs the whole line-up over one trial's source into
+/// result->outcomes[i].runs[trial].
+Status RunLineup(EvaluationSource& source,
+                 const std::vector<StrategySpec>& strategies,
+                 const EngineOptions& options, size_t trial,
+                 ExperimentResult* result) {
+  const size_t n = strategies.size();
+  std::vector<std::unique_ptr<SelectionStrategy>> lineup(n);
+  for (size_t i = 0; i < n; ++i) {
+    lineup[i] = strategies[i].make();
+    if (lineup[i] == nullptr) {
+      return Status::Internal("strategy factory returned null");
+    }
+  }
+  // Online runs first; calibrating runs are created on the catch-up
+  // source, so their calibration steps the online runs frame by frame.
+  std::vector<std::unique_ptr<EngineRun>> runs(n);
+  std::vector<EngineRun*> online;
+  CatchUpSource catch_up(source, online);
+  EngineOptions engine = options;
+  for (const bool calibrating : {false, true}) {
+    for (size_t i = 0; i < n; ++i) {
+      if (lineup[i]->calibrates_on_video() != calibrating) continue;
+      // Each (trial, strategy) run checkpoints into its own directory so
+      // concurrent trials never share generation files and a resumed
+      // experiment picks every run up exactly where it stopped.
+      if (options.checkpoint.enabled()) {
+        engine.checkpoint.directory = options.checkpoint.directory +
+                                      "/trial-" + std::to_string(trial) +
+                                      "/" + SanitizeLabel(strategies[i].label);
+      }
+      auto run = EngineRun::Create(calibrating ? catch_up : source,
+                                   lineup[i].get(), engine);
+      VQE_RETURN_NOT_OK(catch_up.status());
+      if (!run.ok()) return run.status();
+      runs[i] = std::move(run).value();
+      if (!calibrating) online.push_back(runs[i].get());
+    }
+  }
+  std::vector<EngineRun*> all;
+  for (const auto& run : runs) all.push_back(run.get());
+  size_t frontier = 0;
+  VQE_RETURN_NOT_OK(StepLockstep(all, source.num_frames(), &frontier));
+  for (size_t i = 0; i < n; ++i) {
+    VQE_ASSIGN_OR_RETURN(result->outcomes[i].runs[trial], runs[i]->Finish());
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status ExperimentConfig::Validate() const {
@@ -168,8 +291,9 @@ Result<ExperimentResult> RunExperiment(
   auto run_trial = [&](size_t trial) {
     // Either backend yields bit-identical runs (shared FrameEvalContext
     // kernel); lazy skips the masks no strategy touches. One evaluator is
-    // shared across the trial's strategies — cells are pure functions of
-    // (frame, mask), so later strategies just hit the memo.
+    // shared across the trial's strategies, stepped in lockstep — cells
+    // are pure functions of (frame, mask), so a run reading a cell
+    // another run materialized just hits the memo.
     std::unique_ptr<LazyFrameEvaluator> evaluator;
     FrameMatrix matrix;
     EvaluationSource* source = nullptr;
@@ -201,30 +325,8 @@ Result<ExperimentResult> RunExperiment(
     EngineOptions engine = config.engine;
     engine.strategy_seed =
         HashCombine(config.base_seed, 0xABCD0000ULL + trial);
-
-    for (size_t i = 0; i < strategies.size(); ++i) {
-      auto strategy = strategies[i].make();
-      if (strategy == nullptr) {
-        trial_status[static_cast<size_t>(trial)] =
-            Status::Internal("strategy factory returned null");
-        return;
-      }
-      // Each (trial, strategy) run checkpoints into its own directory so
-      // concurrent trials never share generation files and a resumed
-      // experiment picks every run up exactly where it stopped.
-      if (config.engine.checkpoint.enabled()) {
-        engine.checkpoint.directory = config.engine.checkpoint.directory +
-                                      "/trial-" + std::to_string(trial) + "/" +
-                                      SanitizeLabel(strategies[i].label);
-      }
-      auto run = RunStrategy(*source, strategy.get(), engine);
-      if (!run.ok()) {
-        trial_status[static_cast<size_t>(trial)] = run.status();
-        return;
-      }
-      result.outcomes[i].runs[static_cast<size_t>(trial)] =
-          std::move(run).value();
-    }
+    trial_status[static_cast<size_t>(trial)] =
+        RunLineup(*source, strategies, engine, trial, &result);
   };
 
   ParallelFor(static_cast<size_t>(config.trials), config.parallelism,

@@ -3,23 +3,34 @@
 // online strategies (MES / MES-B / SW-MES / SGL / RAND / EF) only ever
 // read the subset lattice of the mask they selected, so an eager build
 // does exponentially more fusion work than the run observes. This source
-// touches a frame's detectors on first access (model outputs are cached —
-// the per-frame ModelOutputCache) and materializes a mask's
+// runs a frame's detectors on first access and materializes a mask's
 // ⟨est_ap, true_ap, cost, overhead⟩ cell on first read, memoized per
 // (frame, mask); repeated reads — subset updates, window replays, oracle
 // probes — are free.
+//
+// Memory model: at most one FrameEvalContext (the per-model detections,
+// ground-truth indexes, SoA store and scratch of Alg. 1 lines 9–10) is
+// live — the frame being evaluated. Touching another frame replaces it.
+// What each touched frame keeps is its memo plus the scalars Stats()
+// returns, so a long run holds a few small blocks per frame, not a whole
+// detector context. The engine never reads a frame again after stepping
+// past it, so single-pass runs never need an evicted context back; an
+// Eval or FusedOutput that does (an unmemoised mask on an earlier frame,
+// or any read of a snapshot-restored frame beyond its memo) rebuilds it
+// deterministically and counts it in frames_rebuilt().
 //
 // All evaluation goes through the same FrameEvalContext kernel as the
 // eager build, so every materialized cell is bit-identical to the
 // corresponding FrameMatrix entry. The cost normalizer max_S c_{S|v}
 // needs no lattice scan: it is the full pool's cost, computable from the
-// cached box counts alone (see FrameEvalContext::FullEnsembleCostMs).
+// frame's box counts alone (see FrameEvalContext::FullEnsembleCostMs).
 
 #ifndef VQE_CORE_LAZY_FRAME_EVALUATOR_H_
 #define VQE_CORE_LAZY_FRAME_EVALUATOR_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -47,6 +58,9 @@ class LazyFrameEvaluator final : public EvaluationSource {
   }
   size_t num_frames() const override { return video_.size(); }
 
+  /// Served from the frame's recorded scalars once it was touched; the
+  /// returned pointers stay valid for the evaluator's lifetime, or until
+  /// RestoreState replaces the records.
   FrameStats Stats(size_t t) override;
   MaskEvaluation Eval(size_t t, EnsembleId mask) override;
   /// Always nullptr: a true-score Pareto frontier requires the full
@@ -72,15 +86,23 @@ class LazyFrameEvaluator final : public EvaluationSource {
   Result<double> ScorePropagated(size_t t,
                                  const DetectionList& dets) override;
 
-  /// Materializes the frame (this IS the detect path's detector work) and
-  /// fuses `mask` into a reused buffer, bypassing the memo counters: the
-  /// boxes, not the scalars, are the product here.
+  /// Fuses `mask` on the frame's live context into a reused buffer,
+  /// bypassing the memo counters: the boxes, not the scalars, are the
+  /// product here. The engine calls it right after evaluating the frame's
+  /// lattice, so the context is live; an evicted frame is rebuilt.
   const DetectionList* FusedOutput(size_t t, EnsembleId mask) override;
 
   const Video& video() const { return video_; }
 
   /// Instrumentation: frames whose detectors have run.
   size_t frames_touched() const { return frames_touched_; }
+  /// Contexts built for frames already counted in frames_touched(): reads
+  /// that needed an evicted (or snapshot-restored) frame's detections
+  /// again. Zero for single-pass runs, bar one by design: a skip-gated
+  /// SGL run rebuilds each detect frame for its fused output, because its
+  /// calibration touched every frame first. Counts this instance's work
+  /// only; snapshots do not carry it.
+  size_t frames_rebuilt() const { return frames_rebuilt_; }
   /// Distinct (frame, mask) cells fused and scored. An eager build does
   /// num_frames() · num_ensembles() of these; the gap is the work lazy
   /// evaluation skipped.
@@ -89,9 +111,9 @@ class LazyFrameEvaluator final : public EvaluationSource {
   uint64_t memo_hits() const { return memo_hits_; }
 
   /// Serializes the memo (counters + every known cell per touched frame).
-  /// Restored cells are served without re-running detectors; the detector
-  /// context is re-created on demand only if an unknown mask or Stats()
-  /// is requested for that frame (deterministic, so values match).
+  /// Restored cells are served without re-running detectors; the frame is
+  /// rebuilt on demand only if an unknown mask or Stats() is requested
+  /// for it (deterministic, so values match).
   Status SaveState(ByteWriter& writer) const override;
   Status RestoreState(ByteReader& reader) override;
 
@@ -100,24 +122,36 @@ class LazyFrameEvaluator final : public EvaluationSource {
                      uint64_t trial_seed, const MatrixOptions& options,
                      std::unique_ptr<EnsembleMethod> fusion);
 
-  struct FrameSlot {
-    std::unique_ptr<FrameEvalContext> ctx;
-    double max_cost_ms = 0.0;
-    /// Memo indexed by mask (index 0 unused), allocated on frame touch.
+  /// What a touched frame keeps after its context is gone.
+  struct FrameRecord {
+    /// Memo indexed by mask (index 0 unused), allocated on first touch.
     std::vector<MaskEvaluation> memo;
     std::vector<uint8_t> known;
+    /// Stats() scalars; has_stats is false until a context was built here
+    /// (snapshot-restored frames carry only memo and max_cost_ms).
+    bool has_stats = false;
+    std::vector<double> model_cost_ms;
+    std::vector<double> model_fault_ms;
+    double ref_cost_ms = 0.0;
+    double max_cost_ms = 0.0;
+    EnsembleId available_mask = 0;
   };
 
-  /// Runs the frame's detectors on first access.
-  FrameSlot& Touch(size_t t);
+  /// Frame t's detector context, building it (and evicting the previous
+  /// frame's) unless it is the live one.
+  FrameEvalContext& LiveContext(size_t t);
 
   Video video_;
   const DetectorPool* pool_;
   uint64_t trial_seed_;
   MatrixOptions options_;
   std::unique_ptr<EnsembleMethod> fusion_;
-  std::vector<FrameSlot> slots_;
+  std::vector<FrameRecord> frames_;
+  /// The one live context and the frame it belongs to.
+  std::optional<FrameEvalContext> live_;
+  size_t live_t_ = 0;
   size_t frames_touched_ = 0;
+  size_t frames_rebuilt_ = 0;
   uint64_t masks_materialized_ = 0;
   uint64_t memo_hits_ = 0;
   /// Reused FusedOutput buffer (valid until the next call).

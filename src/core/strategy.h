@@ -121,6 +121,13 @@ class SelectionStrategy {
   /// switches on this hook).
   virtual bool needs_full_lattice() const { return false; }
 
+  /// True when BeginVideo reads the oracle over the whole video before
+  /// the first Select (SGL's calibration). RunExperiment creates such runs
+  /// after the rest of the line-up and lets each calibration read step
+  /// the others through that frame, so a shared lazy source builds every
+  /// frame's detector context once.
+  virtual bool calibrates_on_video() const { return false; }
+
   /// Restricts candidate arms to subsets of `eligible` — the engine calls
   /// this each frame with the models whose circuit breakers admit calls,
   /// so a known-bad model disappears from UCB enumeration until its

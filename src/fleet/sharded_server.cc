@@ -1,7 +1,6 @@
 #include "fleet/sharded_server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -13,15 +12,6 @@
 
 namespace vqe {
 namespace {
-
-double Percentile(std::vector<double>& samples, double q) {
-  if (samples.empty()) return 0.0;
-  const size_t rank = static_cast<size_t>(
-      std::min<double>(samples.size() - 1,
-                       std::ceil(q * static_cast<double>(samples.size())) - 1));
-  std::nth_element(samples.begin(), samples.begin() + rank, samples.end());
-  return samples[rank];
-}
 
 // --- Cross-thread plumbing ----------------------------------------------
 
@@ -835,9 +825,10 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
     fsr.report = std::move(state.report);
     out.streams.push_back(std::move(fsr));
   }
-  out.stats.migration.latency_p50_ms = Percentile(migration_latency_ms, 0.5);
+  out.stats.migration.latency_p50_ms =
+      SamplePercentileInPlace(migration_latency_ms, 0.5);
   out.stats.migration.latency_p99_ms =
-      Percentile(migration_latency_ms, 0.99);
+      SamplePercentileInPlace(migration_latency_ms, 0.99);
   out.stats.fleet_health = fleet_health.Snapshot(~0ull >> 1);
   out.stats.wall_ms = wall.ElapsedMillis();
   return out;

@@ -29,7 +29,7 @@ bool operator==(const DegradationTransition& a,
          a.queue_depth == b.queue_depth;
 }
 
-double SamplePercentile(std::vector<double> samples, double q) {
+double SamplePercentileInPlace(std::vector<double>& samples, double q) {
   if (samples.empty()) return 0.0;
   if (q <= 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;

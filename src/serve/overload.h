@@ -119,9 +119,17 @@ inline bool operator!=(const DegradationTransition& a,
   return !(a == b);
 }
 
-/// Nearest-rank percentile (q in [0, 1]) of a sample set; takes the
-/// samples by value because selection reorders them. 0 on empty input.
-double SamplePercentile(std::vector<double> samples, double q);
+/// Nearest-rank percentile of a sample set: the ceil(q·n)-th smallest
+/// sample, with q clamped to [0, 1] and the rank to [1, n]; 0 on empty
+/// input. Selects in place, so it reorders `samples` (later calls on the
+/// same vector still return exact percentiles).
+double SamplePercentileInPlace(std::vector<double>& samples, double q);
+
+/// The same rule on a copy, for callers whose sample order matters (the
+/// controller's ring-buffer windows).
+inline double SamplePercentile(std::vector<double> samples, double q) {
+  return SamplePercentileInPlace(samples, q);
+}
 
 /// The ladder state machine. Driven by one StreamScheduler from its own
 /// thread: RecordFrameCost in deterministic slot order after each round's

@@ -1,26 +1,13 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 
 namespace vqe {
-namespace {
-
-/// Nearest-rank percentile of an unsorted sample set (q in [0, 1]).
-double Percentile(std::vector<double>& samples, double q) {
-  if (samples.empty()) return 0.0;
-  const size_t rank = static_cast<size_t>(
-      std::min<double>(samples.size() - 1,
-                       std::ceil(q * static_cast<double>(samples.size())) - 1));
-  std::nth_element(samples.begin(), samples.begin() + rank, samples.end());
-  return samples[rank];
-}
-
-}  // namespace
 
 Status ServeOptions::Validate() const {
   if (max_sessions < 1) {
@@ -83,6 +70,14 @@ StreamScheduler::StreamScheduler(ServeOptions options)
       obs_ids_.overload_transitions =
           reg.Counter("vqe_sched_overload_transitions_total", wall,
                       MetricUnit::kCount, "Degradation-ladder level changes");
+      obs_ids_.slot_busy_ms =
+          reg.Counter("vqe_sched_slot_busy_ms_total", wall, MetricUnit::kMs,
+                      "Wall-clock slots spent stepping inside rounds");
+      obs_ids_.step_capacity_ms =
+          reg.Counter("vqe_sched_step_capacity_ms_total", wall,
+                      MetricUnit::kMs,
+                      "Wall-clock of each round's parallel step times its "
+                      "worker count (1 - busy / capacity = barrier idle)");
     }
   }
 }
@@ -403,8 +398,34 @@ void StreamScheduler::RoundOnce() {
     credited_ms += credit;
   }
   if (obs_on) node_obs_.CountMs(obs_ids_.drr_credit_ms, credited_ms);
-  ParallelFor(active_.size(), options_.parallelism,
-              [&](size_t i) { StepSlotRound(*active_[i], round_); });
+
+  // Longest slot first: the round ends at its slowest worker, so hand the
+  // slots out by last round's wall time, descending (never-measured slots
+  // lead). Only which worker runs a slot, and when, changes — sessions
+  // are independent and everything merged below walks active_ in slot
+  // order, so no result depends on this order.
+  dispatch_order_.resize(active_.size());
+  std::iota(dispatch_order_.begin(), dispatch_order_.end(), size_t{0});
+  std::stable_sort(dispatch_order_.begin(), dispatch_order_.end(),
+                   [&](size_t a, size_t b) {
+                     return active_[a]->step_ms > active_[b]->step_ms;
+                   });
+  Stopwatch step_watch;
+  ParallelFor(dispatch_order_.size(), options_.parallelism, [&](size_t k) {
+    Slot& slot = *active_[dispatch_order_[k]];
+    Stopwatch slot_watch;
+    StepSlotRound(slot, round_);
+    slot.step_ms = slot_watch.ElapsedMillis();
+  });
+  if (obs_on) {
+    const double step_ms = step_watch.ElapsedMillis();
+    double busy_ms = 0.0;
+    for (const auto& slot : active_) busy_ms += slot->step_ms;
+    node_obs_.CountMs(obs_ids_.slot_busy_ms, busy_ms);
+    node_obs_.CountMs(
+        obs_ids_.step_capacity_ms,
+        step_ms * ResolveWorkers(options_.parallelism, active_.size()));
+  }
 
   // Sense and decide: merge this round's simulated frame costs into the
   // controller in slot order (deterministic — never the workers' wall
@@ -483,18 +504,15 @@ Result<ServeReport> StreamScheduler::FinishServing() {
               return a.stream_id < b.stream_id;
             });
   stats_.wall_ms = serving_ ? wall_.ElapsedMillis() : 0.0;
-  if (!all_latencies_ms_.empty()) {
-    stats_.frame_p50_ms = Percentile(all_latencies_ms_, 0.50);
-    stats_.frame_p99_ms = Percentile(all_latencies_ms_, 0.99);
-    stats_.frame_p999_ms = Percentile(all_latencies_ms_, 0.999);
-  }
+  // Empty sample sets yield 0, the stats' defaults.
+  stats_.frame_p50_ms = SamplePercentileInPlace(all_latencies_ms_, 0.50);
+  stats_.frame_p99_ms = SamplePercentileInPlace(all_latencies_ms_, 0.99);
+  stats_.frame_p999_ms = SamplePercentileInPlace(all_latencies_ms_, 0.999);
   for (int c = 0; c < kNumPriorityClasses; ++c) {
     ServeStats::ClassStats& cs = stats_.classes[c];
-    if (!class_sim_ms_[c].empty()) {
-      cs.sim_p50_ms = SamplePercentile(class_sim_ms_[c], 0.50);
-      cs.sim_p99_ms = SamplePercentile(class_sim_ms_[c], 0.99);
-      cs.sim_p999_ms = SamplePercentile(class_sim_ms_[c], 0.999);
-    }
+    cs.sim_p50_ms = SamplePercentileInPlace(class_sim_ms_[c], 0.50);
+    cs.sim_p99_ms = SamplePercentileInPlace(class_sim_ms_[c], 0.99);
+    cs.sim_p999_ms = SamplePercentileInPlace(class_sim_ms_[c], 0.999);
     cs.shed_rate = cs.submitted == 0
                        ? 0.0
                        : static_cast<double>(cs.shed_submissions) /

@@ -31,6 +31,7 @@
 #define VQE_SERVE_SCHEDULER_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -304,6 +305,9 @@ class StreamScheduler {
     /// Samples already fed to the controller (merged at round end in slot
     /// order, on the scheduler thread — deterministic).
     size_t sim_fed = 0;
+    /// Wall time of this slot's step in the last round it was active; the
+    /// round dispatches slots longest-first (infinity: never measured).
+    double step_ms = std::numeric_limits<double>::infinity();
   };
 
   void Activate(std::unique_ptr<StreamSession> session, uint64_t id,
@@ -325,6 +329,8 @@ class StreamScheduler {
   bool finished_ = false;
   Stopwatch wall_;
   std::vector<std::unique_ptr<Slot>> active_;
+  /// Indices into active_ in this round's dispatch order (reused).
+  std::vector<size_t> dispatch_order_;
   struct Queued {
     std::unique_ptr<StreamSession> session;
     uint64_t stream_id = 0;
@@ -354,6 +360,8 @@ class StreamScheduler {
     MetricsRegistry::Id retired = MetricsRegistry::kInvalidId;
     MetricsRegistry::Id stream_errors = MetricsRegistry::kInvalidId;
     MetricsRegistry::Id overload_transitions = MetricsRegistry::kInvalidId;
+    MetricsRegistry::Id slot_busy_ms = MetricsRegistry::kInvalidId;
+    MetricsRegistry::Id step_capacity_ms = MetricsRegistry::kInvalidId;
   };
   ObsIds obs_ids_;
   /// Monotone wall timestamp base for this scheduler's round spans.

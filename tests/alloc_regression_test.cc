@@ -6,7 +6,8 @@
 // operator new and the arena's block counter, warms a FrameEvalContext
 // with one full mask pass, then asserts a second identical pass performs
 // exactly zero heap allocations — for both a cache-consuming fusion
-// method (NMS) and the cache-skipping default (WBF).
+// method (NMS) and the cache-skipping default (WBF). A second gate bounds
+// what a lazy run retains per frame once the run has moved past it.
 
 #include <atomic>
 #include <cstdlib>
@@ -14,12 +15,17 @@
 #include <string>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <gtest/gtest.h>
 
 #include "common/arena.h"
 #include "core/engine.h"
 #include "core/frame_eval.h"
 #include "core/frame_matrix.h"
+#include "core/lazy_frame_evaluator.h"
 #include "core/mes.h"
 #include "models/model_zoo.h"
 #include "sim/dataset.h"
@@ -27,31 +33,47 @@
 namespace {
 
 std::atomic<std::uint64_t> g_heap_allocs{0};
+/// Live bytes allocated through operator new (usable sizes, so the
+/// allocator's rounding counts); tracked only where glibc reports them.
+std::atomic<std::int64_t> g_live_bytes{0};
+
+std::int64_t UsableBytes(void* p) {
+#if defined(__GLIBC__)
+  return static_cast<std::int64_t>(malloc_usable_size(p));
+#else
+  (void)p;
+  return 0;
+#endif
+}
+
+void* CountedAlloc(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) {
+    g_live_bytes.fetch_add(UsableBytes(p), std::memory_order_relaxed);
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void CountedFree(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(UsableBytes(p), std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
-// Counting overrides. Deallocation functions are pass-through: only
-// allocation frequency matters here. GCC cannot see that every pointer
-// these deletes free came from the malloc-backed news above, so quiet its
-// mismatched-new-delete guess.
+// Counting overrides: allocation frequency and live bytes. GCC cannot see
+// that every pointer these deletes free came from the malloc-backed news
+// above, so quiet its mismatched-new-delete guess.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 #pragma GCC diagnostic pop
 
 namespace vqe {
@@ -193,6 +215,57 @@ TEST(EngineSteadyStateTest, DisabledObsFrameLoopIsAllocationFree) {
   EXPECT_GT(steady_frames, 0u);
   EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - heap_before, 0u)
       << "steady-state StepFrame hit the heap with obs disabled";
+}
+
+// What a lazy run keeps per frame once it has stepped past it: the memo
+// and the frame's Stats() scalars, never its detector context (per-model
+// detections, ground-truth indexes, SoA store: kilobytes in dozens of
+// blocks). Heap still live after a run over 2N frames, minus after N,
+// must fit N such records.
+TEST(LazyRetainedHeapTest, RunRetainsOnlyMemoAndScalarsPerFrame) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "live-byte accounting needs malloc_usable_size";
+#endif
+  const int m = 6;
+  const DetectorPool pool = MakePool(m);
+  const Video video = MakeVideo(/*scene_scale=*/0.06, /*seed=*/29);
+  const size_t n = video.size() / 2;
+  ASSERT_GE(n, 40u);
+
+  // Bytes an evaluator holds after a run over the first `frames` frames,
+  // beyond what it held when created (the video and per-frame slots).
+  auto retained = [&](size_t frames) {
+    Video clip;
+    clip.geometry = video.geometry;
+    clip.frames.assign(video.frames.begin(), video.frames.begin() + frames);
+    auto lazy =
+        std::move(LazyFrameEvaluator::Create(std::move(clip), pool, 29))
+            .value();
+    const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+    {
+      MesOptions mes;
+      mes.gamma = 2;
+      MesStrategy strategy(mes);
+      EngineOptions options;
+      options.strategy_seed = 29;
+      options.compute_regret = false;
+      EXPECT_TRUE(RunStrategy(*lazy, &strategy, options).ok());
+    }
+    EXPECT_EQ(lazy->frames_touched(), frames);
+    return g_live_bytes.load(std::memory_order_relaxed) - before;
+  };
+  retained(2 * n);  // warm the thread's fusion arena to its high-water mark
+
+  // Per-frame allowance: the memo (one cell and one known-flag per mask)
+  // and two m-double cost vectors, each block given 16 bytes of allocator
+  // rounding.
+  const size_t masks = NumEnsembles(m) + 1;
+  const std::int64_t per_frame = static_cast<std::int64_t>(
+      masks * (sizeof(MaskEvaluation) + 1) + 2 * m * sizeof(double) + 4 * 16);
+  const std::int64_t growth = retained(2 * n) - retained(n);
+  EXPECT_LE(growth, static_cast<std::int64_t>(n) * per_frame)
+      << "a lazy run retains " << growth / static_cast<std::int64_t>(n)
+      << " bytes per frame it moved past; allowance " << per_frame;
 }
 
 // The arena itself must also be quiet in steady state: repeated

@@ -6,16 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/baselines.h"
+#include "core/ducb.h"
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "core/lazy_frame_evaluator.h"
 #include "core/mes.h"
+#include "core/mes_b.h"
 #include "models/model_zoo.h"
+#include "models/reference_detector.h"
 #include "sim/dataset.h"
 
 namespace vqe {
@@ -41,6 +47,55 @@ Video MakeVideo(double scene_scale, uint64_t seed) {
   sample.scene_scale = scene_scale;
   sample.seed = seed;
   return std::move(SampleVideo(*spec, sample)).value();
+}
+
+/// Forwards to a pool detector and counts its Detect calls — the work a
+/// rebuilt frame context repeats.
+class CountingDetector final : public ObjectDetector {
+ public:
+  CountingDetector(const ObjectDetector& inner, std::atomic<uint64_t>* calls)
+      : inner_(&inner), calls_(calls) {}
+  const std::string& name() const override { return inner_->name(); }
+  DetectionList Detect(const VideoFrame& frame,
+                       uint64_t trial_seed) const override {
+    calls_->fetch_add(1, std::memory_order_relaxed);
+    return inner_->Detect(frame, trial_seed);
+  }
+  double InferenceCostMs(const VideoFrame& frame,
+                         uint64_t trial_seed) const override {
+    return inner_->InferenceCostMs(frame, trial_seed);
+  }
+  uint64_t param_count() const override { return inner_->param_count(); }
+  const std::string& structure_name() const override {
+    return inner_->structure_name();
+  }
+
+ private:
+  const ObjectDetector* inner_;
+  std::atomic<uint64_t>* calls_;
+};
+
+/// `pool` with every candidate detector counted into `calls`.
+DetectorPool CountingPool(const DetectorPool& pool,
+                          std::atomic<uint64_t>* calls) {
+  DetectorPool counting;
+  for (const auto& d : pool.detectors) {
+    counting.detectors.push_back(std::make_unique<CountingDetector>(*d, calls));
+  }
+  counting.reference =
+      std::make_unique<ReferenceDetector>(pool.reference->profile());
+  return counting;
+}
+
+bool SameDetections(const DetectionList& a, const DetectionList& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i].box == b[i].box) || a[i].confidence != b[i].confidence ||
+        a[i].label != b[i].label) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void ExpectSameRun(const RunResult& a, const RunResult& b) {
@@ -249,9 +304,25 @@ TEST(LazyEvalTest, ExperimentBackendsAgree) {
   const auto eager =
       std::move(RunExperiment(config, pool, strategies)).value();
   config.evaluation = EvaluationMode::kLazy;
-  const auto lazy = std::move(RunExperiment(config, pool, strategies)).value();
+  std::atomic<uint64_t> detect_calls{0};
+  const DetectorPool counting = CountingPool(pool, &detect_calls);
+  const auto lazy =
+      std::move(RunExperiment(config, counting, strategies)).value();
   config.evaluation = EvaluationMode::kAuto;
   const auto autom = std::move(RunExperiment(config, pool, strategies)).value();
+
+  // The lazy line-up steps in lockstep over one evaluator per trial, so
+  // every frame's detectors run once: SGL's calibration reads every frame
+  // (frames_touched() is the video length) and a rebuilt frame would add
+  // m more calls.
+  uint64_t frames_touched = 0;
+  for (int trial = 0; trial < config.trials; ++trial) {
+    frames_touched += std::move(BuildTrialEvaluator(
+                                    config, pool, static_cast<uint64_t>(trial)))
+                          .value()
+                          ->num_frames();
+  }
+  EXPECT_EQ(detect_calls.load(), frames_touched * pool.size());
 
   ASSERT_EQ(eager.outcomes.size(), strategies.size());
   for (size_t i = 0; i < strategies.size(); ++i) {
@@ -262,6 +333,191 @@ TEST(LazyEvalTest, ExperimentBackendsAgree) {
                       other->outcomes[i].runs[trial]);
       }
       EXPECT_FALSE(other->outcomes[i].regret_available);
+    }
+  }
+}
+
+// The memory model: only the live frame keeps its detector context. An
+// evicted frame's Stats() come from its record; its unmemoised cells and
+// fused outputs rebuild the context, bit-identical to the eager matrix,
+// and are counted as rebuilds, never as new touches.
+TEST(LazyEvalTest, EvictedFrameRebuildsBitIdenticalToEagerMatrix) {
+  const int m = 3;
+  const DetectorPool pool = MakePool(m);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/11);
+  ASSERT_GE(video.size(), 2u);
+  MatrixOptions options;
+  options.keep_temporal_outputs = true;
+  const auto matrix =
+      std::move(BuildFrameMatrix(video, pool, /*trial_seed=*/7, options))
+          .value();
+  auto lazy = std::move(LazyFrameEvaluator::Create(video, pool,
+                                                   /*trial_seed=*/7, options))
+                  .value();
+  const FrameEvaluation& fe = matrix.frames[0];
+
+  lazy->Eval(0, Singleton(0));
+  lazy->Eval(1, Singleton(0));  // frame 0's context is gone
+  EXPECT_EQ(lazy->frames_touched(), 2u);
+  const FrameStats stats = lazy->Stats(0);
+  EXPECT_EQ(*stats.model_cost_ms, fe.model_cost_ms);
+  EXPECT_EQ(*stats.model_fault_ms, fe.model_fault_ms);
+  EXPECT_EQ(stats.ref_cost_ms, fe.ref_cost_ms);
+  EXPECT_EQ(stats.max_cost_ms, fe.max_cost_ms);
+  EXPECT_EQ(stats.available_mask, fe.available_mask);
+  EXPECT_EQ(lazy->frames_rebuilt(), 0u) << "Stats() re-ran detectors";
+
+  for (EnsembleId mask = 1; mask <= matrix.num_ensembles(); ++mask) {
+    const MaskEvaluation e = lazy->Eval(0, mask);
+    EXPECT_EQ(e.est_ap, fe.est_ap[mask]) << "mask=" << mask;
+    EXPECT_EQ(e.true_ap, fe.true_ap[mask]);
+    EXPECT_EQ(e.cost_ms, fe.cost_ms[mask]);
+    EXPECT_EQ(e.fusion_overhead_ms, fe.fusion_overhead_ms[mask]);
+  }
+  EXPECT_EQ(lazy->frames_rebuilt(), 1u);
+
+  lazy->Eval(1, Singleton(1));  // back to frame 1: rebuilt, frame 0 evicted
+  EXPECT_EQ(lazy->frames_rebuilt(), 2u);
+  const EnsembleId full = FullEnsemble(m);
+  const DetectionList* fused = lazy->FusedOutput(0, full);
+  ASSERT_NE(fused, nullptr);
+  EXPECT_TRUE(SameDetections(*fused, fe.fused[full]));
+  EXPECT_EQ(lazy->frames_rebuilt(), 3u);
+  EXPECT_EQ(lazy->frames_touched(), 2u);
+}
+
+// A FrameStats handed out for one frame stays readable after the
+// evaluator moved on (and freed that frame's context): its pointers
+// target the frame's record, which lives as long as the evaluator.
+TEST(LazyEvalTest, HeldFrameStatsOutliveEviction) {
+  const int m = 3;
+  const DetectorPool pool = MakePool(m);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/5);
+  ASSERT_GE(video.size(), 3u);
+  auto lazy =
+      std::move(LazyFrameEvaluator::Create(video, pool, /*trial_seed=*/5))
+          .value();
+  const FrameStats held = lazy->Stats(0);
+  const std::vector<double> costs = *held.model_cost_ms;
+  const std::vector<double> faults = *held.model_fault_ms;
+  for (size_t t = 1; t < video.size(); ++t) {
+    lazy->Eval(t, FullEnsemble(m));
+  }
+  EXPECT_EQ(*held.model_cost_ms, costs);
+  EXPECT_EQ(*held.model_fault_ms, faults);
+  EXPECT_EQ(lazy->frames_rebuilt(), 0u);
+}
+
+// The engine never reads a frame again after stepping past it, so one
+// live context suffices: no single-pass run of an online strategy — SGL's
+// whole-video calibration included, and the skip gate's fused-output
+// reads — rebuilds a frame, and every run still matches the eager one.
+// The one exception is by design: SGL's calibration visits every frame
+// before its run starts and the memo keeps scalars, not boxes, so a
+// skip-gated SGL run rebuilds each detect frame for the tracker's input.
+TEST(LazyEvalTest, SinglePassRunsNeverRebuild) {
+  const int m = 4;
+  const DetectorPool pool = MakePool(m);
+  const Video video = MakeVideo(/*scene_scale=*/0.03, /*seed=*/19);
+  ASSERT_GT(video.size(), 20u);
+  MatrixOptions matrix_options;
+  matrix_options.keep_temporal_outputs = true;
+  const auto matrix =
+      std::move(BuildFrameMatrix(video, pool, /*trial_seed=*/19,
+                                 matrix_options))
+          .value();
+
+  using Factory = std::function<std::unique_ptr<SelectionStrategy>()>;
+  const std::vector<std::pair<std::string, Factory>> online = {
+      {"MES", [] { return std::make_unique<MesStrategy>(); }},
+      {"MES-B", [] { return std::make_unique<MesBStrategy>(); }},
+      {"SW-MES", [] { return std::make_unique<SwMesStrategy>(); }},
+      {"D-MES", [] { return std::make_unique<DucbMesStrategy>(); }},
+      {"RAND", [] { return std::make_unique<RandomStrategy>(); }},
+      {"EF", [] { return std::make_unique<ExploreFirstStrategy>(2); }},
+      {"SGL", [] { return std::make_unique<SingleBestStrategy>(); }},
+  };
+  for (const bool skip : {false, true}) {
+    for (const auto& [label, make] : online) {
+      SCOPED_TRACE(label + (skip ? " +skip" : ""));
+      EngineOptions engine;
+      engine.strategy_seed = 31;
+      engine.compute_regret = false;
+      if (skip) {
+        engine.skip.mode = SkipMode::kFixedInterval;
+        engine.skip.skip_budget = 2;
+      }
+      auto eager_strategy = make();
+      const RunResult eager =
+          std::move(RunStrategy(matrix, eager_strategy.get(), engine))
+              .value();
+      auto lazy = std::move(LazyFrameEvaluator::Create(video, pool,
+                                                       /*trial_seed=*/19))
+                      .value();
+      auto lazy_strategy = make();
+      const RunResult run =
+          std::move(RunStrategy(*lazy, lazy_strategy.get(), engine)).value();
+      ExpectSameRun(eager, run);
+      EXPECT_GT(lazy->frames_touched(), 0u);
+      EXPECT_EQ(lazy->frames_rebuilt(),
+                skip && label == "SGL" ? run.skip.detect_frames : 0u);
+    }
+  }
+}
+
+// The Figure 4 line-up with regret on shares one evaluator without a
+// rebuild either way it is driven: run after run (OPT and the regret scan
+// materialize each frame's lattice while it is live, so later runs only
+// hit the memo) and in RunExperiment's lockstep (SGL's calibration steps
+// the other runs through each frame it reads).
+TEST(LazyEvalTest, Figure4LineupWithRegretNeverRebuilds) {
+  const int m = 3;
+  const DetectorPool pool = MakePool(m);
+  std::atomic<uint64_t> detect_calls{0};
+  const DetectorPool counting = CountingPool(pool, &detect_calls);
+  const auto lineup = DefaultTuviStrategies(/*gamma=*/2, /*ef_explore=*/2);
+  EngineOptions engine;
+  engine.strategy_seed = 41;
+  engine.compute_regret = true;
+
+  auto lazy = std::move(LazyFrameEvaluator::Create(
+                            MakeVideo(/*scene_scale=*/0.02, /*seed=*/41),
+                            counting, /*trial_seed=*/41))
+                  .value();
+  for (const StrategySpec& spec : lineup) {
+    auto strategy = spec.make();
+    ASSERT_TRUE(RunStrategy(*lazy, strategy.get(), engine).ok());
+  }
+  EXPECT_EQ(lazy->frames_touched(), lazy->num_frames());
+  EXPECT_EQ(lazy->frames_rebuilt(), 0u);
+  EXPECT_EQ(detect_calls.load(), lazy->frames_touched() * m);
+
+  ExperimentConfig config;
+  config.dataset = *DatasetCatalog::Default().Find("nusc-night");
+  config.scene_scale = 0.02;
+  config.trials = 2;
+  config.pool_size = m;
+  config.base_seed = 43;
+  config.engine = engine;
+  config.evaluation = EvaluationMode::kEager;
+  const auto eager = std::move(RunExperiment(config, pool, lineup)).value();
+  config.evaluation = EvaluationMode::kLazy;
+  detect_calls = 0;
+  const auto lockstep =
+      std::move(RunExperiment(config, counting, lineup)).value();
+  uint64_t frames = 0;
+  for (int trial = 0; trial < config.trials; ++trial) {
+    frames += std::move(BuildTrialEvaluator(config, pool,
+                                            static_cast<uint64_t>(trial)))
+                  .value()
+                  ->num_frames();
+  }
+  EXPECT_EQ(detect_calls.load(), frames * m);
+  for (size_t i = 0; i < lineup.size(); ++i) {
+    SCOPED_TRACE(lineup[i].label);
+    for (int trial = 0; trial < config.trials; ++trial) {
+      ExpectSameRun(eager.outcomes[i].runs[static_cast<size_t>(trial)],
+                    lockstep.outcomes[i].runs[static_cast<size_t>(trial)]);
     }
   }
 }

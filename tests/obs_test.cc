@@ -501,6 +501,24 @@ TEST(ObsServeTest, SchedulerMetricsFingerprintIsWorkerCountInvariant) {
     } else {
       EXPECT_EQ(fp, fingerprint);
     }
+
+    // The round barrier's wall accounting stays out of the fingerprint,
+    // and slots can only be busy within the capacity the rounds offered.
+    const MetricsRegistry::MetricView* busy = nullptr;
+    const MetricsRegistry::MetricView* capacity = nullptr;
+    const auto views = obs.metrics().Snapshot();
+    for (const auto& v : views) {
+      if (v.name == "vqe_sched_slot_busy_ms_total") busy = &v;
+      if (v.name == "vqe_sched_step_capacity_ms_total") capacity = &v;
+    }
+    ASSERT_NE(busy, nullptr);
+    ASSERT_NE(capacity, nullptr);
+    for (const auto* v : {busy, capacity}) {
+      EXPECT_EQ(v->domain, MetricDomain::kWall);
+      EXPECT_EQ(fp.find(v->name), std::string::npos) << v->name;
+    }
+    EXPECT_GT(busy->raw, 0u);
+    EXPECT_LE(busy->raw, capacity->raw);
   }
   ASSERT_FALSE(uninstrumented.serve.streams.empty());
 }

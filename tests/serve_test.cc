@@ -866,6 +866,24 @@ TEST(SamplePercentileTest, NearestRank) {
   EXPECT_EQ(SamplePercentile(ten, 1.0), 10.0);
 }
 
+// The one percentile rule the scheduler, fleet and controller share: q is
+// clamped (q <= 0 is the minimum, never a wrapped rank), and the in-place
+// form reorders its input yet keeps answering exactly.
+TEST(SamplePercentileTest, ClampsAndSelectsInPlace) {
+  std::vector<double> ten;
+  for (int i = 10; i >= 1; --i) ten.push_back(static_cast<double>(i));
+  EXPECT_EQ(SamplePercentile(ten, 0.0), 1.0);
+  EXPECT_EQ(SamplePercentile(ten, -0.5), 1.0);
+  EXPECT_EQ(SamplePercentile(ten, 1.5), 10.0);
+  std::vector<double> empty;
+  EXPECT_EQ(SamplePercentileInPlace(empty, 0.5), 0.0);
+  std::vector<double> in_place = ten;
+  for (const double q : {0.999, 0.5, 0.99, 0.1, 0.0, 0.55}) {
+    EXPECT_EQ(SamplePercentileInPlace(in_place, q), SamplePercentile(ten, q))
+        << "q=" << q;
+  }
+}
+
 TEST(OverloadOptionsTest, DisabledBypassesValidation) {
   OverloadOptions off;
   off.window = -5;  // nonsense, but the controller is never constructed
@@ -1289,10 +1307,13 @@ TEST(BreakerRegistryTest, ConcurrentTripThenHalfOpenProbeCloses) {
     });
   }
   for (auto& th : shards) th.join();
-  // 400 consecutive failures: open, regardless of interleaving.
-  EXPECT_FALSE(registry.AllowsCall("flaky", 150));
+  // 400 consecutive failures: open at tick 149, regardless of
+  // interleaving. The failure recorded at 149 finds the breaker either
+  // half-open (it re-trips at 149) or tripped at 140 or later; one tick
+  // on, a trip at exactly 140 has cooled down, which interleaving decides.
+  EXPECT_FALSE(registry.AllowsCall("flaky", 149));
   {
-    const auto health = registry.Snapshot(150);
+    const auto health = registry.Snapshot(149);
     ASSERT_EQ(health.size(), 1u);
     EXPECT_EQ(health[0].state, BreakerState::kOpen);
     EXPECT_GE(health[0].opens, 1u);

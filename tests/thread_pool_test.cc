@@ -25,6 +25,10 @@ TEST(ThreadPoolTest, SubmitRunsTask) {
   std::mutex mu;
   std::condition_variable cv;
   ASSERT_TRUE(SharedThreadPool().Submit([&] {
+    // Store and notify under the waiter's mutex: otherwise the wakeup can
+    // land between its predicate check and its wait (lost), and the
+    // waiter can destroy `cv` while this notify is still running.
+    std::lock_guard<std::mutex> guard(mu);
     ran.store(1);
     cv.notify_one();
   }));

@@ -91,6 +91,18 @@ run_obs_smoke() {
     --trace-out BENCH_workload_trace.json)
 }
 
+run_serving_smoke() {
+  # Serving correctness smoke: short runs of the benchmark's two serving
+  # workloads (a StreamScheduler closed loop and a sharded fleet). Each
+  # exits non-zero unless every served clip equals its solo RunStrategy
+  # run; only that exit code is gated, never the printed timings. The
+  # benchmark builds itself into .bench_build/ on first use.
+  python3 perfbench/run.py --workload serve_closed --seed 1 --seconds 2 \
+    --trace 0
+  python3 perfbench/run.py --workload fleet_batch --seed 1 --seconds 2 \
+    --trace 0
+}
+
 run_sanitizer() {
   san="$1"
   dir="build-$2"
@@ -108,6 +120,7 @@ run_perf_smoke
 run_fleet_chaos_smoke
 run_overload_storm_smoke
 run_obs_smoke
+run_serving_smoke
 
 if [ "${1:-}" = "--full" ]; then
   run_sanitizer address asan
