@@ -2,13 +2,12 @@
 // percentiles versus concurrent session count.
 //
 // For each session count n ∈ {1, 2, 4, 8} the bench submits n streams
-// (mixed strategies, seeds and priority classes) to a StreamScheduler with
-// cross-stream batching attached, drains them, and reports wall-clock
-// throughput (frames/sec, streams/sec), the p50/p99 per-frame step
-// latency, DRR round counts, and the batch coalescing factor. Every
-// stream's RunResult is verified bit-identical to its solo RunStrategy
-// baseline — the serving layer may only change WHEN work happens, never
-// WHAT any stream computes.
+// (mixed strategies, seeds and priority classes) to a StreamScheduler,
+// drains them, and reports wall-clock throughput (frames/sec,
+// streams/sec), the p50/p99 per-frame step latency and DRR round counts.
+// Every stream's RunResult is verified bit-identical to its solo
+// RunStrategy baseline — the serving layer may only change WHEN work
+// happens, never WHAT any stream computes.
 //
 // Also sweeps the temporal skip gate (mode × budget × motion level): each
 // configuration runs solo and through skip-enabled serving sessions, and
@@ -50,7 +49,6 @@
 #include "core/lazy_frame_evaluator.h"
 #include "core/mes.h"
 #include "models/model_zoo.h"
-#include "serve/batch_dispatcher.h"
 #include "serve/scheduler.h"
 #include "serve/stream_session.h"
 #include "sim/dataset.h"
@@ -113,35 +111,6 @@ EngineOptions MakeEngine(const StreamSpec& spec) {
   return e;
 }
 
-std::unique_ptr<StreamSession> MakeSession(const Video& video,
-                                           const DetectorPool& base,
-                                           const StreamSpec& spec,
-                                           BatchDispatcher* dispatcher,
-                                           uint64_t stream_id) {
-  std::vector<std::unique_ptr<DetectorPool>> owned;
-  const DetectorPool* pool = &base;
-  if (dispatcher != nullptr) {
-    auto batching = std::make_unique<DetectorPool>(
-        std::move(MakeBatchingPool(*pool, dispatcher, stream_id)).value());
-    pool = batching.get();
-    owned.push_back(std::move(batching));
-  }
-  auto source =
-      std::move(LazyFrameEvaluator::Create(video, *pool, spec.trial_seed, {}))
-          .value();
-  StreamSessionConfig cfg;
-  cfg.name = spec.name;
-  cfg.priority = spec.priority;
-  cfg.engine = MakeEngine(spec);
-  for (const auto& det : pool->detectors) {
-    cfg.model_names.push_back(det->name());
-  }
-  return std::move(StreamSession::Create(std::move(cfg), std::move(source),
-                                         MakeStrategy(spec.strategy),
-                                         std::move(owned)))
-      .value();
-}
-
 /// Deterministic-field equality between a served stream and its solo run.
 bool SameRun(const RunResult& a, const RunResult& b) {
   return a.s_sum == b.s_sum && a.avg_true_ap == b.avg_true_ap &&
@@ -156,7 +125,6 @@ bool SameRun(const RunResult& a, const RunResult& b) {
 
 struct ConfigRow {
   int sessions = 0;
-  bool batched = false;
   double wall_ms = 0.0;
   uint64_t frames = 0;
   double frames_per_sec = 0.0;
@@ -164,8 +132,6 @@ struct ConfigRow {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   uint64_t rounds = 0;
-  double mean_batch = 0.0;
-  uint64_t coalesced = 0;
   bool bit_identical = true;
 };
 
@@ -218,10 +184,10 @@ SkipOptions MakeSkip(const std::string& mode, int budget) {
   return s;
 }
 
-/// Fleet streams rebuild their session from scratch on failover, so the
-/// factory must be repeatable and thread-safe (pool and video are only
-/// read).
-Result<std::unique_ptr<StreamSession>> BuildFleetSession(
+/// One stream's serving session over the lazy backend. Fleet streams
+/// rebuild their session from scratch on failover, so this factory must
+/// be repeatable and thread-safe (pool and video are only read).
+Result<std::unique_ptr<StreamSession>> BuildSession(
     const Video& video, const DetectorPool& pool, const StreamSpec& spec) {
   VQE_ASSIGN_OR_RETURN(auto source, LazyFrameEvaluator::Create(
                                         video, pool, spec.trial_seed, {}));
@@ -239,11 +205,11 @@ Result<std::unique_ptr<StreamSession>> BuildFleetSession(
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --trace-out <path>: instrument the widest unbatched serving config
-  // (sessions=8) with the observability layer and write its Chrome trace
-  // JSON there, validated before exit. The bit-identity verdict for that
-  // config then doubles as the obs-enabled identity check: instrumented
-  // streams must still match their solo baselines exactly.
+  // --trace-out <path>: instrument the widest serving config (sessions=8)
+  // with the observability layer and write its Chrome trace JSON there,
+  // validated before exit. The bit-identity verdict for that config then
+  // doubles as the obs-enabled identity check: instrumented streams must
+  // still match their solo baselines exactly.
   std::string trace_out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
@@ -257,7 +223,7 @@ int main(int argc, char** argv) {
 
   const BenchSettings settings = BenchSettings::FromEnv();
   PrintHeader("Multi-stream serving throughput",
-              "serving layer (sessions, DRR scheduling, batching)",
+              "serving layer (sessions, DRR scheduling)",
               settings);
 
   const DatasetSpec& spec = **DatasetCatalog::Default().Find("nusc-night");
@@ -289,83 +255,71 @@ int main(int argc, char** argv) {
   std::cout << "8 solo runs back-to-back: " << Fmt(solo_ms) << " ms\n\n";
 
   std::vector<ConfigRow> rows;
-  for (const bool batched : {false, true}) {
-    for (const int n : {1, 2, 4, 8}) {
-      ServeOptions opt;
-      opt.max_sessions = n;
-      opt.queue_depth = 0;
-      opt.quantum_ms = 150.0;
-      opt.max_frames_per_round = 16;
-      opt.parallelism = 0;  // all cores
-      if (!batched && n == 8 && !trace_out.empty()) opt.obs = obs.handle();
-      StreamScheduler scheduler(opt);
-      BatchDispatcher dispatcher({/*batch_window=*/4});
-      if (batched) scheduler.AttachBatchDispatcher(&dispatcher);
-      for (int i = 0; i < n; ++i) {
-        auto id = scheduler.Submit(
-            MakeSession(video, pool, MakeSpec(i),
-                        batched ? &dispatcher : nullptr,
-                        static_cast<uint64_t>(i)));
-        if (!id.ok()) {
-          std::cerr << "submit failed: " << id.status().ToString() << "\n";
-          return 1;
-        }
+  for (const int n : {1, 2, 4, 8}) {
+    ServeOptions opt;
+    opt.max_sessions = n;
+    opt.queue_depth = 0;
+    opt.quantum_ms = 150.0;
+    opt.max_frames_per_round = 16;
+    opt.parallelism = 0;  // all cores
+    if (n == 8 && !trace_out.empty()) opt.obs = obs.handle();
+    StreamScheduler scheduler(opt);
+    for (int i = 0; i < n; ++i) {
+      auto id = scheduler.Submit(
+          std::move(BuildSession(video, pool, MakeSpec(i))).value());
+      if (!id.ok()) {
+        std::cerr << "submit failed: " << id.status().ToString() << "\n";
+        return 1;
       }
-      const ServeReport report =
-          std::move(scheduler.RunUntilDrained()).value();
-
-      ConfigRow row;
-      row.sessions = n;
-      row.batched = batched;
-      row.wall_ms = report.stats.wall_ms;
-      row.frames = report.stats.frames;
-      row.frames_per_sec =
-          report.stats.wall_ms > 0.0
-              ? 1e3 * static_cast<double>(report.stats.frames) /
-                    report.stats.wall_ms
-              : 0.0;
-      row.streams_per_sec =
-          report.stats.wall_ms > 0.0 ? 1e3 * n / report.stats.wall_ms : 0.0;
-      row.p50_ms = report.stats.frame_p50_ms;
-      row.p99_ms = report.stats.frame_p99_ms;
-      row.rounds = report.stats.rounds;
-      row.mean_batch = report.stats.batching.MeanBatch();
-      row.coalesced = report.stats.batching.coalesced_requests;
-      for (int i = 0; i < n; ++i) {
-        if (!report.streams[static_cast<size_t>(i)].status.ok() ||
-            !SameRun(solo[static_cast<size_t>(i)],
-                     report.streams[static_cast<size_t>(i)].result)) {
-          row.bit_identical = false;
-        }
-      }
-      rows.push_back(row);
-
-      // The widest unbatched config carries the full priority mix — show
-      // its per-class breakdown (simulated frame clock, so the numbers
-      // are machine-independent).
-      if (!batched && n == 8) {
-        std::cout << "per-class breakdown (sessions=8, sim clock):\n";
-        for (int c = 0; c < kNumPriorityClasses; ++c) {
-          const auto& cs = report.stats.classes[c];
-          if (cs.submitted == 0 && cs.frames == 0) continue;
-          std::cout << "  " << std::setw(11) << std::left
-                    << PriorityClassToString(static_cast<PriorityClass>(c))
-                    << std::right << " submitted " << cs.submitted
-                    << ", frames " << cs.frames << ", sim p50/p99/p999 "
-                    << Fmt(cs.sim_p50_ms, 3) << "/" << Fmt(cs.sim_p99_ms, 3)
-                    << "/" << Fmt(cs.sim_p999_ms, 3) << " ms\n";
-        }
-      }
-
-      std::cout << (batched ? "batched  " : "unbatched") << " sessions="
-                << n << ": wall " << Fmt(row.wall_ms) << " ms, "
-                << Fmt(row.frames_per_sec, 0) << " frames/s, "
-                << Fmt(row.streams_per_sec) << " streams/s, p50 "
-                << Fmt(row.p50_ms, 3) << " ms, p99 " << Fmt(row.p99_ms, 3)
-                << " ms, rounds " << row.rounds << ", mean batch "
-                << Fmt(row.mean_batch) << ", identical="
-                << (row.bit_identical ? "yes" : "NO") << "\n";
     }
+    const ServeReport report = std::move(scheduler.RunUntilDrained()).value();
+
+    ConfigRow row;
+    row.sessions = n;
+    row.wall_ms = report.stats.wall_ms;
+    row.frames = report.stats.frames;
+    row.frames_per_sec =
+        report.stats.wall_ms > 0.0
+            ? 1e3 * static_cast<double>(report.stats.frames) /
+                  report.stats.wall_ms
+            : 0.0;
+    row.streams_per_sec =
+        report.stats.wall_ms > 0.0 ? 1e3 * n / report.stats.wall_ms : 0.0;
+    row.p50_ms = report.stats.frame_p50_ms;
+    row.p99_ms = report.stats.frame_p99_ms;
+    row.rounds = report.stats.rounds;
+    for (int i = 0; i < n; ++i) {
+      if (!report.streams[static_cast<size_t>(i)].status.ok() ||
+          !SameRun(solo[static_cast<size_t>(i)],
+                   report.streams[static_cast<size_t>(i)].result)) {
+        row.bit_identical = false;
+      }
+    }
+    rows.push_back(row);
+
+    // The widest config carries the full priority mix — show its
+    // per-class breakdown (simulated frame clock, so the numbers are
+    // machine-independent).
+    if (n == 8) {
+      std::cout << "per-class breakdown (sessions=8, sim clock):\n";
+      for (int c = 0; c < kNumPriorityClasses; ++c) {
+        const auto& cs = report.stats.classes[c];
+        if (cs.submitted == 0 && cs.frames == 0) continue;
+        std::cout << "  " << std::setw(11) << std::left
+                  << PriorityClassToString(static_cast<PriorityClass>(c))
+                  << std::right << " submitted " << cs.submitted
+                  << ", frames " << cs.frames << ", sim p50/p99/p999 "
+                  << Fmt(cs.sim_p50_ms, 3) << "/" << Fmt(cs.sim_p99_ms, 3)
+                  << "/" << Fmt(cs.sim_p999_ms, 3) << " ms\n";
+      }
+    }
+
+    std::cout << "sessions=" << n << ": wall " << Fmt(row.wall_ms)
+              << " ms, " << Fmt(row.frames_per_sec, 0) << " frames/s, "
+              << Fmt(row.streams_per_sec) << " streams/s, p50 "
+              << Fmt(row.p50_ms, 3) << " ms, p99 " << Fmt(row.p99_ms, 3)
+              << " ms, rounds " << row.rounds << ", identical="
+              << (row.bit_identical ? "yes" : "NO") << "\n";
   }
 
   bool all_identical = true;
@@ -493,9 +447,8 @@ int main(int argc, char** argv) {
   skip_opt.parallelism = 0;
   StreamScheduler skip_scheduler(skip_opt);
   for (size_t i = 0; i < skip_specs.size(); ++i) {
-    auto id = skip_scheduler.Submit(MakeSession(lowmotion, pool,
-                                                skip_specs[i], nullptr,
-                                                static_cast<uint64_t>(i)));
+    auto id = skip_scheduler.Submit(
+        std::move(BuildSession(lowmotion, pool, skip_specs[i])).value());
     if (!id.ok()) {
       std::cerr << "skip-serve submit failed: " << id.status().ToString()
                 << "\n";
@@ -551,7 +504,7 @@ int main(int argc, char** argv) {
       for (const auto& s : fleet_specs) {
         specs.push_back(
             {s.name, [&video, &pool, s] {
-               return BuildFleetSession(video, pool, s);
+               return BuildSession(video, pool, s);
              }});
       }
       ChaosScript script;
@@ -655,17 +608,13 @@ int main(int argc, char** argv) {
     const ConfigRow& r = rows[i];
     std::fprintf(
         json,
-        "    {\"sessions\": %d, \"batched\": %s, \"wall_ms\": %.3f,\n"
-        "     \"frames\": %llu,\n"
+        "    {\"sessions\": %d, \"wall_ms\": %.3f, \"frames\": %llu,\n"
         "     \"frames_per_sec\": %.1f, \"streams_per_sec\": %.3f,\n"
         "     \"frame_p50_ms\": %.4f, \"frame_p99_ms\": %.4f,\n"
-        "     \"rounds\": %llu, \"mean_batch\": %.3f,\n"
-        "     \"coalesced_requests\": %llu, \"bit_identical\": %s}%s\n",
-        r.sessions, r.batched ? "true" : "false", r.wall_ms,
-        static_cast<unsigned long long>(r.frames),
+        "     \"rounds\": %llu, \"bit_identical\": %s}%s\n",
+        r.sessions, r.wall_ms, static_cast<unsigned long long>(r.frames),
         r.frames_per_sec, r.streams_per_sec, r.p50_ms, r.p99_ms,
-        static_cast<unsigned long long>(r.rounds), r.mean_batch,
-        static_cast<unsigned long long>(r.coalesced),
+        static_cast<unsigned long long>(r.rounds),
         r.bit_identical ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
   }

@@ -156,7 +156,6 @@ ServeOptions BaseServe() {
   o.queue_depth = 128;  // deep enough that interactive is never queue-shed
   o.quantum_ms = 60.0;
   o.max_frames_per_round = 8;
-  o.record_frame_latency = true;
   o.overload.window = 128;
   o.overload.min_samples = 16;
   o.overload.queue_trigger = 5;

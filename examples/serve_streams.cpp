@@ -20,7 +20,6 @@
 #include "core/lazy_frame_evaluator.h"
 #include "core/mes.h"
 #include "models/model_zoo.h"
-#include "serve/batch_dispatcher.h"
 #include "serve/scheduler.h"
 #include "serve/stream_session.h"
 
@@ -48,8 +47,6 @@ int main() {
   options.queue_depth = 1;
   options.quantum_ms = 100.0;
   StreamScheduler scheduler(options);
-  BatchDispatcher dispatcher({/*batch_window=*/3});
-  scheduler.AttachBatchDispatcher(&dispatcher);
 
   struct Spec {
     const char* name;
@@ -75,20 +72,16 @@ int main() {
       effective = faulty.get();
       owned.push_back(std::move(faulty));
     }
-    auto batching = std::make_unique<DetectorPool>(
-        std::move(MakeBatchingPool(*effective, &dispatcher, i)).value());
-    const DetectorPool* serving = batching.get();
-    owned.push_back(std::move(batching));
 
     auto source = std::move(LazyFrameEvaluator::Create(
-                                video, *serving, /*trial_seed=*/i, {}))
+                                video, *effective, /*trial_seed=*/i, {}))
                       .value();
     StreamSessionConfig cfg;
     cfg.name = s.name;
     cfg.priority = s.priority;
     cfg.engine.strategy_seed = 40 + i;
     cfg.engine.compute_regret = false;
-    for (const auto& det : serving->detectors) {
+    for (const auto& det : effective->detectors) {
       cfg.model_names.push_back(det->name());
     }
     MesOptions mes_opt;
@@ -124,13 +117,12 @@ int main() {
 
   std::printf("\nserve stats: %llu frames in %.1f ms wall "
               "(simulated frame-clock %.1f ms across streams), "
-              "%llu/%llu admitted, %llu shed, mean batch %.2f\n",
+              "%llu/%llu admitted, %llu shed\n",
               static_cast<unsigned long long>(report.stats.frames),
               report.stats.wall_ms, report.stats.simulated_ms,
               static_cast<unsigned long long>(report.stats.admitted),
               static_cast<unsigned long long>(report.stats.submitted),
-              static_cast<unsigned long long>(report.stats.shed_submissions),
-              report.stats.batching.MeanBatch());
+              static_cast<unsigned long long>(report.stats.shed_submissions));
 
   std::printf("\nper-class breakdown (simulated frame clock):\n");
   std::printf("  %-12s %9s %9s %6s %8s %10s %10s\n", "class", "submitted",

@@ -1,8 +1,8 @@
 // The evaluation abstraction the engine runs strategies against. Two
 // implementations exist:
 //
-//   * MatrixEvaluationSource — a view over an eagerly built FrameMatrix
-//     (all 2^m − 1 masks per frame). Still the right backend for
+//   * MatrixEvaluationSource — an eagerly built FrameMatrix (all 2^m − 1
+//     masks per frame), viewed or owned. Still the right backend for
 //     strategies that read the whole lattice anyway (OPT's oracle scan,
 //     BF's full-pool selection), for regret measurement, for the Figure 3
 //     per-ensemble aggregates and for matrix serialization.
@@ -21,6 +21,7 @@
 #ifndef VQE_CORE_EVALUATION_SOURCE_H_
 #define VQE_CORE_EVALUATION_SOURCE_H_
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -129,11 +130,17 @@ class EvaluationSource {
   }
 };
 
-/// Eager source: a non-owning view over a fully built FrameMatrix.
+/// Eager source over a fully built FrameMatrix. The lvalue constructor is
+/// a non-owning view; the rvalue one takes the matrix, so a source handed
+/// off to another component (e.g. a serving StreamSession) carries its
+/// backing storage with it.
 class MatrixEvaluationSource final : public EvaluationSource {
  public:
   explicit MatrixEvaluationSource(const FrameMatrix& matrix)
       : matrix_(&matrix) {}
+  explicit MatrixEvaluationSource(FrameMatrix&& matrix)
+      : owned_(std::make_unique<const FrameMatrix>(std::move(matrix))),
+        matrix_(owned_.get()) {}
 
   int num_models() const override { return matrix_->num_models; }
   size_t num_frames() const override { return matrix_->size(); }
@@ -195,46 +202,8 @@ class MatrixEvaluationSource final : public EvaluationSource {
   const FrameMatrix& matrix() const { return *matrix_; }
 
  private:
+  std::unique_ptr<const FrameMatrix> owned_;  // null for a view
   const FrameMatrix* matrix_;
-};
-
-/// Eager source that OWNS its matrix. The serving layer's StreamSessions
-/// (and anything else that hands a source off to another component) need
-/// the backing storage to travel with the source instead of referencing a
-/// caller-owned matrix.
-class OwningMatrixSource final : public EvaluationSource {
- public:
-  explicit OwningMatrixSource(FrameMatrix matrix)
-      : matrix_(std::move(matrix)), view_(matrix_) {}
-
-  int num_models() const override { return view_.num_models(); }
-  size_t num_frames() const override { return view_.num_frames(); }
-  FrameStats Stats(size_t t) override { return view_.Stats(t); }
-  MaskEvaluation Eval(size_t t, EnsembleId mask) override {
-    return view_.Eval(t, mask);
-  }
-  const std::vector<EnsembleId>* TrueFrontier(size_t t) override {
-    return view_.TrueFrontier(t);
-  }
-  SceneContext PeekContext(size_t t) override {
-    return view_.PeekContext(t);
-  }
-  bool SupportsPropagation() const override {
-    return view_.SupportsPropagation();
-  }
-  Result<double> ScorePropagated(size_t t,
-                                 const DetectionList& dets) override {
-    return view_.ScorePropagated(t, dets);
-  }
-  const DetectionList* FusedOutput(size_t t, EnsembleId mask) override {
-    return view_.FusedOutput(t, mask);
-  }
-
-  const FrameMatrix& matrix() const { return matrix_; }
-
- private:
-  FrameMatrix matrix_;  // must precede view_ (view borrows it)
-  MatrixEvaluationSource view_;
 };
 
 }  // namespace vqe

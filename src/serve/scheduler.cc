@@ -226,11 +226,8 @@ Result<StreamScheduler::ExtractedSession> StreamScheduler::ExtractSession(
     out.carry.rounds_active = slot.rounds_active;
     // Latency samples were real steps on this shard: keep them in this
     // scheduler's pooled percentiles (wall and simulated alike).
-    if (options_.record_frame_latency) {
-      all_latencies_ms_.insert(all_latencies_ms_.end(),
-                               slot.latency_ms.begin(),
-                               slot.latency_ms.end());
-    }
+    all_latencies_ms_.insert(all_latencies_ms_.end(), slot.latency_ms.begin(),
+                             slot.latency_ms.end());
     const int cls = PriorityClassIndex(out.session->priority());
     class_sim_ms_[cls].insert(class_sim_ms_[cls].end(), slot.sim_ms.begin(),
                               slot.sim_ms.end());
@@ -264,12 +261,9 @@ void StreamScheduler::StepSlotRound(Slot& slot, uint64_t round) {
   while (slot.status.ok() && !session.done() && slot.deficit_ms > 0.0 &&
          frames_this_round < options_.max_frames_per_round) {
     const double cost_before = session.charged_cost_ms();
-    if (dispatcher_ != nullptr) dispatcher_->BeginStep();
     Stopwatch frame_watch;
     const Status status = session.StepFrame(round);
-    const double latency = frame_watch.ElapsedMillis();
-    if (dispatcher_ != nullptr) dispatcher_->EndStep();
-    if (options_.record_frame_latency) slot.latency_ms.push_back(latency);
+    slot.latency_ms.push_back(frame_watch.ElapsedMillis());
     ++slot.frames;
     ++frames_this_round;
     stepped = true;
@@ -279,9 +273,7 @@ void StreamScheduler::StepSlotRound(Slot& slot, uint64_t round) {
     const double cost_delta = session.charged_cost_ms() - cost_before;
     slot.deficit_ms -= cost_delta;
     node_obs_.CountMs(obs_ids_.drr_charge_ms, cost_delta);
-    if (options_.record_frame_latency || controller_ != nullptr) {
-      slot.sim_ms.push_back(cost_delta);
-    }
+    slot.sim_ms.push_back(cost_delta);
     if (!status.ok()) slot.status = status;
   }
   if (stepped) ++slot.rounds_active;
@@ -326,10 +318,8 @@ void StreamScheduler::Retire(Slot& slot) {
   stats_.classes[cls].frames += sr.frames;
   class_sim_ms_[cls].insert(class_sim_ms_[cls].end(), slot.sim_ms.begin(),
                             slot.sim_ms.end());
-  if (options_.record_frame_latency) {
-    all_latencies_ms_.insert(all_latencies_ms_.end(), slot.latency_ms.begin(),
-                             slot.latency_ms.end());
-  }
+  all_latencies_ms_.insert(all_latencies_ms_.end(), slot.latency_ms.begin(),
+                           slot.latency_ms.end());
   retired_.push_back(std::move(sr));
 }
 
@@ -522,7 +512,6 @@ Result<ServeReport> StreamScheduler::FinishServing() {
     stats_.degradation_level = controller_->level();
     stats_.degradations = controller_->ledger();
   }
-  if (dispatcher_ != nullptr) stats_.batching = dispatcher_->stats();
   stats_.fleet_health = registry_->Snapshot(round_);
   report.stats = stats_;
   return report;

@@ -11,7 +11,7 @@
 // engine's *simulated* charged cost (EngineRun::charged_cost_ms deltas),
 // which is deterministic, so the frames-per-round schedule of every
 // session is a pure function of the submitted work — independent of
-// worker count, machine speed, and batching.
+// worker count and machine speed.
 //
 // Admission control. At most max_sessions sessions are active; up to
 // queue_depth more wait in the admission queue. A Submit beyond both
@@ -24,8 +24,8 @@
 // Isolation / bit-identity. The scheduler only decides WHEN a session
 // steps; all per-frame state is session-private, so every stream's
 // RunResult is bit-identical to a solo RunStrategy run of the same
-// source/strategy/options at any max_sessions, parallelism, batch window
-// or fault script (wall-clock fields aside). serve_test pins this matrix.
+// source/strategy/options at any max_sessions, parallelism or fault
+// script (wall-clock fields aside). serve_test pins this matrix.
 
 #ifndef VQE_SERVE_SCHEDULER_H_
 #define VQE_SERVE_SCHEDULER_H_
@@ -38,8 +38,8 @@
 
 #include "common/status.h"
 #include "common/stopwatch.h"
+#include "obs/obs.h"
 #include "runtime/breaker_registry.h"
-#include "serve/batch_dispatcher.h"
 #include "serve/overload.h"
 #include "serve/stream_session.h"
 
@@ -60,8 +60,6 @@ struct ServeOptions {
   /// Worker parallelism for stepping sessions within a round (semantics of
   /// ResolveWorkers: 0 = all cores, 1 = serial).
   int parallelism = 0;
-  /// Capture per-frame wall-clock latency samples for the p50/p99 report.
-  bool record_frame_latency = true;
   /// Options of the fleet-wide per-model breaker registry.
   CircuitBreakerOptions fleet_breaker;
   /// SLO-aware overload control (degradation ladder). Disabled by default;
@@ -139,7 +137,7 @@ struct ServeStats {
   /// Terminal error of every stream that retired non-OK, retirement order.
   std::vector<StreamError> errors;
   /// Per-frame step latency percentiles (real wall-clock, all streams
-  /// pooled); zero when record_frame_latency is off.
+  /// pooled).
   double frame_p50_ms = 0.0;
   double frame_p99_ms = 0.0;
   double frame_p999_ms = 0.0;
@@ -168,8 +166,6 @@ struct ServeStats {
   int peak_degradation_level = 0;
   uint64_t degraded_rounds = 0;
   std::vector<DegradationTransition> degradations;
-  /// Cross-stream batching counters (zeros when no dispatcher attached).
-  BatchDispatcher::Stats batching;
   /// Fleet breaker state per model at drain time.
   std::vector<BreakerRegistry::ModelHealth> fleet_health;
 };
@@ -190,15 +186,6 @@ class StreamScheduler {
   /// order). Also shed: sessions whose every published model the fleet
   /// registry currently reports open.
   Result<uint64_t> Submit(std::unique_ptr<StreamSession> session);
-
-  /// Routes every session's same-model detector calls through
-  /// `dispatcher` step-bracketing (BeginStep/EndStep around each frame),
-  /// and folds its stats into the report. The dispatcher must outlive the
-  /// scheduler; sessions must have been built over MakeBatchingPool(...,
-  /// dispatcher, id) pools for coalescing to actually happen.
-  void AttachBatchDispatcher(BatchDispatcher* dispatcher) {
-    dispatcher_ = dispatcher;
-  }
 
   /// Runs DRR rounds until every admitted session drained or retired with
   /// an error. Per-stream step errors are contained in their
@@ -322,7 +309,6 @@ class StreamScheduler {
   BreakerRegistry own_registry_;
   /// Points at own_registry_ unless UseSharedRegistry rerouted it.
   BreakerRegistry* registry_;
-  BatchDispatcher* dispatcher_ = nullptr;
   uint64_t next_stream_id_ = 0;
   uint64_t round_ = 0;
   bool serving_ = false;

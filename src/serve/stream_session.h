@@ -11,10 +11,10 @@
 //
 // Bit-identity: all mutable state is private to the session and every
 // frame is a deterministic function of the session's own history, so any
-// interleaving of sessions — any scheduler, any worker count, batching on
-// or off, faults on or off — leaves each session's RunResult bit-identical
-// to a solo RunStrategy over the same source/strategy/options
-// (wall-clock fields aside). serve_test enforces this matrix.
+// interleaving of sessions — any scheduler, any worker count, faults on or
+// off — leaves each session's RunResult bit-identical to a solo
+// RunStrategy over the same source/strategy/options (wall-clock fields
+// aside). serve_test enforces this matrix.
 //
 // Fleet health: a session can publish its per-frame member-call outcomes
 // to a shared BreakerRegistry (model-name keyed). Publication is
@@ -75,10 +75,10 @@ struct StreamSessionConfig {
 class StreamSession {
  public:
   /// Builds a session over an owning source + strategy. `owned_pools`
-  /// carries any decorated DetectorPool chain (fault wrappers, batching
-  /// wrappers) the source borrows from, so the whole stack shares the
-  /// session's lifetime. Create performs BeginVideo and checkpoint resume
-  /// via EngineRun::Create.
+  /// carries any decorated DetectorPool chain (e.g. fault wrappers) the
+  /// source borrows from, so the whole stack shares the session's
+  /// lifetime. Create performs BeginVideo and checkpoint resume via
+  /// EngineRun::Create.
   static Result<std::unique_ptr<StreamSession>> Create(
       StreamSessionConfig config, std::unique_ptr<EvaluationSource> source,
       std::unique_ptr<SelectionStrategy> strategy,

@@ -407,7 +407,7 @@ TEST(TablePrinterTest, PadsShortRows) {
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch sw;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(sw.ElapsedSeconds(), 0.0);
   EXPECT_GE(sw.ElapsedMillis(), sw.ElapsedSeconds() * 1e3 * 0.99);
 }
@@ -426,7 +426,7 @@ TEST(StopwatchTest, ScopedTimerAddsOnDestruction) {
   {
     ScopedTimer timer(&acc);
     volatile double sink = 0;
-    for (int i = 0; i < 10000; ++i) sink += i;
+    for (int i = 0; i < 10000; ++i) sink = sink + i;
   }
   EXPECT_GT(acc.total_seconds(), 0.0);
 }

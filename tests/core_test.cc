@@ -49,8 +49,12 @@ TEST_P(ScoringMonotonicityTest, MonotoneInApAndCost) {
   for (double ap = 0.0; ap < 0.99; ap += 0.1) {
     for (double cost = 0.0; cost < 0.99; cost += 0.1) {
       const double base = sc.Score(ap, cost);
-      if (w1 > 0) EXPECT_GT(sc.Score(ap + 0.1, cost), base);
-      if (w1 < 1) EXPECT_LT(sc.Score(ap, cost + 0.1), base);
+      if (w1 > 0) {
+        EXPECT_GT(sc.Score(ap + 0.1, cost), base);
+      }
+      if (w1 < 1) {
+        EXPECT_LT(sc.Score(ap, cost + 0.1), base);
+      }
       EXPECT_GE(base, 0.0);
       EXPECT_LE(base, 1.0);
     }

@@ -148,7 +148,7 @@ Result<std::unique_ptr<StreamSession>> BuildSession(
   } else {
     VQE_ASSIGN_OR_RETURN(FrameMatrix matrix,
                          BuildFrameMatrix(video, *pool, spec.trial_seed, {}));
-    source = std::make_unique<OwningMatrixSource>(std::move(matrix));
+    source = std::make_unique<MatrixEvaluationSource>(std::move(matrix));
   }
   StreamSessionConfig cfg;
   cfg.name = spec.name;
@@ -648,7 +648,9 @@ TEST(ShardedServerTest, ShardDeathFailsOverAndResultsStayBitIdentical) {
     const FleetStreamReport& fsr = report.streams[i];
     ASSERT_TRUE(fsr.report.status.ok()) << fsr.report.status.ToString();
     EXPECT_EQ(fsr.shard, 1) << "only shard 1 survived";
-    if (i < 2) EXPECT_EQ(fsr.restarts, 1);
+    if (i < 2) {
+      EXPECT_EQ(fsr.restarts, 1);
+    }
     ExpectSameRun(SoloBaseline(video, pool, specs[i], true, true),
                   fsr.report.result);
   }

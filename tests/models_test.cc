@@ -81,7 +81,9 @@ TEST(ContextAffinityTest, OffDiagonalDegrades) {
                                          static_cast<SceneContext>(b));
       EXPECT_GT(aff, 0.0);
       EXPECT_LE(aff, 1.0);
-      if (a != b) EXPECT_LT(aff, 1.0);
+      if (a != b) {
+        EXPECT_LT(aff, 1.0);
+      }
     }
   }
 }

@@ -1,10 +1,10 @@
-// Serving-layer matrix for ISSUE 5: per-stream bit-identity under the
-// StreamScheduler (any session count, worker count, batch window, faults
-// on/off, eager and lazy backends), admission control and load shedding
-// (kResourceExhausted, never a stall), deficit-round-robin fairness across
-// priority classes, cross-stream batch coalescing, fleet breaker
-// aggregation, per-session checkpoint/resume under the scheduler, and the
-// two-ledger time accounting (wall-clock vs summed frame-clock).
+// Serving-layer matrix: per-stream bit-identity under the StreamScheduler
+// (any session count, worker count, faults on/off, eager and lazy
+// backends), admission control and load shedding (kResourceExhausted,
+// never a stall), deficit-round-robin fairness across priority classes,
+// fleet breaker aggregation, per-session checkpoint/resume under the
+// scheduler, and the two-ledger time accounting (wall-clock vs summed
+// frame-clock).
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,6 @@
 #include "models/model_zoo.h"
 #include "runtime/breaker_registry.h"
 #include "runtime/fault_injection.h"
-#include "serve/batch_dispatcher.h"
 #include "serve/overload.h"
 #include "serve/scheduler.h"
 #include "serve/stream_session.h"
@@ -118,8 +117,8 @@ EngineOptions MakeEngine(const StreamSpec& spec) {
   return e;
 }
 
-/// Solo ground truth: the exact run a stream would do alone, no scheduler,
-/// no batching — the reference every serve configuration must reproduce.
+/// Solo ground truth: the exact run a stream would do alone, no scheduler
+/// — the reference every serve configuration must reproduce.
 RunResult SoloBaseline(const Video& video, const DetectorPool& base,
                        const StreamSpec& spec, bool lazy, bool faults) {
   const DetectorPool* pool = &base;
@@ -142,11 +141,11 @@ RunResult SoloBaseline(const Video& video, const DetectorPool& base,
 }
 
 /// Builds a serving session over the decorated pool chain:
-/// base → (faults?) → (batching?) → source.
+/// base → (faults?) → source.
 std::unique_ptr<StreamSession> MakeServeSession(
     const Video& video, const DetectorPool& base, const StreamSpec& spec,
-    bool lazy, bool faults, BatchDispatcher* dispatcher, uint64_t stream_id,
-    EngineOptions engine_override = {}, bool use_override = false) {
+    bool lazy, bool faults, EngineOptions engine_override = {},
+    bool use_override = false) {
   std::vector<std::unique_ptr<DetectorPool>> owned;
   const DetectorPool* pool = &base;
   if (faults) {
@@ -156,19 +155,13 @@ std::unique_ptr<StreamSession> MakeServeSession(
     pool = faulty.get();
     owned.push_back(std::move(faulty));
   }
-  if (dispatcher != nullptr) {
-    auto batching = std::make_unique<DetectorPool>(
-        std::move(MakeBatchingPool(*pool, dispatcher, stream_id)).value());
-    pool = batching.get();
-    owned.push_back(std::move(batching));
-  }
   std::unique_ptr<EvaluationSource> source;
   if (lazy) {
     source =
         std::move(LazyFrameEvaluator::Create(video, *pool, spec.trial_seed, {}))
             .value();
   } else {
-    source = std::make_unique<OwningMatrixSource>(
+    source = std::make_unique<MatrixEvaluationSource>(
         std::move(BuildFrameMatrix(video, *pool, spec.trial_seed, {}))
             .value());
   }
@@ -253,7 +246,7 @@ TEST(StreamSessionTest, CreateValidatesInputs) {
   StreamSpec spec{"s", "MES", PriorityClass::kStandard, 1, 2};
 
   StreamSessionConfig nameless;
-  auto source = std::make_unique<OwningMatrixSource>(
+  auto source = std::make_unique<MatrixEvaluationSource>(
       std::move(BuildFrameMatrix(video, pool, 1, {})).value());
   auto r = StreamSession::Create(nameless, std::move(source),
                                  MakeStrategy("MES"));
@@ -262,7 +255,7 @@ TEST(StreamSessionTest, CreateValidatesInputs) {
   StreamSessionConfig cfg;
   cfg.name = "s";
   cfg.model_names = {"just-one"};  // pool has two models
-  auto source2 = std::make_unique<OwningMatrixSource>(
+  auto source2 = std::make_unique<MatrixEvaluationSource>(
       std::move(BuildFrameMatrix(video, pool, 1, {})).value());
   auto r2 = StreamSession::Create(cfg, std::move(source2),
                                   MakeStrategy("MES"));
@@ -351,142 +344,6 @@ TEST(BreakerRegistryTest, SnapshotIsSortedByModelName) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchDispatcher: cross-stream coalescing.
-
-TEST(BatchDispatcherTest, OptionsValidation) {
-  BatchDispatcherOptions opt;
-  EXPECT_TRUE(opt.Validate().ok());
-  opt.batch_window = 0;
-  EXPECT_EQ(opt.Validate().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(BatchDispatcherTest, SoloStreamRunsBatchesOfOneBitIdentically) {
-  const DetectorPool pool = MakePool(2);
-  const Video video = MakeVideo(0.01, 5);
-  ASSERT_GE(video.size(), 2u);
-  BatchDispatcher dispatcher({/*batch_window=*/4});
-  const DetectorPool batched =
-      std::move(MakeBatchingPool(pool, &dispatcher, /*stream_id=*/0)).value();
-
-  dispatcher.BeginStep();
-  for (size_t i = 0; i < pool.detectors.size(); ++i) {
-    const DetectionList direct =
-        pool.detectors[i]->Detect(video.frames[0], /*trial_seed=*/7);
-    const DetectionList via =
-        batched.detectors[i]->Detect(video.frames[0], /*trial_seed=*/7);
-    ASSERT_EQ(direct.size(), via.size());
-    for (size_t d = 0; d < direct.size(); ++d) {
-      EXPECT_EQ(direct[d].box.x1, via[d].box.x1);
-      EXPECT_EQ(direct[d].confidence, via[d].confidence);
-      EXPECT_EQ(direct[d].label, via[d].label);
-    }
-  }
-  dispatcher.EndStep();
-
-  const auto stats = dispatcher.stats();
-  EXPECT_EQ(stats.requests, pool.detectors.size());
-  EXPECT_EQ(stats.batches, pool.detectors.size());  // nothing to coalesce
-  EXPECT_EQ(stats.max_batch, 1u);
-  EXPECT_EQ(stats.coalesced_requests, 0u);
-}
-
-TEST(BatchDispatcherTest, FullWindowCoalescesConcurrentStreams) {
-  const DetectorPool pool = MakePool(1);
-  const Video video = MakeVideo(0.01, 5);
-  constexpr int kStreams = 4;
-  BatchDispatcher dispatcher({/*batch_window=*/kStreams});
-
-  // All steps open BEFORE any request: no thread can fire a premature
-  // all-blocked flush, so the window-full condition must assemble all
-  // four requests into exactly one batch.
-  for (int s = 0; s < kStreams; ++s) dispatcher.BeginStep();
-
-  const DetectionList solo =
-      pool.detectors[0]->Detect(video.frames[0], /*trial_seed=*/3);
-  std::vector<DetectionList> results(kStreams);
-  std::vector<std::thread> streams;
-  streams.reserve(kStreams);
-  for (int s = 0; s < kStreams; ++s) {
-    streams.emplace_back([&, s] {
-      BatchingDetector det(pool.detectors[0].get(), &dispatcher,
-                           static_cast<uint64_t>(s));
-      results[static_cast<size_t>(s)] =
-          det.Detect(video.frames[0], /*trial_seed=*/3);
-    });
-  }
-  for (auto& t : streams) t.join();
-  for (int s = 0; s < kStreams; ++s) dispatcher.EndStep();
-
-  const auto stats = dispatcher.stats();
-  EXPECT_EQ(stats.requests, static_cast<uint64_t>(kStreams));
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.max_batch, static_cast<uint64_t>(kStreams));
-  EXPECT_EQ(stats.coalesced_requests, static_cast<uint64_t>(kStreams));
-  // Purity: every coalesced stream sees its exact solo output.
-  for (const auto& r : results) {
-    ASSERT_EQ(r.size(), solo.size());
-    for (size_t d = 0; d < solo.size(); ++d) {
-      EXPECT_EQ(r[d].box.x1, solo[d].box.x1);
-      EXPECT_EQ(r[d].confidence, solo[d].confidence);
-    }
-  }
-}
-
-TEST(BatchDispatcherTest, AllBlockedFlushPreventsDeadlock) {
-  // Three streams park on three DIFFERENT models with a huge window: the
-  // window-full condition can never fire, so the all-steppers-blocked rule
-  // must flush every queue — this test hanging would be the bug.
-  const DetectorPool pool = MakePool(3);
-  const Video video = MakeVideo(0.01, 5);
-  BatchDispatcher dispatcher({/*batch_window=*/100});
-  std::atomic<int> done{0};
-  std::vector<std::thread> streams;
-  for (int s = 0; s < 3; ++s) {
-    streams.emplace_back([&, s] {
-      dispatcher.BeginStep();
-      BatchingDetector det(pool.detectors[static_cast<size_t>(s)].get(),
-                           &dispatcher, static_cast<uint64_t>(s));
-      (void)det.Detect(video.frames[0], 3);
-      dispatcher.EndStep();
-      done.fetch_add(1);
-    });
-  }
-  for (auto& t : streams) t.join();
-  EXPECT_EQ(done.load(), 3);
-  const auto stats = dispatcher.stats();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_GE(stats.batches, 3u);  // distinct models cannot coalesce
-}
-
-TEST(BatchDispatcherTest, BatchingPreservesFallibility) {
-  // The retry layer dispatches on FallibleDetector; the batching wrapper
-  // must keep a faulted detector fallible and replay its exact per-attempt
-  // outcomes, or faulted serve runs would silently diverge from solo runs.
-  const DetectorPool pool = MakePool(2);
-  const DetectorPool faulty =
-      std::move(ApplyFaultScripts(pool, MakeScripts(2))).value();
-  BatchDispatcher dispatcher;
-  const DetectorPool batched =
-      std::move(MakeBatchingPool(faulty, &dispatcher, 0)).value();
-  const Video video = MakeVideo(0.01, 5);
-  ASSERT_GT(video.size(), 3u);
-
-  const auto* wrapped =
-      dynamic_cast<const FallibleDetector*>(batched.detectors[0].get());
-  ASSERT_NE(wrapped, nullptr) << "fallibility lost in decoration";
-  const auto* inner =
-      dynamic_cast<const FallibleDetector*>(faulty.detectors[0].get());
-  ASSERT_NE(inner, nullptr);
-
-  // Frame 3 is inside model 0's scripted outage burst [2, 8).
-  const AttemptOutcome direct = inner->Attempt(video.frames[3], 7, 0);
-  const AttemptOutcome via = wrapped->Attempt(video.frames[3], 7, 0);
-  EXPECT_EQ(direct.status.code(), via.status.code());
-  EXPECT_EQ(direct.latency_ms, via.latency_ms);
-  EXPECT_EQ(direct.status.code(), StatusCode::kUnavailable);
-}
-
-// ---------------------------------------------------------------------------
 // Admission control and shedding.
 
 TEST(StreamSchedulerTest, ShedsBeyondCapacityWithResourceExhausted) {
@@ -500,7 +357,7 @@ TEST(StreamSchedulerTest, ShedsBeyondCapacityWithResourceExhausted) {
   auto submit = [&](const std::string& name) {
     StreamSpec spec{name, "MES", PriorityClass::kStandard, 1, 2};
     return scheduler.Submit(MakeServeSession(video, pool, spec, /*lazy=*/true,
-                                             /*faults=*/false, nullptr, 0));
+                                             /*faults=*/false));
   };
   EXPECT_EQ(std::move(submit("a")).value(), 0u);
   EXPECT_EQ(std::move(submit("b")).value(), 1u);
@@ -541,18 +398,17 @@ TEST(StreamSchedulerTest, FleetDarkPoolIsShedAtAdmission) {
   }
   StreamSpec spec{"dark", "MES", PriorityClass::kStandard, 1, 2};
   const auto shed = scheduler.Submit(MakeServeSession(
-      video, pool, spec, /*lazy=*/true, /*faults=*/false, nullptr, 0));
+      video, pool, spec, /*lazy=*/true, /*faults=*/false));
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
 }
 
 // ---------------------------------------------------------------------------
-// The bit-identity matrix (tentpole acceptance): every stream served under
-// any scheduler/worker/batching/fault configuration must reproduce its
-// solo run bit for bit.
+// The bit-identity matrix: every stream served under any scheduler/worker/
+// fault configuration must reproduce its solo run bit for bit.
 
 void RunBitIdentityCase(const Video& video, const DetectorPool& pool,
-                        bool lazy, int workers, bool faults, bool batching) {
+                        bool lazy, int workers, bool faults) {
   const std::vector<StreamSpec> specs = {
       {"interactive-mes", "MES", PriorityClass::kInteractive, 9, 42},
       {"standard-swmes", "SW-MES", PriorityClass::kStandard, 10, 43},
@@ -567,13 +423,10 @@ void RunBitIdentityCase(const Video& video, const DetectorPool& pool,
   opt.max_frames_per_round = 8;
   opt.parallelism = workers;
   StreamScheduler scheduler(opt);
-  BatchDispatcher dispatcher({/*batch_window=*/3});
-  if (batching) scheduler.AttachBatchDispatcher(&dispatcher);
 
   for (size_t i = 0; i < specs.size(); ++i) {
-    auto id = scheduler.Submit(MakeServeSession(
-        video, pool, specs[i], lazy, faults,
-        batching ? &dispatcher : nullptr, static_cast<uint64_t>(i)));
+    auto id =
+        scheduler.Submit(MakeServeSession(video, pool, specs[i], lazy, faults));
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     EXPECT_EQ(*id, i);
   }
@@ -598,9 +451,6 @@ void RunBitIdentityCase(const Video& video, const DetectorPool& pool,
   EXPECT_GT(report.stats.simulated_ms, 0.0);
   EXPECT_GT(report.stats.wall_ms, 0.0);
   EXPECT_GT(report.stats.frames, 0u);
-  if (batching) {
-    EXPECT_GT(report.stats.batching.requests, 0u);
-  }
 }
 
 TEST(ServeBitIdentityTest, EagerBackendMatrix) {
@@ -611,8 +461,7 @@ TEST(ServeBitIdentityTest, EagerBackendMatrix) {
     for (const bool faults : {false, true}) {
       SCOPED_TRACE("eager/w" + std::to_string(workers) +
                    (faults ? "/faults" : "/clean"));
-      RunBitIdentityCase(video, pool, /*lazy=*/false, workers, faults,
-                         /*batching=*/true);
+      RunBitIdentityCase(video, pool, /*lazy=*/false, workers, faults);
     }
   }
 }
@@ -625,17 +474,9 @@ TEST(ServeBitIdentityTest, LazyBackendMatrix) {
     for (const bool faults : {false, true}) {
       SCOPED_TRACE("lazy/w" + std::to_string(workers) +
                    (faults ? "/faults" : "/clean"));
-      RunBitIdentityCase(video, pool, /*lazy=*/true, workers, faults,
-                         /*batching=*/true);
+      RunBitIdentityCase(video, pool, /*lazy=*/true, workers, faults);
     }
   }
-}
-
-TEST(ServeBitIdentityTest, UnbatchedServeAlsoMatches) {
-  const DetectorPool pool = MakePool(3);
-  const Video video = MakeVideo(0.02, 17);
-  RunBitIdentityCase(video, pool, /*lazy=*/true, /*workers=*/4,
-                     /*faults=*/true, /*batching=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -662,7 +503,7 @@ TEST(StreamSchedulerTest, InteractiveClassFinishesInFewerRounds) {
     ASSERT_TRUE(
         scheduler
             .Submit(MakeServeSession(video, pool, specs[i], /*lazy=*/true,
-                                     /*faults=*/false, nullptr, i))
+                                     /*faults=*/false))
             .ok());
   }
   const ServeReport report = std::move(scheduler.RunUntilDrained()).value();
@@ -697,13 +538,11 @@ TEST(StreamSchedulerTest, CrashingSessionRetiresWithoutStallingOthers) {
   crash.checkpoint.crash_after_frames = 5;
 
   ASSERT_TRUE(scheduler
-                  .Submit(MakeServeSession(video, pool, healthy, true, false,
-                                           nullptr, 0))
+                  .Submit(MakeServeSession(video, pool, healthy, true, false))
                   .ok());
   ASSERT_TRUE(scheduler
                   .Submit(MakeServeSession(video, pool, doomed, true, false,
-                                           nullptr, 1, crash,
-                                           /*use_override=*/true))
+                                           crash, /*use_override=*/true))
                   .ok());
 
   const ServeReport report = std::move(scheduler.RunUntilDrained()).value();
@@ -740,7 +579,7 @@ TEST(StreamSchedulerTest, SessionCheckpointResumesBitIdenticallyUnderServe) {
     StreamScheduler scheduler;
     ASSERT_TRUE(scheduler
                     .Submit(MakeServeSession(video, pool, spec, true, false,
-                                             nullptr, 0, ck, true))
+                                             ck, true))
                     .ok());
     const ServeReport report = std::move(scheduler.RunUntilDrained()).value();
     ASSERT_EQ(report.streams.size(), 1u);
@@ -754,7 +593,7 @@ TEST(StreamSchedulerTest, SessionCheckpointResumesBitIdenticallyUnderServe) {
   StreamScheduler scheduler;
   ASSERT_TRUE(scheduler
                   .Submit(MakeServeSession(video, pool, spec, true, false,
-                                           nullptr, 0, ck, true))
+                                           ck, true))
                   .ok());
   const ServeReport report = std::move(scheduler.RunUntilDrained()).value();
   ASSERT_EQ(report.streams.size(), 1u);
@@ -780,8 +619,7 @@ TEST(StreamSchedulerTest, FaultedSessionsPopulateFleetHealth) {
   for (size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(scheduler
                     .Submit(MakeServeSession(video, pool, specs[i],
-                                             /*lazy=*/true, /*faults=*/true,
-                                             nullptr, i))
+                                             /*lazy=*/true, /*faults=*/true))
                     .ok());
   }
   const ServeReport report = std::move(scheduler.RunUntilDrained()).value();
@@ -823,14 +661,12 @@ TEST(StreamSchedulerTest, ServeStatsKeepLedgersApart) {
   const Video video = MakeVideo(0.01, 7);
   ServeOptions opt;
   opt.max_sessions = 2;
-  opt.record_frame_latency = true;
   StreamScheduler scheduler(opt);
   for (size_t i = 0; i < 2; ++i) {
     StreamSpec spec{"s" + std::to_string(i), "MES",
                     PriorityClass::kStandard, 9 + i, 42 + i};
     ASSERT_TRUE(scheduler
-                    .Submit(MakeServeSession(video, pool, spec, true, false,
-                                             nullptr, i))
+                    .Submit(MakeServeSession(video, pool, spec, true, false))
                     .ok());
   }
   const ServeReport report = std::move(scheduler.RunUntilDrained()).value();
@@ -1061,7 +897,7 @@ TEST(ServeClassStatsTest, PerClassAccountingAndPercentiles) {
   for (size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(scheduler
                     .Submit(MakeServeSession(video, pool, specs[i], true,
-                                             false, nullptr, i))
+                                             false))
                     .ok());
   }
   const ServeReport report = std::move(scheduler.RunUntilDrained()).value();
@@ -1098,9 +934,7 @@ TEST(ServeOverloadTest, LevelThreeShedsBatchButAdmitsInteractive) {
                     9 + static_cast<uint64_t>(i),
                     42 + static_cast<uint64_t>(i)};
     ASSERT_TRUE(scheduler
-                    .Submit(MakeServeSession(video, pool, spec, true, false,
-                                             nullptr,
-                                             static_cast<uint64_t>(i)))
+                    .Submit(MakeServeSession(video, pool, spec, true, false))
                     .ok());
   }
   ASSERT_TRUE(scheduler.BeginServing().ok());
@@ -1115,13 +949,12 @@ TEST(ServeOverloadTest, LevelThreeShedsBatchButAdmitsInteractive) {
   // queue has room — but interactive work is still welcome.
   StreamSpec batch{"late-batch", "MES", PriorityClass::kBatch, 20, 60};
   const auto shed = scheduler.Submit(
-      MakeServeSession(video, pool, batch, true, false, nullptr, 20));
+      MakeServeSession(video, pool, batch, true, false));
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
   StreamSpec inter{"late-inter", "MES", PriorityClass::kInteractive, 21, 61};
   EXPECT_TRUE(scheduler
-                  .Submit(MakeServeSession(video, pool, inter, true, false,
-                                           nullptr, 21))
+                  .Submit(MakeServeSession(video, pool, inter, true, false))
                   .ok());
 
   while (std::move(scheduler.RunRound()).value()) {
@@ -1161,7 +994,7 @@ TEST(ServeOverloadTest, QuietControllerStaysBitIdenticalToSolo) {
   for (size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(scheduler
                     .Submit(MakeServeSession(video, pool, specs[i], true,
-                                             false, nullptr, i))
+                                             false))
                     .ok());
   }
   const ServeReport report = std::move(scheduler.RunUntilDrained()).value();

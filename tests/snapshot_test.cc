@@ -77,7 +77,7 @@ TEST(WireTest, DoublePreservesNanPayloadBits) {
   ByteWriter w;
   w.F64(std::bit_cast<double>(weird_nan));
   ByteReader r(w.bytes().data(), w.size());
-  double out;
+  double out = 0.0;
   ASSERT_TRUE(r.F64(&out).ok());
   EXPECT_EQ(std::bit_cast<uint64_t>(out), weird_nan);
 }

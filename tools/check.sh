@@ -1,10 +1,13 @@
 #!/usr/bin/env sh
-# Repo verification gate: tier-1 tests plus sanitizer passes over the
-# concurrency- and aliasing-sensitive suites.
+# Repo verification gate: tier-1 tests, bench and serving smokes, plus
+# sanitizer passes over the concurrency- and aliasing-sensitive suites.
 #
-#   tools/check.sh          # tier-1 only (what CI gates on)
+#   tools/check.sh          # tier-1 + bench/serving smokes
 #   tools/check.sh --full   # + ASan, TSan and UBSan configs of the
-#                           #   sensitive tests
+#                           #   sensitive tests (what CI runs)
+#
+# Each stage prints "==> <stage>" before it starts, so a failing stage is
+# named in the log.
 #
 # The sanitizer passes rebuild into build-asan/, build-tsan/ and
 # build-ubsan/ (all .gitignore'd) and run the suites that exercise the
@@ -14,10 +17,10 @@
 # snapshot/checkpoint stack (hostile-byte parsing plus the crash-resume
 # matrix) — corrupt snapshots must fail with a clean Status, never UB —
 # and the serving layer (scheduler rounds stepping sessions in parallel,
-# cross-stream batch coalescing, the thread pool shutdown contract), plus
-# the temporal skip gate (tracker propagation, skip-policy snapshots, and
-# the skip-enabled crash-resume and disabled-path invariants), plus the
-# sharded fleet (shard threads, live migration payloads, scripted chaos —
+# the thread pool shutdown contract), plus the temporal skip gate
+# (tracker propagation, skip-policy snapshots, and the skip-enabled
+# crash-resume and disabled-path invariants), plus the sharded fleet
+# (shard threads, live migration payloads, scripted chaos —
 # coordinator/shard queue handshakes must be race-free under TSan and a
 # corrupted payload must reject with a clean Status under every
 # sanitizer), plus the overload controller and trace-driven workload
@@ -112,20 +115,25 @@ run_sanitizer() {
     runtime_test snapshot_test resume_test serialization_test serve_test \
     fleet_test temporal_test tracker_test workload_test obs_test
   ctest --test-dir "$dir" --output-on-failure -j 4 \
-    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|FusionProperty|FaultInjection|RetryTest|CircuitBreaker|ResilientDetector|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|EngineIdentity|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BatchDispatcher|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|Workload|Overload|SamplePercentile|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState"
+    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|FusionProperty|FaultInjection|RetryTest|CircuitBreaker|ResilientDetector|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|EngineIdentity|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|Workload|Overload|SamplePercentile|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState"
 }
 
-run_tier1
-run_perf_smoke
-run_fleet_chaos_smoke
-run_overload_storm_smoke
-run_obs_smoke
-run_serving_smoke
+stage() {
+  echo "==> $*"
+  "$@"
+}
+
+stage run_tier1
+stage run_perf_smoke
+stage run_fleet_chaos_smoke
+stage run_overload_storm_smoke
+stage run_obs_smoke
+stage run_serving_smoke
 
 if [ "${1:-}" = "--full" ]; then
-  run_sanitizer address asan
-  run_sanitizer thread tsan
-  run_sanitizer undefined ubsan
+  stage run_sanitizer address asan
+  stage run_sanitizer thread tsan
+  stage run_sanitizer undefined ubsan
 fi
 
 echo "check.sh: all requested checks passed"
