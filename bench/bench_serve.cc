@@ -21,8 +21,9 @@
 // shard kill). Reports throughput-versus-shards, migration handoff
 // latency percentiles, and failover counts. On a small machine the
 // wall-clock scaling is whatever the core count allows — the exit code
-// gates only bit-identity: every completing stream, migrated or
-// restarted, must match its solo baseline.
+// gates bit-identity (every completing stream, migrated or restarted,
+// must match its solo baseline) and each chaos row's one completed
+// migration.
 //
 // Emits BENCH_serve.json so later PRs can track the trajectory.
 
@@ -476,8 +477,8 @@ int main(int argc, char** argv) {
   // variant migrates one live stream onto the last shard at round 2 and
   // kills that shard at its round 10, so the migrated stream and the
   // shard's other sessions all fail over to survivors. Wall-clock scaling
-  // is whatever hardware_threads allows; the exit code gates only
-  // bit-identity of every completing stream.
+  // is whatever hardware_threads allows; the exit code gates bit-identity
+  // of every completing stream and the chaos rows' migration ledger.
   std::cout << "\nsharded fleet sweep (16 streams):\n";
   std::vector<StreamSpec> fleet_specs;
   for (size_t j = 0; j < 16; ++j) {
@@ -487,6 +488,7 @@ int main(int argc, char** argv) {
   }
   std::vector<FleetRow> fleet_rows;
   bool fleet_identical = true;
+  bool fleet_ledger = true;
   for (const bool chaos : {false, true}) {
     for (const int n : {1, 2, 4, 8}) {
       if (chaos && n < 2) continue;  // kill + migrate need a survivor
@@ -498,7 +500,7 @@ int main(int argc, char** argv) {
       fopt.shard.queue_depth = 0;
       fopt.shard.quantum_ms = 150.0;
       fopt.shard.max_frames_per_round = 8;
-      fopt.shard.parallelism = 1;  // shard threads are the parallelism
+      fopt.shard.parallelism = 1;
 
       std::vector<FleetStreamSpec> specs;
       for (const auto& s : fleet_specs) {
@@ -521,9 +523,6 @@ int main(int argc, char** argv) {
           }
         }
         if (!mig.stream.empty()) script.events.push_back(mig);
-        // Killed well after the migrate fires so the payload usually
-        // lands first (an undeliverable payload just restarts the stream
-        // — still correct, but then there is no handoff to time).
         ChaosEvent kill;
         kill.kind = ChaosEvent::Kind::kKillShard;
         kill.at_round = 10;
@@ -570,6 +569,12 @@ int main(int argc, char** argv) {
       row.migration_p50_ms = freport.stats.migration.latency_p50_ms;
       row.migration_p99_ms = freport.stats.migration.latency_p99_ms;
       fleet_identical &= row.bit_identical;
+      // Shard 0's round-2 migrate is handled before shard n-1's round-10
+      // kill, so every chaos row completes exactly one handoff.
+      if (chaos) {
+        fleet_ledger &= row.migrations_attempted == 1 &&
+                        row.migrations_completed == 1;
+      }
       fleet_rows.push_back(row);
 
       std::cout << "  shards=" << n << (chaos ? " chaos" : " clean ")
@@ -590,6 +595,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "fleet bit-identity across all shard configurations: "
             << (fleet_identical ? "PASS" : "FAIL") << "\n";
+  std::cout << "fleet chaos rows complete their one migration: "
+            << (fleet_ledger ? "PASS" : "FAIL") << "\n";
 
   FILE* json = std::fopen("BENCH_serve.json", "w");
   if (json == nullptr) {
@@ -695,7 +702,7 @@ int main(int argc, char** argv) {
     }
   }
   return (all_identical && skip_identity && serve_skip_identical &&
-          fleet_identical && trace_valid)
+          fleet_identical && fleet_ledger && trace_valid)
              ? 0
              : 1;
 }

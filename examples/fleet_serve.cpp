@@ -1,10 +1,11 @@
 // Sharded fleet serving with live migration and failover: eight streams
-// hash onto three shard threads; a chaos script migrates one live stream
+// hash onto three shards; a chaos script migrates one live stream
 // between shards mid-video (through the snapshot wire format) and then
 // later kills a shard outright. The lost sessions restart on the survivors,
 // and every stream still finishes with a result bit-identical to running
 // it alone — the fleet may move work around, but never changes what any
-// stream computes.
+// stream computes. Chaos and migrations happen between rounds in a fixed
+// order, so everything printed except the ms timings repeats exactly.
 //
 //   ./build/examples/fleet_serve
 

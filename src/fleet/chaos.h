@@ -5,11 +5,13 @@
 // its round 5", "migrate stream s3 off shard 0 at its round 3", "corrupt
 // the next migration payload shard 2 receives". Anchoring to per-shard
 // round counts (not wall clock) makes every chaos run reproducible: a
-// shard's round counter advances only when IT steps sessions, so the
-// fault always lands at the same point of that shard's schedule no matter
-// how the OS interleaves threads. fleet_test replays the same scripts
-// under ASan/TSan and across worker counts and asserts bit-identical
-// stream results every time.
+// shard's round counter advances only when IT steps sessions, a shard
+// stops stepping as soon as its next event is due, and due events fire in
+// the fleet's serial control phase in shard order — so the fault always
+// lands at the same point of the whole fleet's schedule no matter how the
+// OS interleaves threads. fleet_test replays the same scripts under
+// ASan/TSan and across worker counts and asserts bit-identical stream
+// results and an identical fleet ledger every time.
 
 #ifndef VQE_FLEET_CHAOS_H_
 #define VQE_FLEET_CHAOS_H_
@@ -41,8 +43,10 @@ struct ChaosEvent {
   };
 
   Kind kind = Kind::kKillShard;
-  /// Shard round count at which the event fires (the shard checks its
-  /// script between rounds; 0 fires before the first round).
+  /// Shard round count at which the event fires (between rounds, in the
+  /// control phase). 0 fires before the shard has built any session: a
+  /// round-0 kill reroutes every stream placed on the shard, and a
+  /// round-0 migrate aborts (there is no live session to move yet).
   uint64_t at_round = 0;
   /// Shard the event targets (source shard for kMigrate).
   int shard = 0;

@@ -29,7 +29,8 @@ struct MigrationPayload {
   std::string stream_name;
   /// Shard the session was extracted from (diagnostics).
   int source_shard = 0;
-  /// Coordinator-assigned migration sequence number (latency bookkeeping).
+  /// The migration's 1-based ordinal among the Run's migration attempts
+  /// (diagnostics).
   uint64_t sequence = 0;
   /// Scheduler counters that continue on the target shard.
   StreamScheduler::SessionCarry carry;

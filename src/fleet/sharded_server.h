@@ -1,15 +1,20 @@
-// Sharded fleet serving: N StreamScheduler shards on their own threads,
+// Sharded fleet serving: N StreamScheduler shards stepped in parallel,
 // a fleet-level admission front door, live session migration between
 // shards, shard failover, and deterministic chaos injection.
 //
-// Architecture. The coordinator (the thread calling Run) owns the stream
-// table and the fleet event queue; each shard thread owns one
-// StreamScheduler and drives it one DRR round at a time, interleaving
-// control work between rounds. All cross-thread traffic flows through two
-// mutex-protected queues — coordinator -> shard inboxes (submit, implant,
-// extract, stop) and shard -> coordinator fleet events (stream done,
-// migration payload, implant result, shard death) — so no scheduler is
-// ever touched by two threads at once.
+// Architecture. Run alternates two phases until every admitted stream is
+// terminal. The control phase runs serially on the calling thread: each
+// shard's due chaos events in shard order (migrations happen right there,
+// through the wire format), then one rebalancing decision. The step phase
+// starts one thread per live shard with work; the thread builds the
+// sessions newly placed on its shard from their factories and runs DRR
+// rounds until the shard drains or its next chaos event is due (one round
+// when rebalancing is on, since it reads each round's loads). After the
+// join the calling thread collects submit failures and retired streams
+// in shard order. A scheduler is touched by one thread per phase, and
+// every control decision is taken in a fixed order, so the whole fleet
+// report — wall-clock fields and fleet_health breaker states aside — is
+// a pure function of the inputs.
 //
 // Admission. Run hashes each stream (FNV-1a of its name) onto a shard;
 // a full shard falls over to the least-loaded one with capacity. The
@@ -17,22 +22,23 @@
 // with kResourceExhausted and appear in the report as terminal
 // stream entries (and in FleetStats::shed).
 //
-// Migration. A live session moves between shards as a MigrationPayload:
-// the source shard exports the engine snapshot (identity fingerprint
-// included), the coordinator routes the envelope, the target builds a
-// fresh session from the stream's factory and overlays the state. A
+// Migration. A live session moves between shards as a MigrationPayload,
+// all within one control phase: the session is extracted from the source
+// scheduler and its engine snapshot (identity fingerprint included)
+// encoded into the envelope; the envelope is decoded, a fresh session
+// built from the stream's factory takes over the state, and the target
+// scheduler adopts it (it steps from the target's next step phase). A
 // corrupt payload is rejected with DataLoss and a fingerprint mismatch
 // with FailedPrecondition — both BEFORE the target session is mutated —
-// and the coordinator falls back to restarting the stream from scratch
-// (or from its checkpoint directory), so damage costs work, never
-// correctness.
+// and Run falls back to restarting the stream from scratch (or from its
+// checkpoint directory), so damage costs work, never correctness.
 //
 // Failover. A killed shard loses its live sessions and its shard-local
-// stats (crash semantics). The coordinator restarts the lost streams on
-// surviving shards from their factories; streams with a checkpoint
-// directory resume from their newest good generation. Each stream has a
-// bounded restart budget; past it (or with no shard left) it goes
-// terminal with the last failure.
+// stats (crash semantics). Run restarts every stream placed on it on the
+// least-loaded survivor from its factory (built at the next step phase);
+// streams with a checkpoint directory resume from their newest good
+// generation. Each stream has a bounded restart budget; past it (or with
+// no shard left) it goes terminal with the last failure.
 //
 // Bit-identity. Because every session's state is private and every frame
 // deterministic, a stream that completes — directly, migrated mid-video,
@@ -61,8 +67,10 @@ namespace vqe {
 
 /// Builds a fresh StreamSession for a stream — used for initial submission
 /// AND for failover restarts / migration targets, so it must be callable
-/// repeatedly and deterministically. Must be safe to invoke from any shard
-/// thread (sessions themselves are single-threaded once built).
+/// repeatedly and deterministically. The session must carry the stream's
+/// name. Must be safe to invoke from any thread: shard threads build
+/// placed sessions concurrently, the calling thread builds migration
+/// targets (sessions themselves are single-threaded once built).
 using SessionFactory =
     std::function<Result<std::unique_ptr<StreamSession>>()>;
 
@@ -73,16 +81,18 @@ struct FleetStreamSpec {
 };
 
 struct FleetOptions {
-  /// Number of shard threads (each runs one StreamScheduler).
+  /// Number of shards, each one StreamScheduler stepped on its own thread
+  /// during step phases.
   int num_shards = 2;
   /// Fleet-wide admission cap: streams beyond this are shed up front.
   int max_sessions = 64;
   /// Per-stream failover budget (restarts after shard death or a corrupt
   /// migration payload; per-stream step errors are terminal, not retried).
   int max_restarts = 2;
-  /// When > 0, the coordinator migrates a stream off the most loaded
-  /// shard whenever its live-stream count exceeds the least loaded one's
-  /// by at least this much. 0 disables skew rebalancing.
+  /// When > 0, every control phase migrates one live stream off the most
+  /// loaded shard whenever its stream count exceeds the least loaded
+  /// one's by at least this much, and step phases last one round.
+  /// 0 disables skew rebalancing.
   int rebalance_threshold = 0;
   /// Per-shard scheduler knobs (its fleet_breaker field is ignored: all
   /// shards publish into the single fleet-wide registry below).
@@ -104,7 +114,9 @@ struct FleetOptions {
 
 /// Migration ledger for one Run.
 struct MigrationStats {
-  /// Extractions requested (chaos + rebalance).
+  /// Migrations started by chaos or rebalancing; each one completes,
+  /// falls back to a restart, or aborts, so attempted = completed +
+  /// fallback_restarts + aborted.
   uint64_t attempted = 0;
   /// Sessions successfully implanted on their target shard.
   uint64_t completed = 0;
@@ -112,14 +124,13 @@ struct MigrationStats {
   uint64_t rejected_corrupt = 0;
   /// Payloads rejected with FailedPrecondition (identity mismatch).
   uint64_t rejected_identity = 0;
-  /// Streams restarted from their factory after a rejected or
-  /// undeliverable payload.
+  /// Streams restarted from their factory after a failed implant (a
+  /// rejected payload or a full target).
   uint64_t fallback_restarts = 0;
-  /// Extractions that found nothing to move (stream already finished or
-  /// already elsewhere) — benign under chaos.
+  /// Migrations with nothing to move (stream finished, elsewhere, or
+  /// not yet built on the source) or a dead target — benign under chaos.
   uint64_t aborted = 0;
-  /// Handoff latency (payload leaving the source shard -> implant
-  /// confirmed), coordinator-measured wall clock.
+  /// Handoff latency (encoded payload -> implant confirmed), wall clock.
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
 };
@@ -179,10 +190,11 @@ class ShardedServer {
   explicit ShardedServer(FleetOptions options = {});
 
   /// Serves `specs` to completion under `chaos` (empty script = no
-  /// faults). Blocking; the calling thread becomes the fleet coordinator.
-  /// Returns the fleet report once every admitted stream is terminal.
-  /// Fails fast (before starting shards) on invalid options or script.
-  /// Callable once per ShardedServer.
+  /// faults). Blocking; the calling thread runs every control phase and
+  /// joins each step phase's shard threads. Returns the fleet report once
+  /// every admitted stream is terminal. Fails fast (before starting
+  /// shards) on invalid options or script. Callable once per
+  /// ShardedServer.
   Result<FleetReport> Run(std::vector<FleetStreamSpec> specs,
                           ChaosScript chaos = {});
 

@@ -223,6 +223,198 @@ ServeOptions FineGrainedShard(int workers) {
   return shard;
 }
 
+/// One whole fleet run: options, streams, chaos script, and the pool size,
+/// backend and fault mix every stream is served with.
+struct FleetScenario {
+  FleetOptions options;
+  std::vector<StreamSpec> specs;
+  ChaosScript chaos;
+  int pool_size = 3;
+  bool lazy = false;
+  bool faults = false;
+};
+
+FleetReport RunScenario(const FleetScenario& scenario, const Video& video,
+                        const DetectorPool& pool) {
+  std::vector<FleetStreamSpec> fleet;
+  for (const StreamSpec& spec : scenario.specs) {
+    fleet.push_back({spec.name, MakeFactory(video, pool, spec, scenario.lazy,
+                                            scenario.faults)});
+  }
+  ShardedServer server(scenario.options);
+  return std::move(server.Run(std::move(fleet), scenario.chaos)).value();
+}
+
+/// Four streams that all hash-home to shard 0 of two, with skew
+/// rebalancing on: without it shard 1 would idle the whole run.
+FleetScenario SkewScenario() {
+  FleetScenario scenario;
+  scenario.pool_size = 2;
+  for (int k = 0; scenario.specs.size() < 4 && k < 1000; ++k) {
+    const std::string name = "skew" + std::to_string(k);
+    if (HomeShard(name, 2) != 0) continue;
+    scenario.specs.push_back({name, "MES", PriorityClass::kStandard,
+                              static_cast<uint64_t>(20 + k),
+                              static_cast<uint64_t>(50 + k)});
+  }
+  scenario.options.num_shards = 2;
+  scenario.options.rebalance_threshold = 2;
+  scenario.options.shard = FineGrainedShard(1);
+  return scenario;
+}
+
+/// Concurrent faults — detector outages, a migration 0 -> 1 whose payload
+/// arrives damaged, and a later kill of shard 1 — over five streams.
+FleetScenario ChaosMatrixScenario(bool lazy, int workers) {
+  FleetScenario scenario;
+  scenario.lazy = lazy;
+  scenario.faults = true;
+  const std::string mover = NameOnShard("cm-mig", 0, 2);
+  scenario.specs = {
+      {mover, "MES", PriorityClass::kStandard, 9, 42},
+      {NameOnShard("cm-dead", 1, 2), "MES-B", PriorityClass::kInteractive, 10,
+       43},
+      {NameOnShard("cm-a", 0, 2), "SW-MES", PriorityClass::kBatch, 11, 44},
+      {NameOnShard("cm-b", 1, 2), "D-MES", PriorityClass::kStandard, 12, 45},
+      {NameOnShard("cm-c", 0, 2), "RAND", PriorityClass::kStandard, 13, 46},
+  };
+  scenario.options.num_shards = 2;
+  scenario.options.max_restarts = 3;
+  scenario.options.shard = FineGrainedShard(workers);
+
+  ChaosEvent migrate;  // clean migration 0 -> 1, mid-video
+  migrate.kind = ChaosEvent::Kind::kMigrate;
+  migrate.at_round = 2;
+  migrate.shard = 0;
+  migrate.stream = mover;
+  migrate.target_shard = 1;
+  scenario.chaos.events.push_back(migrate);
+  ChaosEvent damage;  // ...but the payload arrives damaged
+  damage.kind = ChaosEvent::Kind::kCorruptNextMigration;
+  damage.shard = 1;
+  damage.flip_byte = 7;
+  damage.flip_bit = 2;
+  scenario.chaos.events.push_back(damage);
+  ChaosEvent kill;  // and later shard 1 dies outright
+  kill.kind = ChaosEvent::Kind::kKillShard;
+  kill.at_round = 6;
+  kill.shard = 1;
+  scenario.chaos.events.push_back(kill);
+  return scenario;
+}
+
+/// Fleet health by its order-free per-model totals; breaker states and
+/// opens depend on the order in which shards publish, so they are skipped.
+void ExpectSameHealthTotals(
+    const std::vector<BreakerRegistry::ModelHealth>& a,
+    const std::vector<BreakerRegistry::ModelHealth>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].model, b[i].model);
+    EXPECT_EQ(a[i].successes, b[i].successes);
+    EXPECT_EQ(a[i].failures, b[i].failures);
+  }
+}
+
+/// Every ServeStats field except the wall-clock ones (wall_ms,
+/// algorithm_wall_ms and the frame-latency percentiles).
+void ExpectSameServeStats(const ServeStats& a, const ServeStats& b) {
+  EXPECT_EQ(a.simulated_ms, b.simulated_ms);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.frames, b.frames);
+  EXPECT_EQ(a.skipped_frames, b.skipped_frames);
+  EXPECT_EQ(a.submitted, b.submitted);
+  EXPECT_EQ(a.admitted, b.admitted);
+  EXPECT_EQ(a.shed_submissions, b.shed_submissions);
+  EXPECT_EQ(a.peak_active, b.peak_active);
+  EXPECT_EQ(a.peak_queued, b.peak_queued);
+  EXPECT_EQ(a.failed_streams, b.failed_streams);
+  ASSERT_EQ(a.errors.size(), b.errors.size());
+  for (size_t i = 0; i < a.errors.size(); ++i) {
+    EXPECT_EQ(a.errors[i].stream_id, b.errors[i].stream_id);
+    EXPECT_EQ(a.errors[i].name, b.errors[i].name);
+    EXPECT_EQ(a.errors[i].code, b.errors[i].code);
+    EXPECT_EQ(a.errors[i].message, b.errors[i].message);
+  }
+  for (int c = 0; c < kNumPriorityClasses; ++c) {
+    const ServeStats::ClassStats& x = a.classes[c];
+    const ServeStats::ClassStats& y = b.classes[c];
+    EXPECT_EQ(x.submitted, y.submitted);
+    EXPECT_EQ(x.admitted, y.admitted);
+    EXPECT_EQ(x.shed_submissions, y.shed_submissions);
+    EXPECT_EQ(x.frames, y.frames);
+    EXPECT_EQ(x.sim_p50_ms, y.sim_p50_ms);
+    EXPECT_EQ(x.sim_p99_ms, y.sim_p99_ms);
+    EXPECT_EQ(x.sim_p999_ms, y.sim_p999_ms);
+    EXPECT_EQ(x.shed_rate, y.shed_rate);
+  }
+  EXPECT_EQ(a.degradation_level, b.degradation_level);
+  EXPECT_EQ(a.peak_degradation_level, b.peak_degradation_level);
+  EXPECT_EQ(a.degraded_rounds, b.degraded_rounds);
+  ASSERT_EQ(a.degradations.size(), b.degradations.size());
+  for (size_t i = 0; i < a.degradations.size(); ++i) {
+    const DegradationTransition& x = a.degradations[i];
+    const DegradationTransition& y = b.degradations[i];
+    EXPECT_EQ(x.round, y.round);
+    EXPECT_EQ(x.from, y.from);
+    EXPECT_EQ(x.to, y.to);
+    EXPECT_EQ(x.trigger_class, y.trigger_class);
+    EXPECT_EQ(x.queue_triggered, y.queue_triggered);
+    EXPECT_EQ(x.observed_p99_ms, y.observed_p99_ms);
+    EXPECT_EQ(x.queue_depth, y.queue_depth);
+  }
+  ExpectSameHealthTotals(a.fleet_health, b.fleet_health);
+}
+
+/// Every FleetReport field except wall_ms, the migration latencies, each
+/// shard's wall-clock stats and the fleet-health breaker states.
+void ExpectSameLedger(const FleetReport& a, const FleetReport& b) {
+  const FleetStats& x = a.stats;
+  const FleetStats& y = b.stats;
+  EXPECT_EQ(x.num_shards, y.num_shards);
+  EXPECT_EQ(x.submitted, y.submitted);
+  EXPECT_EQ(x.admitted, y.admitted);
+  EXPECT_EQ(x.shed, y.shed);
+  EXPECT_EQ(x.shards_killed, y.shards_killed);
+  EXPECT_EQ(x.failover_streams, y.failover_streams);
+  EXPECT_EQ(x.completed_streams, y.completed_streams);
+  EXPECT_EQ(x.failed_streams, y.failed_streams);
+  EXPECT_EQ(x.migration.attempted, y.migration.attempted);
+  EXPECT_EQ(x.migration.completed, y.migration.completed);
+  EXPECT_EQ(x.migration.rejected_corrupt, y.migration.rejected_corrupt);
+  EXPECT_EQ(x.migration.rejected_identity, y.migration.rejected_identity);
+  EXPECT_EQ(x.migration.fallback_restarts, y.migration.fallback_restarts);
+  EXPECT_EQ(x.migration.aborted, y.migration.aborted);
+  EXPECT_EQ(x.peak_degradation_level, y.peak_degradation_level);
+  EXPECT_EQ(x.degradation_transitions, y.degradation_transitions);
+  ASSERT_EQ(x.shards.size(), y.shards.size());
+  for (size_t i = 0; i < x.shards.size(); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    EXPECT_EQ(x.shards[i].shard, y.shards[i].shard);
+    EXPECT_EQ(x.shards[i].dead, y.shards[i].dead);
+    ExpectSameServeStats(x.shards[i].stats, y.shards[i].stats);
+  }
+  ExpectSameHealthTotals(x.fleet_health, y.fleet_health);
+  ASSERT_EQ(a.streams.size(), b.streams.size());
+  for (size_t i = 0; i < a.streams.size(); ++i) {
+    const FleetStreamReport& s = a.streams[i];
+    const FleetStreamReport& t = b.streams[i];
+    SCOPED_TRACE(s.name);
+    EXPECT_EQ(s.name, t.name);
+    EXPECT_EQ(s.shard, t.shard);
+    EXPECT_EQ(s.restarts, t.restarts);
+    EXPECT_EQ(s.migrations, t.migrations);
+    EXPECT_EQ(s.report.stream_id, t.report.stream_id);
+    EXPECT_EQ(s.report.name, t.report.name);
+    EXPECT_EQ(s.report.priority, t.report.priority);
+    EXPECT_EQ(s.report.status.ToString(), t.report.status.ToString());
+    EXPECT_EQ(s.report.frames, t.report.frames);
+    EXPECT_EQ(s.report.rounds_active, t.report.rounds_active);
+    EXPECT_EQ(s.report.admitted_round, t.report.admitted_round);
+    ExpectSameRun(s.report.result, t.report.result);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Migration payload wire format (satellite: hostile payload sweeps).
 
@@ -631,12 +823,8 @@ TEST(ShardedServerTest, ShardDeathFailsOverAndResultsStayBitIdentical) {
   const FleetReport report =
       std::move(server.Run(std::move(fleet), chaos)).value();
   EXPECT_EQ(report.stats.shards_killed, 1);
-  // At least one doomed stream was live on shard 0 when it died (its round
-  // clock only advances with work); the other may still have been in the
-  // shard's inbox, in which case it reroutes via the submit-failure path
-  // instead of counting as a failover.
-  EXPECT_GE(report.stats.failover_streams, 1u);
-  EXPECT_LE(report.stats.failover_streams, 2u);
+  // Both doomed streams were live on shard 0 when it died at its round 4.
+  EXPECT_EQ(report.stats.failover_streams, 2u);
   EXPECT_EQ(report.stats.completed_streams, specs.size());
   ASSERT_EQ(report.stats.shards.size(), 2u);
   EXPECT_TRUE(report.stats.shards[0].dead);
@@ -657,46 +845,32 @@ TEST(ShardedServerTest, ShardDeathFailsOverAndResultsStayBitIdentical) {
 }
 
 TEST(ShardedServerTest, SkewRebalancingMigratesOffTheBusiestShard) {
-  const DetectorPool pool = MakePool(2);
+  const FleetScenario skew = SkewScenario();
+  ASSERT_EQ(skew.specs.size(), 4u);
+  const DetectorPool pool = MakePool(skew.pool_size);
   const Video video = MakeVideo(0.02, 17);
-  // All four streams hash-home to shard 0: without rebalancing shard 1
-  // would idle the whole run.
-  std::vector<StreamSpec> specs;
-  std::vector<std::string> used;
-  for (int k = 0; specs.size() < 4 && k < 1000; ++k) {
-    const std::string name = "skew" + std::to_string(k);
-    if (HomeShard(name, 2) != 0) continue;
-    specs.push_back({name, "MES", PriorityClass::kStandard,
-                     static_cast<uint64_t>(20 + k),
-                     static_cast<uint64_t>(50 + k)});
-  }
-  ASSERT_EQ(specs.size(), 4u);
-
-  FleetOptions opt;
-  opt.num_shards = 2;
-  opt.rebalance_threshold = 2;
-  opt.shard = FineGrainedShard(1);
-  ShardedServer server(opt);
-  std::vector<FleetStreamSpec> fleet;
-  for (const StreamSpec& spec : specs) {
-    fleet.push_back({spec.name, MakeFactory(video, pool, spec, false, false)});
-  }
-  const FleetReport report =
-      std::move(server.Run(std::move(fleet))).value();
-  EXPECT_GE(report.stats.migration.attempted, 1u);
-  EXPECT_GE(report.stats.migration.completed, 1u);
-  EXPECT_EQ(report.stats.completed_streams, specs.size());
-  bool any_on_shard_1 = false;
-  ASSERT_EQ(report.streams.size(), specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(specs[i].name);
+  const FleetReport report = RunScenario(skew, video, pool);
+  // Loads are read between rounds, so every move extracts a live session:
+  // three moves, each of a different stream, all onto the idle shard 1.
+  EXPECT_EQ(report.stats.migration.attempted, 3u);
+  EXPECT_EQ(report.stats.migration.completed,
+            report.stats.migration.attempted);
+  EXPECT_EQ(report.stats.migration.aborted, 0u);
+  EXPECT_EQ(report.stats.migration.fallback_restarts, 0u);
+  EXPECT_EQ(report.stats.completed_streams, skew.specs.size());
+  ASSERT_EQ(report.streams.size(), skew.specs.size());
+  for (size_t i = 0; i < skew.specs.size(); ++i) {
+    SCOPED_TRACE(skew.specs[i].name);
     const FleetStreamReport& fsr = report.streams[i];
     ASSERT_TRUE(fsr.report.status.ok()) << fsr.report.status.ToString();
-    any_on_shard_1 = any_on_shard_1 || fsr.shard == 1;
-    ExpectSameRun(SoloBaseline(video, pool, specs[i], false, false),
+    const bool moved = i < 3;
+    EXPECT_EQ(fsr.shard, moved ? 1 : 0)
+        << "rebalancing must spread the skewed load";
+    EXPECT_EQ(fsr.migrations, moved ? 1 : 0);
+    EXPECT_EQ(fsr.restarts, 0);
+    ExpectSameRun(SoloBaseline(video, pool, skew.specs[i], false, false),
                   fsr.report.result);
   }
-  EXPECT_TRUE(any_on_shard_1) << "rebalancing must spread the skewed load";
 }
 
 // ---------------------------------------------------------------------------
@@ -705,77 +879,48 @@ TEST(ShardedServerTest, SkewRebalancingMigratesOffTheBusiestShard) {
 // worker counts. Every stream must still complete bit-identically.
 
 TEST(ShardedServerTest, ChaosMatrixEveryCompletingStreamIsBitIdentical) {
-  const DetectorPool pool = MakePool(3);
   const Video video = MakeVideo(0.02, 17);
-  const std::string mover = NameOnShard("cm-mig", 0, 2);
-  const std::string doomed = NameOnShard("cm-dead", 1, 2);
-  const std::vector<StreamSpec> specs = {
-      {mover, "MES", PriorityClass::kStandard, 9, 42},
-      {doomed, "MES-B", PriorityClass::kInteractive, 10, 43},
-      {NameOnShard("cm-a", 0, 2), "SW-MES", PriorityClass::kBatch, 11, 44},
-      {NameOnShard("cm-b", 1, 2), "D-MES", PriorityClass::kStandard, 12, 45},
-      {NameOnShard("cm-c", 0, 2), "RAND", PriorityClass::kStandard, 13, 46},
-  };
-
+  const DetectorPool pool = MakePool(3);
   for (const bool lazy : {false, true}) {
     for (const int workers : {1, 4}) {
       SCOPED_TRACE((lazy ? "lazy" : "eager") + std::string("/w") +
                    std::to_string(workers));
-      FleetOptions opt;
-      opt.num_shards = 2;
-      opt.max_restarts = 3;
-      opt.shard = FineGrainedShard(workers);
-
-      ChaosScript chaos;
-      ChaosEvent migrate;  // clean migration 0 -> 1, mid-video
-      migrate.kind = ChaosEvent::Kind::kMigrate;
-      migrate.at_round = 2;
-      migrate.shard = 0;
-      migrate.stream = mover;
-      migrate.target_shard = 1;
-      chaos.events.push_back(migrate);
-      ChaosEvent damage;  // ...but the payload arrives damaged
-      damage.kind = ChaosEvent::Kind::kCorruptNextMigration;
-      damage.shard = 1;
-      damage.flip_byte = 7;
-      damage.flip_bit = 2;
-      chaos.events.push_back(damage);
-      ChaosEvent kill;  // and later shard 1 dies outright
-      kill.kind = ChaosEvent::Kind::kKillShard;
-      kill.at_round = 6;
-      kill.shard = 1;
-      chaos.events.push_back(kill);
-
-      ShardedServer server(opt);
-      std::vector<FleetStreamSpec> fleet;
-      for (const StreamSpec& spec : specs) {
-        fleet.push_back(
-            {spec.name, MakeFactory(video, pool, spec, lazy, true)});
-      }
-      const FleetReport report =
-          std::move(server.Run(std::move(fleet), chaos)).value();
+      const FleetScenario scenario = ChaosMatrixScenario(lazy, workers);
+      const FleetReport report = RunScenario(scenario, video, pool);
       EXPECT_EQ(report.stats.shards_killed, 1);
       EXPECT_EQ(report.stats.migration.attempted, 1u);
-      // The corrupted payload is either implant-rejected with DataLoss
-      // (shard 1 still alive when it arrives) or undeliverable (shard 1
-      // already executed its kill) — never implanted. Either way the
-      // stream falls back to a restart. The deterministic always-rejected
-      // guarantee is pinned by CorruptedMigrationIsRejectedAndStreamRestarts.
       EXPECT_EQ(report.stats.migration.completed, 0u)
           << "a corrupted payload must never implant";
-      EXPECT_LE(report.stats.migration.rejected_corrupt, 1u);
-      EXPECT_GE(report.stats.migration.fallback_restarts, 1u);
-      EXPECT_EQ(report.stats.completed_streams, specs.size())
+      EXPECT_EQ(report.stats.migration.rejected_corrupt, 1u);
+      EXPECT_EQ(report.stats.migration.fallback_restarts, 1u);
+      EXPECT_EQ(report.stats.completed_streams, scenario.specs.size())
           << "every stream must survive the chaos script";
-      ASSERT_EQ(report.streams.size(), specs.size());
-      for (size_t i = 0; i < specs.size(); ++i) {
-        SCOPED_TRACE(specs[i].name);
+      ASSERT_EQ(report.streams.size(), scenario.specs.size());
+      for (size_t i = 0; i < scenario.specs.size(); ++i) {
+        SCOPED_TRACE(scenario.specs[i].name);
         const FleetStreamReport& fsr = report.streams[i];
         ASSERT_TRUE(fsr.report.status.ok()) << fsr.report.status.ToString();
         EXPECT_EQ(fsr.shard, 0) << "only shard 0 survives this script";
-        ExpectSameRun(SoloBaseline(video, pool, specs[i], lazy, true),
+        ExpectSameRun(SoloBaseline(video, pool, scenario.specs[i], lazy, true),
                       fsr.report.result);
       }
+    }
+  }
+}
+
+// Every control decision (chaos, migrations, failover, rebalancing) is
+// taken between step phases in shard order, so the whole fleet ledger —
+// not only each stream's result — repeats exactly from run to run.
+TEST(ShardedServerTest, FleetLedgerRepeatsExactly) {
+  const Video video = MakeVideo(0.02, 17);
+  for (const FleetScenario& scenario :
+       {SkewScenario(), ChaosMatrixScenario(/*lazy=*/true, /*workers=*/4)}) {
+    SCOPED_TRACE(scenario.chaos.empty() ? "skew" : "chaos matrix");
+    const DetectorPool pool = MakePool(scenario.pool_size);
+    const FleetReport first = RunScenario(scenario, video, pool);
+    for (int run = 2; run <= 3; ++run) {
+      SCOPED_TRACE("run " + std::to_string(run));
+      ExpectSameLedger(first, RunScenario(scenario, video, pool));
     }
   }
 }
