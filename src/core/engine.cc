@@ -21,124 +21,6 @@ Status EngineOptions::Validate() const {
   return breaker.Validate();
 }
 
-namespace {
-
-/// Serializes the complete resumable state of a run into a snapshot file.
-Result<std::vector<uint8_t>> BuildEngineSnapshot(
-    const EngineRunIdentity& identity, size_t next_frame, double algo_seconds,
-    const RunResult& result, const SelectionStrategy& strategy,
-    const std::vector<CircuitBreaker>& breakers, const EvaluationSource& source,
-    bool include_source, const TemporalGate* gate, double last_max_cost_ms) {
-  SnapshotWriter snap;
-  WriteEngineIdentity(snap.AddSection(kEngineMetaSection), identity);
-  {
-    ByteWriter& w = snap.AddSection(kEngineCursorSection);
-    w.U64(next_frame);
-    w.F64(algo_seconds);
-  }
-  WriteRunResult(snap.AddSection(kEngineResultSection), result);
-  VQE_RETURN_NOT_OK(strategy.SaveState(snap.AddSection(kStrategySection)));
-  {
-    ByteWriter& w = snap.AddSection(kBreakersSection);
-    w.U64(breakers.size());
-    for (const CircuitBreaker& b : breakers) {
-      VQE_RETURN_NOT_OK(b.SaveState(w));
-    }
-  }
-  if (gate != nullptr) {
-    ByteWriter& w = snap.AddSection(kTemporalSection);
-    w.F64(last_max_cost_ms);
-    VQE_RETURN_NOT_OK(gate->SaveState(w));
-  }
-  if (include_source) {
-    VQE_RETURN_NOT_OK(source.SaveState(snap.AddSection(kSourceSection)));
-  }
-  return snap.Finish();
-}
-
-/// Overlays a validated snapshot onto a freshly initialized run. The
-/// identity must match (FailedPrecondition otherwise — the checkpoint
-/// belongs to a different configuration); structural problems inside a
-/// CRC-valid section return DataLoss.
-Status RestoreEngineRun(const SnapshotReader& snap,
-                        const EngineRunIdentity& expected, uint32_t num_masks,
-                        SelectionStrategy* strategy, EvaluationSource& source,
-                        std::vector<CircuitBreaker>* breakers,
-                        RunResult* result, size_t* next_frame,
-                        double* algo_seconds, bool include_source,
-                        TemporalGate* gate, double* last_max_cost_ms) {
-  VQE_ASSIGN_OR_RETURN(ByteReader meta, snap.Section(kEngineMetaSection));
-  EngineRunIdentity saved;
-  VQE_RETURN_NOT_OK(ReadEngineIdentity(meta, &saved));
-  VQE_RETURN_NOT_OK(meta.ExpectEnd());
-  VQE_RETURN_NOT_OK(saved.ExpectMatches(expected));
-
-  VQE_ASSIGN_OR_RETURN(ByteReader cursor, snap.Section(kEngineCursorSection));
-  uint64_t frame = 0;
-  VQE_RETURN_NOT_OK(cursor.U64(&frame));
-  VQE_RETURN_NOT_OK(cursor.F64(algo_seconds));
-  VQE_RETURN_NOT_OK(cursor.ExpectEnd());
-  if (frame >= expected.num_frames) {
-    return Status::DataLoss("checkpoint cursor beyond end of video");
-  }
-
-  VQE_ASSIGN_OR_RETURN(ByteReader res, snap.Section(kEngineResultSection));
-  RunResult restored;
-  VQE_RETURN_NOT_OK(ReadRunResult(res, &restored));
-  VQE_RETURN_NOT_OK(res.ExpectEnd());
-  if (restored.selection_counts.size() != num_masks + 1 ||
-      restored.model_availability.size() !=
-          static_cast<size_t>(expected.num_models)) {
-    return Status::DataLoss("checkpoint result shape mismatch");
-  }
-
-  VQE_ASSIGN_OR_RETURN(ByteReader strat, snap.Section(kStrategySection));
-  VQE_RETURN_NOT_OK(strategy->RestoreState(strat));
-  VQE_RETURN_NOT_OK(strat.ExpectEnd());
-
-  VQE_ASSIGN_OR_RETURN(ByteReader brk, snap.Section(kBreakersSection));
-  uint64_t breaker_count = 0;
-  VQE_RETURN_NOT_OK(brk.U64(&breaker_count));
-  if (breaker_count != breakers->size()) {
-    return Status::DataLoss("checkpoint breaker count mismatch");
-  }
-  for (CircuitBreaker& b : *breakers) {
-    VQE_RETURN_NOT_OK(b.RestoreState(brk));
-  }
-  VQE_RETURN_NOT_OK(brk.ExpectEnd());
-
-  if (gate != nullptr) {
-    // A skip-enabled run whose checkpoint lacks the temporal section
-    // cannot resume deterministically: the gate's planned skips, bandit
-    // arms and tracks are unrecoverable. (Identity matching already
-    // guarantees the section exists for snapshots this build wrote.)
-    VQE_ASSIGN_OR_RETURN(ByteReader tmp, snap.Section(kTemporalSection));
-    VQE_RETURN_NOT_OK(tmp.F64(last_max_cost_ms));
-    VQE_RETURN_NOT_OK(gate->RestoreState(tmp));
-    VQE_RETURN_NOT_OK(tmp.ExpectEnd());
-  }
-
-  if (include_source && snap.HasSection(kSourceSection)) {
-    VQE_ASSIGN_OR_RETURN(ByteReader src, snap.Section(kSourceSection));
-    VQE_RETURN_NOT_OK(source.RestoreState(src));
-    VQE_RETURN_NOT_OK(src.ExpectEnd());
-  }
-
-  const RunResult::CheckpointReport report = result->checkpoint;
-  *result = std::move(restored);
-  result->checkpoint = report;  // per-invocation, never restored
-  *next_frame = static_cast<size_t>(frame);
-  return Status::OK();
-}
-
-}  // namespace
-
-struct EngineRun::IdentityHolder {
-  EngineRunIdentity identity;
-};
-
-EngineRun::~EngineRun() = default;
-
 EngineRun::EngineRun(EvaluationSource& source, SelectionStrategy* strategy,
                      const EngineOptions& options)
     : source_(&source),
@@ -198,18 +80,20 @@ Status EngineRun::Init() {
   // the newest good generation. A missing directory or no snapshots means a
   // fresh start; a snapshot from a *different* configuration is an error
   // (resuming it would silently change results).
-  identity_ = std::make_unique<IdentityHolder>();
-  EngineRunIdentity& identity = identity_->identity;
-  identity.strategy_name = strategy_->name();
-  identity.num_models = m_;
-  identity.num_frames = num_frames_;
-  identity.strategy_seed = options_.strategy_seed;
-  identity.budget_ms = options_.budget_ms;
-  identity.sc = options_.sc;
-  identity.compute_regret = options_.compute_regret;
-  identity.record_cost_curve = options_.record_cost_curve;
-  identity.breaker = options_.breaker;
-  identity.skip = options_.skip;
+  identity_.Str("strategy", strategy_->name())
+      .U64("num_models", m_)
+      .U64("num_frames", num_frames_)
+      .U64("strategy_seed", options_.strategy_seed)
+      .F64("budget_ms", options_.budget_ms)
+      .F64("sc.w1", options_.sc.w1)
+      .F64("sc.w2", options_.sc.w2)
+      .U64("sc.form", static_cast<uint64_t>(options_.sc.form))
+      .U64("compute_regret", options_.compute_regret)
+      .U64("record_cost_curve", options_.record_cost_curve)
+      .U64("breaker.failure_threshold", options_.breaker.failure_threshold)
+      .U64("breaker.open_frames", options_.breaker.open_frames)
+      .U64("breaker.half_open_probes", options_.breaker.half_open_probes);
+  WriteSkipOptionsIdentity(identity_, options_.skip);
 
   if (options_.checkpoint.enabled()) {
     ckpt_ = std::make_unique<CheckpointManager>(
@@ -218,13 +102,7 @@ Status EngineRun::Init() {
       Result<CheckpointManager::Loaded> loaded = ckpt_->LoadLatestGood();
       if (loaded.ok()) {
         result_.checkpoint.generations_rejected = loaded->rejected;
-        double saved_algo_seconds = 0.0;
-        VQE_RETURN_NOT_OK(RestoreEngineRun(
-            loaded->snapshot, identity, num_masks_, strategy_, *source_,
-            &breakers_, &result_, &next_frame_, &saved_algo_seconds,
-            options_.checkpoint.include_source, gate_.get(),
-            &last_max_cost_ms_));
-        algo_time_.Add(saved_algo_seconds);
+        VQE_RETURN_NOT_OK(RestoreFromSnapshot(loaded->snapshot));
         result_.checkpoint.resumed = true;
         result_.checkpoint.resumed_from_frame = next_frame_;
         next_generation_ = loaded->sequence + 1;
@@ -614,14 +492,29 @@ Result<std::vector<uint8_t>> EngineRun::ExportSnapshot() const {
   if (finished_) {
     return Status::FailedPrecondition("ExportSnapshot on a finished run");
   }
-  // include_source mirrors the checkpoint policy (default true): the lazy
-  // memo is a cache, so results are identical either way — carrying it
-  // just spares the migration target recomputation.
-  return BuildEngineSnapshot(identity_->identity, next_frame_,
-                             algo_time_.total_seconds(), result_, *strategy_,
-                             breakers_, *source_,
-                             options_.checkpoint.include_source, gate_.get(),
-                             last_max_cost_ms_);
+  SnapshotWriter snap;
+  snap.AddSection(kEngineMetaSection)
+      .Bytes(identity_.bytes().data(), identity_.bytes().size());
+  {
+    ByteWriter& w = snap.AddSection(kEngineCursorSection);
+    w.U64(next_frame_);
+    w.F64(algo_time_.total_seconds());
+  }
+  WriteRunResult(snap.AddSection(kEngineResultSection), result_);
+  VQE_RETURN_NOT_OK(strategy_->SaveState(snap.AddSection(kStrategySection)));
+  {
+    ByteWriter& w = snap.AddSection(kBreakersSection);
+    w.U64(breakers_.size());
+    for (const CircuitBreaker& b : breakers_) {
+      VQE_RETURN_NOT_OK(b.SaveState(w));
+    }
+  }
+  if (gate_ != nullptr) {
+    ByteWriter& w = snap.AddSection(kTemporalSection);
+    w.F64(last_max_cost_ms_);
+    VQE_RETURN_NOT_OK(gate_->SaveState(w));
+  }
+  return snap.Finish();
 }
 
 Status EngineRun::RestoreFromSnapshot(const SnapshotReader& snapshot) {
@@ -633,12 +526,59 @@ Status EngineRun::RestoreFromSnapshot(const SnapshotReader& snapshot) {
         "RestoreFromSnapshot requires a freshly created run (this one "
         "already stepped frames)");
   }
-  double saved_algo_seconds = 0.0;
-  VQE_RETURN_NOT_OK(RestoreEngineRun(
-      snapshot, identity_->identity, num_masks_, strategy_, *source_,
-      &breakers_, &result_, &next_frame_, &saved_algo_seconds,
-      options_.checkpoint.include_source, gate_.get(), &last_max_cost_ms_));
-  algo_time_.Add(saved_algo_seconds);
+  VQE_ASSIGN_OR_RETURN(ByteReader meta, snapshot.Section(kEngineMetaSection));
+  VQE_RETURN_NOT_OK(ExpectSameIdentity(meta, identity_));
+
+  VQE_ASSIGN_OR_RETURN(ByteReader cursor,
+                       snapshot.Section(kEngineCursorSection));
+  uint64_t frame = 0;
+  double algo_seconds = 0.0;
+  VQE_RETURN_NOT_OK(cursor.U64(&frame));
+  VQE_RETURN_NOT_OK(cursor.F64(&algo_seconds));
+  VQE_RETURN_NOT_OK(cursor.ExpectEnd());
+  if (frame >= num_frames_) {
+    return Status::DataLoss("checkpoint cursor beyond end of video");
+  }
+
+  VQE_ASSIGN_OR_RETURN(ByteReader res, snapshot.Section(kEngineResultSection));
+  RunResult restored;
+  VQE_RETURN_NOT_OK(ReadRunResult(res, &restored));
+  VQE_RETURN_NOT_OK(res.ExpectEnd());
+  if (restored.selection_counts.size() != num_masks_ + 1 ||
+      restored.model_availability.size() != static_cast<size_t>(m_)) {
+    return Status::DataLoss("checkpoint result shape mismatch");
+  }
+
+  VQE_ASSIGN_OR_RETURN(ByteReader strat, snapshot.Section(kStrategySection));
+  VQE_RETURN_NOT_OK(strategy_->RestoreState(strat));
+  VQE_RETURN_NOT_OK(strat.ExpectEnd());
+
+  VQE_ASSIGN_OR_RETURN(ByteReader brk, snapshot.Section(kBreakersSection));
+  uint64_t breaker_count = 0;
+  VQE_RETURN_NOT_OK(brk.U64(&breaker_count));
+  if (breaker_count != breakers_.size()) {
+    return Status::DataLoss("checkpoint breaker count mismatch");
+  }
+  for (CircuitBreaker& b : breakers_) {
+    VQE_RETURN_NOT_OK(b.RestoreState(brk));
+  }
+  VQE_RETURN_NOT_OK(brk.ExpectEnd());
+
+  if (gate_ != nullptr) {
+    // A skip-enabled run whose checkpoint lacks the temporal section
+    // cannot resume deterministically: the gate's planned skips, bandit
+    // arms and tracks are unrecoverable. (Identity matching already
+    // guarantees the section exists for snapshots this build wrote.)
+    VQE_ASSIGN_OR_RETURN(ByteReader tmp, snapshot.Section(kTemporalSection));
+    VQE_RETURN_NOT_OK(tmp.F64(&last_max_cost_ms_));
+    VQE_RETURN_NOT_OK(gate_->RestoreState(tmp));
+    VQE_RETURN_NOT_OK(tmp.ExpectEnd());
+  }
+
+  restored.checkpoint = result_.checkpoint;  // per-invocation, never restored
+  result_ = std::move(restored);
+  next_frame_ = static_cast<size_t>(frame);
+  algo_time_.Add(algo_seconds);
   return Status::OK();
 }
 
@@ -675,13 +615,7 @@ Status EngineRun::FrameEpilogue(size_t t) {
       (t + 1) % options_.checkpoint.every_frames == 0 &&
       t + 1 < num_frames_) {
     Stopwatch watch;
-    VQE_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> bytes,
-        BuildEngineSnapshot(identity_->identity, t + 1,
-                            algo_time_.total_seconds(), result_, *strategy_,
-                            breakers_, *source_,
-                            options_.checkpoint.include_source, gate_.get(),
-                            last_max_cost_ms_));
+    VQE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ExportSnapshot());
     VQE_RETURN_NOT_OK(ckpt_->Write(next_generation_, bytes));
     ++next_generation_;
     ++result_.checkpoint.snapshots_written;

@@ -22,6 +22,7 @@
 #include "core/strategy.h"
 #include "runtime/circuit_breaker.h"
 #include "snapshot/checkpoint.h"
+#include "snapshot/identity.h"
 #include "temporal/gate.h"
 
 namespace vqe {
@@ -228,7 +229,6 @@ class EngineRun {
 
   EngineRun(const EngineRun&) = delete;
   EngineRun& operator=(const EngineRun&) = delete;
-  ~EngineRun();  // out-of-line: IdentityHolder is incomplete here
 
   /// True once the run has no more frames to process: the video is
   /// exhausted, the TCVI budget is spent (Alg. 2's `C <= B` guard), or
@@ -276,22 +276,22 @@ class EngineRun {
   void SetObs(const ObsHandle& obs);
 
   /// Serializes the complete resumable state of the live run into the
-  /// snapshot wire format (the same container a checkpoint writes,
-  /// identity fingerprint included) WITHOUT touching disk. This is the
-  /// live-migration path: the serving layer exports a mid-video session on
+  /// snapshot wire format (sections in core/engine_snapshot.h, identity
+  /// included) WITHOUT touching disk. Checkpoint writes persist exactly
+  /// these bytes; the live-migration path exports a mid-video session on
   /// one scheduler shard and implants the bytes on another. Callable any
   /// time between Create and Finish; FailedPrecondition after Finish.
   Result<std::vector<uint8_t>> ExportSnapshot() const;
 
-  /// Overlays a parsed, CRC-valid snapshot onto this run — the in-memory
-  /// counterpart of checkpoint resume. The snapshot's identity fingerprint
-  /// must match this run's configuration (FailedPrecondition otherwise:
-  /// the payload belongs to a different stream) and the fingerprint is
-  /// verified BEFORE any run state is mutated, so a rejected payload
-  /// leaves the run exactly as it was. Structural damage inside a
-  /// CRC-valid section returns DataLoss. Callable only before this
-  /// invocation has stepped any frame (a migration target is always a
-  /// freshly created run).
+  /// Overlays a parsed, CRC-valid snapshot onto this run; checkpoint
+  /// resume loads through it as well. The snapshot's identity must match
+  /// this run's configuration (FailedPrecondition naming the first
+  /// differing field otherwise: the payload belongs to a different stream
+  /// or to an incompatible build) and it is checked BEFORE any run state
+  /// is mutated, so a refused payload leaves the run exactly as it was.
+  /// Structural damage inside a CRC-valid section returns DataLoss.
+  /// Callable only before this invocation has stepped any frame (a
+  /// migration target is always a freshly created run).
   Status RestoreFromSnapshot(const SnapshotReader& snapshot);
 
   /// Finalizes averages and per-model breaker counters and returns the
@@ -333,10 +333,9 @@ class EngineRun {
   std::vector<double> est_score_;
   std::vector<double> norm_cost_;
 
-  /// EngineRunIdentity lives behind a pimpl: engine_snapshot.h includes
-  /// this header, so the identity type cannot appear here by value.
-  struct IdentityHolder;
-  std::unique_ptr<IdentityHolder> identity_;
+  /// This run's configuration as snapshot identity fields (engine.meta);
+  /// written once by Init, compared against every snapshot restored.
+  IdentityWriter identity_;
   size_t next_frame_ = 0;
   size_t frames_this_invocation_ = 0;
   uint64_t next_generation_ = 1;

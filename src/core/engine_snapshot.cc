@@ -1,99 +1,6 @@
 #include "core/engine_snapshot.h"
 
-#include <bit>
-#include <cmath>
-
 namespace vqe {
-namespace {
-
-/// Exact bit equality for doubles (configuration fingerprints must match
-/// the saved run exactly; tolerance would admit drifting results).
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-}  // namespace
-
-Status EngineRunIdentity::ExpectMatches(const EngineRunIdentity& other) const {
-  if (strategy_name != other.strategy_name) {
-    return Status::FailedPrecondition(
-        "checkpoint belongs to strategy '" + strategy_name + "', not '" +
-        other.strategy_name + "'");
-  }
-  if (num_models != other.num_models || num_frames != other.num_frames) {
-    return Status::FailedPrecondition(
-        "checkpoint pool/video shape differs from this run");
-  }
-  if (strategy_seed != other.strategy_seed) {
-    return Status::FailedPrecondition("checkpoint strategy seed differs");
-  }
-  if (!SameBits(budget_ms, other.budget_ms)) {
-    return Status::FailedPrecondition("checkpoint budget differs");
-  }
-  if (!SameBits(sc.w1, other.sc.w1) || !SameBits(sc.w2, other.sc.w2) ||
-      sc.form != other.sc.form) {
-    return Status::FailedPrecondition("checkpoint scoring function differs");
-  }
-  if (compute_regret != other.compute_regret ||
-      record_cost_curve != other.record_cost_curve) {
-    return Status::FailedPrecondition("checkpoint measurement flags differ");
-  }
-  if (breaker.failure_threshold != other.breaker.failure_threshold ||
-      breaker.open_frames != other.breaker.open_frames ||
-      breaker.half_open_probes != other.breaker.half_open_probes) {
-    return Status::FailedPrecondition("checkpoint breaker options differ");
-  }
-  return ExpectSkipOptionsMatch(skip, other.skip);
-}
-
-void WriteEngineIdentity(ByteWriter& w, const EngineRunIdentity& id) {
-  w.Str(id.strategy_name);
-  w.I64(id.num_models);
-  w.U64(id.num_frames);
-  w.U64(id.strategy_seed);
-  w.F64(id.budget_ms);
-  w.F64(id.sc.w1);
-  w.F64(id.sc.w2);
-  w.U8(static_cast<uint8_t>(id.sc.form));
-  w.Bool(id.compute_regret);
-  w.Bool(id.record_cost_curve);
-  w.I64(id.breaker.failure_threshold);
-  w.U64(id.breaker.open_frames);
-  w.I64(id.breaker.half_open_probes);
-  WriteSkipOptionsIdentity(w, id.skip);
-}
-
-Status ReadEngineIdentity(ByteReader& r, EngineRunIdentity* id) {
-  int64_t num_models = 0, failure_threshold = 0, half_open_probes = 0;
-  uint64_t open_frames = 0;
-  uint8_t form = 0;
-  VQE_RETURN_NOT_OK(r.Str(&id->strategy_name));
-  VQE_RETURN_NOT_OK(r.I64(&num_models));
-  VQE_RETURN_NOT_OK(r.U64(&id->num_frames));
-  VQE_RETURN_NOT_OK(r.U64(&id->strategy_seed));
-  VQE_RETURN_NOT_OK(r.F64(&id->budget_ms));
-  VQE_RETURN_NOT_OK(r.F64(&id->sc.w1));
-  VQE_RETURN_NOT_OK(r.F64(&id->sc.w2));
-  VQE_RETURN_NOT_OK(r.U8(&form));
-  VQE_RETURN_NOT_OK(r.Bool(&id->compute_regret));
-  VQE_RETURN_NOT_OK(r.Bool(&id->record_cost_curve));
-  VQE_RETURN_NOT_OK(r.I64(&failure_threshold));
-  VQE_RETURN_NOT_OK(r.U64(&open_frames));
-  VQE_RETURN_NOT_OK(r.I64(&half_open_probes));
-  VQE_RETURN_NOT_OK(ReadSkipOptionsIdentity(r, &id->skip));
-  if (num_models < 1 || num_models > kMaxPoolSize) {
-    return Status::DataLoss("identity num_models out of range");
-  }
-  if (form > static_cast<uint8_t>(ScoreForm::kLinear)) {
-    return Status::DataLoss("identity score form out of range");
-  }
-  id->num_models = static_cast<int>(num_models);
-  id->sc.form = static_cast<ScoreForm>(form);
-  id->breaker.failure_threshold = static_cast<int>(failure_threshold);
-  id->breaker.open_frames = static_cast<size_t>(open_frames);
-  id->breaker.half_open_probes = static_cast<int>(half_open_probes);
-  return Status::OK();
-}
 
 void WriteTimeBreakdown(ByteWriter& w, const TimeBreakdown& tb) {
   w.F64(tb.detector_ms);

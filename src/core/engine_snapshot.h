@@ -1,33 +1,36 @@
-// Serialization of the engine's snapshot sections: the run identity
-// (configuration fingerprint a snapshot must match before resuming), the
-// partial RunResult accumulators, and the TimeBreakdown. Exposed as free
-// functions so tests can round-trip accounting structures directly and so
-// the query executor reuses the same wire helpers.
+// Wire helpers and section names of the engine's snapshot: the partial
+// RunResult accumulators and the TimeBreakdown. Exposed as free functions
+// so tests can round-trip accounting structures directly. EngineRun
+// writes and reads the sections itself (ExportSnapshot,
+// RestoreFromSnapshot).
 //
-// Section layout inside a RunStrategy checkpoint (container format in
-// snapshot/snapshot.h):
+// Section layout inside a RunStrategy checkpoint or migration payload
+// (container format in snapshot/snapshot.h):
 //
-//   engine.meta    — identity fingerprint (strategy name, pool size, video
-//                    length, seed, budget, scoring weights, breaker knobs);
-//                    a mismatch means "wrong directory / wrong config" and
-//                    resume refuses with FailedPrecondition.
+//   engine.meta    — run identity (snapshot/identity.h): strategy name,
+//                    pool size, video length, seed, budget, scoring
+//                    weights, measurement flags, breaker and skip knobs,
+//                    as named fields. A snapshot whose identity differs
+//                    is refused with FailedPrecondition naming the first
+//                    differing field; one written before the tagged
+//                    layout is refused the same way.
 //   engine.cursor  — next frame to process + accumulated algorithm seconds.
 //   engine.result  — the RunResult accumulators as they stand mid-loop
 //                    (avg_* fields hold running SUMS until the run ends).
 //   strategy       — SelectionStrategy::SaveState payload.
 //   breakers       — per-model CircuitBreaker state machines.
-//   source         — EvaluationSource::SaveState payload (lazy memo), only
-//                    when CheckpointPolicy::include_source.
+//   temporal       — skip-enabled runs only: the carried cost normalizer
+//                    and the TemporalGate state.
+//
+// The evaluation source is not part of a snapshot: its cells are pure
+// functions of (frame, mask), and a restored run never reads a frame it
+// has already stepped past.
 
 #ifndef VQE_CORE_ENGINE_SNAPSHOT_H_
 #define VQE_CORE_ENGINE_SNAPSHOT_H_
 
-#include <string>
-
 #include "common/status.h"
 #include "core/engine.h"
-#include "snapshot/checkpoint.h"
-#include "snapshot/snapshot.h"
 #include "snapshot/wire.h"
 
 namespace vqe {
@@ -38,35 +41,9 @@ inline constexpr char kEngineCursorSection[] = "engine.cursor";
 inline constexpr char kEngineResultSection[] = "engine.result";
 inline constexpr char kStrategySection[] = "strategy";
 inline constexpr char kBreakersSection[] = "breakers";
-inline constexpr char kSourceSection[] = "source";
 /// Temporal fast-path state (gate + skip policy + propagation tracker +
 /// the carried cost normalizer); present only in skip-enabled runs.
 inline constexpr char kTemporalSection[] = "temporal";
-
-/// The configuration fingerprint a checkpoint was taken under. Resuming
-/// under a different fingerprint would silently change results, so the
-/// engine compares every field and refuses on mismatch.
-struct EngineRunIdentity {
-  std::string strategy_name;
-  int num_models = 0;
-  uint64_t num_frames = 0;
-  uint64_t strategy_seed = 0;
-  double budget_ms = 0.0;
-  ScoringFunction sc;
-  bool compute_regret = true;
-  bool record_cost_curve = false;
-  CircuitBreakerOptions breaker;
-  /// Temporal-skip knobs: a snapshot taken under different skip settings
-  /// would replay a different skip/detect sequence.
-  SkipOptions skip;
-
-  /// OK when `other` describes the same run; FailedPrecondition naming the
-  /// first differing field otherwise.
-  Status ExpectMatches(const EngineRunIdentity& other) const;
-};
-
-void WriteEngineIdentity(ByteWriter& w, const EngineRunIdentity& id);
-Status ReadEngineIdentity(ByteReader& r, EngineRunIdentity* id);
 
 void WriteTimeBreakdown(ByteWriter& w, const TimeBreakdown& tb);
 Status ReadTimeBreakdown(ByteReader& r, TimeBreakdown* tb);

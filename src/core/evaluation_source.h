@@ -13,7 +13,8 @@
 //     only ever touch the subset lattices of their selections, so runs
 //     cost O(|V|·2^|S|) fusions instead of O(|V|·2^m). Per-model outputs
 //     live only while their frame is evaluated; a touched frame keeps
-//     its cells and Stats() scalars.
+//     its cells and Stats() scalars for the evaluator's lifetime (never
+//     in a snapshot).
 //
 // Both run mask evaluations through the same FrameEvalContext kernel, so
 // every value a strategy can observe is bit-identical across sources.
@@ -113,17 +114,16 @@ class EvaluationSource {
   /// (EngineOptions::compute_regret).
   virtual const std::vector<EnsembleId>* TrueFrontier(size_t t) = 0;
 
-  /// Serializes whatever cached evaluation state is worth carrying across
-  /// a restart. Cells are pure functions of (frame, mask), so this is a
-  /// cache-warmth/accounting concern, never a correctness one; the default
-  /// (and the eager matrix view, which is rebuilt deterministically) writes
-  /// nothing.
+  /// Evaluation sources carry no snapshot state: cells are pure functions
+  /// of (frame, mask) and a restored run never reads a frame it already
+  /// stepped past, so engine snapshots have no source section and the
+  /// engine calls neither hook. Both are no-ops kept for wrappers that
+  /// still forward them.
   virtual Status SaveState(ByteWriter& writer) const {
     (void)writer;
     return Status::OK();
   }
 
-  /// Restores a SaveState payload; DataLoss on malformed bytes.
   virtual Status RestoreState(ByteReader& reader) {
     (void)reader;
     return Status::OK();

@@ -15,9 +15,12 @@
 // returns, so a long run holds a few small blocks per frame, not a whole
 // detector context. The engine never reads a frame again after stepping
 // past it, so single-pass runs never need an evicted context back; an
-// Eval or FusedOutput that does (an unmemoised mask on an earlier frame,
-// or any read of a snapshot-restored frame beyond its memo) rebuilds it
-// deterministically and counts it in frames_rebuilt().
+// Eval or FusedOutput that does (an unmemoised mask on an earlier frame)
+// rebuilds it deterministically and counts it in frames_rebuilt().
+//
+// The memo caches this evaluator's own reads and is never snapshotted: a
+// run restored from a checkpoint or migration payload only reads frames
+// it has not stepped past yet.
 //
 // All evaluation goes through the same FrameEvalContext kernel as the
 // eager build, so every materialized cell is bit-identical to the
@@ -59,8 +62,7 @@ class LazyFrameEvaluator final : public EvaluationSource {
   size_t num_frames() const override { return video_.size(); }
 
   /// Served from the frame's recorded scalars once it was touched; the
-  /// returned pointers stay valid for the evaluator's lifetime, or until
-  /// RestoreState replaces the records.
+  /// returned pointers stay valid for the evaluator's lifetime.
   FrameStats Stats(size_t t) override;
   MaskEvaluation Eval(size_t t, EnsembleId mask) override;
   /// Always nullptr: a true-score Pareto frontier requires the full
@@ -97,11 +99,10 @@ class LazyFrameEvaluator final : public EvaluationSource {
   /// Instrumentation: frames whose detectors have run.
   size_t frames_touched() const { return frames_touched_; }
   /// Contexts built for frames already counted in frames_touched(): reads
-  /// that needed an evicted (or snapshot-restored) frame's detections
-  /// again. Zero for single-pass runs, bar one by design: a skip-gated
-  /// SGL run rebuilds each detect frame for its fused output, because its
-  /// calibration touched every frame first. Counts this instance's work
-  /// only; snapshots do not carry it.
+  /// that needed an evicted frame's detections again. Zero for
+  /// single-pass runs, restored ones included, bar one by design: a
+  /// skip-gated SGL run rebuilds each detect frame for its fused output,
+  /// because its calibration touched every frame first.
   size_t frames_rebuilt() const { return frames_rebuilt_; }
   /// Distinct (frame, mask) cells fused and scored. An eager build does
   /// num_frames() · num_ensembles() of these; the gap is the work lazy
@@ -110,26 +111,19 @@ class LazyFrameEvaluator final : public EvaluationSource {
   /// Eval calls served from the memo without fusing.
   uint64_t memo_hits() const { return memo_hits_; }
 
-  /// Serializes the memo (counters + every known cell per touched frame).
-  /// Restored cells are served without re-running detectors; the frame is
-  /// rebuilt on demand only if an unknown mask or Stats() is requested
-  /// for it (deterministic, so values match).
-  Status SaveState(ByteWriter& writer) const override;
-  Status RestoreState(ByteReader& reader) override;
-
  private:
   LazyFrameEvaluator(Video video, const DetectorPool& pool,
                      uint64_t trial_seed, const MatrixOptions& options,
                      std::unique_ptr<EnsembleMethod> fusion);
 
-  /// What a touched frame keeps after its context is gone.
+  /// What a touched frame keeps after its context is gone. The memo is
+  /// allocated, and the Stats() scalars recorded, on first touch, so an
+  /// empty memo means "never touched".
   struct FrameRecord {
-    /// Memo indexed by mask (index 0 unused), allocated on first touch.
+    /// Memo indexed by mask (index 0 unused).
     std::vector<MaskEvaluation> memo;
     std::vector<uint8_t> known;
-    /// Stats() scalars; has_stats is false until a context was built here
-    /// (snapshot-restored frames carry only memo and max_cost_ms).
-    bool has_stats = false;
+    /// Stats() scalars.
     std::vector<double> model_cost_ms;
     std::vector<double> model_fault_ms;
     double ref_cost_ms = 0.0;

@@ -1,11 +1,11 @@
 #include "query/executor.h"
 
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
 
 #include "common/stopwatch.h"
+#include "snapshot/identity.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/wire.h"
 #include "common/strings.h"
@@ -57,104 +57,6 @@ constexpr char kQueryTrackerSection[] = "tracker";
 // skip-enabled runs. When the gate is enabled it owns the only tracker in
 // the run, so the standalone tracker section is not written.
 constexpr char kQueryTemporalSection[] = "temporal";
-
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-/// The configuration fingerprint a query checkpoint was taken under.
-/// Resuming under a different fingerprint would silently change the query's
-/// output, so every determinism-affecting knob is compared exactly.
-struct QueryRunIdentity {
-  std::string strategy_name;  // canonical (upper-cased) USING name
-  std::string video_name;
-  int num_models = 0;
-  uint64_t num_video_frames = 0;
-  uint64_t stride = 1;
-  uint64_t seed = 0;
-  double scene_scale = 0.0;
-  double budget_ms = 0.0;
-  uint64_t limit = 0;
-  ScoringFunction sc;
-  uint64_t gamma = 0;
-  uint64_t sw_window = 0;
-  SkipOptions skip;
-
-  Status ExpectMatches(const QueryRunIdentity& other) const {
-    if (strategy_name != other.strategy_name ||
-        video_name != other.video_name) {
-      return Status::FailedPrecondition(
-          "checkpoint belongs to a different query (strategy/video)");
-    }
-    if (num_models != other.num_models ||
-        num_video_frames != other.num_video_frames ||
-        stride != other.stride) {
-      return Status::FailedPrecondition(
-          "checkpoint pool/video shape differs from this query");
-    }
-    if (seed != other.seed || !SameBits(scene_scale, other.scene_scale)) {
-      return Status::FailedPrecondition("checkpoint sampling seed differs");
-    }
-    if (!SameBits(budget_ms, other.budget_ms) || limit != other.limit) {
-      return Status::FailedPrecondition("checkpoint budget/limit differs");
-    }
-    if (!SameBits(sc.w1, other.sc.w1) || !SameBits(sc.w2, other.sc.w2) ||
-        sc.form != other.sc.form) {
-      return Status::FailedPrecondition("checkpoint scoring function differs");
-    }
-    if (gamma != other.gamma || sw_window != other.sw_window) {
-      return Status::FailedPrecondition("checkpoint bandit knobs differ");
-    }
-    return ExpectSkipOptionsMatch(skip, other.skip);
-  }
-};
-
-void WriteQueryIdentity(ByteWriter& w, const QueryRunIdentity& id) {
-  w.Str(id.strategy_name);
-  w.Str(id.video_name);
-  w.I64(id.num_models);
-  w.U64(id.num_video_frames);
-  w.U64(id.stride);
-  w.U64(id.seed);
-  w.F64(id.scene_scale);
-  w.F64(id.budget_ms);
-  w.U64(id.limit);
-  w.F64(id.sc.w1);
-  w.F64(id.sc.w2);
-  w.U8(static_cast<uint8_t>(id.sc.form));
-  w.U64(id.gamma);
-  w.U64(id.sw_window);
-  WriteSkipOptionsIdentity(w, id.skip);
-}
-
-Status ReadQueryIdentity(ByteReader& r, QueryRunIdentity* id) {
-  int64_t num_models = 0;
-  uint8_t form = 0;
-  VQE_RETURN_NOT_OK(r.Str(&id->strategy_name));
-  VQE_RETURN_NOT_OK(r.Str(&id->video_name));
-  VQE_RETURN_NOT_OK(r.I64(&num_models));
-  VQE_RETURN_NOT_OK(r.U64(&id->num_video_frames));
-  VQE_RETURN_NOT_OK(r.U64(&id->stride));
-  VQE_RETURN_NOT_OK(r.U64(&id->seed));
-  VQE_RETURN_NOT_OK(r.F64(&id->scene_scale));
-  VQE_RETURN_NOT_OK(r.F64(&id->budget_ms));
-  VQE_RETURN_NOT_OK(r.U64(&id->limit));
-  VQE_RETURN_NOT_OK(r.F64(&id->sc.w1));
-  VQE_RETURN_NOT_OK(r.F64(&id->sc.w2));
-  VQE_RETURN_NOT_OK(r.U8(&form));
-  VQE_RETURN_NOT_OK(r.U64(&id->gamma));
-  VQE_RETURN_NOT_OK(r.U64(&id->sw_window));
-  VQE_RETURN_NOT_OK(ReadSkipOptionsIdentity(r, &id->skip));
-  if (num_models < 1 || num_models > kMaxPoolSize) {
-    return Status::DataLoss("query identity num_models out of range");
-  }
-  if (form > static_cast<uint8_t>(ScoreForm::kLinear)) {
-    return Status::DataLoss("query identity score form out of range");
-  }
-  id->num_models = static_cast<int>(num_models);
-  id->sc.form = static_cast<ScoreForm>(form);
-  return Status::OK();
-}
 
 /// Serializes every QueryOutput accumulator except wall_seconds (wall
 /// clock), model_names (reconstructed from the pool) and the per-invocation
@@ -210,12 +112,13 @@ Status ReadQueryOutput(ByteReader& r, QueryOutput* out) {
 
 /// Serializes the complete resumable state of a query run.
 Result<std::vector<uint8_t>> BuildQuerySnapshot(
-    const QueryRunIdentity& identity, size_t next_t, size_t next_iteration,
+    const IdentityWriter& identity, size_t next_t, size_t next_iteration,
     const QueryOutput& out, const SelectionStrategy& strategy,
     const std::vector<ResilientDetector>& runtime, const IouTracker* tracker,
     const TemporalGate* gate) {
   SnapshotWriter snap;
-  WriteQueryIdentity(snap.AddSection(kQueryMetaSection), identity);
+  snap.AddSection(kQueryMetaSection)
+      .Bytes(identity.bytes().data(), identity.bytes().size());
   {
     ByteWriter& w = snap.AddSection(kQueryCursorSection);
     w.U64(next_t);
@@ -241,25 +144,23 @@ Result<std::vector<uint8_t>> BuildQuerySnapshot(
 }
 
 /// Overlays a validated snapshot onto a freshly initialized query run.
+/// The identity is checked before any run state is touched.
 Status RestoreQueryRun(const SnapshotReader& snap,
-                       const QueryRunIdentity& expected, uint32_t num_masks,
+                       const IdentityWriter& identity, size_t num_frames,
                        SelectionStrategy* strategy,
                        std::vector<ResilientDetector>* runtime,
                        IouTracker* tracker, TemporalGate* gate,
                        QueryOutput* out, size_t* next_t,
                        size_t* next_iteration) {
   VQE_ASSIGN_OR_RETURN(ByteReader meta, snap.Section(kQueryMetaSection));
-  QueryRunIdentity saved;
-  VQE_RETURN_NOT_OK(ReadQueryIdentity(meta, &saved));
-  VQE_RETURN_NOT_OK(meta.ExpectEnd());
-  VQE_RETURN_NOT_OK(saved.ExpectMatches(expected));
+  VQE_RETURN_NOT_OK(ExpectSameIdentity(meta, identity));
 
   VQE_ASSIGN_OR_RETURN(ByteReader cursor, snap.Section(kQueryCursorSection));
   uint64_t t = 0, iteration = 0;
   VQE_RETURN_NOT_OK(cursor.U64(&t));
   VQE_RETURN_NOT_OK(cursor.U64(&iteration));
   VQE_RETURN_NOT_OK(cursor.ExpectEnd());
-  if (t >= expected.num_video_frames) {
+  if (t >= num_frames) {
     return Status::DataLoss("query checkpoint cursor beyond end of video");
   }
 
@@ -267,9 +168,9 @@ Status RestoreQueryRun(const SnapshotReader& snap,
   QueryOutput restored;
   VQE_RETURN_NOT_OK(ReadQueryOutput(res, &restored));
   VQE_RETURN_NOT_OK(res.ExpectEnd());
-  if (restored.selection_counts.size() != num_masks + 1 ||
-      restored.model_failures.size() !=
-          static_cast<size_t>(expected.num_models)) {
+  if (restored.selection_counts.size() !=
+          NumEnsembles(static_cast<int>(runtime->size())) + 1 ||
+      restored.model_failures.size() != runtime->size()) {
     return Status::DataLoss("query checkpoint output shape mismatch");
   }
 
@@ -554,23 +455,27 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   DetectionList fused;
 
   // Checkpointing: fingerprint the query configuration, then try to resume
-  // from the newest good generation in the checkpoint directory.
-  QueryRunIdentity identity;
-  identity.strategy_name = ToUpper(query.using_clause.strategy);
-  identity.video_name = query.video_name;
-  identity.num_models = m;
-  identity.num_video_frames = video.size();
-  identity.stride = stride;
-  identity.seed = sample.seed;
-  identity.scene_scale = sample.scene_scale;
-  identity.budget_ms = query.budget_ms;
-  identity.limit = query.limit;
-  identity.sc = options.sc;
-  identity.gamma = options.gamma;
-  // The fingerprint records the *effective* λ, so a checkpoint taken with
-  // a WINDOW clause cannot resume under a different window.
-  identity.sw_window = query.window > 0 ? query.window : options.sw_window;
-  identity.skip = options.skip;
+  // from the newest good generation in the checkpoint directory. The
+  // sampling knobs come before the video length they determine, so a
+  // changed seed is reported as the seed.
+  IdentityWriter identity;
+  identity.Str("strategy", ToUpper(query.using_clause.strategy))
+      .Str("video", query.video_name)
+      .U64("seed", sample.seed)
+      .F64("scene_scale", sample.scene_scale)
+      .U64("num_models", m)
+      .U64("num_video_frames", video.size())
+      .U64("stride", stride)
+      .F64("budget_ms", query.budget_ms)
+      .U64("limit", query.limit)
+      .F64("sc.w1", options.sc.w1)
+      .F64("sc.w2", options.sc.w2)
+      .U64("sc.form", static_cast<uint64_t>(options.sc.form))
+      .U64("gamma", options.gamma)
+      // The effective λ, so a checkpoint taken with a WINDOW clause cannot
+      // resume under a different window.
+      .U64("sw_window", query.window > 0 ? query.window : options.sw_window);
+  WriteSkipOptionsIdentity(identity, options.skip);
 
   size_t start_t = 0;
   size_t iteration = 0;
@@ -584,8 +489,9 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       if (loaded.ok()) {
         out.checkpoint.generations_rejected = loaded->rejected;
         VQE_RETURN_NOT_OK(RestoreQueryRun(
-            loaded->snapshot, identity, num_masks, strategy.get(), &runtime,
-            standalone_tracker, gate.get(), &out, &start_t, &iteration));
+            loaded->snapshot, identity, video.size(), strategy.get(),
+            &runtime, standalone_tracker, gate.get(), &out, &start_t,
+            &iteration));
         out.checkpoint.resumed = true;
         out.checkpoint.resumed_from_iteration = iteration;
         next_generation = loaded->sequence + 1;

@@ -1,14 +1,10 @@
 #include "runtime/resilient_detector.h"
 
-#include <utility>
-
 namespace vqe {
 
 DetectorCallOutcome ResilientDetector::Call(const VideoFrame& frame,
                                             uint64_t trial_seed, size_t t) {
-  ++stats_.calls;
   if (!breaker_.AllowsCallAt(t)) {
-    ++stats_.short_circuits;
     DetectorCallOutcome refused;
     refused.status =
         Status::Unavailable(inner_->name() + ": circuit breaker open");
@@ -16,23 +12,12 @@ DetectorCallOutcome ResilientDetector::Call(const VideoFrame& frame,
   }
   DetectorCallOutcome outcome =
       DetectWithRetries(*inner_, frame, trial_seed, retry_);
-  stats_.retries += static_cast<uint64_t>(outcome.attempts - 1);
-  stats_.fault_ms += outcome.fault_ms;
   if (outcome.ok()) {
     breaker_.RecordSuccess(t);
   } else {
-    ++stats_.failures;
     breaker_.RecordFailure(t);
   }
   return outcome;
-}
-
-Result<DetectionList> ResilientDetector::TryDetect(const VideoFrame& frame,
-                                                   uint64_t trial_seed,
-                                                   size_t t) {
-  DetectorCallOutcome outcome = Call(frame, trial_seed, t);
-  if (!outcome.ok()) return outcome.status;
-  return std::move(outcome.detections);
 }
 
 }  // namespace vqe

@@ -24,14 +24,6 @@ namespace vqe {
 /// serves one sequential run.
 class ResilientDetector {
  public:
-  struct Stats {
-    uint64_t calls = 0;           // logical calls issued (incl. short-circuits)
-    uint64_t failures = 0;        // calls that exhausted retries
-    uint64_t short_circuits = 0;  // calls refused by an open breaker
-    uint64_t retries = 0;         // extra attempts beyond the first
-    double fault_ms = 0.0;        // wasted time across all calls
-  };
-
   ResilientDetector(const ObjectDetector* inner, RetryPolicy retry,
                     CircuitBreakerOptions breaker_options)
       : inner_(inner), retry_(retry), breaker_(breaker_options) {}
@@ -42,46 +34,29 @@ class ResilientDetector {
   DetectorCallOutcome Call(const VideoFrame& frame, uint64_t trial_seed,
                            size_t t);
 
-  /// The non-throwing runtime path of ISSUE 3: detections or an error.
-  Result<DetectionList> TryDetect(const VideoFrame& frame, uint64_t trial_seed,
-                                  size_t t);
-
   /// Breaker state governing frame t (advances open → half-open).
   BreakerState StateAt(size_t t) { return breaker_.StateAt(t); }
 
   const ObjectDetector& inner() const { return *inner_; }
   const CircuitBreaker& breaker() const { return breaker_; }
   const RetryPolicy& retry_policy() const { return retry_; }
-  const Stats& stats() const { return stats_; }
 
-  /// Serializes breaker state + lifetime stats. The retry policy and inner
-  /// detector are configuration, reconstructed by the caller on resume.
+  /// Serializes the breaker state, the only state the wrapper has. The
+  /// retry policy and inner detector are configuration, reconstructed by
+  /// the caller on resume.
   Status SaveState(ByteWriter& writer) const {
-    VQE_RETURN_NOT_OK(breaker_.SaveState(writer));
-    writer.U64(stats_.calls);
-    writer.U64(stats_.failures);
-    writer.U64(stats_.short_circuits);
-    writer.U64(stats_.retries);
-    writer.F64(stats_.fault_ms);
-    return Status::OK();
+    return breaker_.SaveState(writer);
   }
 
   /// Restores a SaveState payload; DataLoss on malformed bytes.
   Status RestoreState(ByteReader& reader) {
-    VQE_RETURN_NOT_OK(breaker_.RestoreState(reader));
-    VQE_RETURN_NOT_OK(reader.U64(&stats_.calls));
-    VQE_RETURN_NOT_OK(reader.U64(&stats_.failures));
-    VQE_RETURN_NOT_OK(reader.U64(&stats_.short_circuits));
-    VQE_RETURN_NOT_OK(reader.U64(&stats_.retries));
-    VQE_RETURN_NOT_OK(reader.F64(&stats_.fault_ms));
-    return Status::OK();
+    return breaker_.RestoreState(reader);
   }
 
  private:
   const ObjectDetector* inner_;
   RetryPolicy retry_;
   CircuitBreaker breaker_;
-  Stats stats_;
 };
 
 }  // namespace vqe

@@ -17,6 +17,12 @@
 // is the "fall back to the last good generation" behaviour the resume path
 // relies on when the newest file was damaged mid-write or bit-flipped at
 // rest.
+//
+// A generation that validates can still belong to another run. Engine and
+// query snapshots carry a tagged identity section (snapshot/identity.h),
+// so resume refuses a generation written under a different configuration,
+// or by a build with an older snapshot layout, with FailedPrecondition
+// naming the field; it does not fall back past it.
 
 #ifndef VQE_SNAPSHOT_CHECKPOINT_H_
 #define VQE_SNAPSHOT_CHECKPOINT_H_
@@ -49,12 +55,6 @@ struct CheckpointPolicy {
   /// `directory` and resumes from it; when false it starts fresh (existing
   /// generations are left alone until overwritten by sequence number).
   bool resume = true;
-
-  /// Snapshot the evaluation source's memo (lazy backend) alongside engine
-  /// state. Costs snapshot bytes; without it a resumed lazy run recomputes
-  /// cells on demand (results are identical either way — the memo is a
-  /// cache — but the materialization counters then differ).
-  bool include_source = true;
 
   /// Crash injection for tests/demos: abort the run (Status::Aborted) after
   /// processing this many frames IN THIS INVOCATION. 0 = off.

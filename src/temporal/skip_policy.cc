@@ -1,8 +1,6 @@
 #include "temporal/skip_policy.h"
 
-#include <bit>
 #include <cmath>
-#include <string>
 
 #include "temporal/difficulty.h"
 
@@ -47,88 +45,18 @@ Status SkipOptions::Validate() const {
   return tracker.Validate();
 }
 
-void WriteSkipOptionsIdentity(ByteWriter& w, const SkipOptions& o) {
-  w.U8(static_cast<uint8_t>(o.mode));
-  w.I64(o.skip_budget);
-  w.F64(o.difficulty_threshold);
-  w.F64(o.confidence_decay);
-  w.F64(o.agreement_floor);
-  w.F64(o.drift_penalty);
-  w.F64(o.ucb_exploration);
-  w.F64(o.tracker.iou_threshold);
-  w.I64(o.tracker.max_missed);
-  w.I64(o.tracker.min_hits);
-  w.F64(o.tracker.min_confidence);
-}
-
-Status ReadSkipOptionsIdentity(ByteReader& r, SkipOptions* o) {
-  uint8_t mode = 0;
-  int64_t budget = 0, max_missed = 0, min_hits = 0;
-  VQE_RETURN_NOT_OK(r.U8(&mode));
-  VQE_RETURN_NOT_OK(r.I64(&budget));
-  VQE_RETURN_NOT_OK(r.F64(&o->difficulty_threshold));
-  VQE_RETURN_NOT_OK(r.F64(&o->confidence_decay));
-  VQE_RETURN_NOT_OK(r.F64(&o->agreement_floor));
-  VQE_RETURN_NOT_OK(r.F64(&o->drift_penalty));
-  VQE_RETURN_NOT_OK(r.F64(&o->ucb_exploration));
-  VQE_RETURN_NOT_OK(r.F64(&o->tracker.iou_threshold));
-  VQE_RETURN_NOT_OK(r.I64(&max_missed));
-  VQE_RETURN_NOT_OK(r.I64(&min_hits));
-  VQE_RETURN_NOT_OK(r.F64(&o->tracker.min_confidence));
-  if (mode > static_cast<uint8_t>(SkipMode::kBandit)) {
-    return Status::DataLoss("skip mode out of range");
-  }
-  o->mode = static_cast<SkipMode>(mode);
-  o->skip_budget = static_cast<int>(budget);
-  o->tracker.max_missed = static_cast<int>(max_missed);
-  o->tracker.min_hits = static_cast<int>(min_hits);
-  return Status::OK();
-}
-
-namespace {
-
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-Status Mismatch(const char* field) {
-  return Status::FailedPrecondition(
-      std::string("snapshot skip options mismatch: ") + field);
-}
-
-}  // namespace
-
-Status ExpectSkipOptionsMatch(const SkipOptions& s, const SkipOptions& r) {
-  if (s.mode != r.mode) return Mismatch("mode");
-  if (s.skip_budget != r.skip_budget) return Mismatch("skip_budget");
-  if (!SameBits(s.difficulty_threshold, r.difficulty_threshold)) {
-    return Mismatch("difficulty_threshold");
-  }
-  if (!SameBits(s.confidence_decay, r.confidence_decay)) {
-    return Mismatch("confidence_decay");
-  }
-  if (!SameBits(s.agreement_floor, r.agreement_floor)) {
-    return Mismatch("agreement_floor");
-  }
-  if (!SameBits(s.drift_penalty, r.drift_penalty)) {
-    return Mismatch("drift_penalty");
-  }
-  if (!SameBits(s.ucb_exploration, r.ucb_exploration)) {
-    return Mismatch("ucb_exploration");
-  }
-  if (!SameBits(s.tracker.iou_threshold, r.tracker.iou_threshold)) {
-    return Mismatch("tracker.iou_threshold");
-  }
-  if (s.tracker.max_missed != r.tracker.max_missed) {
-    return Mismatch("tracker.max_missed");
-  }
-  if (s.tracker.min_hits != r.tracker.min_hits) {
-    return Mismatch("tracker.min_hits");
-  }
-  if (!SameBits(s.tracker.min_confidence, r.tracker.min_confidence)) {
-    return Mismatch("tracker.min_confidence");
-  }
-  return Status::OK();
+void WriteSkipOptionsIdentity(IdentityWriter& w, const SkipOptions& o) {
+  w.U64("skip.mode", static_cast<uint64_t>(o.mode))
+      .U64("skip.skip_budget", o.skip_budget)
+      .F64("skip.difficulty_threshold", o.difficulty_threshold)
+      .F64("skip.confidence_decay", o.confidence_decay)
+      .F64("skip.agreement_floor", o.agreement_floor)
+      .F64("skip.drift_penalty", o.drift_penalty)
+      .F64("skip.ucb_exploration", o.ucb_exploration)
+      .F64("skip.tracker.iou_threshold", o.tracker.iou_threshold)
+      .U64("skip.tracker.max_missed", o.tracker.max_missed)
+      .U64("skip.tracker.min_hits", o.tracker.min_hits)
+      .F64("skip.tracker.min_confidence", o.tracker.min_confidence);
 }
 
 SkipPolicy::SkipPolicy(const SkipOptions& options) : options_(options) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "snapshot/identity.h"
 #include "snapshot/wire.h"
 #include "track/tracker.h"
 
@@ -97,15 +98,10 @@ inline double SimulatedTrackerCostMs(size_t num_tracks) {
   return 0.02 + 0.004 * static_cast<double>(num_tracks);
 }
 
-/// Identity-fingerprint serialization of every decision-relevant knob.
-/// Written into engine/query snapshot identities so a resume with
-/// different skip settings is rejected instead of silently diverging.
-void WriteSkipOptionsIdentity(ByteWriter& writer, const SkipOptions& o);
-Status ReadSkipOptionsIdentity(ByteReader& reader, SkipOptions* o);
-/// kFailedPrecondition naming the first mismatched field, exact-bit
-/// comparison on doubles.
-Status ExpectSkipOptionsMatch(const SkipOptions& snapshot,
-                              const SkipOptions& run);
+/// Adds every decision-relevant knob to an engine or query snapshot
+/// identity as a `skip.*` field, so a resume with different skip settings
+/// is refused, naming the knob, instead of silently diverging.
+void WriteSkipOptionsIdentity(IdentityWriter& writer, const SkipOptions& o);
 
 /// Per-episode skip-depth chooser. One instance per engine/query run.
 class SkipPolicy {

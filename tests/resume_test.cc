@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -21,6 +23,7 @@
 
 #include "common/status.h"
 #include "core/baselines.h"
+#include "core/engine_snapshot.h"
 #include "core/ducb.h"
 #include "core/engine.h"
 #include "core/experiment.h"
@@ -32,6 +35,7 @@
 #include "runtime/fault_injection.h"
 #include "sim/dataset.h"
 #include "snapshot/checkpoint.h"
+#include "snapshot/snapshot.h"
 
 namespace vqe {
 namespace {
@@ -89,6 +93,7 @@ std::unique_ptr<SelectionStrategy> MakeStrategy(const std::string& kind) {
   }
   if (kind == "RAND") return std::make_unique<RandomStrategy>();
   if (kind == "EF") return std::make_unique<ExploreFirstStrategy>(2);
+  if (kind == "SGL") return std::make_unique<SingleBestStrategy>();
   ADD_FAILURE() << "unknown strategy kind " << kind;
   return nullptr;
 }
@@ -169,6 +174,36 @@ RunOnce MakeRunOnce(const Video& video, const DetectorPool& pool,
     return RunStrategy(*matrix, strategy.get(), engine);
   };
 }
+
+/// One EngineRun over its own lazy evaluator (trial seed 9) and strategy,
+/// as a process that creates, exports or restores a session holds them.
+struct LazyRun {
+  LazyRun(const Video& video, const DetectorPool& pool,
+          const std::string& kind, const EngineOptions& engine)
+      : source(std::move(LazyFrameEvaluator::Create(video, pool,
+                                                    /*trial_seed=*/9))
+                   .value()),
+        strategy(MakeStrategy(kind)),
+        run(std::move(EngineRun::Create(*source, strategy.get(), engine))
+                .value()) {}
+
+  void StepTo(size_t frame) {
+    while (run->next_frame() < frame) ASSERT_TRUE(run->StepFrame().ok());
+  }
+  RunResult Finish() {
+    while (!run->done()) EXPECT_TRUE(run->StepFrame().ok());
+    return std::move(run->Finish()).value();
+  }
+  SnapshotReader Export() const {
+    return std::move(SnapshotReader::Parse(
+                         std::move(run->ExportSnapshot()).value()))
+        .value();
+  }
+
+  std::unique_ptr<LazyFrameEvaluator> source;
+  std::unique_ptr<SelectionStrategy> strategy;
+  std::unique_ptr<EngineRun> run;
+};
 
 /// Flips one bit in the middle of a generation file.
 void CorruptFile(const std::string& path) {
@@ -324,30 +359,78 @@ TEST(ResumeTest, BudgetedRunStopsAtTheSameFrameAfterResume) {
   ExpectSameRun(*baseline, resumed);
 }
 
-// A lazy run resumed WITHOUT the source memo section recomputes cells on
-// demand but still produces identical results — the memo is only a cache.
-TEST(ResumeTest, LazyResumeWithoutSourceSnapshotIsStillBitIdentical) {
+// A restored lazy SGL run reads only frames it has not stepped yet, and
+// SGL's calibration already recorded every frame's scalars, so finishing
+// the run rebuilds no frame context — whether the snapshot arrives as a
+// migration payload (RestoreFromSnapshot after Create) or from a
+// checkpoint. Engine snapshots carry no evaluation memo that could
+// overwrite those records.
+TEST(ResumeTest, RestoredLazySglRunRebuildsNoFrame) {
   const DetectorPool pool = MakePool(3);
-  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/31);
-  ASSERT_GT(video.size(), 10u);
-
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/43);
+  ASSERT_GT(video.size(), 12u);
   EngineOptions engine;
-  engine.strategy_seed = 11;
+  engine.strategy_seed = 13;
   engine.compute_regret = false;
+  const RunResult solo = LazyRun(video, pool, "SGL", engine).Finish();
 
-  const RunOnce run_once = MakeRunOnce(video, pool, "SW-MES", /*lazy=*/true,
-                                       /*workers=*/2, MatrixOptions{},
-                                       /*trial_seed=*/5);
-  const Result<RunResult> baseline = run_once(engine);
-  ASSERT_TRUE(baseline.ok());
+  // Migration path: export mid-video, restore into a fresh run.
+  LazyRun origin(video, pool, "SGL", engine);
+  origin.StepTo(video.size() / 2);
+  LazyRun target(video, pool, "SGL", engine);
+  ASSERT_TRUE(target.run->RestoreFromSnapshot(origin.Export()).ok());
+  ExpectSameRun(solo, target.Finish());
+  EXPECT_EQ(target.source->frames_rebuilt(), 0u);
 
+  // Checkpoint path: the invocation that finishes resumed from disk.
+  size_t last_rebuilt = 0;
+  const RunOnce run_once =
+      [&](const EngineOptions& options) -> Result<RunResult> {
+    auto source = std::move(LazyFrameEvaluator::Create(video, pool,
+                                                       /*trial_seed=*/9))
+                      .value();
+    auto strategy = MakeStrategy("SGL");
+    Result<RunResult> run = RunStrategy(*source, strategy.get(), options);
+    last_rebuilt = source->frames_rebuilt();
+    return run;
+  };
   EngineOptions ck = engine;
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
-  ck.checkpoint.include_source = false;
-  ck.checkpoint.directory = ScratchDir("lazy-no-source");
+  ck.checkpoint.directory = ScratchDir("lazy-sgl");
   const RunResult resumed = RunWithCrashes(run_once, ck);
-  ExpectSameRun(*baseline, resumed);
+  ExpectSameRun(solo, resumed);
+  EXPECT_TRUE(resumed.checkpoint.resumed);
+  EXPECT_EQ(last_rebuilt, 0u);
+}
+
+// An engine snapshot holds run state, not evaluation caches, so a lazy MES
+// session's snapshot has one size however far into the video it is taken.
+TEST(ResumeTest, LazyMesSnapshotSizeDoesNotGrowWithTheVideo) {
+  const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-night");
+  SampleOptions sample;
+  sample.scene_scale = 1.0;
+  sample.seed = 7;
+  Video video = std::move(SampleVideo(*spec, sample)).value();
+  ASSERT_GE(video.size(), 900u);
+  video.frames.resize(900);
+  const DetectorPool pool = std::move(BuildPoolForDataset(spec->name)).value();
+  auto lazy = std::move(LazyFrameEvaluator::Create(std::move(video), pool,
+                                                   /*trial_seed=*/7))
+                  .value();
+  MesStrategy mes;
+  EngineOptions engine;
+  engine.strategy_seed = 7;
+  engine.compute_regret = false;
+  auto run = std::move(EngineRun::Create(*lazy, &mes, engine)).value();
+  auto size_at = [&](size_t frame) {
+    while (run->next_frame() < frame) EXPECT_TRUE(run->StepFrame().ok());
+    return std::move(run->ExportSnapshot()).value().size();
+  };
+  const size_t early = size_at(150);
+  const size_t late = size_at(450);
+  EXPECT_EQ(early, late);
+  EXPECT_LT(early, 4096u);
 }
 
 // ---------------------------------------------------------------------------
@@ -606,6 +689,348 @@ TEST(QueryResumeTest, MismatchedQueryIdentityIsRejected) {
   const Result<QueryOutput> ok = ExecuteQuery(sql, ck);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_TRUE(ok->checkpoint.resumed);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot identity: a query resume under any changed configuration field
+// is refused naming that field, and hostile or older-build meta sections
+// are refused before the run they target changes.
+
+const char kIdentitySql[] =
+    "SELECT frameID FROM (PROCESS nusc-night PRODUCE frameID, Detections "
+    "USING MES(yolov7-tiny@clear, yolov7-tiny@night; REF))";
+
+/// Leaves a checkpoint of kIdentitySql in a fresh directory `name` and
+/// returns options that resume from it.
+QueryEngineOptions CrashedIdentityQuery(const std::string& name) {
+  QueryEngineOptions ck = SmallQueryOptions();
+  ck.checkpoint.every_frames = 4;
+  ck.checkpoint.crash_after_frames = 6;
+  ck.checkpoint.directory = ScratchDir(name);
+  EXPECT_EQ(ExecuteQuery(kIdentitySql, ck).status().code(),
+            StatusCode::kAborted);
+  ck.checkpoint.crash_after_frames = 0;
+  return ck;
+}
+
+// Every field of the query identity that can change on its own; the video
+// length (num_video_frames) follows from the video, seed and scale fields
+// written before it.
+TEST(IdentityResumeTest, QueryRefusesEveryFieldChange) {
+  const QueryEngineOptions ck = CrashedIdentityQuery("query-fields");
+  auto expect_refused = [&](const std::string& field, const std::string& sql,
+                            const QueryEngineOptions& options) {
+    const Status st = ExecuteQuery(sql, options).status();
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition)
+        << field << ": " << st.ToString();
+    EXPECT_NE(st.message().find("different " + field + ":"),
+              std::string::npos)
+        << st.ToString();
+  };
+  auto edited = [](std::string sql, const std::string& from,
+                   const std::string& to) {
+    sql.replace(sql.find(from), from.size(), to);
+    return sql;
+  };
+  const std::string sql = kIdentitySql;
+  expect_refused("strategy", edited(sql, "MES(", "MES-A("), ck);
+  expect_refused("video", edited(sql, "nusc-night", "nusc-lowmotion"), ck);
+  expect_refused("num_models",
+                 edited(sql, "; REF", ", yolov7-tiny@rainy; REF"), ck);
+  expect_refused("stride", edited(sql, "nusc-night", "nusc-night STRIDE 2"),
+                 ck);
+  expect_refused("budget_ms", sql + " BUDGET 100000", ck);
+  expect_refused("limit", sql + " LIMIT 1000", ck);
+
+  const std::vector<
+      std::pair<std::string, std::function<void(QueryEngineOptions&)>>>
+      changes = {
+          {"seed", [](QueryEngineOptions& o) { ++o.seed; }},
+          {"scene_scale", [](QueryEngineOptions& o) { o.scene_scale = 0.025; }},
+          {"sc.w1",
+           [](QueryEngineOptions& o) {
+             o.sc.w1 = std::nextafter(o.sc.w1, 1.0);
+           }},
+          {"sc.w2",
+           [](QueryEngineOptions& o) {
+             o.sc.w2 = std::nextafter(o.sc.w2, 1.0);
+           }},
+          {"sc.form",
+           [](QueryEngineOptions& o) { o.sc.form = ScoreForm::kLinear; }},
+          {"gamma", [](QueryEngineOptions& o) { ++o.gamma; }},
+          {"sw_window", [](QueryEngineOptions& o) { ++o.sw_window; }},
+          {"skip.mode",
+           [](QueryEngineOptions& o) { o.skip.mode = SkipMode::kBandit; }},
+          {"skip.skip_budget",
+           [](QueryEngineOptions& o) { o.skip.skip_budget = 4; }},
+          {"skip.difficulty_threshold",
+           [](QueryEngineOptions& o) { o.skip.difficulty_threshold = 0.5; }},
+          {"skip.confidence_decay",
+           [](QueryEngineOptions& o) { o.skip.confidence_decay = 0.9; }},
+          {"skip.agreement_floor",
+           [](QueryEngineOptions& o) { o.skip.agreement_floor = 0.6; }},
+          {"skip.drift_penalty",
+           [](QueryEngineOptions& o) { o.skip.drift_penalty = 0.5; }},
+          {"skip.ucb_exploration",
+           [](QueryEngineOptions& o) { o.skip.ucb_exploration = 1.0; }},
+          {"skip.tracker.iou_threshold",
+           [](QueryEngineOptions& o) { o.skip.tracker.iou_threshold = 0.4; }},
+          {"skip.tracker.max_missed",
+           [](QueryEngineOptions& o) { ++o.skip.tracker.max_missed; }},
+          {"skip.tracker.min_hits",
+           [](QueryEngineOptions& o) { ++o.skip.tracker.min_hits; }},
+          {"skip.tracker.min_confidence",
+           [](QueryEngineOptions& o) { o.skip.tracker.min_confidence = 0.2; }},
+      };
+  for (const auto& [field, change] : changes) {
+    QueryEngineOptions options = ck;
+    change(options);
+    ASSERT_FALSE(options.skip.enabled()) << field;
+    expect_refused(field, sql, options);
+  }
+
+  // The refusals wrote nothing: the original configuration still resumes.
+  const Result<QueryOutput> resumed = ExecuteQuery(sql, ck);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->checkpoint.resumed);
+  ExpectSameQuery(std::move(ExecuteQuery(sql, SmallQueryOptions())).value(),
+                  *resumed);
+}
+
+using SectionList = std::vector<std::pair<std::string, std::vector<uint8_t>>>;
+
+/// Every section payload of a parsed snapshot, in file order.
+SectionList CopySections(const SnapshotReader& snapshot) {
+  SectionList sections;
+  for (const std::string& name : snapshot.section_names()) {
+    ByteReader r = std::move(snapshot.Section(name)).value();
+    std::vector<uint8_t> payload(r.remaining());
+    for (uint8_t& b : payload) EXPECT_TRUE(r.U8(&b).ok());
+    sections.emplace_back(name, std::move(payload));
+  }
+  return sections;
+}
+
+/// A fresh container of `sections` with `name`'s payload replaced by
+/// `payload`, plus any `extra` sections. The CRCs are recomputed, so the
+/// bytes reach the identity comparer instead of failing container
+/// validation.
+std::vector<uint8_t> Rewrap(const SectionList& sections,
+                            const std::string& name,
+                            const std::vector<uint8_t>& payload,
+                            const SectionList& extra = {}) {
+  SnapshotWriter writer;
+  for (const auto& [section, bytes] : sections) {
+    const std::vector<uint8_t>& out = section == name ? payload : bytes;
+    writer.AddSection(section).Bytes(out.data(), out.size());
+  }
+  for (const auto& [section, bytes] : extra) {
+    writer.AddSection(section).Bytes(bytes.data(), bytes.size());
+  }
+  return writer.Finish();
+}
+
+const std::vector<uint8_t>& SectionPayload(const SectionList& sections,
+                                           const std::string& name) {
+  for (const auto& [section, bytes] : sections) {
+    if (section == name) return bytes;
+  }
+  ADD_FAILURE() << "no section " << name;
+  static const std::vector<uint8_t> kNone;
+  return kNone;
+}
+
+/// The newest generation of a checkpoint directory: its sections, and a
+/// way to replace the file with other bytes.
+struct NewestGeneration {
+  explicit NewestGeneration(const std::string& directory) {
+    const CheckpointManager manager(directory);
+    const CheckpointManager::Loaded loaded =
+        std::move(manager.LoadLatestGood()).value();
+    sections = CopySections(loaded.snapshot);
+    path = manager.GenerationPath(loaded.sequence);
+  }
+  void Overwrite(const std::vector<uint8_t>& bytes) const {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(f.good());
+  }
+
+  SectionList sections;
+  std::string path;
+};
+
+EngineOptions IdentityEngineOptions() {
+  EngineOptions engine;
+  engine.strategy_seed = 42;
+  engine.compute_regret = false;
+  return engine;
+}
+
+/// Single-byte changes applied at every position of a meta payload: each
+/// single-bit flip, and the complement.
+constexpr uint8_t kByteChanges[] = {0x01, 0x02, 0x04, 0x08, 0x10,
+                                    0x20, 0x40, 0x80, 0xFF};
+
+/// Calls `visit` with every proper truncation of `meta` and with `meta`
+/// XOR-ed at one position by one of kByteChanges, for every position;
+/// returns how many payloads it visited.
+size_t ForEachMetaMutation(
+    const std::vector<uint8_t>& meta,
+    const std::function<void(const std::vector<uint8_t>&)>& visit) {
+  size_t visited = 0;
+  for (size_t len = 0; len < meta.size(); ++len) {
+    visit(std::vector<uint8_t>(meta.begin(),
+                               meta.begin() + static_cast<long>(len)));
+    ++visited;
+  }
+  std::vector<uint8_t> changed = meta;
+  for (size_t i = 0; i < meta.size(); ++i) {
+    for (const uint8_t mask : kByteChanges) {
+      changed[i] = meta[i] ^ mask;
+      visit(changed);
+      ++visited;
+    }
+    changed[i] = meta[i];
+  }
+  return visited;
+}
+
+// Every truncation of a real engine.meta section, and every byte of it
+// changed nine ways, is refused, and the target run is left exactly as
+// created: it then runs from frame 0 to a result identical to the solo
+// run's.
+TEST(IdentityResumeTest, HostileEngineMetaIsRefusedAndLeavesTargetUntouched) {
+  const DetectorPool pool = MakePool(3);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/17);
+  const EngineOptions engine = IdentityEngineOptions();
+  const RunResult solo = LazyRun(video, pool, "MES", engine).Finish();
+  LazyRun origin(video, pool, "MES", engine);
+  origin.StepTo(6);
+  const SectionList sections = CopySections(origin.Export());
+  const std::vector<uint8_t>& meta =
+      SectionPayload(sections, kEngineMetaSection);
+
+  LazyRun target(video, pool, "MES", engine);
+  size_t refused = 0;
+  const size_t visited = ForEachMetaMutation(
+      meta, [&](const std::vector<uint8_t>& bad) {
+        const Result<SnapshotReader> snapshot =
+            SnapshotReader::Parse(Rewrap(sections, kEngineMetaSection, bad));
+        ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+        if (!target.run->RestoreFromSnapshot(*snapshot).ok()) ++refused;
+      });
+  EXPECT_EQ(refused, visited);
+  EXPECT_EQ(visited, meta.size() * (1 + std::size(kByteChanges)));
+  EXPECT_EQ(target.run->next_frame(), 0u);
+  ExpectSameRun(solo, target.Finish());
+}
+
+// The same sweep over a real query checkpoint's query.meta: each mutated
+// generation is refused, and the untouched generation then resumes to the
+// solo query's output.
+TEST(IdentityResumeTest, HostileQueryMetaIsRefusedAndTheCheckpointResumes) {
+  const QueryEngineOptions ck = CrashedIdentityQuery("query-hostile");
+  const NewestGeneration generation(ck.checkpoint.directory);
+  const std::vector<uint8_t>& meta =
+      SectionPayload(generation.sections, "query.meta");
+
+  size_t refused = 0;
+  const size_t visited = ForEachMetaMutation(
+      meta, [&](const std::vector<uint8_t>& bad) {
+        generation.Overwrite(Rewrap(generation.sections, "query.meta", bad));
+        if (!ExecuteQuery(kIdentitySql, ck).ok()) ++refused;
+      });
+  EXPECT_EQ(refused, visited);
+
+  generation.Overwrite(Rewrap(generation.sections, "query.meta", meta));
+  const Result<QueryOutput> resumed = ExecuteQuery(kIdentitySql, ck);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->checkpoint.resumed);
+  ExpectSameQuery(
+      std::move(ExecuteQuery(kIdentitySql, SmallQueryOptions())).value(),
+      *resumed);
+}
+
+/// The untagged skip-options fields older builds appended to both meta
+/// layouts.
+void WriteUntaggedSkipOptions(ByteWriter& w, const SkipOptions& o) {
+  w.U8(static_cast<uint8_t>(o.mode));
+  w.I64(o.skip_budget);
+  w.F64(o.difficulty_threshold);
+  w.F64(o.confidence_decay);
+  w.F64(o.agreement_floor);
+  w.F64(o.drift_penalty);
+  w.F64(o.ucb_exploration);
+  w.F64(o.tracker.iou_threshold);
+  w.I64(o.tracker.max_missed);
+  w.I64(o.tracker.min_hits);
+  w.F64(o.tracker.min_confidence);
+}
+
+// Builds that predate the tagged identity wrote engine.meta and query.meta
+// as bare values in a fixed order (and engine snapshots with a lazy-memo
+// `source` section). Their snapshots describe the same configuration but
+// are refused as another build's, before the target run changes.
+TEST(IdentityResumeTest, UntaggedMetaFromOlderBuildsIsRefused) {
+  const DetectorPool pool = MakePool(3);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/17);
+  const EngineOptions engine = IdentityEngineOptions();
+  const RunResult solo = LazyRun(video, pool, "MES", engine).Finish();
+  LazyRun origin(video, pool, "MES", engine);
+  origin.StepTo(6);
+
+  ByteWriter engine_meta;
+  engine_meta.Str("MES");
+  engine_meta.I64(3);
+  engine_meta.U64(video.size());
+  engine_meta.U64(engine.strategy_seed);
+  engine_meta.F64(engine.budget_ms);
+  engine_meta.F64(engine.sc.w1);
+  engine_meta.F64(engine.sc.w2);
+  engine_meta.U8(static_cast<uint8_t>(engine.sc.form));
+  engine_meta.Bool(engine.compute_regret);
+  engine_meta.Bool(engine.record_cost_curve);
+  engine_meta.I64(engine.breaker.failure_threshold);
+  engine_meta.U64(engine.breaker.open_frames);
+  engine_meta.I64(engine.breaker.half_open_probes);
+  WriteUntaggedSkipOptions(engine_meta, engine.skip);
+  const SnapshotReader old_snapshot =
+      std::move(SnapshotReader::Parse(Rewrap(
+                    CopySections(origin.Export()), kEngineMetaSection,
+                    engine_meta.bytes(),
+                    {{"source", std::vector<uint8_t>(64, 0)}})))
+          .value();
+  LazyRun target(video, pool, "MES", engine);
+  const Status refused = target.run->RestoreFromSnapshot(old_snapshot);
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition)
+      << refused.ToString();
+  ExpectSameRun(solo, target.Finish());
+
+  const QueryEngineOptions ck = CrashedIdentityQuery("query-untagged");
+  const NewestGeneration generation(ck.checkpoint.directory);
+  ByteWriter query_meta;
+  query_meta.Str("MES");
+  query_meta.Str("nusc-night");
+  query_meta.I64(2);
+  query_meta.U64(MakeVideo(ck.scene_scale, ck.seed).size());
+  query_meta.U64(1);  // stride
+  query_meta.U64(ck.seed);
+  query_meta.F64(ck.scene_scale);
+  query_meta.F64(0.0);  // budget_ms
+  query_meta.U64(0);    // limit
+  query_meta.F64(ck.sc.w1);
+  query_meta.F64(ck.sc.w2);
+  query_meta.U8(static_cast<uint8_t>(ck.sc.form));
+  query_meta.U64(ck.gamma);
+  query_meta.U64(ck.sw_window);
+  WriteUntaggedSkipOptions(query_meta, ck.skip);
+  generation.Overwrite(
+      Rewrap(generation.sections, "query.meta", query_meta.bytes()));
+  const Status query_refused = ExecuteQuery(kIdentitySql, ck).status();
+  EXPECT_EQ(query_refused.code(), StatusCode::kFailedPrecondition)
+      << query_refused.ToString();
 }
 
 }  // namespace

@@ -429,11 +429,14 @@ TEST(ResilientDetectorTest, ShortCircuitsWhileOpenAndRecovers) {
 
   EXPECT_FALSE(resilient.Call(MakeFrame(0), 1, 0).ok());
   EXPECT_FALSE(resilient.Call(MakeFrame(1), 1, 1).ok());  // trips open
+  EXPECT_EQ(resilient.breaker().opens(), 1u);
   const DetectorCallOutcome refused = resilient.Call(MakeFrame(2), 1, 2);
   EXPECT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(refused.attempts, 0) << "an open breaker refuses without calling";
   EXPECT_EQ(refused.charged_ms(), 0.0);
-  EXPECT_EQ(resilient.stats().short_circuits, 1u);
+  EXPECT_EQ(resilient.breaker().failures(), 2u)
+      << "a refused call is not a recorded failure";
 
   // Cool-down elapses at t = 1 + 4 = 5; the probe still hits the burst and
   // re-trips. The next probe at t = 9 lands after the burst and closes.
@@ -444,11 +447,10 @@ TEST(ResilientDetectorTest, ShortCircuitsWhileOpenAndRecovers) {
   EXPECT_EQ(resilient.StateAt(10), BreakerState::kClosed);
   EXPECT_EQ(resilient.breaker().opens(), 2u);
 
-  const Result<DetectionList> detections =
-      resilient.TryDetect(MakeFrame(10), 1, 10);
-  ASSERT_TRUE(detections.ok());
-  EXPECT_FALSE(detections.value().empty());
-  EXPECT_EQ(resilient.stats().failures, 3u);
+  const DetectorCallOutcome after = resilient.Call(MakeFrame(10), 1, 10);
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after.detections.empty());
+  EXPECT_EQ(resilient.breaker().failures(), 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,25 +1,36 @@
 // Unit tests for the snapshot subsystem: the wire format, the checksummed
-// container, the crash-atomic generation manager, and the SaveState/Restore
-// round-trips of every stateful component a checkpoint captures. The
+// container, the crash-atomic generation manager, the SaveState/Restore
+// round-trips of every stateful component a checkpoint captures, and the
+// run-identity comparer that decides whether a snapshot belongs to a run. The
 // crash-injection matrix (resumed runs bit-identical to uninterrupted ones)
 // lives in resume_test.cc.
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/arm_stats.h"
+#include "core/baselines.h"
+#include "core/engine.h"
 #include "core/engine_snapshot.h"
+#include "core/mes.h"
 #include "runtime/circuit_breaker.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/crc32.h"
+#include "snapshot/identity.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/wire.h"
+#include "test_util.h"
 
 namespace vqe {
 namespace {
@@ -555,47 +566,218 @@ TEST(RunResultSnapshotTest, RoundTripsEveryField) {
   EXPECT_EQ(b.checkpoint.snapshots_written, 0u);  // per-invocation only
 }
 
-TEST(EngineIdentityTest, DetectsEveryMismatch) {
-  EngineRunIdentity base;
-  base.strategy_name = "MES";
-  base.num_models = 3;
-  base.num_frames = 100;
-  base.strategy_seed = 42;
-  base.budget_ms = 500.0;
+// -------------------------------------------------------------- Identity --
 
-  ByteWriter w;
-  WriteEngineIdentity(w, base);
-  ByteReader r(w.bytes().data(), w.size());
-  EngineRunIdentity read_back;
-  ASSERT_TRUE(ReadEngineIdentity(r, &read_back).ok());
-  ASSERT_TRUE(r.ExpectEnd().ok());
-  EXPECT_TRUE(read_back.ExpectMatches(base).ok());
+ByteReader ReaderOver(const std::vector<uint8_t>& bytes) {
+  return ByteReader(bytes.data(), bytes.size());
+}
 
-  auto expect_mismatch = [&](EngineRunIdentity other) {
-    EXPECT_EQ(base.ExpectMatches(other).code(),
-              StatusCode::kFailedPrecondition);
+IdentityWriter SampleIdentity() {
+  IdentityWriter w;
+  w.Str("strategy", "MES").U64("num_models", 3).F64("budget_ms", 500.0);
+  return w;
+}
+
+TEST(SnapshotIdentityTest, ComparerNamesTheFirstDifferingField) {
+  const IdentityWriter live = SampleIdentity();
+  EXPECT_TRUE(ExpectSameIdentity(ReaderOver(live.bytes()), live).ok());
+
+  auto refusal = [&](const IdentityWriter& saved) {
+    return ExpectSameIdentity(ReaderOver(saved.bytes()), live);
   };
-  EngineRunIdentity m = base;
-  m.strategy_name = "RAND";
-  expect_mismatch(m);
-  m = base;
-  m.num_models = 4;
-  expect_mismatch(m);
-  m = base;
-  m.strategy_seed = 43;
-  expect_mismatch(m);
-  m = base;
-  m.budget_ms = 501.0;
-  expect_mismatch(m);
-  m = base;
-  m.sc.w1 += 0.5;
-  expect_mismatch(m);
-  m = base;
-  m.compute_regret = !m.compute_regret;
-  expect_mismatch(m);
-  m = base;
-  m.breaker.failure_threshold += 1;
-  expect_mismatch(m);
+  IdentityWriter other_value;
+  other_value.Str("strategy", "MES").U64("num_models", 3).F64("budget_ms",
+                                                              501.0);
+  Status st = refusal(other_value);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.message().find("different budget_ms:"), std::string::npos)
+      << st.ToString();
+
+  IdentityWriter other_string;
+  other_string.Str("strategy", "RAND").U64("num_models", 3).F64("budget_ms",
+                                                                500.0);
+  st = refusal(other_string);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.message().find("different strategy:"), std::string::npos)
+      << st.ToString();
+
+  IdentityWriter missing;
+  missing.Str("strategy", "MES").U64("num_models", 3);
+  st = refusal(missing);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.message().find("budget_ms"), std::string::npos);
+
+  IdentityWriter extra = SampleIdentity();
+  extra.U64("gamma", 2);
+  st = refusal(extra);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.message().find("gamma"), std::string::npos);
+
+  IdentityWriter renamed;
+  renamed.Str("strategy", "MES").U64("pool_size", 3).F64("budget_ms", 500.0);
+  st = refusal(renamed);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.message().find("num_models"), std::string::npos);
+
+  // Same name, other kind: a u64 where the run writes a double.
+  IdentityWriter retyped;
+  retyped.Str("strategy", "MES").U64("num_models", 3).U64(
+      "budget_ms", std::bit_cast<uint64_t>(500.0));
+  EXPECT_EQ(refusal(retyped).code(), StatusCode::kFailedPrecondition);
+}
+
+// An identity payload without the tag (the untagged layout older builds
+// wrote) is another build's snapshot, not a damaged one.
+TEST(SnapshotIdentityTest, UntaggedPayloadIsRefusedAsIncompatible) {
+  const IdentityWriter live = SampleIdentity();
+  ByteWriter untagged;
+  untagged.Str("MES");
+  untagged.I64(3);
+  untagged.F64(500.0);
+  const Status st = ExpectSameIdentity(ReaderOver(untagged.bytes()), live);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+}
+
+TEST(SnapshotIdentityTest, MalformedPayloadIsDataLoss) {
+  const IdentityWriter live = SampleIdentity();
+  const std::vector<uint8_t>& good = live.bytes();
+  // A cut on a field boundary leaves a well-formed payload that lacks
+  // fields (FailedPrecondition); a cut inside the tag or a field is
+  // DataLoss.
+  IdentityWriter one_field, two_fields;
+  one_field.Str("strategy", "MES");
+  two_fields.Str("strategy", "MES").U64("num_models", 3);
+  const std::vector<size_t> boundaries = {IdentityWriter().bytes().size(),
+                                          one_field.bytes().size(),
+                                          two_fields.bytes().size()};
+  for (size_t len = 0; len < good.size(); ++len) {
+    const std::vector<uint8_t> cut(good.begin(),
+                                   good.begin() + static_cast<long>(len));
+    const bool on_boundary =
+        std::find(boundaries.begin(), boundaries.end(), len) !=
+        boundaries.end();
+    EXPECT_EQ(ExpectSameIdentity(ReaderOver(cut), live).code(),
+              on_boundary ? StatusCode::kFailedPrecondition
+                          : StatusCode::kDataLoss)
+        << "len=" << len;
+  }
+  std::vector<uint8_t> bad_kind = good;
+  bad_kind[sizeof(kIdentityTag)] = 'x';
+  EXPECT_EQ(ExpectSameIdentity(ReaderOver(bad_kind), live).code(),
+            StatusCode::kDataLoss);
+  std::vector<uint8_t> forged_length = good;
+  forged_length[sizeof(kIdentityTag) + 1] = 0xFF;  // name length
+  EXPECT_EQ(ExpectSameIdentity(ReaderOver(forged_length), live).code(),
+            StatusCode::kDataLoss);
+}
+
+// Every field of the engine identity, changed alone, is refused by a real
+// restore with FailedPrecondition naming that field.
+TEST(SnapshotIdentityTest, EngineRefusesEveryFieldChange) {
+  const std::vector<double> arm_ap = {0.0, 0.4, 0.5, 0.7};
+  const FrameMatrix matrix =
+      test::SyntheticMatrix(2, 20, arm_ap, {10.0, 20.0});
+  EngineOptions base;
+  base.strategy_seed = 42;
+  base.budget_ms = 5000.0;
+
+  MatrixEvaluationSource source(matrix);
+  MesStrategy mes;
+  auto run = std::move(EngineRun::Create(source, &mes, base)).value();
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(run->StepFrame().ok());
+  const SnapshotReader snap =
+      std::move(SnapshotReader::Parse(std::move(run->ExportSnapshot()).value()))
+          .value();
+
+  auto expect_refused = [&](const std::string& field, const FrameMatrix& m,
+                            SelectionStrategy* strategy,
+                            const EngineOptions& options) {
+    SCOPED_TRACE(field);
+    MatrixEvaluationSource target_source(m);
+    auto target =
+        std::move(EngineRun::Create(target_source, strategy, options)).value();
+    const Status st = target->RestoreFromSnapshot(snap);
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+    EXPECT_NE(st.message().find("different " + field + ":"),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(target->next_frame(), 0u);
+  };
+
+  {
+    MesStrategy same;
+    MatrixEvaluationSource target_source(matrix);
+    auto target =
+        std::move(EngineRun::Create(target_source, &same, base)).value();
+    ASSERT_TRUE(target->RestoreFromSnapshot(snap).ok());
+    EXPECT_EQ(target->next_frame(), 5u);
+  }
+  RandomStrategy rand;
+  expect_refused("strategy", matrix, &rand, base);
+  MesStrategy mes3;
+  expect_refused("num_models",
+                 test::SyntheticMatrix(3, 20, std::vector<double>(8, 0.5),
+                                       {10.0, 20.0, 30.0}),
+                 &mes3, base);
+  MesStrategy mes_long;
+  expect_refused("num_frames",
+                 test::SyntheticMatrix(2, 21, arm_ap, {10.0, 20.0}),
+                 &mes_long, base);
+
+  const std::vector<std::pair<std::string, std::function<void(EngineOptions&)>>>
+      changes = {
+          {"strategy_seed", [](EngineOptions& o) { ++o.strategy_seed; }},
+          {"budget_ms", [](EngineOptions& o) { o.budget_ms += 1.0; }},
+          // w1 + w2 must stay 1; one ulp on either weight keeps it valid.
+          {"sc.w1",
+           [](EngineOptions& o) { o.sc.w1 = std::nextafter(o.sc.w1, 1.0); }},
+          {"sc.w2",
+           [](EngineOptions& o) { o.sc.w2 = std::nextafter(o.sc.w2, 1.0); }},
+          {"sc.form", [](EngineOptions& o) { o.sc.form = ScoreForm::kLinear; }},
+          {"compute_regret",
+           [](EngineOptions& o) { o.compute_regret = !o.compute_regret; }},
+          {"record_cost_curve",
+           [](EngineOptions& o) {
+             o.record_cost_curve = !o.record_cost_curve;
+           }},
+          {"breaker.failure_threshold",
+           [](EngineOptions& o) { ++o.breaker.failure_threshold; }},
+          {"breaker.open_frames",
+           [](EngineOptions& o) { ++o.breaker.open_frames; }},
+          {"breaker.half_open_probes",
+           [](EngineOptions& o) { ++o.breaker.half_open_probes; }},
+          // Skip knobs count even while the gate is off (mode off or a
+          // zero budget), so every one can change without enabling it.
+          {"skip.mode",
+           [](EngineOptions& o) { o.skip.mode = SkipMode::kBandit; }},
+          {"skip.skip_budget",
+           [](EngineOptions& o) { o.skip.skip_budget = 4; }},
+          {"skip.difficulty_threshold",
+           [](EngineOptions& o) { o.skip.difficulty_threshold = 0.5; }},
+          {"skip.confidence_decay",
+           [](EngineOptions& o) { o.skip.confidence_decay = 0.9; }},
+          {"skip.agreement_floor",
+           [](EngineOptions& o) { o.skip.agreement_floor = 0.6; }},
+          {"skip.drift_penalty",
+           [](EngineOptions& o) { o.skip.drift_penalty = 0.5; }},
+          {"skip.ucb_exploration",
+           [](EngineOptions& o) { o.skip.ucb_exploration = 1.0; }},
+          {"skip.tracker.iou_threshold",
+           [](EngineOptions& o) { o.skip.tracker.iou_threshold = 0.4; }},
+          {"skip.tracker.max_missed",
+           [](EngineOptions& o) { ++o.skip.tracker.max_missed; }},
+          {"skip.tracker.min_hits",
+           [](EngineOptions& o) { ++o.skip.tracker.min_hits; }},
+          {"skip.tracker.min_confidence",
+           [](EngineOptions& o) { o.skip.tracker.min_confidence = 0.2; }},
+      };
+  for (const auto& [field, change] : changes) {
+    EngineOptions options = base;
+    change(options);
+    ASSERT_FALSE(options.skip.enabled()) << field;
+    MesStrategy target_mes;
+    expect_refused(field, matrix, &target_mes, options);
+  }
 }
 
 // ------------------------------------------------------------------- RNG --
