@@ -55,14 +55,6 @@ int main() {
   auto fusion = std::move(CreateEnsembleMethod(FusionKind::kWbf)).value();
 
   IouTracker tracker;
-  for (const VideoFrame& frame : video.frames) {
-    std::vector<DetectionList> outs;
-    for (const auto& det : pool.detectors) {
-      outs.push_back(det->Detect(frame, sample.seed));
-    }
-    tracker.Update(fusion->Fuse(outs), frame.frame_index);
-  }
-
   std::map<ClassId, int> census;
   std::map<ClassId, double> lifetime;
   auto tally = [&](const Track& t) {
@@ -70,7 +62,15 @@ int main() {
     ++census[t.label];
     lifetime[t.label] += static_cast<double>(t.Age());
   };
-  for (const Track& t : tracker.finished_tracks()) tally(t);
+  for (const VideoFrame& frame : video.frames) {
+    std::vector<DetectionList> outs;
+    for (const auto& det : pool.detectors) {
+      outs.push_back(det->Detect(frame, sample.seed));
+    }
+    tracker.Update(fusion->Fuse(outs), frame.frame_index);
+    // The tracker keeps live tracks only: census each one as it retires.
+    for (const Track& t : tracker.retired()) tally(t);
+  }
   for (const Track& t : tracker.tracks()) tally(t);
 
   std::printf("Distinct tracked objects over %zu frames (confirmed only):\n",

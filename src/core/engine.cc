@@ -239,7 +239,10 @@ Status EngineRun::StepFrame() {
   // overhead and publish estimated rewards (information protocol — NaN
   // for masks whose outputs do not exist, including every mask touching
   // a failed member). ForEachSubset visits the realized mask first, so
-  // its own evaluation is captured on the way.
+  // its own evaluation is captured on the way. Only the realized mask's
+  // true AP is measured, so strict subsets are estimate reads — unless
+  // the regret scan is about to read every true AP of the frame, when a
+  // full read now keeps any cell from being fused twice.
   const double inv_max =
       stats.max_cost_ms > 0.0 ? 1.0 / stats.max_cost_ms : 0.0;
   est_score_.assign(num_masks_ + 1, nan);
@@ -248,7 +251,9 @@ Status EngineRun::StepFrame() {
   MaskEvaluation sel_eval;
   if (realized != 0) {
     ForEachSubset(realized, [&](EnsembleId sub) {
-      const MaskEvaluation e = source_->Eval(t, sub);
+      const MaskEvaluation e = sub == realized || options_.compute_regret
+                                   ? source_->Eval(t, sub)
+                                   : source_->EvalEstimate(t, sub);
       if (sub == realized) sel_eval = e;
       overhead += e.fusion_overhead_ms;
       norm_cost_[sub] = e.cost_ms * inv_max;

@@ -9,12 +9,13 @@
 //
 //   * LazyFrameEvaluator (core/lazy_frame_evaluator.h) — materializes a
 //     ⟨est_ap, true_ap, cost, overhead⟩ cell on first access, memoized
-//     per (frame, mask). Online strategies (MES family, SGL, RAND, EF)
-//     only ever touch the subset lattices of their selections, so runs
-//     cost O(|V|·2^|S|) fusions instead of O(|V|·2^m). Per-model outputs
-//     live only while their frame is evaluated; a touched frame keeps
-//     its cells and Stats() scalars for the evaluator's lifetime (never
-//     in a snapshot).
+//     per (frame, mask); an EvalEstimate read leaves the true AP unscored
+//     until a full read needs it. Online strategies (MES family, SGL,
+//     RAND, EF) only ever touch the subset lattices of their selections,
+//     so runs cost O(|V|·2^|S|) fusions instead of O(|V|·2^m). Per-model
+//     outputs live only while their frame is evaluated; a touched frame
+//     keeps its cells and Stats() scalars for the evaluator's lifetime
+//     (never in a snapshot).
 //
 // Both run mask evaluations through the same FrameEvalContext kernel, so
 // every value a strategy can observe is bit-identical across sources.
@@ -73,6 +74,15 @@ class EvaluationSource {
 
   /// One mask's cell on frame t. `mask` must be in [1, num_ensembles()].
   virtual MaskEvaluation Eval(size_t t, EnsembleId mask) = 0;
+
+  /// The cell for readers that need only est_ap, cost_ms and
+  /// fusion_overhead_ms (the engine's strict-subset lattice reads, i.e.
+  /// what strategies observe): those three are bit-identical to Eval's,
+  /// and true_ap is unspecified — NaN when a lazy source skipped the
+  /// ground-truth matching. The default forwards to Eval.
+  virtual MaskEvaluation EvalEstimate(size_t t, EnsembleId mask) {
+    return Eval(t, mask);
+  }
 
   /// Frame t's scene context WITHOUT materializing the frame. The
   /// temporal skip gate consults this before deciding skip-vs-detect; a

@@ -59,6 +59,10 @@ class CatchUpSource final : public EvaluationSource {
     CatchUp(t);
     return inner_->Eval(t, mask);
   }
+  MaskEvaluation EvalEstimate(size_t t, EnsembleId mask) override {
+    CatchUp(t);
+    return inner_->EvalEstimate(t, mask);
+  }
   const std::vector<EnsembleId>* TrueFrontier(size_t t) override {
     return inner_->TrueFrontier(t);
   }

@@ -1,5 +1,6 @@
 #include "core/frame_eval.h"
 
+#include <limits>
 #include <utility>
 
 #include "runtime/retry.h"
@@ -56,11 +57,6 @@ FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
     iou_cache_ = PairwiseIouCache(soa_);
   }
   inputs_.reserve(m);
-  // Warm the reused fused-output buffer: no fusion method emits more
-  // boxes than it was given, so the mask loop never regrows it.
-  size_t total_boxes = 0;
-  for (const auto& out : model_out_) total_boxes += out.size();
-  fused_scratch_.reserve(total_boxes);
 }
 
 double FrameEvalContext::FullEnsembleCostMs() const {
@@ -73,30 +69,65 @@ double FrameEvalContext::FullEnsembleCostMs() const {
   return model_cost + SimulatedFusionOverheadMs(num_boxes);
 }
 
-MaskEvaluation FrameEvalContext::Evaluate(EnsembleId mask,
-                                          DetectionList* fused_out) {
+size_t FrameEvalContext::GatherInputs(EnsembleId mask, double* model_cost) {
   inputs_.clear();
   size_t num_boxes = 0;
-  double model_cost = 0.0;
+  *model_cost = 0.0;
   const int m = num_models();
   for (int i = 0; i < m; ++i) {
     if (!ContainsModel(mask, i)) continue;
     const DetectionList& out_i = model_out_[static_cast<size_t>(i)];
     inputs_.push_back(&out_i);
     num_boxes += out_i.size();
-    model_cost += model_cost_ms_[static_cast<size_t>(i)];
+    *model_cost += model_cost_ms_[static_cast<size_t>(i)];
   }
-  fusion_->FuseInto(DetectionListSpan(inputs_),
-                    iou_cache_.enabled() ? &iou_cache_ : nullptr, &soa_,
-                    &fused_scratch_);
+  return num_boxes;
+}
+
+namespace {
+
+/// Scores each fused class against the reference index and, when asked,
+/// against ground truth.
+class ScoreSink final : public ClassSink {
+ public:
+  ScoreSink(ClassMajorMeanAp* est, ClassMajorMeanAp* truth)
+      : est_(est), truth_(truth) {}
+  void AddClass(ClassId label, const Detection* dets, size_t n) override {
+    est_->AddClass(label, dets, n);
+    if (truth_ != nullptr) truth_->AddClass(label, dets, n);
+  }
+
+ private:
+  ClassMajorMeanAp* est_;
+  ClassMajorMeanAp* truth_;
+};
+
+}  // namespace
+
+MaskEvaluation FrameEvalContext::Evaluate(EnsembleId mask, bool with_true_ap) {
+  double model_cost = 0.0;
+  const size_t num_boxes = GatherInputs(mask, &model_cost);
+  ClassMajorMeanAp est(ref_index_, options_->ap);
+  ClassMajorMeanAp truth(gt_index_, options_->ap);
+  ScoreSink sink(&est, with_true_ap ? &truth : nullptr);
+  fusion_->FuseByClass(DetectionListSpan(inputs_),
+                       iou_cache_.enabled() ? &iou_cache_ : nullptr, &soa_,
+                       &sink);
 
   MaskEvaluation e;
   e.fusion_overhead_ms = SimulatedFusionOverheadMs(num_boxes);
   e.cost_ms = model_cost + e.fusion_overhead_ms;
-  e.est_ap = FrameMeanAp(fused_scratch_, ref_index_, options_->ap);
-  e.true_ap = FrameMeanAp(fused_scratch_, gt_index_, options_->ap);
-  if (fused_out != nullptr) *fused_out = fused_scratch_;
+  e.est_ap = est.Finish();
+  e.true_ap = with_true_ap ? truth.Finish()
+                           : std::numeric_limits<double>::quiet_NaN();
   return e;
+}
+
+void FrameEvalContext::Fuse(EnsembleId mask, DetectionList* out) {
+  double model_cost = 0.0;
+  GatherInputs(mask, &model_cost);
+  fusion_->FuseInto(DetectionListSpan(inputs_),
+                    iou_cache_.enabled() ? &iou_cache_ : nullptr, &soa_, out);
 }
 
 }  // namespace vqe

@@ -36,7 +36,9 @@ inline double SimulatedFusionOverheadMs(size_t num_input_boxes) {
 struct MaskEvaluation {
   /// AP of the fused output vs. the reference model (what MES observes).
   double est_ap = 0.0;
-  /// AP vs. ground truth (measurement/oracle only).
+  /// AP vs. ground truth (measurement/oracle only). NaN in an
+  /// estimate-only cell (FrameEvalContext::Evaluate without true AP,
+  /// EvaluationSource::EvalEstimate), whose readers never look at it.
   double true_ap = 0.0;
   /// Full ensemble cost per Eq. (1), ms.
   double cost_ms = 0.0;
@@ -49,10 +51,10 @@ struct MaskEvaluation {
 /// ground-truth index, and (when the fusion method consumes it) the
 /// pairwise-IoU tile over the cached detections.
 ///
-/// Not thread-safe: Evaluate reuses a scratch buffer. Parallel callers
-/// build one context per frame (frames are independent pure functions of
-/// (frame, trial_seed), which is what makes the parallel eager build
-/// bit-identical for any worker count).
+/// Not thread-safe: Evaluate and Fuse reuse a scratch span. Parallel
+/// callers build one context per frame (frames are independent pure
+/// functions of (frame, trial_seed), which is what makes the parallel
+/// eager build bit-identical for any worker count).
 class FrameEvalContext {
  public:
   /// Runs all m detectors and the reference model on `frame`. `pool`,
@@ -84,14 +86,23 @@ class FrameEvalContext {
   /// rounded sum can exceed the full pool's.
   double FullEnsembleCostMs() const;
 
-  /// Fuses and scores one mask from the cached outputs. When `fused_out`
-  /// is non-null it receives the fused detection list.
+  /// Fuses and scores one mask from the cached outputs, class-major: the
+  /// fusion method hands each fused class straight to the mean-AP
+  /// accumulators (EnsembleMethod::FuseByClass, ClassMajorMeanAp), so no
+  /// fused list is assembled, globally sorted or re-filtered per class.
+  /// With `with_true_ap` false only est_ap is scored (the ground-truth
+  /// matching is skipped) and true_ap is NaN; est_ap, cost_ms and
+  /// fusion_overhead_ms are bit-identical either way.
   ///
-  /// Steady-state allocation-free: the fused output lands in a reused
-  /// member buffer (warmed to the frame's total box count at
-  /// construction), fusion/scoring scratch lives in the calling thread's
-  /// FrameArena, and the per-frame IoU tile was built up front.
-  MaskEvaluation Evaluate(EnsembleId mask, DetectionList* fused_out = nullptr);
+  /// Steady-state allocation-free: fusion/scoring scratch lives in the
+  /// calling thread's FrameArena and the per-frame IoU tile was built up
+  /// front.
+  MaskEvaluation Evaluate(EnsembleId mask, bool with_true_ap = true);
+
+  /// Fuses one mask into `*out` (cleared first, capacity kept) exactly as
+  /// EnsembleMethod::FuseInto lists it, scoring nothing — for callers
+  /// that need the boxes (tracker ingest, kept temporal outputs).
+  void Fuse(EnsembleId mask, DetectionList* out);
 
   /// The frame's SoA detection store (empty unless the fusion method
   /// consumes the IoU cache, which is when the tile kernel needs it).
@@ -110,8 +121,11 @@ class FrameEvalContext {
   GroundTruthIndex gt_index_;
   FrameSoA soa_;
   PairwiseIouCache iou_cache_;
-  std::vector<const DetectionList*> inputs_;  // scratch for Evaluate
-  DetectionList fused_scratch_;               // reused fused-output buffer
+  std::vector<const DetectionList*> inputs_;  // scratch for GatherInputs
+
+  /// Points inputs_ at `mask`'s member outputs (ascending model index) and
+  /// returns their box count, with their summed cost in `*model_cost`.
+  size_t GatherInputs(EnsembleId mask, double* model_cost);
 };
 
 }  // namespace vqe

@@ -118,8 +118,8 @@ Result<FrameMatrix> BuildFrameMatrix(const Video& video,
     }
 
     for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
-      const MaskEvaluation e = ctx.Evaluate(
-          mask, options.keep_temporal_outputs ? &fe.fused[mask] : nullptr);
+      const MaskEvaluation e = ctx.Evaluate(mask);
+      if (options.keep_temporal_outputs) ctx.Fuse(mask, &fe.fused[mask]);
       fe.fusion_overhead_ms[mask] = e.fusion_overhead_ms;
       fe.cost_ms[mask] = e.cost_ms;
       fe.est_ap[mask] = e.est_ap;

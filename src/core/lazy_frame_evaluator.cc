@@ -50,7 +50,7 @@ FrameEvalContext& LazyFrameEvaluator::LiveContext(size_t t) {
   }
   const uint32_t num_masks = num_ensembles();
   rec.memo.resize(num_masks + 1);
-  rec.known.assign(num_masks + 1, 0);
+  rec.state.assign(num_masks + 1, kUnread);
   rec.model_cost_ms = live_->model_cost_ms();
   rec.model_fault_ms = live_->model_fault_ms();
   rec.ref_cost_ms = live_->ref_cost_ms();
@@ -75,17 +75,32 @@ FrameStats LazyFrameEvaluator::Stats(size_t t) {
 }
 
 MaskEvaluation LazyFrameEvaluator::Eval(size_t t, EnsembleId mask) {
-  // Known cells are served straight from the memo — including cells of
-  // evicted frames, which have no context.
+  return Read(t, mask, /*full=*/true);
+}
+
+MaskEvaluation LazyFrameEvaluator::EvalEstimate(size_t t, EnsembleId mask) {
+  return Read(t, mask, /*full=*/false);
+}
+
+MaskEvaluation LazyFrameEvaluator::Read(size_t t, EnsembleId mask,
+                                        bool full) {
+  // Cells that already hold what the read needs are served straight from
+  // the memo — including cells of evicted frames, which have no context.
   FrameRecord& rec = frames_[t];
-  if (!rec.memo.empty() && rec.known[mask]) {
+  const CellState state = rec.memo.empty() ? kUnread : rec.state[mask];
+  if (state == kFull || (state == kEstimate && !full)) {
     ++memo_hits_;
     return rec.memo[mask];
   }
-  const MaskEvaluation e = LiveContext(t).Evaluate(mask);
+  const MaskEvaluation e = LiveContext(t).Evaluate(mask, full);
   rec.memo[mask] = e;
-  rec.known[mask] = 1;
-  ++masks_materialized_;
+  rec.state[mask] = full ? kFull : kEstimate;
+  if (state == kUnread) {
+    ++masks_materialized_;
+  } else {
+    ++memo_hits_;
+    ++cells_upgraded_;
+  }
   return e;
 }
 
@@ -99,10 +114,10 @@ Result<double> LazyFrameEvaluator::ScorePropagated(size_t t,
 const DetectionList* LazyFrameEvaluator::FusedOutput(size_t t,
                                                      EnsembleId mask) {
   // The scalar cell may already be memoized (the engine evaluates the
-  // realized mask's subset lattice first); Evaluate is re-run regardless
-  // because the memo keeps no boxes. One extra fusion per detect frame,
-  // dwarfed by the m detector calls the frame already paid.
-  LiveContext(t).Evaluate(mask, &fused_buf_);
+  // realized mask's subset lattice first); the mask is fused again
+  // regardless because the memo keeps no boxes. One extra fusion per
+  // detect frame, dwarfed by the m detector calls the frame already paid.
+  LiveContext(t).Fuse(mask, &fused_buf_);
   return &fused_buf_;
 }
 

@@ -22,6 +22,15 @@
 // run restored from a checkpoint or migration payload only reads frames
 // it has not stepped past yet.
 //
+// True AP on demand: most cells are read only for what strategies observe
+// (est_ap and cost — the engine's strict-subset lattice reads), while
+// true_ap is read for one cell per detect frame, by the regret scan and
+// by oracle readers (OPT, SGL's calibration). EvalEstimate therefore
+// materializes an estimate-only cell, skipping the ground-truth matching
+// and storing true_ap as NaN; Eval materializes a full cell, and a full
+// read of an estimate-only cell upgrades it (fusing it again, since the
+// memo keeps no boxes).
+//
 // All evaluation goes through the same FrameEvalContext kernel as the
 // eager build, so every materialized cell is bit-identical to the
 // corresponding FrameMatrix entry. The cost normalizer max_S c_{S|v}
@@ -64,7 +73,11 @@ class LazyFrameEvaluator final : public EvaluationSource {
   /// Served from the frame's recorded scalars once it was touched; the
   /// returned pointers stay valid for the evaluator's lifetime.
   FrameStats Stats(size_t t) override;
+  /// A full cell, upgrading an estimate-only one.
   MaskEvaluation Eval(size_t t, EnsembleId mask) override;
+  /// Any memoized cell as is (true_ap NaN if estimate-only); otherwise an
+  /// estimate-only cell.
+  MaskEvaluation EvalEstimate(size_t t, EnsembleId mask) override;
   /// Always nullptr: a true-score Pareto frontier requires the full
   /// lattice. Engine runs that need regret either use the eager matrix or
   /// accept the exhaustive (lattice-materializing) fallback.
@@ -89,9 +102,10 @@ class LazyFrameEvaluator final : public EvaluationSource {
                                  const DetectionList& dets) override;
 
   /// Fuses `mask` on the frame's live context into a reused buffer,
-  /// bypassing the memo counters: the boxes, not the scalars, are the
-  /// product here. The engine calls it right after evaluating the frame's
-  /// lattice, so the context is live; an evicted frame is rebuilt.
+  /// scoring nothing and bypassing the memo counters: the boxes, not the
+  /// scalars, are the product here. The engine calls it right after
+  /// evaluating the frame's lattice, so the context is live; an evicted
+  /// frame is rebuilt.
   const DetectionList* FusedOutput(size_t t, EnsembleId mask) override;
 
   const Video& video() const { return video_; }
@@ -104,17 +118,27 @@ class LazyFrameEvaluator final : public EvaluationSource {
   /// skip-gated SGL run rebuilds each detect frame for its fused output,
   /// because its calibration touched every frame first.
   size_t frames_rebuilt() const { return frames_rebuilt_; }
-  /// Distinct (frame, mask) cells fused and scored. An eager build does
-  /// num_frames() · num_ensembles() of these; the gap is the work lazy
-  /// evaluation skipped.
+  /// Distinct (frame, mask) cells fused and scored, estimate-only or
+  /// full: each cell's first read, by Eval or EvalEstimate. An eager build
+  /// does num_frames() · num_ensembles() of these; the gap is the work
+  /// lazy evaluation skipped.
   uint64_t masks_materialized() const { return masks_materialized_; }
-  /// Eval calls served from the memo without fusing.
+  /// Every later read of a materialized cell, upgrades included, so
+  /// masks_materialized() + memo_hits() counts reads and neither depends
+  /// on which reads were estimate-only.
   uint64_t memo_hits() const { return memo_hits_; }
+  /// The memo hits that fused again: Eval reads of an estimate-only cell
+  /// (each upgrades it to full). Zero when full and estimate reads of a
+  /// cell never mix, as in a single engine run.
+  uint64_t cells_upgraded() const { return cells_upgraded_; }
 
  private:
   LazyFrameEvaluator(Video video, const DetectorPool& pool,
                      uint64_t trial_seed, const MatrixOptions& options,
                      std::unique_ptr<EnsembleMethod> fusion);
+
+  /// Memo state of one cell.
+  enum CellState : uint8_t { kUnread = 0, kEstimate = 1, kFull = 2 };
 
   /// What a touched frame keeps after its context is gone. The memo is
   /// allocated, and the Stats() scalars recorded, on first touch, so an
@@ -122,7 +146,7 @@ class LazyFrameEvaluator final : public EvaluationSource {
   struct FrameRecord {
     /// Memo indexed by mask (index 0 unused).
     std::vector<MaskEvaluation> memo;
-    std::vector<uint8_t> known;
+    std::vector<CellState> state;
     /// Stats() scalars.
     std::vector<double> model_cost_ms;
     std::vector<double> model_fault_ms;
@@ -134,6 +158,9 @@ class LazyFrameEvaluator final : public EvaluationSource {
   /// Frame t's detector context, building it (and evicting the previous
   /// frame's) unless it is the live one.
   FrameEvalContext& LiveContext(size_t t);
+
+  /// Eval (`full`) or EvalEstimate through the memo.
+  MaskEvaluation Read(size_t t, EnsembleId mask, bool full);
 
   Video video_;
   const DetectorPool* pool_;
@@ -148,6 +175,7 @@ class LazyFrameEvaluator final : public EvaluationSource {
   size_t frames_rebuilt_ = 0;
   uint64_t masks_materialized_ = 0;
   uint64_t memo_hits_ = 0;
+  uint64_t cells_upgraded_ = 0;
   /// Reused FusedOutput buffer (valid until the next call).
   DetectionList fused_buf_;
 };

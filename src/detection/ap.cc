@@ -222,15 +222,6 @@ double SingleClassAp(const DetectionList& detections,
   return IntegratePrCurve(curve, options.interpolation);
 }
 
-const GroundTruthIndex::ClassEntry* GroundTruthIndex::Find(
-    ClassId label) const {
-  const auto it = std::lower_bound(
-      classes.begin(), classes.end(), label,
-      [](const ClassEntry& e, ClassId l) { return e.label < l; });
-  if (it == classes.end() || it->label != label) return nullptr;
-  return &*it;
-}
-
 GroundTruthIndex BuildGroundTruthIndex(const GroundTruthList& ground_truth) {
   GroundTruthIndex index;
   for (const auto& g : ground_truth) {
@@ -256,44 +247,44 @@ double FrameMeanAp(const DetectionList& detections,
                      options);
 }
 
+void ClassMajorMeanAp::SkipBelow(ClassId label) {
+  const auto& classes = ground_truth_->classes;
+  while (next_entry_ < classes.size() && classes[next_entry_].label < label) {
+    if (classes[next_entry_].has_evaluable) ++num_classes_;
+    ++next_entry_;
+  }
+}
+
+void ClassMajorMeanAp::AddClass(ClassId label, const Detection* dets,
+                                size_t n) {
+  if (n == 0) return;
+  SkipBelow(label);
+  static const GroundTruthList kNoGt;
+  const GroundTruthList* cls_gt = &kNoGt;
+  const auto& classes = ground_truth_->classes;
+  if (next_entry_ < classes.size() && classes[next_entry_].label == label) {
+    cls_gt = &classes[next_entry_++].boxes;
+  }
+  sum_ += SingleClassApArena(dets, n, *cls_gt, *options_,
+                             FrameArena::ThreadLocal());
+  ++num_classes_;
+}
+
+double ClassMajorMeanAp::Finish() {
+  const auto& classes = ground_truth_->classes;
+  for (; next_entry_ < classes.size(); ++next_entry_) {
+    if (classes[next_entry_].has_evaluable) ++num_classes_;
+  }
+  if (num_classes_ == 0) return 1.0;  // nothing to detect, nothing predicted
+  return sum_ / static_cast<double>(num_classes_);
+}
+
 double FrameMeanAp(const DetectionList& detections,
                    const GroundTruthIndex& ground_truth,
                    const ApOptions& options) {
-  FrameArena& arena = FrameArena::ThreadLocal();
-  ArenaScope scope(arena);
-
-  // Union of evaluable-GT classes and detected classes, ascending — the
-  // iteration order the historical std::set produced, as a sorted-unique
-  // arena array.
-  const size_t cap = ground_truth.classes.size() + detections.size();
-  if (cap == 0) return 1.0;  // nothing to detect, nothing predicted
-  ClassId* labels = arena.AllocateArray<ClassId>(cap);
-  size_t k = 0;
-  for (const auto& e : ground_truth.classes) {
-    if (e.has_evaluable) labels[k++] = e.label;
-  }
-  for (const auto& d : detections) labels[k++] = d.label;
-  std::sort(labels, labels + k);
-  const size_t num_classes =
-      static_cast<size_t>(std::unique(labels, labels + k) - labels);
-  if (num_classes == 0) return 1.0;
-
-  // Class-filter scratch, refilled per class in input order (the order
-  // FilterByClass preserved).
-  Detection* cls_dets = arena.AllocateArray<Detection>(detections.size());
-  static const GroundTruthList kNoGt;
-  double sum = 0.0;
-  for (size_t c = 0; c < num_classes; ++c) {
-    const ClassId cls = labels[c];
-    size_t n = 0;
-    for (const auto& d : detections) {
-      if (d.label == cls) new (cls_dets + n++) Detection(d);
-    }
-    const auto* entry = ground_truth.Find(cls);
-    const GroundTruthList& cls_gt = entry != nullptr ? entry->boxes : kNoGt;
-    sum += SingleClassApArena(cls_dets, n, cls_gt, options, arena);
-  }
-  return sum / static_cast<double>(num_classes);
+  ClassMajorMeanAp accumulator(ground_truth, options);
+  PartitionByClass(detections, &accumulator);
+  return accumulator.Finish();
 }
 
 GroundTruthList DetectionsAsGroundTruth(const DetectionList& reference,

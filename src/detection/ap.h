@@ -71,13 +71,48 @@ struct GroundTruthIndex {
   };
   /// Entries in ascending label order.
   std::vector<ClassEntry> classes;
-
-  /// Entry for `label`, or nullptr when the class has no GT boxes.
-  const ClassEntry* Find(ClassId label) const;
 };
 
 /// Partitions `ground_truth` by class.
 GroundTruthIndex BuildGroundTruthIndex(const GroundTruthList& ground_truth);
+
+/// Class-major frame mean AP against a prebuilt index: the one place the
+/// class-union-and-mean rule is written. Feed it a detection list one
+/// class at a time (it is a ClassSink: labels ascending, each class's
+/// detections in list order), then read Finish(). Every class fed scores
+/// its AP; every evaluable ground-truth class that was never fed (no
+/// detection hit it) counts at AP 0. Those zeros only enter the class
+/// count — adding +0.0 never changes the running sum — so the result is
+/// bit-identical to scoring the whole union in label order.
+///
+/// The fusion kernels feed it directly (EnsembleMethod::FuseByClass), so a
+/// fused list is scored without a global confidence sort or a per-class
+/// re-filter. Scratch comes from the calling thread's FrameArena;
+/// `ground_truth` and `options` must outlive the accumulator.
+class ClassMajorMeanAp final : public ClassSink {
+ public:
+  ClassMajorMeanAp(const GroundTruthIndex& ground_truth,
+                   const ApOptions& options)
+      : ground_truth_(&ground_truth), options_(&options) {}
+
+  void AddClass(ClassId label, const Detection* dets, size_t n) override;
+
+  /// Mean AP over the classes fed plus the unfed evaluable ones; 1.0 when
+  /// both are empty (nothing to detect, nothing predicted).
+  double Finish();
+
+ private:
+  /// Steps the cursor past the index entries below `label`, counting the
+  /// evaluable ones (AP 0).
+  void SkipBelow(ClassId label);
+
+  const GroundTruthIndex* ground_truth_;
+  const ApOptions* options_;
+  /// Next index entry not yet matched to a fed class or skipped.
+  size_t next_entry_ = 0;
+  size_t num_classes_ = 0;
+  double sum_ = 0.0;
+};
 
 /// Mean AP over the union of classes present in detections or ground truth,
 /// with the zero-object conventions documented at the top of this header.
@@ -87,6 +122,7 @@ double FrameMeanAp(const DetectionList& detections,
 
 /// Identical to the list overload (bit-for-bit), but against a prebuilt
 /// index — the fast path when one ground truth is evaluated many times.
+/// A stable class partition of `detections` fed to ClassMajorMeanAp.
 double FrameMeanAp(const DetectionList& detections,
                    const GroundTruthIndex& ground_truth,
                    const ApOptions& options = {});

@@ -1,7 +1,10 @@
 #include "detection/detection.h"
 
 #include <algorithm>
+#include <new>
 #include <set>
+
+#include "common/arena.h"
 
 namespace vqe {
 
@@ -40,6 +43,25 @@ std::vector<ClassId> DistinctLabels(const GroundTruthList& gts) {
   std::set<ClassId> labels;
   for (const auto& g : gts) labels.insert(g.label);
   return {labels.begin(), labels.end()};
+}
+
+void PartitionByClass(const DetectionList& dets, ClassSink* sink) {
+  const size_t n = dets.size();
+  if (n == 0) return;
+  FrameArena& arena = FrameArena::ThreadLocal();
+  ArenaScope scope(arena);
+  Detection* grouped = arena.AllocateArray<Detection>(n);
+  for (size_t i = 0; i < n; ++i) new (grouped + i) Detection(dets[i]);
+  ArenaStableSort(grouped, n, arena,
+                  [](const Detection& a, const Detection& b) {
+                    return a.label < b.label;
+                  });
+  for (size_t begin = 0; begin < n;) {
+    size_t end = begin + 1;
+    while (end < n && grouped[end].label == grouped[begin].label) ++end;
+    sink->AddClass(grouped[begin].label, grouped + begin, end - begin);
+    begin = end;
+  }
 }
 
 }  // namespace vqe

@@ -108,6 +108,25 @@ std::vector<ClassId> DistinctLabels(const DetectionList& dets);
 /// Distinct labels present in `gts`, ascending.
 std::vector<ClassId> DistinctLabels(const GroundTruthList& gts);
 
+/// Receives a detection list one class at a time, labels strictly
+/// ascending, each call with at least one detection. The fusion kernels
+/// hand their output to one (EnsembleMethod::FuseByClass) and the
+/// class-major mean-AP accumulator (detection/ap.h) is one, so a fused
+/// list can be scored without ever being assembled, sorted or
+/// re-filtered per class.
+class ClassSink {
+ public:
+  virtual ~ClassSink() = default;
+  /// One class's `n` detections at `dets`, valid only during the call.
+  virtual void AddClass(ClassId label, const Detection* dets, size_t n) = 0;
+};
+
+/// Hands `dets` to `sink` as a stable class partition: ascending labels,
+/// each class's detections in list order (what FilterByClass returns).
+/// Scratch comes from the calling thread's FrameArena, so steady-state
+/// calls do not allocate.
+void PartitionByClass(const DetectionList& dets, ClassSink* sink);
+
 }  // namespace vqe
 
 #endif  // VQE_DETECTION_DETECTION_H_

@@ -81,6 +81,21 @@ class EnsembleMethod {
                         const PairwiseIouCache* iou, const FrameSoA* soa,
                         DetectionList* out) const = 0;
 
+  /// Class-major twin of FuseInto: hands `sink` the fused boxes one class
+  /// at a time, labels ascending, each class's boxes in the order FuseInto
+  /// lists them — exactly a stable class partition of FuseInto's output.
+  /// This is the scoring path: a mean-AP accumulator fed this way
+  /// (detection/ap.h) needs neither FuseInto's global confidence sort nor
+  /// a per-class re-filter of the fused list.
+  ///
+  /// The default runs FuseInto into a thread-local buffer and partitions
+  /// it in the calling thread's FrameArena (allocation-free in steady
+  /// state; the sink may itself fuse, since it receives arena copies).
+  /// WbfFusion implements it natively and derives FuseInto from it.
+  virtual void FuseByClass(DetectionListSpan per_model,
+                           const PairwiseIouCache* iou, const FrameSoA* soa,
+                           ClassSink* sink) const;
+
   /// Value-returning convenience over FuseInto (one allocation per call;
   /// hot paths reuse an output buffer via FuseInto instead).
   DetectionList Fuse(DetectionListSpan per_model,

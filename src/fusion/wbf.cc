@@ -53,6 +53,19 @@ struct WbfCluster {
   }
 };
 
+// Appends each class's fused boxes to a list (FuseInto's class-major
+// pass).
+class AppendSink final : public ClassSink {
+ public:
+  explicit AppendSink(DetectionList* out) : out_(out) {}
+  void AddClass(ClassId /*label*/, const Detection* dets, size_t n) override {
+    out_->insert(out_->end(), dets, dets + n);
+  }
+
+ private:
+  DetectionList* out_;
+};
+
 }  // namespace
 
 // WBF deliberately ignores the IoU cache (ConsumesIouCache() stays
@@ -60,11 +73,10 @@ struct WbfCluster {
 // a derived confidence-weighted average — even a single-member cluster's
 // center is (w·x)/w, not bitwise x — so no raw-pair tile can serve these
 // queries bit-identically.
-void WbfFusion::FuseInto(DetectionListSpan per_model,
-                         const PairwiseIouCache* /*iou*/, const FrameSoA* soa,
-                         DetectionList* out) const {
+void WbfFusion::FuseByClass(DetectionListSpan per_model,
+                            const PairwiseIouCache* /*iou*/,
+                            const FrameSoA* soa, ClassSink* sink) const {
   const size_t num_models = per_model.size();
-  out->clear();
   FrameArena& arena = FrameArena::ThreadLocal();
   ArenaScope scope(arena);
 
@@ -75,6 +87,7 @@ void WbfFusion::FuseInto(DetectionListSpan per_model,
   const auto groups = GroupByClass(per_model, arena, &options_.model_weights,
                                    soa, /*sorted=*/true);
   for (const ClassGroup& group : groups) {
+    ArenaScope class_scope(arena);
     Detection* dets = group.dets;
     if (!groups.presorted) SortGroupDesc(group, arena);
 
@@ -104,6 +117,8 @@ void WbfFusion::FuseInto(DetectionListSpan per_model,
       clusters[static_cast<size_t>(best)].Add(d);
     }
 
+    Detection* fused = arena.AllocateArray<Detection>(num_clusters);
+    size_t num_fused = 0;
     for (size_t ci = 0; ci < num_clusters; ++ci) {
       WbfCluster& c = clusters[ci];
       // Confidence rescaling: penalize clusters fewer models contributed to.
@@ -113,11 +128,31 @@ void WbfFusion::FuseInto(DetectionListSpan per_model,
         c.fused.confidence *= std::min(n, t) / t;
       }
       if (c.fused.confidence >= options_.score_threshold) {
-        out->push_back(c.fused);
+        new (fused + num_fused++) Detection(c.fused);
       }
     }
+    if (num_fused == 0) continue;
+    // The class's slice of FuseInto's stably confidence-sorted output: the
+    // clusters of one class keep their creation order among ties there.
+    ArenaStableSort(fused, num_fused, arena,
+                    [](const Detection& a, const Detection& b) {
+                      return a.confidence > b.confidence;
+                    });
+    sink->AddClass(group.label, fused, num_fused);
   }
-  SortDescArena(out, arena);
+}
+
+// One global stable sort of the class-major output equals the historical
+// sort of the class-grouped cluster list: both order equal-confidence
+// boxes of different classes by label and those of one class by cluster
+// creation order.
+void WbfFusion::FuseInto(DetectionListSpan per_model,
+                         const PairwiseIouCache* iou, const FrameSoA* soa,
+                         DetectionList* out) const {
+  out->clear();
+  AppendSink append(out);
+  FuseByClass(per_model, iou, soa, &append);
+  SortDescArena(out, FrameArena::ThreadLocal());
 }
 
 }  // namespace vqe

@@ -23,8 +23,15 @@ class WbfFusion : public EnsembleMethod {
  public:
   explicit WbfFusion(const FusionOptions& options) : options_(options) {}
   std::string name() const override { return "WBF"; }
+  /// FuseByClass, appended, then one global stable confidence sort (so
+  /// the cluster loop exists once).
   void FuseInto(DetectionListSpan per_model, const PairwiseIouCache* iou,
                 const FrameSoA* soa, DetectionList* out) const override;
+  /// The native kernel: per class, clusters the pooled boxes, rescales
+  /// and thresholds them, and hands the survivors to `sink` in stable
+  /// descending-confidence order.
+  void FuseByClass(DetectionListSpan per_model, const PairwiseIouCache* iou,
+                   const FrameSoA* soa, ClassSink* sink) const override;
 
  private:
   FusionOptions options_;

@@ -446,13 +446,11 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<DetectionList> model_out(static_cast<size_t>(m));
   // Steady-state scratch for the per-frame subset-fusion loop: the input
-  // span, the fused-output buffer FuseInto refills, and (when the fusion
-  // method consumes it) the SoA store behind the pairwise-IoU tile. All
-  // reused across frames so the serving loop stops allocating once these
-  // have warmed up.
+  // span and the realized mask's fused-output buffer FuseInto refills,
+  // both reused across frames so they stop allocating once warmed up.
   std::vector<const DetectionList*> inputs;
   inputs.reserve(static_cast<size_t>(m));
-  DetectionList fused;
+  DetectionList selected_fused;
 
   // Checkpointing: fingerprint the query configuration, then try to resume
   // from the newest good generation in the checkpoint directory. The
@@ -670,18 +668,19 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
             ref_out, options.matrix.ref_confidence_threshold);
       }
 
-      // Fuse every subset of the *realized* ensemble (outputs are reused;
-      // only the cheap box fusion re-runs) and estimate its reward — failed
+      // Estimate the reward of every subset of the *realized* ensemble
+      // (outputs are reused; only the cheap box fusion re-runs) — failed
       // members contribute nothing, so the realized sub-masks are the only
       // arms with honest observations. The subsets all fuse the same cached
       // boxes, so share one pairwise-IoU tile across them (model_out is
-      // reused between frames: re-id every frame).
+      // reused between frames: re-id every frame). Only the realized
+      // mask's boxes are kept (WHERE, TRACKS() and the gate read them); a
+      // strict subset is fused class-major straight into its est_ap, and
+      // not at all when the strategy learns nothing from the reference.
       est_score.assign(num_masks + 1, nan);
-      DetectionList selected_fused;
+      const bool uses_ref = strategy->UsesReferenceModel();
       GroundTruthIndex ref_index;
-      if (strategy->UsesReferenceModel()) {
-        ref_index = BuildGroundTruthIndex(ref_gt);
-      }
+      if (uses_ref) ref_index = BuildGroundTruthIndex(ref_gt);
       const int num_ids = AssignFrameDetIds(model_out);
       const FrameSoA frame_soa(model_out, num_ids);
       PairwiseIouCache iou_tile;
@@ -699,19 +698,27 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
           boxes += out_i.size();
           cost += model_cost[static_cast<size_t>(i)];
         }
-        fusion->FuseInto(DetectionListSpan(inputs), &iou_tile, &frame_soa,
-                         &fused);
         const double overhead = SimulatedFusionOverheadMs(boxes);
         frame_cost += overhead;
         cost += overhead;
-        if (strategy->UsesReferenceModel()) {
-          const double est_ap =
-              FrameMeanAp(fused, ref_index, options.matrix.ap);
+        double est_ap = 0.0;
+        if (sub == realized) {
+          fusion->FuseInto(DetectionListSpan(inputs), &iou_tile, &frame_soa,
+                           &selected_fused);
+          if (uses_ref) {
+            est_ap = FrameMeanAp(selected_fused, ref_index, options.matrix.ap);
+          }
+        } else if (uses_ref) {
+          ClassMajorMeanAp accumulator(ref_index, options.matrix.ap);
+          fusion->FuseByClass(DetectionListSpan(inputs), &iou_tile,
+                              &frame_soa, &accumulator);
+          est_ap = accumulator.Finish();
+        }
+        if (uses_ref) {
           const double full_bound = full_cost_bound + overhead;
           est_score[sub] = options.sc.Score(
               est_ap, full_bound > 0 ? cost / full_bound : 0.0);
         }
-        if (sub == realized) selected_fused = fused;
       });
       out.charged_cost_ms += frame_cost;
 

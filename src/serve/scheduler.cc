@@ -226,8 +226,7 @@ Result<StreamScheduler::ExtractedSession> StreamScheduler::ExtractSession(
     out.carry.rounds_active = slot.rounds_active;
     // Latency samples were real steps on this shard: keep them in this
     // scheduler's pooled percentiles (wall and simulated alike).
-    all_latencies_ms_.insert(all_latencies_ms_.end(), slot.latency_ms.begin(),
-                             slot.latency_ms.end());
+    for (const double ms : slot.latency_ms) frame_latency_ms_.Add(ms);
     const int cls = PriorityClassIndex(out.session->priority());
     class_sim_ms_[cls].insert(class_sim_ms_[cls].end(), slot.sim_ms.begin(),
                               slot.sim_ms.end());
@@ -318,8 +317,7 @@ void StreamScheduler::Retire(Slot& slot) {
   stats_.classes[cls].frames += sr.frames;
   class_sim_ms_[cls].insert(class_sim_ms_[cls].end(), slot.sim_ms.begin(),
                             slot.sim_ms.end());
-  all_latencies_ms_.insert(all_latencies_ms_.end(), slot.latency_ms.begin(),
-                           slot.latency_ms.end());
+  for (const double ms : slot.latency_ms) frame_latency_ms_.Add(ms);
   retired_.push_back(std::move(sr));
 }
 
@@ -495,9 +493,9 @@ Result<ServeReport> StreamScheduler::FinishServing() {
             });
   stats_.wall_ms = serving_ ? wall_.ElapsedMillis() : 0.0;
   // Empty sample sets yield 0, the stats' defaults.
-  stats_.frame_p50_ms = SamplePercentileInPlace(all_latencies_ms_, 0.50);
-  stats_.frame_p99_ms = SamplePercentileInPlace(all_latencies_ms_, 0.99);
-  stats_.frame_p999_ms = SamplePercentileInPlace(all_latencies_ms_, 0.999);
+  stats_.frame_p50_ms = frame_latency_ms_.Percentile(0.50);
+  stats_.frame_p99_ms = frame_latency_ms_.Percentile(0.99);
+  stats_.frame_p999_ms = frame_latency_ms_.Percentile(0.999);
   for (int c = 0; c < kNumPriorityClasses; ++c) {
     ServeStats::ClassStats& cs = stats_.classes[c];
     cs.sim_p50_ms = SamplePercentileInPlace(class_sim_ms_[c], 0.50);

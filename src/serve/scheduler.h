@@ -40,6 +40,7 @@
 #include "common/stopwatch.h"
 #include "obs/obs.h"
 #include "runtime/breaker_registry.h"
+#include "serve/latency_histogram.h"
 #include "serve/overload.h"
 #include "serve/stream_session.h"
 
@@ -137,7 +138,9 @@ struct ServeStats {
   /// Terminal error of every stream that retired non-OK, retirement order.
   std::vector<StreamError> errors;
   /// Per-frame step latency percentiles (real wall-clock, all streams
-  /// pooled).
+  /// pooled), read from a LatencyHistogram: each is the upper edge of its
+  /// 64-per-octave bucket, so it is never below the exact nearest-rank
+  /// percentile and at most 1.1 % above it.
   double frame_p50_ms = 0.0;
   double frame_p99_ms = 0.0;
   double frame_p999_ms = 0.0;
@@ -326,9 +329,13 @@ class StreamScheduler {
   ServeStats stats_;
   /// Sessions retired since the last TakeRetired (completion order).
   std::vector<StreamReport> retired_;
-  std::vector<double> all_latencies_ms_;
+  /// Every slot's wall latency samples, merged on retirement and
+  /// extraction: bounded by the span of latencies seen, not by frames
+  /// served.
+  LatencyHistogram frame_latency_ms_;
   /// Pooled per-class simulated frame-cost samples (merged on retirement
-  /// and extraction) for the ClassStats percentiles.
+  /// and extraction) for the ClassStats percentiles. Kept exact: the SLO
+  /// verdicts and cross-run equality checks compare them exactly.
   std::vector<double> class_sim_ms_[kNumPriorityClasses];
   /// Present only when options.overload.enabled.
   std::unique_ptr<OverloadController> controller_;

@@ -25,7 +25,7 @@ IouTracker::IouTracker(TrackerOptions options) : options_(options) {}
 
 void IouTracker::Reset() {
   tracks_.clear();
-  finished_.clear();
+  retired_.clear();
   next_id_ = 1;
 }
 
@@ -93,8 +93,7 @@ Status IouTracker::SaveState(ByteWriter& writer) const {
   writer.I64(next_id_);
   writer.U64(tracks_.size());
   for (const Track& t : tracks_) SaveTrack(writer, t);
-  writer.U64(finished_.size());
-  for (const Track& t : finished_) SaveTrack(writer, t);
+  writer.U64(0);  // the finished-track list, kept for the wire layout
   return Status::OK();
 }
 
@@ -104,10 +103,12 @@ Status IouTracker::RestoreState(ByteReader& reader) {
   VQE_RETURN_NOT_OK(reader.I64(&next_id));
   if (next_id < 1) return Status::DataLoss("tracker next_id out of range");
   VQE_RETURN_NOT_OK(RestoreTrackList(reader, &tracks));
+  // Parsed in full before anything is assigned, so a malformed list
+  // leaves the tracker untouched; its tracks are then dropped.
   VQE_RETURN_NOT_OK(RestoreTrackList(reader, &finished));
   next_id_ = next_id;
   tracks_ = std::move(tracks);
-  finished_ = std::move(finished);
+  retired_.clear();
   return Status::OK();
 }
 
@@ -121,6 +122,7 @@ void IouTracker::CoastOne() {
 const std::vector<Track>& IouTracker::Update(const DetectionList& detections,
                                              int64_t frame_index) {
   last_stats_ = TrackerUpdateStats{};
+  retired_.clear();
   // 1. Predict: advance every track by its velocity estimate.
   std::vector<BBox> predicted(tracks_.size());
   for (size_t i = 0; i < tracks_.size(); ++i) {
@@ -181,7 +183,7 @@ const std::vector<Track>& IouTracker::Update(const DetectionList& detections,
       ++last_stats_.unmatched;
       t.box = predicted[i];  // coast on the predicted position
       if (t.missed > options_.max_missed) {
-        finished_.push_back(t);
+        retired_.push_back(t);
         ++last_stats_.retired;
         continue;
       }

@@ -101,10 +101,11 @@ class IouTracker {
   /// Confirmed tracks associated on the latest frame.
   std::vector<Track> ActiveConfirmed() const;
 
-  /// Tracks ever retired (for offline analysis).
-  const std::vector<Track>& finished_tracks() const {
-    return finished_;
-  }
+  /// Tracks retired by the most recent Update(), in retirement order
+  /// (empty before the first Update and after a restore). The tracker
+  /// keeps live tracks only: a caller that wants every track it ever
+  /// retired collects them here after each Update.
+  const std::vector<Track>& retired() const { return retired_; }
 
   /// Association summary of the most recent Update().
   const TrackerUpdateStats& last_update_stats() const { return last_stats_; }
@@ -114,19 +115,23 @@ class IouTracker {
   /// Clears all state.
   void Reset();
 
-  /// Serializes live + finished tracks and the id counter so a resumed
-  /// query continues track identities and lifetimes exactly.
+  /// Serializes the live tracks and the id counter so a resumed run
+  /// continues track identities and lifetimes exactly. The wire layout
+  /// still carries the finished-track list older builds filled; this one
+  /// always writes it empty.
   Status SaveState(ByteWriter& writer) const;
 
-  /// Restores a SaveState payload; DataLoss on malformed bytes.
+  /// Restores a SaveState payload; DataLoss on malformed bytes. A
+  /// non-empty finished-track list (written by older builds) is validated
+  /// and discarded, so such payloads restore the same live state.
   Status RestoreState(ByteReader& reader);
 
  private:
   TrackerOptions options_;
   std::vector<Track> tracks_;
-  std::vector<Track> finished_;
   int64_t next_id_ = 1;
-  // Not serialized: purely diagnostic, refreshed by the next Update().
+  // Not serialized: both describe the latest Update() only.
+  std::vector<Track> retired_;
   TrackerUpdateStats last_stats_;
 };
 

@@ -1,13 +1,17 @@
 // Zero-allocation regression gate for the fused hot path. Evaluating a
 // frame's mask lattice must stop touching the heap once the scratch has
-// warmed up: the fused-output buffer is reserved at context construction,
-// fusion/scoring transients live in the thread's FrameArena, and the
-// arena's blocks are recycled between masks. This test instruments global
-// operator new and the arena's block counter, warms a FrameEvalContext
-// with one full mask pass, then asserts a second identical pass performs
-// exactly zero heap allocations — for both a cache-consuming fusion
-// method (NMS) and the cache-skipping default (WBF). A second gate bounds
-// what a lazy run retains per frame once the run has moved past it.
+// warmed up: the class-major fuse-and-score kernel keeps its transients in
+// the thread's FrameArena (the default FuseByClass also reuses one
+// thread-local fused list), and the arena's blocks are recycled between
+// masks. This test instruments global operator new and the arena's block
+// counter, warms a FrameEvalContext with one mask pass (full and
+// estimate-only evaluations plus Fuse into a reused buffer), then asserts
+// a second identical pass performs exactly zero heap allocations — for
+// every fusion method. The same holds for a lazy evaluator's
+// estimate-only cells, their upgrades and FusedOutput on a live frame,
+// and the engine's lazy frame loop allocates nothing beyond each frame's
+// context. A last gate bounds what a lazy run retains per frame once the
+// run has moved past it.
 
 #include <atomic>
 #include <cstdlib>
@@ -105,9 +109,11 @@ struct PassCounters {
   double checksum = 0.0;
 };
 
-// One full pass over the frame's mask lattice, with heap and arena-block
-// allocation counts taken around it.
-PassCounters MaskPass(FrameEvalContext& ctx, uint32_t num_masks) {
+// One full pass over the frame's mask lattice — a full and an
+// estimate-only evaluation and a Fuse into `fused` per mask — with heap and
+// arena-block allocation counts taken around it.
+PassCounters MaskPass(FrameEvalContext& ctx, uint32_t num_masks,
+                      DetectionList* fused) {
   PassCounters c;
   const std::uint64_t heap_before =
       g_heap_allocs.load(std::memory_order_relaxed);
@@ -115,7 +121,10 @@ PassCounters MaskPass(FrameEvalContext& ctx, uint32_t num_masks) {
       FrameArena::ThreadLocal().stats().block_allocs;
   for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
     const MaskEvaluation e = ctx.Evaluate(mask);
-    c.checksum += e.est_ap + e.true_ap + e.cost_ms;
+    const MaskEvaluation estimate = ctx.Evaluate(mask, /*with_true_ap=*/false);
+    ctx.Fuse(mask, fused);
+    c.checksum += e.est_ap + e.true_ap + e.cost_ms + estimate.est_ap +
+                  static_cast<double>(fused->size());
   }
   c.heap_allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - heap_before;
@@ -142,11 +151,12 @@ TEST_P(AllocRegressionTest, SteadyStateMaskLoopIsAllocationFree) {
   for (size_t t = 0; t < std::min<size_t>(video.size(), 3); ++t) {
     FrameEvalContext ctx(video.frames[t], pool, /*trial_seed=*/23, options,
                          *fusion);
-    // Warm-up pass: may allocate (fused-buffer reserve already happened in
-    // the constructor; the arena may still grow to its high-water mark).
-    const PassCounters warm = MaskPass(ctx, num_masks);
+    DetectionList fused;
+    // Warm-up pass: may allocate (the fused buffers and the arena grow to
+    // their high-water marks).
+    const PassCounters warm = MaskPass(ctx, num_masks, &fused);
     // Steady-state pass: bit-identical work, zero heap traffic.
-    const PassCounters steady = MaskPass(ctx, num_masks);
+    const PassCounters steady = MaskPass(ctx, num_masks, &fused);
 
     EXPECT_EQ(steady.heap_allocs, 0u)
         << FusionKindToString(options.fusion) << " frame " << t
@@ -160,17 +170,74 @@ TEST_P(AllocRegressionTest, SteadyStateMaskLoopIsAllocationFree) {
   }
 }
 
+// A lazy evaluator on a live frame: fresh estimate-only cells, their
+// upgrades to full and FusedOutput all run allocation-free once this
+// thread's scratch and the evaluator's fused buffer have warmed up.
+TEST_P(AllocRegressionTest, LazyCellsAndFusedOutputAreAllocationFree) {
+  const int m = 4;
+  const DetectorPool pool = MakePool(m);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23);
+  MatrixOptions options;
+  options.fusion = GetParam();
+  const uint32_t num_masks = NumEnsembles(m);
+
+  for (size_t t = 0; t < std::min<size_t>(video.size(), 3); ++t) {
+    // Warm the thread's arena (and the default kernel's fused list) on a
+    // throwaway evaluator over the same frame.
+    auto warm = std::move(LazyFrameEvaluator::Create(video, pool, 23, options))
+                    .value();
+    for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
+      warm->EvalEstimate(t, mask);
+      warm->Eval(t, mask);
+      warm->FusedOutput(t, mask);
+    }
+    auto lazy = std::move(LazyFrameEvaluator::Create(video, pool, 23, options))
+                    .value();
+    lazy->Stats(t);  // builds the frame's context and memo
+    for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
+      lazy->FusedOutput(t, mask);  // warms the evaluator's fused buffer
+    }
+    const std::uint64_t heap_before =
+        g_heap_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t blocks_before =
+        FrameArena::ThreadLocal().stats().block_allocs;
+    double checksum = 0.0;
+    for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
+      checksum += lazy->EvalEstimate(t, mask).est_ap;
+    }
+    for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
+      checksum += lazy->Eval(t, mask).true_ap;
+      checksum += static_cast<double>(lazy->FusedOutput(t, mask)->size());
+    }
+    EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - heap_before,
+              0u)
+        << FusionKindToString(options.fusion) << " frame " << t;
+    EXPECT_EQ(FrameArena::ThreadLocal().stats().block_allocs - blocks_before,
+              0u)
+        << FusionKindToString(options.fusion) << " frame " << t;
+    EXPECT_EQ(lazy->masks_materialized(), num_masks);
+    EXPECT_EQ(lazy->cells_upgraded(), num_masks);
+    EXPECT_GE(checksum, 0.0);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(FusionKinds, AllocRegressionTest,
-                         ::testing::Values(FusionKind::kWbf, FusionKind::kNms,
-                                           FusionKind::kConsensus),
+                         ::testing::ValuesIn(AllFusionKinds()),
                          [](const ::testing::TestParamInfo<FusionKind>& info) {
                            switch (info.param) {
                              case FusionKind::kWbf: return std::string("Wbf");
                              case FusionKind::kNms: return std::string("Nms");
                              case FusionKind::kConsensus:
                                return std::string("Consensus");
-                             default: return std::string("Other");
+                             case FusionKind::kSoftNmsLinear:
+                               return std::string("SoftNmsLinear");
+                             case FusionKind::kSoftNmsGaussian:
+                               return std::string("SoftNmsGaussian");
+                             case FusionKind::kSofterNms:
+                               return std::string("SofterNms");
+                             case FusionKind::kNmw: return std::string("Nmw");
                            }
+                           return std::string("Other");
                          });
 
 // The engine frame loop with observability DISABLED (the default) must be
@@ -217,6 +284,52 @@ TEST(EngineSteadyStateTest, DisabledObsFrameLoopIsAllocationFree) {
       << "steady-state StepFrame hit the heap with obs disabled";
 }
 
+// On a lazy source each detect frame necessarily allocates its detector
+// context (per-model outputs, ground-truth indexes, SoA store) and memo
+// record. Nothing else in the frame loop may: the class-major cells the
+// engine materializes, full for the realized mask and estimate-only for
+// its strict subsets, run on warmed scratch. So the steady-state frames
+// of an MES run allocate exactly what touching the same frames does.
+TEST(EngineSteadyStateTest, LazyFrameLoopAllocatesOnlyFrameContexts) {
+  const DetectorPool pool = MakePool(4);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23);
+  ASSERT_GE(video.size(), 8u);
+  auto lazy =
+      std::move(LazyFrameEvaluator::Create(video, pool, /*trial_seed=*/23))
+          .value();
+  MesOptions mes;
+  mes.gamma = 2;
+  MesStrategy strategy(mes);
+  EngineOptions options;
+  options.strategy_seed = 23;
+  options.compute_regret = false;
+  auto run = EngineRun::Create(*lazy, &strategy, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  const size_t warm = video.size() / 2;
+  while (!(*run)->done() && (*run)->next_frame() < warm) {
+    ASSERT_TRUE((*run)->StepFrame().ok());
+  }
+  ASSERT_FALSE((*run)->done());
+  const std::uint64_t run_before =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  while (!(*run)->done()) ASSERT_TRUE((*run)->StepFrame().ok());
+  const std::uint64_t run_allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - run_before;
+  EXPECT_GT(lazy->masks_materialized(), video.size());
+  EXPECT_EQ(lazy->cells_upgraded(), 0u);
+
+  auto touched =
+      std::move(LazyFrameEvaluator::Create(video, pool, /*trial_seed=*/23))
+          .value();
+  const std::uint64_t touch_before =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  for (size_t t = warm; t < video.size(); ++t) touched->Stats(t);
+  EXPECT_EQ(run_allocs,
+            g_heap_allocs.load(std::memory_order_relaxed) - touch_before)
+      << "the lazy frame loop allocated beyond its frame contexts";
+}
+
 // What a lazy run keeps per frame once it has stepped past it: the memo
 // and the frame's Stats() scalars, never its detector context (per-model
 // detections, ground-truth indexes, SoA store: kilobytes in dozens of
@@ -256,7 +369,7 @@ TEST(LazyRetainedHeapTest, RunRetainsOnlyMemoAndScalarsPerFrame) {
   };
   retained(2 * n);  // warm the thread's fusion arena to its high-water mark
 
-  // Per-frame allowance: the memo (one cell and one known-flag per mask)
+  // Per-frame allowance: the memo (one cell and one state byte per mask)
   // and two m-double cost vectors, each block given 16 bytes of allocator
   // rounding.
   const size_t masks = NumEnsembles(m) + 1;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -181,6 +182,185 @@ TEST(LazyEvalTest, EvalIsMemoized) {
   EXPECT_EQ(first.fusion_overhead_ms, again.fusion_overhead_ms);
 }
 
+// True AP on demand: an estimate-only read scores est_ap and the costs
+// bit-identically to the eager matrix and leaves true_ap NaN; a later full
+// read upgrades the cell to the eager one — even after its frame was
+// evicted — counted as a memo hit and an upgrade, never as a second
+// materialization. Any later read is a plain memo hit of the full cell.
+TEST(LazyMemoTest, EstimateThenFullReadUpgradesToTheEagerCell) {
+  const DetectorPool pool = MakePool(3);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/3);
+  const auto matrix =
+      std::move(BuildFrameMatrix(video, pool, /*trial_seed=*/3)).value();
+  auto lazy = std::move(LazyFrameEvaluator::Create(video, pool,
+                                                   /*trial_seed=*/3))
+                  .value();
+  const uint32_t num_masks = matrix.num_ensembles();
+  const uint64_t cells = static_cast<uint64_t>(matrix.size()) * num_masks;
+  ASSERT_GT(cells, 0u);
+
+  for (size_t t = 0; t < matrix.size(); ++t) {
+    const FrameEvaluation& fe = matrix.frames[t];
+    for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
+      const MaskEvaluation e = lazy->EvalEstimate(t, mask);
+      ASSERT_EQ(e.est_ap, fe.est_ap[mask]) << "t=" << t << " mask=" << mask;
+      ASSERT_EQ(e.cost_ms, fe.cost_ms[mask]);
+      ASSERT_EQ(e.fusion_overhead_ms, fe.fusion_overhead_ms[mask]);
+      ASSERT_TRUE(std::isnan(e.true_ap));
+    }
+  }
+  EXPECT_EQ(lazy->masks_materialized(), cells);
+  EXPECT_EQ(lazy->memo_hits(), 0u);
+  EXPECT_EQ(lazy->cells_upgraded(), 0u);
+
+  // Every frame's context was evicted by now: each upgrade pass rebuilds.
+  for (const bool again : {false, true}) {
+    for (size_t t = 0; t < matrix.size(); ++t) {
+      const FrameEvaluation& fe = matrix.frames[t];
+      for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
+        const MaskEvaluation e =
+            again ? lazy->EvalEstimate(t, mask) : lazy->Eval(t, mask);
+        ASSERT_EQ(e.est_ap, fe.est_ap[mask]) << "t=" << t << " mask=" << mask;
+        ASSERT_EQ(e.true_ap, fe.true_ap[mask]);
+        ASSERT_EQ(e.cost_ms, fe.cost_ms[mask]);
+        ASSERT_EQ(e.fusion_overhead_ms, fe.fusion_overhead_ms[mask]);
+      }
+    }
+    EXPECT_EQ(lazy->masks_materialized(), cells);
+    EXPECT_EQ(lazy->memo_hits(), again ? 2 * cells : cells);
+    EXPECT_EQ(lazy->cells_upgraded(), cells);
+  }
+  EXPECT_EQ(lazy->frames_rebuilt(), matrix.size());
+}
+
+/// Forwards every read to a lazy evaluator and counts them. With
+/// `forward_estimates` false it keeps EvaluationSource's default
+/// EvalEstimate (a full Eval), so a run reads every cell in full — the
+/// read pattern of a source without estimate-only cells.
+class ReadCountingSource final : public EvaluationSource {
+ public:
+  ReadCountingSource(LazyFrameEvaluator* inner, bool forward_estimates)
+      : inner_(inner), forward_estimates_(forward_estimates) {}
+  int num_models() const override { return inner_->num_models(); }
+  size_t num_frames() const override { return inner_->num_frames(); }
+  FrameStats Stats(size_t t) override { return inner_->Stats(t); }
+  MaskEvaluation Eval(size_t t, EnsembleId mask) override {
+    ++full_reads;
+    return inner_->Eval(t, mask);
+  }
+  MaskEvaluation EvalEstimate(size_t t, EnsembleId mask) override {
+    if (!forward_estimates_) return Eval(t, mask);
+    ++estimate_reads;
+    return inner_->EvalEstimate(t, mask);
+  }
+  SceneContext PeekContext(size_t t) override {
+    return inner_->PeekContext(t);
+  }
+  bool SupportsPropagation() const override { return true; }
+  Result<double> ScorePropagated(size_t t,
+                                 const DetectionList& dets) override {
+    return inner_->ScorePropagated(t, dets);
+  }
+  const DetectionList* FusedOutput(size_t t, EnsembleId mask) override {
+    return inner_->FusedOutput(t, mask);
+  }
+  const std::vector<EnsembleId>* TrueFrontier(size_t t) override {
+    return inner_->TrueFrontier(t);
+  }
+
+  uint64_t full_reads = 0;
+  uint64_t estimate_reads = 0;
+
+ private:
+  LazyFrameEvaluator* inner_;
+  bool forward_estimates_;
+};
+
+// The engine reads strict subsets estimate-only (regret off) or in full
+// (regret on), and the memo counters do not depend on which: every run
+// below reports the same frames touched, cells materialized and memo hits
+// as the same run with every read forced full, and those equal the values
+// builds without estimate-only cells reported (pinned). No cell is ever
+// upgraded, so no cell is fused twice.
+TEST(LazyMemoTest, SinglePassCountersDoNotDependOnEstimateReads) {
+  using Factory = std::function<std::unique_ptr<SelectionStrategy>()>;
+  struct Case {
+    std::string label;
+    int m;
+    std::string dataset;
+    double scene_scale;
+    uint64_t seed;
+    Factory make;
+    bool regret;
+    bool skip;
+    uint64_t touched, cells, hits;
+  };
+  const std::vector<Case> cases = {
+      {"MES m=8", 8, "nusc-night", 0.03, 17,
+       [] {
+         MesOptions o;
+         o.gamma = 2;
+         return std::make_unique<MesStrategy>(o);
+       },
+       false, false, 100, 7184, 0},
+      {"SW-MES", 6, "c&n&r", 0.03, 13,
+       [] { return std::make_unique<SwMesStrategy>(); }, false, false, 800,
+       15804, 0},
+      {"gated D-MES", 6, "nusc-lowmotion", 0.05, 7,
+       [] { return std::make_unique<DucbMesStrategy>(); }, false, true, 320,
+       2018, 0},
+      {"RAND regret", 4, "nusc-night", 0.02, 5,
+       [] { return std::make_unique<RandomStrategy>(); }, true, false, 100,
+       1500, 410},
+      {"MES regret", 4, "nusc-night", 0.02, 9,
+       [] { return std::make_unique<MesStrategy>(); }, true, false, 100, 1500,
+       606},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    const DetectorPool pool = MakePool(c.m);
+    const DatasetSpec* spec = *DatasetCatalog::Default().Find(c.dataset);
+    SampleOptions sample;
+    sample.scene_scale = c.scene_scale;
+    sample.seed = c.seed;
+    const Video video = std::move(SampleVideo(*spec, sample)).value();
+    EngineOptions engine;
+    engine.strategy_seed = c.seed + 1;
+    engine.compute_regret = c.regret;
+    if (c.skip) {
+      engine.skip.mode = SkipMode::kDifficultyGated;
+      engine.skip.skip_budget = 4;
+    }
+
+    RunResult runs[2];
+    std::unique_ptr<LazyFrameEvaluator> lazies[2];
+    uint64_t estimate_reads = 0;
+    for (const bool forward : {true, false}) {
+      auto& lazy = lazies[forward ? 0 : 1];
+      lazy = std::move(LazyFrameEvaluator::Create(video, pool, c.seed))
+                 .value();
+      ReadCountingSource source(lazy.get(), forward);
+      auto strategy = c.make();
+      runs[forward ? 0 : 1] =
+          std::move(RunStrategy(source, strategy.get(), engine)).value();
+      if (forward) estimate_reads = source.estimate_reads;
+    }
+    ExpectSameRun(runs[0], runs[1]);
+    if (c.regret) {
+      EXPECT_EQ(estimate_reads, 0u);
+    } else {
+      EXPECT_GT(estimate_reads, 0u);
+    }
+    for (const auto& lazy : lazies) {
+      EXPECT_EQ(lazy->frames_touched(), c.touched);
+      EXPECT_EQ(lazy->masks_materialized(), c.cells);
+      EXPECT_EQ(lazy->memo_hits(), c.hits);
+      EXPECT_EQ(lazy->cells_upgraded(), 0u);
+      EXPECT_EQ(lazy->frames_rebuilt(), 0u);
+    }
+  }
+}
+
 // An MES run observes only the subset lattices of its selections, so the
 // lazy backend must (a) reproduce the eager run bit-for-bit and (b)
 // materialize strictly less than the full 2^m − 1 masks per frame on
@@ -246,10 +426,15 @@ TEST(LazyEvalTest, LazyRegretMatchesEagerFrontierRegret) {
 
   EXPECT_TRUE(eager.regret_available);
   ExpectSameRun(eager, lazy_run);
-  // The exhaustive fallback materialized everything.
+  // The exhaustive fallback materialized everything. With regret on the
+  // engine reads the realized lattice in full, so the scan re-reads those
+  // cells from the memo and never upgrades one: the counters are those of
+  // a run without estimate-only reads.
   EXPECT_EQ(lazy->masks_materialized(),
             static_cast<uint64_t>(lazy->num_frames()) *
                 matrix.num_ensembles());
+  EXPECT_EQ(lazy->memo_hits(), 470u);
+  EXPECT_EQ(lazy->cells_upgraded(), 0u);
 }
 
 TEST(LazyEvalTest, RegretSkippedWhenDisabled) {

@@ -36,6 +36,7 @@
 #include "sim/dataset.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
+#include "temporal/gate.h"
 
 namespace vqe {
 namespace {
@@ -431,6 +432,61 @@ TEST(ResumeTest, LazyMesSnapshotSizeDoesNotGrowWithTheVideo) {
   const size_t late = size_at(450);
   EXPECT_EQ(early, late);
   EXPECT_LT(early, 4096u);
+}
+
+// The skip gate's tracker keeps live tracks only, so a gated run's
+// `temporal` section is a fixed block plus 104 bytes (13 eight-byte
+// fields) per live track, however long the video: 836 / 836 / 1,148 bytes
+// at frames 150 / 450 / 899 here, where keeping every retired track made
+// it 16,852 / 35,988 / 64,380. The live-track count is read back by
+// restoring the section into a fresh gate.
+TEST(TrackerStateTest, GatedSnapshotTemporalSectionHoldsLiveTracksOnly) {
+  const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-lowmotion");
+  SampleOptions sample;
+  sample.scene_scale = 1.0;
+  sample.seed = 7;
+  Video video = std::move(SampleVideo(*spec, sample)).value();
+  ASSERT_GE(video.size(), 900u);
+  video.frames.resize(900);
+  const DetectorPool pool = std::move(BuildPoolForDataset(spec->name)).value();
+  auto lazy = std::move(LazyFrameEvaluator::Create(std::move(video), pool,
+                                                   /*trial_seed=*/7))
+                  .value();
+  DucbMesStrategy dmes;
+  EngineOptions engine;
+  engine.strategy_seed = 7;
+  engine.compute_regret = false;
+  engine.skip.mode = SkipMode::kDifficultyGated;
+  engine.skip.skip_budget = 4;
+  auto run = std::move(EngineRun::Create(*lazy, &dmes, engine)).value();
+
+  // A fresh gate's state plus the engine's normalizer (one F64) is the
+  // fixed part.
+  auto fresh = std::move(TemporalGate::Create(engine.skip)).value();
+  ByteWriter fresh_state;
+  ASSERT_TRUE(fresh->SaveState(fresh_state).ok());
+  const size_t fixed = sizeof(double) + fresh_state.size();
+
+  const std::pair<size_t, size_t> expected[] = {
+      {150, 836}, {450, 836}, {899, 1148}};
+  for (const auto& [frame, bytes] : expected) {
+    while (run->next_frame() < frame) ASSERT_TRUE(run->StepFrame().ok());
+    const SnapshotReader snapshot =
+        std::move(SnapshotReader::Parse(
+                      std::move(run->ExportSnapshot()).value()))
+            .value();
+    ByteReader section =
+        std::move(snapshot.Section(kTemporalSection)).value();
+    const size_t section_bytes = section.remaining();
+    double last_max_cost_ms = 0.0;
+    ASSERT_TRUE(section.F64(&last_max_cost_ms).ok());
+    auto restored = std::move(TemporalGate::Create(engine.skip)).value();
+    ASSERT_TRUE(restored->RestoreState(section).ok());
+    ASSERT_TRUE(section.ExpectEnd().ok());
+    const size_t live = restored->tracker().tracks().size();
+    EXPECT_EQ(section_bytes, fixed + 104 * live) << "frame " << frame;
+    EXPECT_EQ(section_bytes, bytes) << "frame " << frame;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "core/baselines.h"
 #include "core/ducb.h"
@@ -29,6 +30,7 @@
 #include "models/model_zoo.h"
 #include "runtime/breaker_registry.h"
 #include "runtime/fault_injection.h"
+#include "serve/latency_histogram.h"
 #include "serve/overload.h"
 #include "serve/scheduler.h"
 #include "serve/stream_session.h"
@@ -718,6 +720,72 @@ TEST(SamplePercentileTest, ClampsAndSelectsInPlace) {
     EXPECT_EQ(SamplePercentileInPlace(in_place, q), SamplePercentile(ten, q))
         << "q=" << q;
   }
+}
+
+// The scheduler's bounded stand-in for keeping every frame latency: each
+// percentile is the upper edge of a 64-per-octave bucket, so it lies in
+// [exact, exact·(1 + ε)] with ε = 2^(1/64) − 1 < 1.1 %, where exact is the
+// nearest-rank percentile of the same samples. Zeros report exactly 0.
+TEST(LatencyHistogramTest, PercentilesStayWithinOneBucketOfExact) {
+  const double kEpsilon = 0.011;
+  const double kQuantiles[] = {0.0, 0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0};
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    Rng rng(seed);
+    for (const size_t n : {1u, 2u, 17u, 1000u, 5000u}) {
+      LatencyHistogram hist;
+      std::vector<double> samples;
+      for (size_t i = 0; i < n; ++i) {
+        double v = 0.0;
+        switch (rng.UniformInt(5)) {
+          case 0:  // exact zero
+            break;
+          case 1:  // tiny
+            v = std::pow(10.0, rng.Uniform(-12.0, -9.0));
+            break;
+          case 2:  // huge
+            v = std::pow(10.0, rng.Uniform(6.0, 12.0));
+            break;
+          case 3:  // an exact bucket edge or power of two
+            v = std::exp2(static_cast<double>(rng.UniformInt(129)) / 64.0 -
+                          1.0);
+            break;
+          default:  // typical frame latencies
+            v = std::pow(10.0, rng.Uniform(-3.0, 3.0));
+            break;
+        }
+        hist.Add(v);
+        samples.push_back(v);
+      }
+      ASSERT_EQ(hist.count(), n);
+      for (const double q : kQuantiles) {
+        const double exact = SamplePercentile(samples, q);
+        const double got = hist.Percentile(q);
+        EXPECT_GE(got, exact) << "seed " << seed << " n " << n << " q " << q;
+        EXPECT_LE(got, exact * (1.0 + kEpsilon))
+            << "seed " << seed << " n " << n << " q " << q;
+      }
+    }
+  }
+}
+
+TEST(LatencyHistogramTest, EmptyZerosAndMemoryBound) {
+  LatencyHistogram empty;
+  EXPECT_EQ(empty.Percentile(0.5), 0.0);
+  LatencyHistogram zeros;
+  for (int i = 0; i < 10; ++i) zeros.Add(0.0);
+  EXPECT_EQ(zeros.Percentile(1.0), 0.0);
+  EXPECT_EQ(zeros.num_buckets(), 0u);
+
+  // A million log-uniform samples over six decades hold at most the
+  // buckets of six decades (about 20 octaves), not a million counters.
+  LatencyHistogram many;
+  Rng rng(9);
+  for (int i = 0; i < 1000000; ++i) {
+    many.Add(std::pow(10.0, rng.Uniform(-3.0, 3.0)));
+  }
+  EXPECT_EQ(many.count(), 1000000u);
+  EXPECT_LE(many.num_buckets(),
+            static_cast<size_t>(std::ceil(6.0 * std::log2(10.0) * 64.0)) + 1);
 }
 
 TEST(OverloadOptionsTest, DisabledBypassesValidation) {

@@ -109,10 +109,14 @@ TEST(TrackerTest, MissedTracksRetire) {
   tracker.Update({}, 1);
   tracker.Update({}, 2);
   EXPECT_EQ(tracker.tracks().size(), 1u);  // still coasting (missed == 2)
+  EXPECT_TRUE(tracker.retired().empty());
   tracker.Update({}, 3);
   EXPECT_EQ(tracker.tracks().size(), 0u);
-  ASSERT_EQ(tracker.finished_tracks().size(), 1u);
-  EXPECT_EQ(tracker.finished_tracks()[0].hits, 1);
+  ASSERT_EQ(tracker.retired().size(), 1u);
+  EXPECT_EQ(tracker.retired()[0].hits, 1);
+  // retired() describes the latest Update only.
+  tracker.Update({}, 4);
+  EXPECT_TRUE(tracker.retired().empty());
 }
 
 TEST(TrackerTest, ReacquisitionWithinGraceWindow) {
@@ -159,6 +163,110 @@ TEST(TrackerTest, ResetClearsState) {
   EXPECT_TRUE(tracker.tracks().empty());
   tracker.Update({Det(0, 0, 40, 40, 0.9)}, 0);
   EXPECT_EQ(tracker.tracks()[0].track_id, 1);  // ids restart
+}
+
+// ------------------------------------------------------ tracker state ---
+
+/// One track in the tracker's wire layout (13 eight-byte fields).
+void WriteTrack(ByteWriter& w, const Track& t) {
+  w.I64(t.track_id);
+  w.I64(t.label);
+  w.F64(t.box.x1);
+  w.F64(t.box.y1);
+  w.F64(t.box.x2);
+  w.F64(t.box.y2);
+  w.F64(t.confidence);
+  w.I64(t.hits);
+  w.I64(t.missed);
+  w.I64(t.first_frame);
+  w.I64(t.last_frame);
+  w.F64(t.vx);
+  w.F64(t.vy);
+}
+
+/// Drives a tracker through births, matches and retirements.
+void Drive(IouTracker& tracker, int64_t from, int64_t to) {
+  for (int64_t f = from; f < to; ++f) {
+    DetectionList dets;
+    // Object 0 persists; object 1 appears only on even frames of the first
+    // ten, so its tracks keep retiring; object 2 shows up late.
+    dets.push_back(Det(2.0 * f, 0, 40, 40, 0.9));
+    if (f < 10 && f % 2 == 0) dets.push_back(Det(200, 200, 30, 30, 0.8));
+    if (f >= 12) dets.push_back(Det(400, 50, 30, 30, 0.7, /*label=*/1));
+    tracker.Update(dets, f);
+  }
+}
+
+// The tracker keeps live tracks only and writes an always-empty finished
+// list. Payloads of builds that kept every retired track there still
+// restore: the list is validated and dropped, and the restored tracker
+// saves and continues exactly like the one that never held it.
+TEST(TrackerStateTest, OlderPayloadWithFinishedTracksRestoresTheLiveState) {
+  TrackerOptions opt;
+  opt.max_missed = 1;
+  IouTracker tracker(opt);
+  std::vector<Track> retired;
+  for (int64_t f = 0; f < 16; ++f) {
+    Drive(tracker, f, f + 1);
+    retired.insert(retired.end(), tracker.retired().begin(),
+                   tracker.retired().end());
+  }
+  ASSERT_FALSE(retired.empty());
+  ASSERT_FALSE(tracker.tracks().empty());
+
+  ByteWriter now;
+  ASSERT_TRUE(tracker.SaveState(now).ok());
+  // The older layout: the same fields with every retired track listed.
+  ByteReader head(now.bytes().data(), now.size());
+  int64_t next_id = 0;
+  ASSERT_TRUE(head.I64(&next_id).ok());
+  ByteWriter older_payload;
+  older_payload.I64(next_id);
+  older_payload.U64(tracker.tracks().size());
+  for (const Track& t : tracker.tracks()) WriteTrack(older_payload, t);
+  older_payload.U64(retired.size());
+  for (const Track& t : retired) WriteTrack(older_payload, t);
+  // Without the retired tracks the older payload is exactly today's.
+  ASSERT_EQ(older_payload.size(), now.size() + 104 * retired.size());
+
+  IouTracker restored(opt);
+  ByteReader reader(older_payload.bytes().data(), older_payload.size());
+  ASSERT_TRUE(restored.RestoreState(reader).ok());
+  EXPECT_TRUE(reader.ExpectEnd().ok());
+  EXPECT_TRUE(restored.retired().empty());
+  ByteWriter resaved;
+  ASSERT_TRUE(restored.SaveState(resaved).ok());
+  EXPECT_EQ(resaved.bytes(), now.bytes());
+
+  Drive(tracker, 16, 24);
+  Drive(restored, 16, 24);
+  ByteWriter a, b;
+  ASSERT_TRUE(tracker.SaveState(a).ok());
+  ASSERT_TRUE(restored.SaveState(b).ok());
+  EXPECT_EQ(a.bytes(), b.bytes());
+}
+
+// A truncated finished list is malformed: DataLoss, and the target keeps
+// its state.
+TEST(TrackerStateTest, TruncatedFinishedListIsDataLossAndLeavesTargetAsIs) {
+  IouTracker source;
+  Drive(source, 0, 6);
+  ByteWriter payload;
+  payload.I64(9);
+  payload.U64(source.tracks().size());
+  for (const Track& t : source.tracks()) WriteTrack(payload, t);
+  payload.U64(2);  // claims two finished tracks, carries one
+  WriteTrack(payload, source.tracks()[0]);
+
+  IouTracker target;
+  Drive(target, 0, 3);
+  ByteWriter before;
+  ASSERT_TRUE(target.SaveState(before).ok());
+  ByteReader reader(payload.bytes().data(), payload.size());
+  EXPECT_EQ(target.RestoreState(reader).code(), StatusCode::kDataLoss);
+  ByteWriter after;
+  ASSERT_TRUE(target.SaveState(after).ok());
+  EXPECT_EQ(after.bytes(), before.bytes());
 }
 
 // ------------------------------------------------- coasting (skip path) --
@@ -215,7 +323,7 @@ TEST(TrackerCoastTest, CoastingDoesNotAgeOrRetireTracks) {
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.Age(), before.Age());
   EXPECT_TRUE(after.UpdatedThisFrame());
-  EXPECT_TRUE(tracker.finished_tracks().empty());
+  EXPECT_TRUE(tracker.retired().empty());
 }
 
 // After coasting, a fresh detection near the coasted position must

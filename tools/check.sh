@@ -12,14 +12,16 @@
 # The sanitizer passes rebuild into build-asan/, build-tsan/ and
 # build-ubsan/ (all .gitignore'd) and run the suites that exercise the
 # shared thread pool, the chunked ParallelFor scheduler, the pairwise-IoU
-# tile shared across fusion calls, lazy-vs-eager evaluation equivalence,
+# tile shared across fusion calls, the class-major fuse-and-score kernel,
+# lazy-vs-eager evaluation equivalence (estimate-only cells included),
 # the fault-tolerant detector runtime (retry/breaker/degradation), the
 # snapshot/checkpoint stack (hostile-byte parsing plus the crash-resume
 # matrix) — corrupt snapshots must fail with a clean Status, never UB —
 # and the serving layer (scheduler rounds stepping sessions in parallel,
 # the thread pool shutdown contract), plus the temporal skip gate
-# (tracker propagation, skip-policy snapshots, and the skip-enabled
-# crash-resume and disabled-path invariants), plus the sharded fleet
+# (tracker propagation and state, skip-policy snapshots, and the
+# skip-enabled crash-resume and disabled-path invariants), plus the
+# scheduler's latency histogram, plus the sharded fleet
 # (shard threads stepping concurrently between serial control phases,
 # live migration payloads, scripted chaos — concurrent shards must be
 # race-free under TSan and a corrupted payload must reject with a clean
@@ -115,11 +117,11 @@ run_sanitizer() {
   dir="build-$2"
   cmake -B "$dir" -S . -DVQE_SANITIZE="$san" >/dev/null
   cmake --build "$dir" -j --target \
-    thread_pool_test determinism_test fusion_test lazy_eval_test \
-    runtime_test snapshot_test resume_test serialization_test serve_test \
-    fleet_test temporal_test tracker_test workload_test obs_test
+    thread_pool_test determinism_test fusion_test class_major_test \
+    lazy_eval_test runtime_test snapshot_test resume_test serialization_test \
+    serve_test fleet_test temporal_test tracker_test workload_test obs_test
   ctest --test-dir "$dir" --output-on-failure -j 4 \
-    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|FusionProperty|FaultInjection|RetryTest|CircuitBreaker|ResilientDetector|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|Workload|Overload|SamplePercentile|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState"
+    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|LazyMemo|FusionProperty|ClassMajorKernel|FaultInjection|RetryTest|CircuitBreaker|ResilientDetector|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|TrackerState|Workload|Overload|SamplePercentile|LatencyHistogram|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState"
 }
 
 stage() {
