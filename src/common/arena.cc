@@ -21,7 +21,6 @@ FrameArena::~FrameArena() { ReleaseAll(); }
 
 void* FrameArena::Allocate(size_t bytes, size_t align) {
   assert(align > 0 && (align & (align - 1)) == 0);
-  ++stats_.alloc_calls;
   if (blocks_.empty()) NextBlock(bytes + align);
   // Align the absolute address, not the intra-block offset: block bases
   // from ::operator new only honour fundamental alignment, so a request
@@ -40,8 +39,6 @@ void* FrameArena::Allocate(size_t bytes, size_t align) {
   }
   void* p = blocks_[cur_block_].data + offset;
   cur_offset_ = offset + bytes;
-  const size_t live = live_bytes();
-  if (live > stats_.high_water_bytes) stats_.high_water_bytes = live;
   return p;
 }
 
@@ -62,7 +59,6 @@ void FrameArena::NextBlock(size_t bytes) {
   b.data = static_cast<char*>(::operator new(size));
   b.size = size;
   ++stats_.block_allocs;
-  stats_.bytes_reserved += size;
   blocks_.insert(blocks_.begin() + static_cast<ptrdiff_t>(next), b);
   cur_block_ = next;
   cur_offset_ = 0;

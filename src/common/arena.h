@@ -34,12 +34,6 @@ class FrameArena {
   struct Stats {
     /// Heap blocks ever requested from the system allocator.
     uint64_t block_allocs = 0;
-    /// Total bytes of those blocks.
-    uint64_t bytes_reserved = 0;
-    /// Allocate() calls served (bumps, not heap traffic).
-    uint64_t alloc_calls = 0;
-    /// Maximum live bytes observed across the arena's lifetime.
-    uint64_t high_water_bytes = 0;
   };
 
   /// Position for Rewind: the block index and intra-block offset at the

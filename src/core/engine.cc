@@ -51,8 +51,7 @@ Result<std::unique_ptr<EngineRun>> EngineRun::Create(
     if (!source.SupportsPropagation()) {
       return Status::InvalidArgument(
           "skip-enabled run needs a source with temporal propagation "
-          "support (LazyFrameEvaluator, or a matrix built with "
-          "keep_temporal_outputs)");
+          "support (LazyFrameEvaluator; an eager FrameMatrix has none)");
     }
     VQE_ASSIGN_OR_RETURN(run->gate_, TemporalGate::Create(options.skip));
   }
@@ -98,17 +97,15 @@ Status EngineRun::Init() {
   if (options_.checkpoint.enabled()) {
     ckpt_ = std::make_unique<CheckpointManager>(
         options_.checkpoint.directory, options_.checkpoint.keep_generations);
-    if (options_.checkpoint.resume) {
-      Result<CheckpointManager::Loaded> loaded = ckpt_->LoadLatestGood();
-      if (loaded.ok()) {
-        result_.checkpoint.generations_rejected = loaded->rejected;
-        VQE_RETURN_NOT_OK(RestoreFromSnapshot(loaded->snapshot));
-        result_.checkpoint.resumed = true;
-        result_.checkpoint.resumed_from_frame = next_frame_;
-        next_generation_ = loaded->sequence + 1;
-      } else if (loaded.status().code() != StatusCode::kNotFound) {
-        return loaded.status();
-      }
+    Result<CheckpointManager::Loaded> loaded = ckpt_->LoadLatestGood();
+    if (loaded.ok()) {
+      result_.checkpoint.generations_rejected = loaded->rejected;
+      VQE_RETURN_NOT_OK(RestoreFromSnapshot(loaded->snapshot));
+      result_.checkpoint.resumed = true;
+      result_.checkpoint.resumed_from_frame = next_frame_;
+      next_generation_ = loaded->sequence + 1;
+    } else if (loaded.status().code() != StatusCode::kNotFound) {
+      return loaded.status();
     }
   }
   if (options_.obs.enabled()) SetObs(options_.obs);

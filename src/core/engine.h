@@ -61,7 +61,8 @@ struct EngineOptions {
   /// Temporal-coherence fast path: frames the gate deems redundant are
   /// answered by coasting confirmed tracks instead of running detectors,
   /// charging only SimulatedTrackerCostMs to the ledger. Requires an
-  /// evaluation source with SupportsPropagation() when enabled. The
+  /// evaluation source with SupportsPropagation() (a LazyFrameEvaluator)
+  /// when enabled. The
   /// default (!skip.enabled()) constructs no gate and leaves every code
   /// path byte-identical to a skip-free build.
   SkipOptions skip;

@@ -4,8 +4,9 @@
 //   * MatrixEvaluationSource — an eagerly built FrameMatrix (all 2^m − 1
 //     masks per frame), viewed or owned. Still the right backend for
 //     strategies that read the whole lattice anyway (OPT's oracle scan,
-//     BF's full-pool selection), for regret measurement, for the Figure 3
-//     per-ensemble aggregates and for matrix serialization.
+//     BF's full-pool selection), for regret measurement and for the
+//     Figure 3 per-ensemble aggregates. It keeps no boxes or ground truth,
+//     so it serves no skip-enabled run.
 //
 //   * LazyFrameEvaluator (core/lazy_frame_evaluator.h) — materializes a
 //     ⟨est_ap, true_ap, cost, overhead⟩ cell on first access, memoized
@@ -15,7 +16,8 @@
 //     so runs cost O(|V|·2^|S|) fusions instead of O(|V|·2^m). Per-model
 //     outputs live only while their frame is evaluated; a touched frame
 //     keeps its cells and Stats() scalars for the evaluator's lifetime
-//     (never in a snapshot).
+//     (never in a snapshot). It implements the temporal-propagation
+//     hooks, so every skip-enabled run uses it.
 //
 // Both run mask evaluations through the same FrameEvalContext kernel, so
 // every value a strategy can observe is bit-identical across sources.
@@ -91,8 +93,9 @@ class EvaluationSource {
   virtual SceneContext PeekContext(size_t t) { return Stats(t).context; }
 
   /// True when the source implements the temporal-propagation hooks below
-  /// (ScorePropagated, FusedOutput). EngineRun::Create rejects
-  /// skip-enabled runs on sources that do not.
+  /// (ScorePropagated, FusedOutput): LazyFrameEvaluator and wrappers that
+  /// forward to one. EngineRun::Create rejects skip-enabled runs on
+  /// sources that do not, MatrixEvaluationSource among them.
   virtual bool SupportsPropagation() const { return false; }
 
   /// AP of caller-provided (tracker-propagated) detections against frame
@@ -127,8 +130,8 @@ class EvaluationSource {
   /// Evaluation sources carry no snapshot state: cells are pure functions
   /// of (frame, mask) and a restored run never reads a frame it already
   /// stepped past, so engine snapshots have no source section and the
-  /// engine calls neither hook. Both are no-ops kept for wrappers that
-  /// still forward them.
+  /// engine calls neither hook. Both are no-ops, kept only because
+  /// perfbench's TimedSource still forwards them.
   virtual Status SaveState(ByteWriter& writer) const {
     (void)writer;
     return Status::OK();
@@ -185,28 +188,6 @@ class MatrixEvaluationSource final : public EvaluationSource {
 
   SceneContext PeekContext(size_t t) override {
     return matrix_->frames[t].context;
-  }
-
-  /// Only matrices built with keep_temporal_outputs carry the ground
-  /// truth and fused boxes the gate needs.
-  bool SupportsPropagation() const override {
-    return matrix_->temporal_outputs;
-  }
-
-  Result<double> ScorePropagated(size_t t,
-                                 const DetectionList& dets) override {
-    if (!matrix_->temporal_outputs) {
-      return Status::FailedPrecondition(
-          "matrix built without keep_temporal_outputs");
-    }
-    const GroundTruthIndex index =
-        BuildGroundTruthIndex(matrix_->frames[t].gt_objects);
-    return FrameMeanAp(dets, index, matrix_->ap);
-  }
-
-  const DetectionList* FusedOutput(size_t t, EnsembleId mask) override {
-    if (!matrix_->temporal_outputs) return nullptr;
-    return &matrix_->frames[t].fused[mask];
   }
 
   const FrameMatrix& matrix() const { return *matrix_; }

@@ -80,12 +80,6 @@ class CatchUpSource final : public EvaluationSource {
     CatchUp(t);
     return inner_->FusedOutput(t, mask);
   }
-  Status SaveState(ByteWriter& writer) const override {
-    return inner_->SaveState(writer);
-  }
-  Status RestoreState(ByteReader& reader) override {
-    return inner_->RestoreState(reader);
-  }
 
  private:
   void CatchUp(size_t t) {
@@ -209,15 +203,7 @@ Result<FrameMatrix> BuildTrialMatrix(const ExperimentConfig& config,
   sample.seed = trial_seed;
   VQE_ASSIGN_OR_RETURN(Video video, SampleVideo(*config.dataset, sample));
   if (config.video_transform) config.video_transform(video, trial_seed);
-  // A skip-enabled engine scores propagated detections against ground
-  // truth, which the eager backend can only do when the matrix kept its
-  // per-frame temporal outputs — flip the flag rather than make every
-  // caller remember the coupling.
-  MatrixOptions matrix_options = config.matrix;
-  if (config.engine.skip.enabled()) {
-    matrix_options.keep_temporal_outputs = true;
-  }
-  return BuildFrameMatrix(video, pool, trial_seed, matrix_options);
+  return BuildFrameMatrix(video, pool, trial_seed, config.matrix);
 }
 
 Result<std::unique_ptr<LazyFrameEvaluator>> BuildTrialEvaluator(
@@ -262,14 +248,14 @@ Result<ExperimentResult> RunExperiment(
     o.runs.resize(static_cast<size_t>(config.trials));
   }
 
-  // Resolve the evaluation mode once, before any trial runs. kAuto goes
-  // lazy only when laziness can pay off: every strategy in the line-up is
-  // online (!needs_full_lattice()) and the engine will not run the
-  // full-lattice regret scan. Factories are instantiated once here purely
-  // to read the flag; trial runs make fresh instances as before.
-  bool lazy = config.evaluation == EvaluationMode::kLazy;
-  if (config.evaluation == EvaluationMode::kAuto &&
-      !config.engine.compute_regret) {
+  // Resolve the backend once, before any trial runs. Skip-enabled runs
+  // need the lazy source's propagation hooks. Otherwise go lazy only when
+  // laziness can pay off: every strategy in the line-up is online
+  // (!needs_full_lattice()) and the engine will not run the full-lattice
+  // regret scan. Factories are instantiated once here purely to read the
+  // flag; trial runs make fresh instances as before.
+  bool lazy = config.engine.skip.enabled();
+  if (!lazy && !config.engine.compute_regret) {
     lazy = true;
     for (const auto& spec : strategies) {
       auto probe = spec.make == nullptr ? nullptr : spec.make();

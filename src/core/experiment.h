@@ -27,20 +27,6 @@ struct StrategySpec {
   std::function<std::unique_ptr<SelectionStrategy>()> make;
 };
 
-/// How each trial materializes its frame evaluations.
-enum class EvaluationMode {
-  /// Lazy when it can only help: every strategy is online
-  /// (!needs_full_lattice()) and the engine skips the regret baseline
-  /// (engine.compute_regret == false, since regret scans the full lattice
-  /// anyway). Otherwise eager.
-  kAuto,
-  /// Always build the full FrameMatrix per trial (the original pipeline).
-  kEager,
-  /// Always run strategies against a LazyFrameEvaluator. Useful for
-  /// equivalence testing; slower than eager for full-lattice strategies.
-  kLazy,
-};
-
 /// Experiment configuration.
 struct ExperimentConfig {
   const DatasetSpec* dataset = nullptr;
@@ -60,10 +46,6 @@ struct ExperimentConfig {
   int parallelism = 0;
   MatrixOptions matrix;
   EngineOptions engine;
-  /// Eager matrix vs. lazy memoized evaluation (see EvaluationMode).
-  /// Either way every observable value is bit-identical; only the amount
-  /// of fusion work differs.
-  EvaluationMode evaluation = EvaluationMode::kAuto;
   /// Per-detector fault scripts, index-aligned with the pool. Empty means
   /// no injection; otherwise the size must equal the pool size and
   /// RunExperiment decorates each detector with its script (the reference
@@ -124,13 +106,20 @@ struct ExperimentResult {
   const StrategyOutcome* Find(const std::string& label) const;
 };
 
-/// Runs `strategies` over `config.trials` independent trials.
+/// Runs `strategies` over `config.trials` independent trials. Each trial
+/// runs its line-up on a LazyFrameEvaluator when that can only help —
+/// the skip gate is enabled (it needs the lazy source's propagation
+/// hooks), or the engine skips the regret baseline and no strategy
+/// needs_full_lattice() — and on an eagerly built FrameMatrix otherwise.
+/// Either way every observable value is bit-identical; only the amount
+/// of fusion work differs.
 Result<ExperimentResult> RunExperiment(
     const ExperimentConfig& config, const DetectorPool& pool,
     const std::vector<StrategySpec>& strategies);
 
 /// Samples one trial's video and builds its matrix (for benches that work
-/// on the matrix directly, e.g. the Figure 3 scatter).
+/// on the matrix directly, e.g. the Figure 3 scatter). A matrix serves no
+/// skip-enabled run; those run on BuildTrialEvaluator.
 Result<FrameMatrix> BuildTrialMatrix(const ExperimentConfig& config,
                                      const DetectorPool& pool,
                                      uint64_t trial_index);

@@ -101,7 +101,7 @@ class FrameEvalContext {
 
   /// Fuses one mask into `*out` (cleared first, capacity kept) exactly as
   /// EnsembleMethod::FuseInto lists it, scoring nothing — for callers
-  /// that need the boxes (tracker ingest, kept temporal outputs).
+  /// that need the boxes (the skip gate's tracker ingest).
   void Fuse(EnsembleId mask, DetectionList* out);
 
   /// The frame's SoA detection store (empty unless the fusion method

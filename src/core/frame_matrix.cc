@@ -83,8 +83,6 @@ Result<FrameMatrix> BuildFrameMatrix(const Video& video,
 
   FrameMatrix matrix;
   matrix.num_models = m;
-  matrix.ap = options.ap;
-  matrix.temporal_outputs = options.keep_temporal_outputs;
   matrix.model_names.reserve(pool.detectors.size());
   for (const auto& d : pool.detectors) matrix.model_names.push_back(d->name());
   // Pre-sized slots: frame t is a pure function of (video.frames[t],
@@ -104,22 +102,17 @@ Result<FrameMatrix> BuildFrameMatrix(const Video& video,
     // The shared per-frame kernel (also behind LazyFrameEvaluator, which
     // is what keeps lazy and eager bit-identical by construction) caches
     // the per-model outputs once; the loop below materializes the full
-    // mask lattice from it — the eager path OPT/BF, the Figure 3
-    // aggregates and serialization rely on.
+    // mask lattice from it — the eager path OPT/BF and the Figure 3
+    // aggregates rely on.
     FrameEvalContext ctx(frame, pool, trial_seed, options, *fusion);
     fe.model_cost_ms = ctx.model_cost_ms();
     fe.ref_cost_ms = ctx.ref_cost_ms();
     fe.available_mask = ctx.available_mask();
     fe.model_fault_ms = ctx.model_fault_ms();
     fe.fault_aware = true;
-    if (options.keep_temporal_outputs) {
-      fe.gt_objects = frame.objects;
-      fe.fused.resize(num_masks + 1);
-    }
 
     for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
       const MaskEvaluation e = ctx.Evaluate(mask);
-      if (options.keep_temporal_outputs) ctx.Fuse(mask, &fe.fused[mask]);
       fe.fusion_overhead_ms[mask] = e.fusion_overhead_ms;
       fe.cost_ms[mask] = e.cost_ms;
       fe.est_ap[mask] = e.est_ap;

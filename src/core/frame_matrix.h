@@ -40,18 +40,9 @@ struct MatrixOptions {
   int parallelism = 0;
   /// Deadline/retry policy for each detector call (runtime/retry.h). The
   /// default (one attempt, no deadline) reproduces the pre-runtime behavior
-  /// bit-for-bit. Shared by the eager build and the lazy evaluator so both
-  /// backends see identical call outcomes.
+  /// bit-for-bit. Shared by the eager build, the lazy evaluator and the
+  /// query executor, so every path sees identical call outcomes.
   RetryPolicy retry;
-  /// Keep the per-frame ground truth and every mask's fused DetectionList
-  /// in the matrix (FrameEvaluation::{gt_objects, fused}) so the eager
-  /// backend can serve the temporal skip gate: the gate ingests the
-  /// realized mask's fused boxes into its tracker and scores propagated
-  /// boxes against ground truth without re-running anything. Off by
-  /// default — it multiplies matrix memory by the lattice's box count and
-  /// only skip-enabled eager runs read it. In-memory only: the matrix
-  /// serializer does not persist these fields.
-  bool keep_temporal_outputs = false;
 
   Status Validate() const;
 };
@@ -92,11 +83,6 @@ struct FrameEvaluation {
   /// matrices in tests leave it false, and the engine then treats every
   /// model as available.
   bool fault_aware = false;
-  /// Populated only under MatrixOptions::keep_temporal_outputs: the
-  /// frame's ground truth and each mask's fused output (indexed by
-  /// EnsembleId, index 0 unused), for the temporal skip gate.
-  GroundTruthList gt_objects;
-  std::vector<DetectionList> fused;
 };
 
 /// The whole evaluation matrix for one (video, trial) pair.
@@ -104,11 +90,6 @@ struct FrameMatrix {
   int num_models = 0;
   std::vector<std::string> model_names;
   std::vector<FrameEvaluation> frames;
-  /// AP options the matrix was scored with; the temporal skip path reuses
-  /// them to score propagated detections on the same scale.
-  ApOptions ap;
-  /// True when frames carry gt_objects/fused (keep_temporal_outputs).
-  bool temporal_outputs = false;
 
   size_t size() const { return frames.size(); }
   uint32_t num_ensembles() const { return NumEnsembles(num_models); }

@@ -117,8 +117,8 @@ class SelectionStrategy {
   /// full-pool subset updates — so an eagerly built FrameMatrix is at
   /// least as fast as lazy materialization. Online strategies that only
   /// touch their selections' subset lattices return false (the default)
-  /// and profit from a lazy source (experiment.h's EvaluationMode::kAuto
-  /// switches on this hook).
+  /// and profit from a lazy source (RunExperiment picks its backend from
+  /// this hook, the regret setting and the skip gate).
   virtual bool needs_full_lattice() const { return false; }
 
   /// True when BeginVideo reads the oracle over the whole video before

@@ -29,11 +29,7 @@ Status FleetOptions::Validate() const {
   if (max_restarts < 0) {
     return Status::InvalidArgument("max_restarts must be >= 0");
   }
-  if (rebalance_threshold < 0) {
-    return Status::InvalidArgument("rebalance_threshold must be >= 0");
-  }
-  VQE_RETURN_NOT_OK(shard.Validate());
-  return fleet_breaker.Validate();
+  return shard.Validate();
 }
 
 ShardedServer::ShardedServer(FleetOptions options)
@@ -80,9 +76,8 @@ struct Shard {
 
 /// One shard's step phase, on its own thread: build the placed sessions,
 /// then run DRR rounds until the shard drains or its next scripted event
-/// is due — or after one round when `one_round` is set.
-void StepShard(Shard& shard, const std::vector<StreamState>& streams,
-               bool one_round) {
+/// is due.
+void StepShard(Shard& shard, const std::vector<StreamState>& streams) {
   for (const size_t index : shard.placed) {
     const FleetStreamSpec& spec = streams[index].spec;
     Status status = [&]() -> Status {
@@ -108,7 +103,7 @@ void StepShard(Shard& shard, const std::vector<StreamState>& streams,
       return;
     }
     ++shard.rounds_run;
-    if (one_round || shard.EventDue()) return;
+    if (shard.EventDue()) return;
   }
 }
 
@@ -136,7 +131,7 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
   }
 
   Stopwatch wall;
-  BreakerRegistry fleet_health(options_.fleet_breaker);
+  BreakerRegistry fleet_health(options_.shard.fleet_breaker);
 
   // Coordinator-side observability (wall domain; see FleetOptions::obs).
   // Instant-event timestamps ride the real wall clock of the calling
@@ -433,40 +428,8 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
     restart_stream(index, status);
   };
 
-  // Skew rebalancing: move one live stream from the most to the least
-  // loaded shard when the spread reaches the threshold.
-  auto rebalance = [&] {
-    if (options_.rebalance_threshold <= 0) return;
-    int busiest = -1, idlest = -1;
-    for (int i = 0; i < options_.num_shards; ++i) {
-      if (shards[static_cast<size_t>(i)]->dead) continue;
-      if (busiest < 0 ||
-          load[static_cast<size_t>(i)] > load[static_cast<size_t>(busiest)]) {
-        busiest = i;
-      }
-      if (idlest < 0 ||
-          load[static_cast<size_t>(i)] < load[static_cast<size_t>(idlest)]) {
-        idlest = i;
-      }
-    }
-    if (busiest < 0 || busiest == idlest ||
-        load[static_cast<size_t>(busiest)] -
-                load[static_cast<size_t>(idlest)] <
-            options_.rebalance_threshold) {
-      return;
-    }
-    // Only a built session can move; streams placed since the last step
-    // phase are not live yet.
-    const std::vector<std::string> live =
-        shards[static_cast<size_t>(busiest)]->scheduler.LiveStreamNames();
-    if (!live.empty()) migrate(live.front(), busiest, idlest);
-  };
-
-  // Rebalancing reads each round's loads, so it steps one round at a time.
-  const bool one_round = options_.rebalance_threshold > 0;
   while (remaining > 0) {
-    // Control phase (this thread, shard order): due chaos, then
-    // rebalancing.
+    // Control phase (this thread, shard order): due chaos.
     for (int i = 0; i < options_.num_shards; ++i) {
       Shard& shard = *shards[static_cast<size_t>(i)];
       while (!shard.dead && shard.EventDue()) {
@@ -478,7 +441,6 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
         }
       }
     }
-    rebalance();
     if (remaining == 0) break;
 
     // Step phase: one thread per live shard with work.
@@ -486,8 +448,7 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
     for (const auto& shard : shards) {
       if (shard->dead || !shard->HasWork()) continue;
       Shard* raw = shard.get();
-      threads.emplace_back(
-          [raw, &streams, one_round] { StepShard(*raw, streams, one_round); });
+      threads.emplace_back([raw, &streams] { StepShard(*raw, streams); });
     }
     if (threads.empty()) {
       return Status::Internal("fleet stalled with " +

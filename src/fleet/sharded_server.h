@@ -5,13 +5,11 @@
 // Architecture. Run alternates two phases until every admitted stream is
 // terminal. The control phase runs serially on the calling thread: each
 // shard's due chaos events in shard order (migrations happen right there,
-// through the wire format), then one rebalancing decision. The step phase
-// starts one thread per live shard with work; the thread builds the
-// sessions newly placed on its shard from their factories and runs DRR
-// rounds until the shard drains or its next chaos event is due (one round
-// when rebalancing is on, since it reads each round's loads). After the
-// join the calling thread collects submit failures and retired streams
-// in shard order. A scheduler is touched by one thread per phase, and
+// through the wire format). The step phase starts one thread per live
+// shard with work; the thread builds the sessions newly placed on its
+// shard from their factories and runs DRR rounds until the shard drains
+// or its next chaos event is due. After the join the calling thread
+// collects submit failures and retired streams in shard order. A scheduler is touched by one thread per phase, and
 // every control decision is taken in a fixed order, so the whole fleet
 // report — wall-clock fields and fleet_health breaker states aside — is
 // a pure function of the inputs.
@@ -89,17 +87,9 @@ struct FleetOptions {
   /// Per-stream failover budget (restarts after shard death or a corrupt
   /// migration payload; per-stream step errors are terminal, not retried).
   int max_restarts = 2;
-  /// When > 0, every control phase migrates one live stream off the most
-  /// loaded shard whenever its stream count exceeds the least loaded
-  /// one's by at least this much, and step phases last one round.
-  /// 0 disables skew rebalancing.
-  int rebalance_threshold = 0;
-  /// Per-shard scheduler knobs (its fleet_breaker field is ignored: all
-  /// shards publish into the single fleet-wide registry below).
+  /// Per-shard scheduler knobs. Its fleet_breaker options configure the
+  /// one fleet-wide per-model breaker registry every shard publishes into.
   ServeOptions shard;
-  /// Options of the fleet-wide per-model breaker registry shared by every
-  /// shard.
-  CircuitBreakerOptions fleet_breaker;
   /// Observability sink. Disabled by default (no metrics, no tracing,
   /// bit-identical results). When enabled, each shard's scheduler gets the
   /// handle with obs_node = its shard id (round spans land on "node i"
@@ -114,9 +104,9 @@ struct FleetOptions {
 
 /// Migration ledger for one Run.
 struct MigrationStats {
-  /// Migrations started by chaos or rebalancing; each one completes,
-  /// falls back to a restart, or aborts, so attempted = completed +
-  /// fallback_restarts + aborted.
+  /// Migrations started by chaos; each one completes, falls back to a
+  /// restart, or aborts, so attempted = completed + fallback_restarts +
+  /// aborted.
   uint64_t attempted = 0;
   /// Sessions successfully implanted on their target shard.
   uint64_t completed = 0;

@@ -17,6 +17,7 @@
 #include "detection/frame_soa.h"
 #include "fusion/iou_cache.h"
 #include "models/model_zoo.h"
+#include "query/explain.h"
 #include "query/parser.h"
 #include "query/predicate.h"
 #include "runtime/resilient_detector.h"
@@ -33,7 +34,6 @@ Status QueryEngineOptions::Validate() const {
   if (gamma < 1) return Status::InvalidArgument("gamma must be >= 1");
   if (sw_window < 2) return Status::InvalidArgument("sw_window must be >= 2");
   VQE_RETURN_NOT_OK(sc.Validate());
-  VQE_RETURN_NOT_OK(retry.Validate());
   VQE_RETURN_NOT_OK(breaker.Validate());
   for (const FaultScript& script : fault_scripts) {
     VQE_RETURN_NOT_OK(script.Validate());
@@ -424,7 +424,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   std::vector<ResilientDetector> runtime;
   runtime.reserve(pool.detectors.size());
   for (const auto& d : pool.detectors) {
-    runtime.emplace_back(d.get(), options.retry, options.breaker);
+    runtime.emplace_back(d.get(), options.matrix.retry, options.breaker);
   }
 
   // Temporal predicates (TRACKS) need an online tracker over the fused
@@ -455,24 +455,30 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   // Checkpointing: fingerprint the query configuration, then try to resume
   // from the newest good generation in the checkpoint directory. The
   // sampling knobs come before the video length they determine, so a
-  // changed seed is reported as the seed.
+  // changed seed is reported as the seed; the pool size comes before the
+  // names, so an added detector is reported as num_models.
   IdentityWriter identity;
   identity.Str("strategy", ToUpper(query.using_clause.strategy))
       .Str("video", query.video_name)
       .U64("seed", sample.seed)
       .F64("scene_scale", sample.scene_scale)
       .U64("num_models", m)
+      .Str("models", Join(out.model_names, ", "))
       .U64("num_video_frames", video.size())
       .U64("stride", stride)
       .F64("budget_ms", query.budget_ms)
       .U64("limit", query.limit)
+      .Str("where", PredicateToString(query.where.get()))
       .F64("sc.w1", options.sc.w1)
       .F64("sc.w2", options.sc.w2)
       .U64("sc.form", static_cast<uint64_t>(options.sc.form))
       .U64("gamma", options.gamma)
       // The effective λ, so a checkpoint taken with a WINDOW clause cannot
       // resume under a different window.
-      .U64("sw_window", query.window > 0 ? query.window : options.sw_window);
+      .U64("sw_window", query.window > 0 ? query.window : options.sw_window)
+      .U64("breaker.failure_threshold", options.breaker.failure_threshold)
+      .U64("breaker.open_frames", options.breaker.open_frames)
+      .U64("breaker.half_open_probes", options.breaker.half_open_probes);
   WriteSkipOptionsIdentity(identity, options.skip);
 
   size_t start_t = 0;
@@ -482,20 +488,17 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   if (options.checkpoint.enabled()) {
     ckpt = std::make_unique<CheckpointManager>(
         options.checkpoint.directory, options.checkpoint.keep_generations);
-    if (options.checkpoint.resume) {
-      Result<CheckpointManager::Loaded> loaded = ckpt->LoadLatestGood();
-      if (loaded.ok()) {
-        out.checkpoint.generations_rejected = loaded->rejected;
-        VQE_RETURN_NOT_OK(RestoreQueryRun(
-            loaded->snapshot, identity, video.size(), strategy.get(),
-            &runtime, standalone_tracker, gate.get(), &out, &start_t,
-            &iteration));
-        out.checkpoint.resumed = true;
-        out.checkpoint.resumed_from_iteration = iteration;
-        next_generation = loaded->sequence + 1;
-      } else if (loaded.status().code() != StatusCode::kNotFound) {
-        return loaded.status();
-      }
+    Result<CheckpointManager::Loaded> loaded = ckpt->LoadLatestGood();
+    if (loaded.ok()) {
+      out.checkpoint.generations_rejected = loaded->rejected;
+      VQE_RETURN_NOT_OK(RestoreQueryRun(
+          loaded->snapshot, identity, video.size(), strategy.get(), &runtime,
+          standalone_tracker, gate.get(), &out, &start_t, &iteration));
+      out.checkpoint.resumed = true;
+      out.checkpoint.resumed_from_iteration = iteration;
+      next_generation = loaded->sequence + 1;
+    } else if (loaded.status().code() != StatusCode::kNotFound) {
+      return loaded.status();
     }
   }
   size_t frames_this_invocation = 0;

@@ -23,7 +23,6 @@
 #include "query/ast.h"
 #include "runtime/circuit_breaker.h"
 #include "runtime/fault_injection.h"
-#include "runtime/retry.h"
 #include "snapshot/checkpoint.h"
 #include "temporal/skip_policy.h"
 
@@ -39,10 +38,10 @@ struct QueryEngineOptions {
   size_t gamma = 10;
   /// λ for SW-MES.
   size_t sw_window = 450;
-  MatrixOptions matrix;  // fusion method + AP options + REF threshold
-  /// Per-call fault-tolerance policy for every pool detector (defaults:
-  /// single attempt, no deadline — bit-identical to the pre-runtime path).
-  RetryPolicy retry;
+  /// Fusion method, AP options, REF threshold, and the per-call retry
+  /// policy of every pool detector (matrix.retry; defaults: single
+  /// attempt, no deadline — bit-identical to the pre-runtime path).
+  MatrixOptions matrix;
   /// Per-model circuit breakers on the frame clock; an open model is masked
   /// out of the strategy's candidate ensembles until it recovers.
   CircuitBreakerOptions breaker;

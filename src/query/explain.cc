@@ -1,5 +1,8 @@
 #include "query/explain.h"
 
+#include <cmath>
+#include <cstdlib>
+
 #include "common/strings.h"
 
 namespace vqe {
@@ -41,11 +44,16 @@ const char* OpName(CompareOp op) {
 }
 
 std::string NumberToString(double v) {
-  // Integers without the trailing ".000000".
-  if (v == static_cast<double>(static_cast<long long>(v))) {
+  // Integers without the trailing ".000000". Only below 2^53 in
+  // magnitude, where every integer is exact and the cast is defined.
+  if (std::fabs(v) < 9007199254740992.0 && v == std::trunc(v)) {
     return std::to_string(static_cast<long long>(v));
   }
-  return StrFormat("%g", v);
+  // %g keeps six significant digits; where that loses the value, 17
+  // digits render it exactly (query identities compare these strings).
+  const std::string short_form = StrFormat("%g", v);
+  if (std::strtod(short_form.c_str(), nullptr) == v) return short_form;
+  return StrFormat("%.17g", v);
 }
 
 }  // namespace
@@ -55,7 +63,14 @@ std::string PredicateToString(const Predicate* pred) {
   switch (pred->type) {
     case Predicate::Type::kComparison: {
       std::string agg = std::string(AggregateName(pred->aggregate.kind)) +
-                        "(" + pred->aggregate.class_name + ")";
+                        "(" + pred->aggregate.class_name;
+      // The confidence floor has no query syntax; show it only when a
+      // programmatically built query changed it.
+      if (pred->aggregate.min_confidence != AggregateExpr{}.min_confidence) {
+        agg += ", min_confidence " +
+               NumberToString(pred->aggregate.min_confidence);
+      }
+      agg += ")";
       if (pred->aggregate.kind == AggregateKind::kExists) return agg;
       return agg + " " + OpName(pred->op) + " " + NumberToString(pred->value);
     }

@@ -12,7 +12,9 @@
 namespace vqe {
 
 /// Renders the predicate tree (parenthesized infix form). A null predicate
-/// renders as "true".
+/// renders as "true". The rendering is exact — every number round-trips
+/// and a non-default aggregate confidence floor is shown — so two trees
+/// render alike only when they filter alike.
 std::string PredicateToString(const Predicate* pred);
 
 /// Renders the full logical plan of a query.

@@ -245,14 +245,6 @@ Result<StreamScheduler::ExtractedSession> StreamScheduler::ExtractSession(
   return Status::NotFound("no live session named '" + name + "'");
 }
 
-std::vector<std::string> StreamScheduler::LiveStreamNames() const {
-  std::vector<std::string> names;
-  names.reserve(active_.size() + queue_.size());
-  for (const auto& slot : active_) names.push_back(slot->session->name());
-  for (const auto& q : queue_) names.push_back(q.session->name());
-  return names;
-}
-
 void StreamScheduler::StepSlotRound(Slot& slot, uint64_t round) {
   StreamSession& session = *slot.session;
   bool stepped = false;

@@ -255,9 +255,6 @@ class StreamScheduler {
   Result<uint64_t> ImplantSession(std::unique_ptr<StreamSession> session,
                                   SessionCarry carry);
 
-  /// Names of every live (active or queued) session, admission order.
-  std::vector<std::string> LiveStreamNames() const;
-
   /// Publish health into `fleet` (shared across shards) instead of the
   /// scheduler-private registry. Must precede the first Submit; the
   /// registry must outlive the scheduler.

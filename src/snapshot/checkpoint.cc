@@ -182,12 +182,8 @@ Result<CheckpointManager::Loaded> CheckpointManager::LoadLatestGood() const {
     loaded.sequence = *it;
     loaded.snapshot = std::move(snap).value();
     loaded.rejected = rejected;
-    corrupt_rejections_.fetch_add(static_cast<uint64_t>(rejected),
-                                  std::memory_order_relaxed);
     return loaded;
   }
-  corrupt_rejections_.fetch_add(static_cast<uint64_t>(rejected),
-                                std::memory_order_relaxed);
   return Status::NotFound("no usable checkpoint generation in " + directory_);
 }
 

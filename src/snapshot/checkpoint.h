@@ -16,7 +16,8 @@
 // how many corrupt/truncated generations were rejected along the way. This
 // is the "fall back to the last good generation" behaviour the resume path
 // relies on when the newest file was damaged mid-write or bit-flipped at
-// rest.
+// rest. A run with checkpointing enabled always resumes from the newest
+// good generation in its directory.
 //
 // A generation that validates can still belong to another run. Engine and
 // query snapshots carry a tagged identity section (snapshot/identity.h),
@@ -27,7 +28,6 @@
 #ifndef VQE_SNAPSHOT_CHECKPOINT_H_
 #define VQE_SNAPSHOT_CHECKPOINT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -50,11 +50,6 @@ struct CheckpointPolicy {
   /// How many good generations to retain; older ones are pruned after each
   /// successful write. Minimum 1; 2 gives one fallback generation.
   int keep_generations = 2;
-
-  /// When true (default), a run looks for an existing good generation in
-  /// `directory` and resumes from it; when false it starts fresh (existing
-  /// generations are left alone until overwritten by sequence number).
-  bool resume = true;
 
   /// Crash injection for tests/demos: abort the run (Status::Aborted) after
   /// processing this many frames IN THIS INVOCATION. 0 = off.
@@ -91,14 +86,6 @@ class CheckpointManager {
   /// Generation numbers present on disk, ascending (for tests/tools).
   std::vector<uint64_t> ListGenerations() const;
 
-  /// Cumulative count of generations rejected as corrupt/unreadable across
-  /// every LoadLatestGood on this manager. Unlike Loaded::rejected (one
-  /// load's skips) this survives across loads, so long-lived holders —
-  /// fleet failover, resumed sessions — can report silent-corruption totals.
-  uint64_t corrupt_generations_detected() const {
-    return corrupt_rejections_.load(std::memory_order_relaxed);
-  }
-
   const std::string& directory() const { return directory_; }
 
   /// Path of a given generation file (exposed for corruption tests).
@@ -107,9 +94,6 @@ class CheckpointManager {
  private:
   std::string directory_;
   int keep_generations_;
-  /// See corrupt_generations_detected(); mutable because LoadLatestGood is
-  /// logically const (atomic: Snapshot readers may poll concurrently).
-  mutable std::atomic<uint64_t> corrupt_rejections_{0};
 };
 
 }  // namespace vqe

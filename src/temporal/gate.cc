@@ -10,7 +10,7 @@ namespace vqe {
 TemporalGate::TemporalGate(const SkipOptions& options)
     : options_(options),
       policy_(options),
-      propagator_(options.tracker, options.confidence_decay) {}
+      propagator_(PropagationTrackerDefaults(), kSkipConfidenceDecay) {}
 
 Result<std::unique_ptr<TemporalGate>> TemporalGate::Create(
     const SkipOptions& options) {

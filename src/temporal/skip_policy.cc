@@ -27,36 +27,12 @@ Status SkipOptions::Validate() const {
   if (skip_budget > 1024) {
     return Status::InvalidArgument("skip_budget must be <= 1024");
   }
-  if (difficulty_threshold < 0.0 || difficulty_threshold > 1.0) {
-    return Status::InvalidArgument("difficulty_threshold must be in [0, 1]");
-  }
-  if (!(confidence_decay > 0.0) || confidence_decay > 1.0) {
-    return Status::InvalidArgument("confidence_decay must be in (0, 1]");
-  }
-  if (agreement_floor < 0.0 || agreement_floor > 1.0) {
-    return Status::InvalidArgument("agreement_floor must be in [0, 1]");
-  }
-  if (drift_penalty < 0.0) {
-    return Status::InvalidArgument("drift_penalty must be >= 0");
-  }
-  if (ucb_exploration < 0.0) {
-    return Status::InvalidArgument("ucb_exploration must be >= 0");
-  }
-  return tracker.Validate();
+  return Status::OK();
 }
 
 void WriteSkipOptionsIdentity(IdentityWriter& w, const SkipOptions& o) {
   w.U64("skip.mode", static_cast<uint64_t>(o.mode))
-      .U64("skip.skip_budget", o.skip_budget)
-      .F64("skip.difficulty_threshold", o.difficulty_threshold)
-      .F64("skip.confidence_decay", o.confidence_decay)
-      .F64("skip.agreement_floor", o.agreement_floor)
-      .F64("skip.drift_penalty", o.drift_penalty)
-      .F64("skip.ucb_exploration", o.ucb_exploration)
-      .F64("skip.tracker.iou_threshold", o.tracker.iou_threshold)
-      .U64("skip.tracker.max_missed", o.tracker.max_missed)
-      .U64("skip.tracker.min_hits", o.tracker.min_hits)
-      .F64("skip.tracker.min_confidence", o.tracker.min_confidence);
+      .U64("skip.skip_budget", o.skip_budget);
 }
 
 SkipPolicy::SkipPolicy(const SkipOptions& options) : options_(options) {
@@ -75,7 +51,7 @@ int SkipPolicy::PlanSkips(double difficulty) {
     case SkipMode::kFixedInterval:
       return options_.skip_budget;
     case SkipMode::kDifficultyGated:
-      return difficulty < options_.difficulty_threshold
+      return difficulty < kSkipDifficultyThreshold
                  ? options_.skip_budget
                  : 0;
     case SkipMode::kBandit:
@@ -101,7 +77,7 @@ int SkipPolicy::PlanSkips(double difficulty) {
       const double n = static_cast<double>(plays_[cell]);
       const double mean = reward_sum_[cell] / n;
       const double bonus =
-          options_.ucb_exploration *
+          kSkipUcbExploration *
           std::sqrt(2.0 * std::log(static_cast<double>(t) + 1.0) / n);
       score = mean + bonus;
     }
@@ -124,8 +100,8 @@ void SkipPolicy::OnEpisodeEnd(int completed, double agreement) {
   // agreement fell below the floor drifted — it gets a flat penalty so the
   // arm's mean drops below the always-detect arm's 0.
   double reward = 0.0;
-  if (agreement < options_.agreement_floor) {
-    reward = -options_.drift_penalty;
+  if (agreement < kSkipAgreementFloor) {
+    reward = -kSkipDriftPenalty;
   } else if (pending_depth_ > 0) {
     reward = (static_cast<double>(completed) /
               static_cast<double>(pending_depth_)) *

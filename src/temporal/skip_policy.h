@@ -49,7 +49,26 @@ const char* SkipModeToString(SkipMode mode);
 /// budget itself).
 inline constexpr int kMaxSkipBoost = 1024;
 
-/// TrackerOptions tuned for propagation (see SkipOptions::tracker).
+/// kDifficultyGated: skip only when difficulty < this threshold.
+inline constexpr double kSkipDifficultyThreshold = 0.35;
+/// Confidence multiplier applied per coasted frame to propagated
+/// detections (prediction uncertainty grows with the coast streak).
+inline constexpr double kSkipConfidenceDecay = 0.92;
+/// kBandit: episodes whose coast-vs-fresh IoU agreement lands below this
+/// floor are treated as drifted and penalized.
+inline constexpr double kSkipAgreementFloor = 0.5;
+/// kBandit: reward charged to a drifted episode (as a negative reward).
+inline constexpr double kSkipDriftPenalty = 0.25;
+/// kBandit: UCB exploration coefficient.
+inline constexpr double kSkipUcbExploration = 0.5;
+
+/// The propagation tracker's options (and, in the query engine, the
+/// TRACKS() predicate's, so there is exactly one tracker per run). They
+/// differ from a bare TrackerOptions in one place: the confidence floor
+/// is 0.05, not 0.30. A skipped frame replays the last detect frame's
+/// fused output, and dropping its low-confidence tail costs recall the
+/// detect frame actually had; predicate-grade filtering still happens
+/// downstream (confirmation + TRACKS()).
 inline TrackerOptions PropagationTrackerDefaults() {
   TrackerOptions t;
   t.min_confidence = 0.05;
@@ -63,26 +82,6 @@ struct SkipOptions {
   SkipMode mode = SkipMode::kOff;
   /// Maximum consecutive frames answered from propagation; 0 disables.
   int skip_budget = 0;
-  /// kDifficultyGated: skip only when difficulty < threshold.
-  double difficulty_threshold = 0.35;
-  /// Confidence multiplier applied per coasted frame to propagated
-  /// detections (prediction uncertainty grows with the coast streak).
-  double confidence_decay = 0.92;
-  /// kBandit: episodes whose coast-vs-fresh IoU agreement lands below this
-  /// floor are treated as drifted and penalized.
-  double agreement_floor = 0.5;
-  /// kBandit: reward charged to a drifted episode (as a negative reward).
-  double drift_penalty = 0.25;
-  /// kBandit: UCB exploration coefficient.
-  double ucb_exploration = 0.5;
-  /// Tracker used for propagation (and, in the query engine, shared with
-  /// the TRACKS() predicate so there is exactly one tracker per run).
-  /// Defaults differ from a bare TrackerOptions in one place: the
-  /// confidence floor is 0.05, not 0.30. A skipped frame replays the last
-  /// detect frame's fused output, and dropping its low-confidence tail
-  /// costs recall the detect frame actually had; predicate-grade
-  /// filtering still happens downstream (confirmation + TRACKS()).
-  TrackerOptions tracker = PropagationTrackerDefaults();
 
   /// True when the gate should be constructed at all.
   bool enabled() const { return mode != SkipMode::kOff && skip_budget > 0; }
@@ -98,9 +97,9 @@ inline double SimulatedTrackerCostMs(size_t num_tracks) {
   return 0.02 + 0.004 * static_cast<double>(num_tracks);
 }
 
-/// Adds every decision-relevant knob to an engine or query snapshot
-/// identity as a `skip.*` field, so a resume with different skip settings
-/// is refused, naming the knob, instead of silently diverging.
+/// Adds the mode and the budget to an engine or query snapshot identity
+/// as `skip.*` fields, so a resume with different skip settings is
+/// refused, naming the field, instead of silently diverging.
 void WriteSkipOptionsIdentity(IdentityWriter& writer, const SkipOptions& o);
 
 /// Per-episode skip-depth chooser. One instance per engine/query run.

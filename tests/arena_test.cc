@@ -75,7 +75,7 @@ TEST(FrameArenaTest, GrowsBeyondOneBlockAndCountsStats) {
   const FrameArena::Marker mark = arena.Mark();
   for (int i = 0; i < 64; ++i) arena.Allocate(512, 8);  // 32 KiB total
   EXPECT_GT(arena.stats().block_allocs, 1u);
-  EXPECT_GE(arena.stats().high_water_bytes, size_t{32 * 512});
+  EXPECT_GE(arena.live_bytes(), size_t{32 * 512});
 
   // A rewound arena serves the same demand without new blocks.
   const uint64_t blocks_before = arena.stats().block_allocs;

@@ -264,6 +264,23 @@ TEST(ExplainTest, PredicateToStringForms) {
   EXPECT_EQ(PredicateToString(q->where.get()),
             "((MAX_CONF(car) > 0.5 OR AVG_CONF(*) <= 0.25) AND "
             "COUNT(truck) != 3)");
+
+  // Exact rendering (query checkpoint identities compare it): a threshold
+  // six digits cannot hold prints with 17, and a confidence floor changed
+  // on a built query is shown.
+  auto fine = ParseQuery(
+      "SELECT frameID FROM (PROCESS nusc PRODUCE frameID, Detections "
+      "USING MES(*; REF)) WHERE COUNT(car) >= 2.0000001");
+  ASSERT_TRUE(fine.ok());
+  EXPECT_EQ(PredicateToString(fine->where.get()),
+            "COUNT(car) >= 2.0000000999999998");
+  fine->where->aggregate.min_confidence = 0.3;
+  EXPECT_EQ(PredicateToString(fine->where.get()),
+            "COUNT(car, min_confidence 0.3) >= 2.0000000999999998");
+  // A threshold past long long's range renders without an integer cast.
+  fine->where->value = 1e20;
+  EXPECT_EQ(PredicateToString(fine->where.get()),
+            "COUNT(car, min_confidence 0.3) >= 1e+20");
 }
 
 // --------------------------------------------------------------- CSV export --

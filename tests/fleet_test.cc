@@ -245,8 +245,8 @@ FleetReport RunScenario(const FleetScenario& scenario, const Video& video,
   return std::move(server.Run(std::move(fleet), scenario.chaos)).value();
 }
 
-/// Four streams that all hash-home to shard 0 of two, with skew
-/// rebalancing on: without it shard 1 would idle the whole run.
+/// Four streams that all hash-home to shard 0 of two: shard 1 idles the
+/// whole run.
 FleetScenario SkewScenario() {
   FleetScenario scenario;
   scenario.pool_size = 2;
@@ -258,7 +258,6 @@ FleetScenario SkewScenario() {
                               static_cast<uint64_t>(50 + k)});
   }
   scenario.options.num_shards = 2;
-  scenario.options.rebalance_threshold = 2;
   scenario.options.shard = FineGrainedShard(1);
   return scenario;
 }
@@ -844,35 +843,6 @@ TEST(ShardedServerTest, ShardDeathFailsOverAndResultsStayBitIdentical) {
   }
 }
 
-TEST(ShardedServerTest, SkewRebalancingMigratesOffTheBusiestShard) {
-  const FleetScenario skew = SkewScenario();
-  ASSERT_EQ(skew.specs.size(), 4u);
-  const DetectorPool pool = MakePool(skew.pool_size);
-  const Video video = MakeVideo(0.02, 17);
-  const FleetReport report = RunScenario(skew, video, pool);
-  // Loads are read between rounds, so every move extracts a live session:
-  // three moves, each of a different stream, all onto the idle shard 1.
-  EXPECT_EQ(report.stats.migration.attempted, 3u);
-  EXPECT_EQ(report.stats.migration.completed,
-            report.stats.migration.attempted);
-  EXPECT_EQ(report.stats.migration.aborted, 0u);
-  EXPECT_EQ(report.stats.migration.fallback_restarts, 0u);
-  EXPECT_EQ(report.stats.completed_streams, skew.specs.size());
-  ASSERT_EQ(report.streams.size(), skew.specs.size());
-  for (size_t i = 0; i < skew.specs.size(); ++i) {
-    SCOPED_TRACE(skew.specs[i].name);
-    const FleetStreamReport& fsr = report.streams[i];
-    ASSERT_TRUE(fsr.report.status.ok()) << fsr.report.status.ToString();
-    const bool moved = i < 3;
-    EXPECT_EQ(fsr.shard, moved ? 1 : 0)
-        << "rebalancing must spread the skewed load";
-    EXPECT_EQ(fsr.migrations, moved ? 1 : 0);
-    EXPECT_EQ(fsr.restarts, 0);
-    ExpectSameRun(SoloBaseline(video, pool, skew.specs[i], false, false),
-                  fsr.report.result);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The full chaos matrix: concurrent faults — detector outages, a scripted
 // shard crash, a migration, a corrupted payload — across backends and
@@ -908,9 +878,9 @@ TEST(ShardedServerTest, ChaosMatrixEveryCompletingStreamIsBitIdentical) {
   }
 }
 
-// Every control decision (chaos, migrations, failover, rebalancing) is
-// taken between step phases in shard order, so the whole fleet ledger —
-// not only each stream's result — repeats exactly from run to run.
+// Every control decision (chaos, migrations, failover) is taken between
+// step phases in shard order, so the whole fleet ledger — not only each
+// stream's result — repeats exactly from run to run.
 TEST(ShardedServerTest, FleetLedgerRepeatsExactly) {
   const Video video = MakeVideo(0.02, 17);
   for (const FleetScenario& scenario :

@@ -24,6 +24,8 @@
 #include "models/model_zoo.h"
 #include "models/reference_detector.h"
 #include "sim/dataset.h"
+#include "temporal/skip_policy.h"
+#include "test_util.h"
 
 namespace vqe {
 namespace {
@@ -459,9 +461,8 @@ TEST(LazyEvalTest, FullLatticeFlags) {
   EXPECT_FALSE(MesStrategy(MesOptions{}).needs_full_lattice());
 }
 
-// The experiment harness must produce identical outcomes whichever
-// backend a config picks — including kAuto, which goes lazy here (all
-// online strategies, regret off).
+// The experiment harness goes lazy here (all online strategies, regret
+// off) and must reproduce per-trial runs over the eager matrix.
 TEST(LazyEvalTest, ExperimentBackendsAgree) {
   const DetectorPool pool = MakePool(3);
   const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-night");
@@ -485,16 +486,12 @@ TEST(LazyEvalTest, ExperimentBackendsAgree) {
       {"SGL", [] { return std::make_unique<SingleBestStrategy>(); }},
   };
 
-  config.evaluation = EvaluationMode::kEager;
   const auto eager =
-      std::move(RunExperiment(config, pool, strategies)).value();
-  config.evaluation = EvaluationMode::kLazy;
+      test::PerTrialRuns(config, pool, strategies, /*lazy=*/false);
   std::atomic<uint64_t> detect_calls{0};
   const DetectorPool counting = CountingPool(pool, &detect_calls);
   const auto lazy =
       std::move(RunExperiment(config, counting, strategies)).value();
-  config.evaluation = EvaluationMode::kAuto;
-  const auto autom = std::move(RunExperiment(config, pool, strategies)).value();
 
   // The lazy line-up steps in lockstep over one evaluator per trial, so
   // every frame's detectors run once: SGL's calibration reads every frame
@@ -509,17 +506,54 @@ TEST(LazyEvalTest, ExperimentBackendsAgree) {
   }
   EXPECT_EQ(detect_calls.load(), frames_touched * pool.size());
 
-  ASSERT_EQ(eager.outcomes.size(), strategies.size());
+  ASSERT_EQ(lazy.outcomes.size(), strategies.size());
   for (size_t i = 0; i < strategies.size(); ++i) {
-    for (const auto* other : {&lazy, &autom}) {
-      ASSERT_EQ(other->outcomes[i].runs.size(), eager.outcomes[i].runs.size());
-      for (size_t trial = 0; trial < eager.outcomes[i].runs.size(); ++trial) {
-        ExpectSameRun(eager.outcomes[i].runs[trial],
-                      other->outcomes[i].runs[trial]);
-      }
-      EXPECT_FALSE(other->outcomes[i].regret_available);
+    ASSERT_EQ(lazy.outcomes[i].runs.size(), eager[i].size());
+    for (size_t trial = 0; trial < eager[i].size(); ++trial) {
+      ExpectSameRun(eager[i][trial], lazy.outcomes[i].runs[trial]);
     }
+    EXPECT_FALSE(lazy.outcomes[i].regret_available);
   }
+}
+
+// A skip-enabled experiment runs lazy even with regret on and full-lattice
+// strategies in the line-up: an eager matrix has no propagation hooks and
+// refuses skip-enabled runs. It matches per-trial lazy runs.
+TEST(LazyEvalTest, SkipEnabledExperimentRunsLazy) {
+  const DetectorPool pool = MakePool(3);
+  ExperimentConfig config;
+  config.dataset = *DatasetCatalog::Default().Find("nusc-lowmotion");
+  config.scene_scale = 0.004;
+  config.trials = 2;
+  config.pool_size = 3;
+  config.base_seed = 29;
+  config.engine.skip.mode = SkipMode::kFixedInterval;
+  config.engine.skip.skip_budget = 2;
+  const auto lineup = DefaultTuviStrategies(/*gamma=*/2, /*ef_explore=*/2);
+
+  const auto result = RunExperiment(config, pool, lineup);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto per_trial = test::PerTrialRuns(config, pool, lineup,
+                                            /*lazy=*/true);
+  for (size_t i = 0; i < lineup.size(); ++i) {
+    SCOPED_TRACE(lineup[i].label);
+    for (int trial = 0; trial < config.trials; ++trial) {
+      const RunResult& run =
+          result->outcomes[i].runs[static_cast<size_t>(trial)];
+      const RunResult& solo = per_trial[i][static_cast<size_t>(trial)];
+      ExpectSameRun(solo, run);
+      EXPECT_GT(run.skip.skipped_frames, 0u);
+      EXPECT_EQ(run.skip.skipped_frames, solo.skip.skipped_frames);
+      EXPECT_EQ(run.skip.propagated_ap_sum, solo.skip.propagated_ap_sum);
+    }
+    EXPECT_TRUE(result->outcomes[i].regret_available);
+  }
+
+  MesStrategy mes;
+  const Result<RunResult> eager = RunStrategy(
+      std::move(BuildTrialMatrix(config, pool, 0)).value(), &mes,
+      config.engine);
+  EXPECT_EQ(eager.status().code(), StatusCode::kInvalidArgument);
 }
 
 // The memory model: only the live frame keeps its detector context. An
@@ -531,8 +565,7 @@ TEST(LazyEvalTest, EvictedFrameRebuildsBitIdenticalToEagerMatrix) {
   const DetectorPool pool = MakePool(m);
   const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/11);
   ASSERT_GE(video.size(), 2u);
-  MatrixOptions options;
-  options.keep_temporal_outputs = true;
+  const MatrixOptions options;
   const auto matrix =
       std::move(BuildFrameMatrix(video, pool, /*trial_seed=*/7, options))
           .value();
@@ -566,7 +599,13 @@ TEST(LazyEvalTest, EvictedFrameRebuildsBitIdenticalToEagerMatrix) {
   const EnsembleId full = FullEnsemble(m);
   const DetectionList* fused = lazy->FusedOutput(0, full);
   ASSERT_NE(fused, nullptr);
-  EXPECT_TRUE(SameDetections(*fused, fe.fused[full]));
+  const auto fusion = std::move(CreateEnsembleMethod(options.fusion,
+                                                     options.fusion_options))
+                          .value();
+  DetectionList fresh;
+  FrameEvalContext(video.frames[0], pool, /*trial_seed=*/7, options, *fusion)
+      .Fuse(full, &fresh);
+  EXPECT_TRUE(SameDetections(*fused, fresh));
   EXPECT_EQ(lazy->frames_rebuilt(), 3u);
   EXPECT_EQ(lazy->frames_touched(), 2u);
 }
@@ -596,7 +635,8 @@ TEST(LazyEvalTest, HeldFrameStatsOutliveEviction) {
 // The engine never reads a frame again after stepping past it, so one
 // live context suffices: no single-pass run of an online strategy — SGL's
 // whole-video calibration included, and the skip gate's fused-output
-// reads — rebuilds a frame, and every run still matches the eager one.
+// reads — rebuilds a frame, and every run still matches the eager one
+// (with skip on, the eager reference test::EagerTemporalSource).
 // The one exception is by design: SGL's calibration visits every frame
 // before its run starts and the memo keeps scalars, not boxes, so a
 // skip-gated SGL run rebuilds each detect frame for the tracker's input.
@@ -605,12 +645,13 @@ TEST(LazyEvalTest, SinglePassRunsNeverRebuild) {
   const DetectorPool pool = MakePool(m);
   const Video video = MakeVideo(/*scene_scale=*/0.03, /*seed=*/19);
   ASSERT_GT(video.size(), 20u);
-  MatrixOptions matrix_options;
-  matrix_options.keep_temporal_outputs = true;
+  const MatrixOptions matrix_options;
   const auto matrix =
       std::move(BuildFrameMatrix(video, pool, /*trial_seed=*/19,
                                  matrix_options))
           .value();
+  test::EagerTemporalSource eager_source(matrix, video, pool,
+                                         /*trial_seed=*/19, matrix_options);
 
   using Factory = std::function<std::unique_ptr<SelectionStrategy>()>;
   const std::vector<std::pair<std::string, Factory>> online = {
@@ -634,7 +675,7 @@ TEST(LazyEvalTest, SinglePassRunsNeverRebuild) {
       }
       auto eager_strategy = make();
       const RunResult eager =
-          std::move(RunStrategy(matrix, eager_strategy.get(), engine))
+          std::move(RunStrategy(eager_source, eager_strategy.get(), engine))
               .value();
       auto lazy = std::move(LazyFrameEvaluator::Create(video, pool,
                                                        /*trial_seed=*/19))
@@ -650,11 +691,11 @@ TEST(LazyEvalTest, SinglePassRunsNeverRebuild) {
   }
 }
 
-// The Figure 4 line-up with regret on shares one evaluator without a
-// rebuild either way it is driven: run after run (OPT and the regret scan
-// materialize each frame's lattice while it is live, so later runs only
-// hit the memo) and in RunExperiment's lockstep (SGL's calibration steps
-// the other runs through each frame it reads).
+// The Figure 4 line-up with regret on shares one evaluator run after run
+// without a rebuild (OPT and the regret scan materialize each frame's
+// lattice while it is live, so later runs only hit the memo), and
+// RunExperiment, which runs this line-up on eager matrices, matches those
+// per-trial lazy runs.
 TEST(LazyEvalTest, Figure4LineupWithRegretNeverRebuilds) {
   const int m = 3;
   const DetectorPool pool = MakePool(m);
@@ -684,12 +725,10 @@ TEST(LazyEvalTest, Figure4LineupWithRegretNeverRebuilds) {
   config.pool_size = m;
   config.base_seed = 43;
   config.engine = engine;
-  config.evaluation = EvaluationMode::kEager;
   const auto eager = std::move(RunExperiment(config, pool, lineup)).value();
-  config.evaluation = EvaluationMode::kLazy;
   detect_calls = 0;
-  const auto lockstep =
-      std::move(RunExperiment(config, counting, lineup)).value();
+  const auto per_trial =
+      test::PerTrialRuns(config, counting, lineup, /*lazy=*/true);
   uint64_t frames = 0;
   for (int trial = 0; trial < config.trials; ++trial) {
     frames += std::move(BuildTrialEvaluator(config, pool,
@@ -702,12 +741,12 @@ TEST(LazyEvalTest, Figure4LineupWithRegretNeverRebuilds) {
     SCOPED_TRACE(lineup[i].label);
     for (int trial = 0; trial < config.trials; ++trial) {
       ExpectSameRun(eager.outcomes[i].runs[static_cast<size_t>(trial)],
-                    lockstep.outcomes[i].runs[static_cast<size_t>(trial)]);
+                    per_trial[i][static_cast<size_t>(trial)]);
     }
   }
 }
 
-// kAuto must stay eager when a full-lattice strategy (OPT) is in the
+// RunExperiment stays eager when a full-lattice strategy (OPT) is in the
 // line-up: the run still works and reports regret when asked.
 TEST(LazyEvalTest, AutoKeepsEagerForOracleLineup) {
   const DetectorPool pool = MakePool(3);
@@ -719,7 +758,6 @@ TEST(LazyEvalTest, AutoKeepsEagerForOracleLineup) {
   config.trials = 1;
   config.pool_size = 3;
   config.base_seed = 13;
-  config.evaluation = EvaluationMode::kAuto;  // regret on -> eager
 
   std::vector<StrategySpec> strategies = {
       {"OPT", [] { return std::make_unique<OptStrategy>(); }},

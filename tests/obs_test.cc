@@ -30,6 +30,7 @@
 #include "obs/trace.h"
 #include "serve/scheduler.h"
 #include "sim/dataset.h"
+#include "test_util.h"
 #include "workload/trace.h"
 #include "workload/workload.h"
 
@@ -364,10 +365,13 @@ TEST(MetricsTextTest, ParserRejectsMalformedLinesWithLineNumber) {
 
 // ------------------------------------------------ engine identity matrix --
 
-/// One RunExperiment invocation over the Figure 4 line-up.
-ExperimentResult RunMatrixOnce(const DetectorPool& pool,
-                               EvaluationMode evaluation, int parallelism,
-                               const ObsHandle& obs) {
+/// One cell of the matrix over the Figure 4 line-up, as
+/// runs[strategy][trial]: RunExperiment (eager for this line-up, regret
+/// on) with `parallelism` trial workers, or the same trials run strategy
+/// by strategy on lazy evaluators (test::PerTrialRuns).
+std::vector<std::vector<RunResult>> RunMatrixOnce(const DetectorPool& pool,
+                                                  bool lazy, int parallelism,
+                                                  const ObsHandle& obs) {
   const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-night");
   ExperimentConfig config;
   config.dataset = spec;
@@ -376,67 +380,72 @@ ExperimentResult RunMatrixOnce(const DetectorPool& pool,
   config.pool_size = 3;
   config.base_seed = 11;
   config.parallelism = parallelism;
-  config.evaluation = evaluation;
   config.engine.obs = obs;
-  auto result =
-      RunExperiment(config, pool, DefaultTuviStrategies(2, 2));
+  const std::vector<StrategySpec> lineup = DefaultTuviStrategies(2, 2);
+  if (lazy) return test::PerTrialRuns(config, pool, lineup, /*lazy=*/true);
+  auto result = RunExperiment(config, pool, lineup);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? std::move(result).value() : ExperimentResult{};
+  std::vector<std::vector<RunResult>> runs;
+  if (result.ok()) {
+    for (const StrategyOutcome& outcome : result->outcomes) {
+      runs.push_back(outcome.runs);
+    }
+  }
+  return runs;
 }
 
-void ExpectSameExperiment(const ExperimentResult& a,
-                          const ExperimentResult& b) {
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (size_t s = 0; s < a.outcomes.size(); ++s) {
-    SCOPED_TRACE(a.outcomes[s].label);
-    EXPECT_EQ(a.outcomes[s].label, b.outcomes[s].label);
-    ASSERT_EQ(a.outcomes[s].runs.size(), b.outcomes[s].runs.size());
-    for (size_t t = 0; t < a.outcomes[s].runs.size(); ++t) {
-      ExpectSameRun(a.outcomes[s].runs[t], b.outcomes[s].runs[t]);
+void ExpectSameExperiment(const std::vector<std::vector<RunResult>>& a,
+                          const std::vector<std::vector<RunResult>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t s = 0; s < a.size(); ++s) {
+    SCOPED_TRACE("strategy " + std::to_string(s));
+    ASSERT_EQ(a[s].size(), b[s].size());
+    for (size_t t = 0; t < a[s].size(); ++t) {
+      ExpectSameRun(a[s][t], b[s][t]);
     }
   }
 }
 
-// The tentpole contract, both directions, over six strategies × eager/lazy
-// × worker counts {1, 4}: disabling obs changes nothing, enabling obs
-// changes nothing, and the enabled runs' simulated-domain fingerprint is
-// one byte string regardless of backend or thread count.
+// The tentpole contract, both directions, over six strategies on eager
+// experiments at worker counts {1, 4} and on lazy per-trial runs:
+// disabling obs changes nothing, enabling obs changes nothing, and the
+// enabled runs' simulated-domain fingerprint is one byte string
+// regardless of backend or thread count.
 TEST(ObsIdentityTest, EnabledAndDisabledRunsAreBitIdenticalEverywhere) {
   const DetectorPool pool = MakePool(3);
 
-  ExperimentResult baseline;  // eager, serial, no obs
+  std::vector<std::vector<RunResult>> baseline;  // eager, serial, no obs
   std::string fingerprint;
   bool first = true;
-  for (const EvaluationMode mode :
-       {EvaluationMode::kEager, EvaluationMode::kLazy}) {
-    for (const int workers : {1, 4}) {
-      SCOPED_TRACE(std::string(mode == EvaluationMode::kEager ? "eager"
-                                                              : "lazy") +
-                   "/w" + std::to_string(workers));
-      const ExperimentResult off = RunMatrixOnce(pool, mode, workers, {});
+  const struct {
+    bool lazy;
+    int workers;
+  } cells[] = {{false, 1}, {false, 4}, {true, 1}};
+  for (const auto& cell : cells) {
+    SCOPED_TRACE(std::string(cell.lazy ? "lazy" : "eager") + "/w" +
+                 std::to_string(cell.workers));
+    const auto off = RunMatrixOnce(pool, cell.lazy, cell.workers, {});
 
-      Observability obs;
-      const ExperimentResult on =
-          RunMatrixOnce(pool, mode, workers, obs.handle());
+    Observability obs;
+    const auto on = RunMatrixOnce(pool, cell.lazy, cell.workers, obs.handle());
 
-      // Observation never perturbs selection...
-      ExpectSameExperiment(off, on);
-      // ...every cell matches the very first one...
-      if (first) {
-        baseline = off;
-        first = false;
-      } else {
-        ExpectSameExperiment(baseline, off);
-      }
-      // ...and the simulated metrics are one fingerprint for all cells.
-      const std::string fp = obs.metrics().SimulatedFingerprint();
-      ASSERT_FALSE(fp.empty());
-      EXPECT_GT(obs.trace().event_count(), 0u);
-      if (fingerprint.empty()) {
-        fingerprint = fp;
-      } else {
-        EXPECT_EQ(fp, fingerprint);
-      }
+    // Observation never perturbs selection...
+    ExpectSameExperiment(off, on);
+    // ...every cell matches the very first one...
+    if (first) {
+      baseline = off;
+      first = false;
+    } else {
+      ExpectSameExperiment(baseline, off);
+    }
+    // ...and the simulated metrics are one fingerprint for all cells.
+    const std::string fp = obs.metrics().SimulatedFingerprint();
+    ASSERT_FALSE(fp.empty());
+    EXPECT_GT(obs.trace().event_count(), 0u);
+    if (fingerprint.empty()) {
+      fingerprint = fp;
+    } else {
+      EXPECT_EQ(fp, fingerprint);
     }
   }
 }

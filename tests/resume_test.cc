@@ -701,8 +701,8 @@ TEST(QueryResumeTest, FaultedQueryResumesBitIdentically) {
       "USING MES(yolov7-tiny@clear, yolov7-tiny@night; REF)) "
       "WHERE COUNT(*) >= 1";
   QueryEngineOptions opt = SmallQueryOptions();
-  opt.retry.max_attempts = 2;
-  opt.retry.backoff_base_ms = 0.25;
+  opt.matrix.retry.max_attempts = 2;
+  opt.matrix.retry.backoff_base_ms = 0.25;
   opt.breaker.failure_threshold = 2;
   opt.breaker.open_frames = 4;
   opt.fault_scripts.resize(2);
@@ -793,10 +793,13 @@ TEST(IdentityResumeTest, QueryRefusesEveryFieldChange) {
   expect_refused("video", edited(sql, "nusc-night", "nusc-lowmotion"), ck);
   expect_refused("num_models",
                  edited(sql, "; REF", ", yolov7-tiny@rainy; REF"), ck);
+  expect_refused("models",
+                 edited(sql, "yolov7-tiny@night", "yolov7-tiny@rainy"), ck);
   expect_refused("stride", edited(sql, "nusc-night", "nusc-night STRIDE 2"),
                  ck);
   expect_refused("budget_ms", sql + " BUDGET 100000", ck);
   expect_refused("limit", sql + " LIMIT 1000", ck);
+  expect_refused("where", sql + " WHERE COUNT(*) >= 0", ck);
 
   const std::vector<
       std::pair<std::string, std::function<void(QueryEngineOptions&)>>>
@@ -815,28 +818,16 @@ TEST(IdentityResumeTest, QueryRefusesEveryFieldChange) {
            [](QueryEngineOptions& o) { o.sc.form = ScoreForm::kLinear; }},
           {"gamma", [](QueryEngineOptions& o) { ++o.gamma; }},
           {"sw_window", [](QueryEngineOptions& o) { ++o.sw_window; }},
+          {"breaker.failure_threshold",
+           [](QueryEngineOptions& o) { ++o.breaker.failure_threshold; }},
+          {"breaker.open_frames",
+           [](QueryEngineOptions& o) { ++o.breaker.open_frames; }},
+          {"breaker.half_open_probes",
+           [](QueryEngineOptions& o) { ++o.breaker.half_open_probes; }},
           {"skip.mode",
            [](QueryEngineOptions& o) { o.skip.mode = SkipMode::kBandit; }},
           {"skip.skip_budget",
            [](QueryEngineOptions& o) { o.skip.skip_budget = 4; }},
-          {"skip.difficulty_threshold",
-           [](QueryEngineOptions& o) { o.skip.difficulty_threshold = 0.5; }},
-          {"skip.confidence_decay",
-           [](QueryEngineOptions& o) { o.skip.confidence_decay = 0.9; }},
-          {"skip.agreement_floor",
-           [](QueryEngineOptions& o) { o.skip.agreement_floor = 0.6; }},
-          {"skip.drift_penalty",
-           [](QueryEngineOptions& o) { o.skip.drift_penalty = 0.5; }},
-          {"skip.ucb_exploration",
-           [](QueryEngineOptions& o) { o.skip.ucb_exploration = 1.0; }},
-          {"skip.tracker.iou_threshold",
-           [](QueryEngineOptions& o) { o.skip.tracker.iou_threshold = 0.4; }},
-          {"skip.tracker.max_missed",
-           [](QueryEngineOptions& o) { ++o.skip.tracker.max_missed; }},
-          {"skip.tracker.min_hits",
-           [](QueryEngineOptions& o) { ++o.skip.tracker.min_hits; }},
-          {"skip.tracker.min_confidence",
-           [](QueryEngineOptions& o) { o.skip.tracker.min_confidence = 0.2; }},
       };
   for (const auto& [field, change] : changes) {
     QueryEngineOptions options = ck;
@@ -1010,19 +1001,21 @@ TEST(IdentityResumeTest, HostileQueryMetaIsRefusedAndTheCheckpointResumes) {
 }
 
 /// The untagged skip-options fields older builds appended to both meta
-/// layouts.
+/// layouts; the values after the budget were settable then and are the
+/// gate's constants now.
 void WriteUntaggedSkipOptions(ByteWriter& w, const SkipOptions& o) {
+  const TrackerOptions tracker = PropagationTrackerDefaults();
   w.U8(static_cast<uint8_t>(o.mode));
   w.I64(o.skip_budget);
-  w.F64(o.difficulty_threshold);
-  w.F64(o.confidence_decay);
-  w.F64(o.agreement_floor);
-  w.F64(o.drift_penalty);
-  w.F64(o.ucb_exploration);
-  w.F64(o.tracker.iou_threshold);
-  w.I64(o.tracker.max_missed);
-  w.I64(o.tracker.min_hits);
-  w.F64(o.tracker.min_confidence);
+  w.F64(kSkipDifficultyThreshold);
+  w.F64(kSkipConfidenceDecay);
+  w.F64(kSkipAgreementFloor);
+  w.F64(kSkipDriftPenalty);
+  w.F64(kSkipUcbExploration);
+  w.F64(tracker.iou_threshold);
+  w.I64(tracker.max_missed);
+  w.I64(tracker.min_hits);
+  w.F64(tracker.min_confidence);
 }
 
 // Builds that predate the tagged identity wrote engine.meta and query.meta

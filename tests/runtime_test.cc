@@ -730,7 +730,7 @@ TEST(ExperimentFaultTest, OnlineQuerySurvivesScriptedOutage) {
 
   options.fault_scripts.assign(clean.model_names.size(), FaultScript{});
   options.fault_scripts[0].bursts.push_back({0, 8, FaultKind::kError, -1});
-  options.retry.max_attempts = 2;
+  options.matrix.retry.max_attempts = 2;
   options.breaker.failure_threshold = 2;
   options.breaker.open_frames = 4;
   const QueryOutput outage = std::move(ExecuteQuery(sql, options)).value();

@@ -319,42 +319,28 @@ TEST(CheckpointManagerTest, AllGenerationsCorruptIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-TEST(CheckpointManagerTest, CorruptGenerationCounterAccumulatesAcrossLoads) {
-  CheckpointManager mgr(ScratchDir("corrupt_counter"));
-  EXPECT_EQ(mgr.corrupt_generations_detected(), 0u);
+// Loaded::rejected reports the skips of its own load only: a damaged
+// generation is counted again by every load that walks past it.
+TEST(CheckpointManagerTest, RejectedCountIsPerLoad) {
+  CheckpointManager mgr(ScratchDir("rejected_per_load"));
   ASSERT_TRUE(mgr.Write(1, MakeTwoSectionSnapshot()).ok());
   ASSERT_TRUE(mgr.Write(2, MakeTwoSectionSnapshot()).ok());
   ASSERT_TRUE(mgr.Write(3, MakeTwoSectionSnapshot()).ok());
 
-  // Clean load: nothing rejected, counter untouched.
-  ASSERT_TRUE(mgr.LoadLatestGood().ok());
-  EXPECT_EQ(mgr.corrupt_generations_detected(), 0u);
+  auto clean = mgr.LoadLatestGood();
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(clean->rejected, 0);
 
-  // Damage the newest generation: each load skips it and the cumulative
-  // counter keeps growing — unlike Loaded::rejected, which reports only
-  // the skips of its own load.
   {
     std::ofstream os(mgr.GenerationPath(3), std::ios::binary | std::ios::trunc);
     os << "garbage";
   }
-  auto first = mgr.LoadLatestGood();
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->sequence, 2u);
-  EXPECT_EQ(first->rejected, 1);
-  EXPECT_EQ(mgr.corrupt_generations_detected(), 1u);
-
-  auto second = mgr.LoadLatestGood();
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->rejected, 1);
-  EXPECT_EQ(mgr.corrupt_generations_detected(), 2u);
-
-  // A fully corrupt directory still counts its rejects before NotFound.
-  {
-    std::ofstream os(mgr.GenerationPath(2), std::ios::binary | std::ios::trunc);
-    os << "also garbage";
+  for (int load = 0; load < 2; ++load) {
+    auto damaged = mgr.LoadLatestGood();
+    ASSERT_TRUE(damaged.ok());
+    EXPECT_EQ(damaged->sequence, 2u);
+    EXPECT_EQ(damaged->rejected, 1);
   }
-  EXPECT_EQ(mgr.LoadLatestGood().status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(mgr.corrupt_generations_detected(), 4u);
 }
 
 TEST(CheckpointPolicyTest, ValidatesKnobs) {
@@ -630,8 +616,10 @@ TEST(SnapshotIdentityTest, ComparerNamesTheFirstDifferingField) {
 // wrote) is another build's snapshot, not a damaged one.
 TEST(SnapshotIdentityTest, UntaggedPayloadIsRefusedAsIncompatible) {
   const IdentityWriter live = SampleIdentity();
+  // The string "MES" as its u32 length and bytes.
   ByteWriter untagged;
-  untagged.Str("MES");
+  untagged.U32(3);
+  for (const char c : {'M', 'E', 'S'}) untagged.U8(static_cast<uint8_t>(c));
   untagged.I64(3);
   untagged.F64(500.0);
   const Status st = ExpectSameIdentity(ReaderOver(untagged.bytes()), live);
@@ -746,30 +734,12 @@ TEST(SnapshotIdentityTest, EngineRefusesEveryFieldChange) {
            [](EngineOptions& o) { ++o.breaker.open_frames; }},
           {"breaker.half_open_probes",
            [](EngineOptions& o) { ++o.breaker.half_open_probes; }},
-          // Skip knobs count even while the gate is off (mode off or a
+          // Skip settings count even while the gate is off (mode off or a
           // zero budget), so every one can change without enabling it.
           {"skip.mode",
            [](EngineOptions& o) { o.skip.mode = SkipMode::kBandit; }},
           {"skip.skip_budget",
            [](EngineOptions& o) { o.skip.skip_budget = 4; }},
-          {"skip.difficulty_threshold",
-           [](EngineOptions& o) { o.skip.difficulty_threshold = 0.5; }},
-          {"skip.confidence_decay",
-           [](EngineOptions& o) { o.skip.confidence_decay = 0.9; }},
-          {"skip.agreement_floor",
-           [](EngineOptions& o) { o.skip.agreement_floor = 0.6; }},
-          {"skip.drift_penalty",
-           [](EngineOptions& o) { o.skip.drift_penalty = 0.5; }},
-          {"skip.ucb_exploration",
-           [](EngineOptions& o) { o.skip.ucb_exploration = 1.0; }},
-          {"skip.tracker.iou_threshold",
-           [](EngineOptions& o) { o.skip.tracker.iou_threshold = 0.4; }},
-          {"skip.tracker.max_missed",
-           [](EngineOptions& o) { ++o.skip.tracker.max_missed; }},
-          {"skip.tracker.min_hits",
-           [](EngineOptions& o) { ++o.skip.tracker.min_hits; }},
-          {"skip.tracker.min_confidence",
-           [](EngineOptions& o) { o.skip.tracker.min_confidence = 0.2; }},
       };
   for (const auto& [field, change] : changes) {
     EngineOptions options = base;

@@ -32,6 +32,7 @@
 #include "temporal/gate.h"
 #include "temporal/propagation.h"
 #include "temporal/skip_policy.h"
+#include "test_util.h"
 #include "track/tracker.h"
 
 namespace vqe {
@@ -62,17 +63,6 @@ TEST(SkipOptionsTest, ValidationBounds) {
   EXPECT_TRUE(bad([](SkipOptions& o) { o.skip_budget = -1; }));
   EXPECT_TRUE(bad([](SkipOptions& o) { o.skip_budget = 1025; }));
   EXPECT_FALSE(bad([](SkipOptions& o) { o.skip_budget = 1024; }));
-  EXPECT_TRUE(bad([](SkipOptions& o) { o.difficulty_threshold = -0.1; }));
-  EXPECT_TRUE(bad([](SkipOptions& o) { o.difficulty_threshold = 1.1; }));
-  EXPECT_TRUE(bad([](SkipOptions& o) { o.confidence_decay = 0.0; }));
-  EXPECT_TRUE(bad([](SkipOptions& o) { o.confidence_decay = 1.5; }));
-  EXPECT_FALSE(bad([](SkipOptions& o) { o.confidence_decay = 1.0; }));
-  EXPECT_TRUE(bad([](SkipOptions& o) { o.agreement_floor = -0.5; }));
-  EXPECT_TRUE(bad([](SkipOptions& o) { o.agreement_floor = 2.0; }));
-  EXPECT_TRUE(bad([](SkipOptions& o) { o.drift_penalty = -0.01; }));
-  EXPECT_TRUE(bad([](SkipOptions& o) { o.ucb_exploration = -1.0; }));
-  // An invalid embedded tracker config must fail the whole bundle.
-  EXPECT_TRUE(bad([](SkipOptions& o) { o.tracker.min_hits = 0; }));
 }
 
 TEST(SkipOptionsTest, PropagationTrackerLowersConfidenceFloorOnly) {
@@ -95,8 +85,6 @@ TEST(SkipOptionsTest, IdentityRoundTripAndMismatchNaming) {
   SkipOptions o;
   o.mode = SkipMode::kBandit;
   o.skip_budget = 7;
-  o.difficulty_threshold = 0.41;
-  o.tracker.min_hits = 2;
 
   IdentityWriter saved;
   WriteSkipOptionsIdentity(saved, o);
@@ -172,7 +160,6 @@ TEST(SkipPolicyTest, DifficultyGateIsAThreshold) {
   SkipOptions o;
   o.mode = SkipMode::kDifficultyGated;
   o.skip_budget = 3;
-  o.difficulty_threshold = 0.35;
   SkipPolicy p(o);
   EXPECT_EQ(p.PlanSkips(0.0), 3);
   EXPECT_EQ(p.PlanSkips(0.349), 3);
@@ -210,24 +197,16 @@ TEST(SkipPolicyTest, BanditPenalizesDriftedEpisodes) {
   SkipOptions o;
   o.mode = SkipMode::kBandit;
   o.skip_budget = 1;
-  o.agreement_floor = 0.5;
-  o.drift_penalty = 0.25;
   SkipPolicy p(o);
   ASSERT_EQ(p.PlanSkips(0.0), 0);
   p.OnEpisodeEnd(0, 1.0);
   ASSERT_EQ(p.PlanSkips(0.0), 1);
   p.OnEpisodeEnd(1, 0.2);  // drifted: agreement below the floor
-  EXPECT_DOUBLE_EQ(p.ArmRewardSum(0, 1), -0.25);
-  // With the skip arm's mean negative and the detect arm's at 0, UCB must
-  // steer back toward detecting as exploration decays.
-  SkipOptions greedy = o;
-  greedy.ucb_exploration = 0.0;
-  SkipPolicy q(greedy);
-  ASSERT_EQ(q.PlanSkips(0.0), 0);
-  q.OnEpisodeEnd(0, 1.0);
-  ASSERT_EQ(q.PlanSkips(0.0), 1);
-  q.OnEpisodeEnd(1, 0.2);
-  EXPECT_EQ(q.PlanSkips(0.0), 0);
+  EXPECT_DOUBLE_EQ(p.ArmRewardSum(0, 1), -kSkipDriftPenalty);
+  // Each arm has one play, so their exploration bonuses tie: with the
+  // skip arm's mean negative and the detect arm's at 0, UCB steers back
+  // toward detecting.
+  EXPECT_EQ(p.PlanSkips(0.0), 0);
 }
 
 TEST(SkipPolicyTest, BanditIsDeterministic) {
@@ -452,11 +431,9 @@ std::unique_ptr<SelectionStrategy> MakeStrategy(const std::string& kind) {
 /// One run on the chosen backend/worker count, fresh source each call.
 Result<RunResult> RunOnce(const Video& video, const DetectorPool& pool,
                           const std::string& kind, bool lazy_backend,
-                          int workers, bool keep_temporal,
-                          const EngineOptions& engine) {
+                          int workers, const EngineOptions& engine) {
   MatrixOptions matrix_options;
   matrix_options.parallelism = workers;
-  matrix_options.keep_temporal_outputs = keep_temporal;
   std::unique_ptr<SelectionStrategy> strategy = MakeStrategy(kind);
   if (lazy_backend) {
     auto lazy = LazyFrameEvaluator::Create(video, pool, /*trial_seed=*/9,
@@ -499,7 +476,7 @@ void ExpectSameRun(const RunResult& a, const RunResult& b) {
 // The disabled-path invariant: with skipping off (the default, and the
 // explicit budget-0 spelling), every strategy on both backends at several
 // worker counts produces the same bits it produced before this subsystem
-// existed — including on a matrix that carries the temporal extras.
+// existed.
 TEST(TemporalEngineTest, DisabledPathIsBitIdenticalEverywhere) {
   const DetectorPool pool = MakePool(3);
   const Video video = MakeVideo("nusc-night", 0.02, 17);
@@ -518,8 +495,7 @@ TEST(TemporalEngineTest, DisabledPathIsBitIdenticalEverywhere) {
                                           "D-MES", "RAND",  "EF"};
   for (const std::string& kind : kinds) {
     const Result<RunResult> baseline =
-        RunOnce(video, pool, kind, /*lazy=*/false, /*workers=*/1,
-                /*keep_temporal=*/false, engine);
+        RunOnce(video, pool, kind, /*lazy=*/false, /*workers=*/1, engine);
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     EXPECT_EQ(baseline->skip.skipped_frames, 0u);
     EXPECT_EQ(baseline->breakdown.tracker_ms, 0.0);
@@ -527,23 +503,23 @@ TEST(TemporalEngineTest, DisabledPathIsBitIdenticalEverywhere) {
     for (const bool lazy_backend : {false, true}) {
       for (const int workers : {1, 4}) {
         for (const bool zero_budget : {false, true}) {
-          for (const bool keep_temporal : {false, true}) {
-            SCOPED_TRACE(kind + (lazy_backend ? "/lazy" : "/eager") + "/w" +
-                         std::to_string(workers) +
-                         (zero_budget ? "/budget0" : "/default") +
-                         (keep_temporal ? "/keep" : ""));
-            const Result<RunResult> run = RunOnce(
-                video, pool, kind, lazy_backend, workers, keep_temporal,
-                zero_budget ? budget_zero : engine);
-            ASSERT_TRUE(run.ok()) << run.status().ToString();
-            ExpectSameRun(*baseline, *run);
-          }
+          SCOPED_TRACE(kind + (lazy_backend ? "/lazy" : "/eager") + "/w" +
+                       std::to_string(workers) +
+                       (zero_budget ? "/budget0" : "/default"));
+          const Result<RunResult> run =
+              RunOnce(video, pool, kind, lazy_backend, workers,
+                      zero_budget ? budget_zero : engine);
+          ASSERT_TRUE(run.ok()) << run.status().ToString();
+          ExpectSameRun(*baseline, *run);
         }
       }
     }
   }
 }
 
+// Skip-enabled runs on the lazy source match the eager reference
+// (test::EagerTemporalSource: the matrix's cells plus fresh-context fused
+// boxes and ground-truth scoring) at every worker count.
 TEST(TemporalEngineTest, SkipEnabledRunsMatchAcrossBackendsAndWorkers) {
   const DetectorPool pool = MakePool(3);
   const Video video = MakeVideo("nusc-lowmotion", 0.004, 17);
@@ -556,23 +532,30 @@ TEST(TemporalEngineTest, SkipEnabledRunsMatchAcrossBackendsAndWorkers) {
   engine.skip.skip_budget = 3;
 
   const Result<RunResult> baseline =
-      RunOnce(video, pool, "MES", /*lazy=*/true, /*workers=*/1,
-              /*keep_temporal=*/false, engine);
+      RunOnce(video, pool, "MES", /*lazy=*/true, /*workers=*/1, engine);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   EXPECT_GT(baseline->skip.skipped_frames, 0u);
   EXPECT_GT(baseline->breakdown.tracker_ms, 0.0);
 
-  for (const bool lazy_backend : {false, true}) {
-    for (const int workers : {1, 4}) {
-      SCOPED_TRACE(std::string(lazy_backend ? "lazy" : "eager") + "/w" +
-                   std::to_string(workers));
-      // The eager backend needs the temporal extras kept in the matrix.
-      const Result<RunResult> run =
-          RunOnce(video, pool, "MES", lazy_backend, workers,
-                  /*keep_temporal=*/!lazy_backend, engine);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      ExpectSameRun(*baseline, *run);
-    }
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("w" + std::to_string(workers));
+    const Result<RunResult> lazy =
+        RunOnce(video, pool, "MES", /*lazy=*/true, workers, engine);
+    ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+    ExpectSameRun(*baseline, *lazy);
+
+    MatrixOptions matrix_options;
+    matrix_options.parallelism = workers;
+    const FrameMatrix matrix =
+        std::move(BuildFrameMatrix(video, pool, /*trial_seed=*/9,
+                                   matrix_options))
+            .value();
+    test::EagerTemporalSource eager(matrix, video, pool, /*trial_seed=*/9,
+                                    matrix_options);
+    std::unique_ptr<SelectionStrategy> strategy = MakeStrategy("MES");
+    const Result<RunResult> run = RunStrategy(eager, strategy.get(), engine);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectSameRun(*baseline, *run);
   }
 }
 
@@ -586,8 +569,7 @@ TEST(TemporalEngineTest, EagerBackendWithoutTemporalOutputsIsRejected) {
   engine.skip.skip_budget = 2;
 
   const Result<RunResult> run =
-      RunOnce(video, pool, "MES", /*lazy=*/false, /*workers=*/1,
-              /*keep_temporal=*/false, engine);
+      RunOnce(video, pool, "MES", /*lazy=*/false, /*workers=*/1, engine);
   EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -605,9 +587,9 @@ TEST(TemporalEngineTest, LowMotionSkippingCutsSimulatedTime) {
   skipping.skip.skip_budget = 4;
 
   const Result<RunResult> base =
-      RunOnce(video, pool, "MES", /*lazy=*/true, 1, false, plain);
+      RunOnce(video, pool, "MES", /*lazy=*/true, 1, plain);
   const Result<RunResult> fast =
-      RunOnce(video, pool, "MES", /*lazy=*/true, 1, false, skipping);
+      RunOnce(video, pool, "MES", /*lazy=*/true, 1, skipping);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
 
@@ -650,7 +632,7 @@ TEST(TemporalEngineTest, BanditSkipRunCrashResumesBitIdentically) {
   engine.skip.skip_budget = 3;
 
   const Result<RunResult> baseline =
-      RunOnce(video, pool, "MES", /*lazy=*/true, 1, false, engine);
+      RunOnce(video, pool, "MES", /*lazy=*/true, 1, engine);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_GT(baseline->skip.skipped_frames, 0u);
 
@@ -662,7 +644,7 @@ TEST(TemporalEngineTest, BanditSkipRunCrashResumesBitIdentically) {
   RunResult resumed;
   for (int attempt = 1; attempt <= 64; ++attempt) {
     Result<RunResult> run =
-        RunOnce(video, pool, "MES", /*lazy=*/true, 1, false, ck);
+        RunOnce(video, pool, "MES", /*lazy=*/true, 1, ck);
     if (run.ok()) {
       invocations = attempt;
       resumed = std::move(run).value();
@@ -689,19 +671,19 @@ TEST(TemporalEngineTest, ResumeWithDifferentSkipSettingsIsRejected) {
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
   ck.checkpoint.directory = ScratchDir("skip-identity");
-  ASSERT_EQ(RunOnce(video, pool, "MES", true, 1, false, ck).status().code(),
+  ASSERT_EQ(RunOnce(video, pool, "MES", true, 1, ck).status().code(),
             StatusCode::kAborted);
 
   EngineOptions other = ck;
   other.checkpoint.crash_after_frames = 0;
   other.skip.skip_budget = 4;
   EXPECT_EQ(
-      RunOnce(video, pool, "MES", true, 1, false, other).status().code(),
+      RunOnce(video, pool, "MES", true, 1, other).status().code(),
       StatusCode::kFailedPrecondition);
 
   ck.checkpoint.crash_after_frames = 0;
   const Result<RunResult> ok =
-      RunOnce(video, pool, "MES", true, 1, false, ck);
+      RunOnce(video, pool, "MES", true, 1, ck);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_TRUE(ok->checkpoint.resumed);
 }
@@ -846,23 +828,26 @@ TEST(TemporalGateBoostTest, BoostExtendsEveryPlannedEpisode) {
 }
 
 TEST(TemporalGateBoostTest, BoostCoastsEvenZeroPlans) {
-  // A threshold no difficulty score can undercut: the gated policy plans
-  // zero skips on every episode — the boost must still coast frames.
+  // A scene-context change scores difficulty 1.0, at or above the gated
+  // threshold, so the gated policy plans zero skips for the episode that
+  // follows it — the boost must still coast frames.
   SkipOptions o = BoostOptions();
   o.mode = SkipMode::kDifficultyGated;
-  o.difficulty_threshold = 1e-9;
   auto plain = std::move(TemporalGate::Create(o)).value();
   auto boosted = std::move(TemporalGate::Create(o)).value();
   boosted->SetSkipBoost(2);
   for (TemporalGate* g : {plain.get(), boosted.get()}) {
     EXPECT_FALSE(g->ShouldSkip(SceneContext::kClear));
     g->ObserveDetections({Det(0, 0, 40, 40, 0.9)}, 0);
+    EXPECT_FALSE(g->ShouldSkip(SceneContext::kNight));  // forced detect
+    g->ObserveDetections({Det(0, 0, 40, 40, 0.9)}, 1);
+    ASSERT_GE(g->last_difficulty(), kSkipDifficultyThreshold);
   }
   EXPECT_EQ(plain->remaining_skips(), 0);
   EXPECT_EQ(boosted->remaining_skips(), 2);
   // The boosted gate actually answers the next frames from propagation.
-  EXPECT_TRUE(boosted->ShouldSkip(SceneContext::kClear));
-  EXPECT_FALSE(plain->ShouldSkip(SceneContext::kClear));
+  EXPECT_TRUE(boosted->ShouldSkip(SceneContext::kNight));
+  EXPECT_FALSE(plain->ShouldSkip(SceneContext::kNight));
 }
 
 TEST(TemporalGateBoostTest, BoostIncreasesCoastedFramesEndToEnd) {

@@ -1,14 +1,26 @@
 // Shared helpers for tests: synthetic frame matrices with controlled
-// per-arm reward structure (and optional concept drift).
+// per-arm reward structure (and optional concept drift), an eager
+// reference source for skip-enabled runs, and the per-trial runs an
+// experiment must reproduce.
 
 #ifndef VQE_TESTS_TEST_UTIL_H_
 #define VQE_TESTS_TEST_UTIL_H_
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/math_util.h"
 #include "common/rng.h"
+#include "core/engine.h"
+#include "core/evaluation_source.h"
+#include "core/experiment.h"
+#include "core/frame_eval.h"
 #include "core/frame_matrix.h"
+#include "detection/ap.h"
+#include "fusion/ensemble_method.h"
+#include "models/model_zoo.h"
+#include "sim/video.h"
 
 namespace vqe {
 namespace test {
@@ -66,6 +78,88 @@ inline FrameMatrix SimpleTwoModelMatrix(size_t frames, uint64_t seed = 1,
                                         double noise = 0.05) {
   return SyntheticMatrix(2, frames, {0.0, 0.8, 0.3, 0.85}, {10.0, 10.0},
                          false, noise, seed);
+}
+
+/// The eager reference for skip-enabled runs: every cell from the matrix,
+/// and the propagation hooks computed from what an eager matrix would
+/// hold — each mask's boxes from FrameEvalContext::Fuse on a fresh
+/// context, and propagated boxes scored by FrameMeanAp over the frame's
+/// ground truth. The matrix must be BuildFrameMatrix(video, pool,
+/// trial_seed, options); all four must outlive the source.
+class EagerTemporalSource final : public EvaluationSource {
+ public:
+  EagerTemporalSource(const FrameMatrix& matrix, const Video& video,
+                      const DetectorPool& pool, uint64_t trial_seed,
+                      const MatrixOptions& options)
+      : cells_(matrix),
+        video_(&video),
+        pool_(&pool),
+        trial_seed_(trial_seed),
+        options_(&options),
+        fusion_(std::move(CreateEnsembleMethod(options.fusion,
+                                               options.fusion_options))
+                    .value()) {}
+
+  int num_models() const override { return cells_.num_models(); }
+  size_t num_frames() const override { return cells_.num_frames(); }
+  FrameStats Stats(size_t t) override { return cells_.Stats(t); }
+  MaskEvaluation Eval(size_t t, EnsembleId mask) override {
+    return cells_.Eval(t, mask);
+  }
+  const std::vector<EnsembleId>* TrueFrontier(size_t t) override {
+    return cells_.TrueFrontier(t);
+  }
+  SceneContext PeekContext(size_t t) override { return cells_.PeekContext(t); }
+  bool SupportsPropagation() const override { return true; }
+  Result<double> ScorePropagated(size_t t,
+                                 const DetectionList& dets) override {
+    return FrameMeanAp(dets, BuildGroundTruthIndex(video_->frames[t].objects),
+                       options_->ap);
+  }
+  const DetectionList* FusedOutput(size_t t, EnsembleId mask) override {
+    FrameEvalContext ctx(video_->frames[t], *pool_, trial_seed_, *options_,
+                         *fusion_);
+    ctx.Fuse(mask, &fused_);
+    return &fused_;
+  }
+
+ private:
+  MatrixEvaluationSource cells_;
+  const Video* video_;
+  const DetectorPool* pool_;
+  uint64_t trial_seed_;
+  const MatrixOptions* options_;
+  std::unique_ptr<EnsembleMethod> fusion_;
+  DetectionList fused_;
+};
+
+/// What RunExperiment(config, pool, strategies) must reproduce: each
+/// strategy run on its own over each trial's BuildTrialEvaluator (lazy) or
+/// BuildTrialMatrix source, shared run after run, with the strategy seed
+/// RunExperiment gives the trial. runs[i][trial] is strategy i's run.
+/// The config must have no fault scripts.
+inline std::vector<std::vector<RunResult>> PerTrialRuns(
+    const ExperimentConfig& config, const DetectorPool& pool,
+    const std::vector<StrategySpec>& strategies, bool lazy) {
+  std::vector<std::vector<RunResult>> runs(strategies.size());
+  for (int trial = 0; trial < config.trials; ++trial) {
+    const uint64_t index = static_cast<uint64_t>(trial);
+    std::unique_ptr<EvaluationSource> source;
+    if (lazy) {
+      source = std::move(BuildTrialEvaluator(config, pool, index)).value();
+    } else {
+      source = std::make_unique<MatrixEvaluationSource>(
+          std::move(BuildTrialMatrix(config, pool, index)).value());
+    }
+    EngineOptions engine = config.engine;
+    engine.strategy_seed = HashCombine(config.base_seed, 0xABCD0000ULL + index);
+    for (size_t i = 0; i < strategies.size(); ++i) {
+      std::unique_ptr<SelectionStrategy> strategy = strategies[i].make();
+      runs[i].push_back(
+          std::move(RunStrategy(*source, strategy.get(), engine)).value());
+    }
+  }
+  return runs;
 }
 
 }  // namespace test
