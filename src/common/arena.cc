@@ -19,27 +19,22 @@ FrameArena::FrameArena(size_t min_block_bytes)
 
 FrameArena::~FrameArena() { ReleaseAll(); }
 
-void* FrameArena::Allocate(size_t bytes, size_t align) {
+void* FrameArena::AllocateSlow(size_t bytes, size_t align) {
   assert(align > 0 && (align & (align - 1)) == 0);
   if (blocks_.empty()) NextBlock(bytes + align);
-  // Align the absolute address, not the intra-block offset: block bases
-  // from ::operator new only honour fundamental alignment, so a request
-  // with extended alignment (> 16) could land misaligned if only the
-  // offset were rounded. Over-reserving by `align` in NextBlock keeps the
-  // padded request in bounds.
+  // Over-reserving by `align` in NextBlock keeps the padded request in
+  // bounds whatever the block base's alignment.
   const auto aligned_offset = [this, align](size_t offset) {
-    const uintptr_t base =
-        reinterpret_cast<uintptr_t>(blocks_[cur_block_].data);
+    const uintptr_t base = reinterpret_cast<uintptr_t>(cur_data_);
     return static_cast<size_t>(AlignUp(base + offset, align) - base);
   };
   size_t offset = aligned_offset(cur_offset_);
-  if (offset + bytes > blocks_[cur_block_].size) {
+  if (offset + bytes > cur_size_) {
     NextBlock(bytes + align);
     offset = aligned_offset(cur_offset_);
   }
-  void* p = blocks_[cur_block_].data + offset;
   cur_offset_ = offset + bytes;
-  return p;
+  return cur_data_ + offset;
 }
 
 void FrameArena::NextBlock(size_t bytes) {
@@ -50,6 +45,8 @@ void FrameArena::NextBlock(size_t bytes) {
   if (next < blocks_.size() && blocks_[next].size >= bytes) {
     cur_block_ = next;
     cur_offset_ = 0;
+    cur_data_ = blocks_[next].data;
+    cur_size_ = blocks_[next].size;
     return;
   }
   size_t size = min_block_bytes_;
@@ -62,13 +59,8 @@ void FrameArena::NextBlock(size_t bytes) {
   blocks_.insert(blocks_.begin() + static_cast<ptrdiff_t>(next), b);
   cur_block_ = next;
   cur_offset_ = 0;
-}
-
-void FrameArena::Rewind(const Marker& m) {
-  assert(m.block < blocks_.size() || (m.block == 0 && m.offset == 0));
-  if (blocks_.empty()) return;
-  cur_block_ = m.block;
-  cur_offset_ = m.offset;
+  cur_data_ = b.data;
+  cur_size_ = b.size;
 }
 
 void FrameArena::ReleaseAll() {
@@ -76,6 +68,8 @@ void FrameArena::ReleaseAll() {
   blocks_.clear();
   cur_block_ = 0;
   cur_offset_ = 0;
+  cur_data_ = nullptr;
+  cur_size_ = 0;
 }
 
 size_t FrameArena::live_bytes() const {

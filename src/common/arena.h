@@ -5,7 +5,10 @@
 // all of that into pointer bumps over a few reusable blocks: scratch is
 // claimed with Allocate, reclaimed wholesale by rewinding to a mark, and
 // the blocks themselves are recycled frame after frame — steady state
-// performs zero heap allocations (see stats().block_allocs).
+// performs zero heap allocations (see stats().block_allocs). Allocate's
+// common case (the request fits the current block) and Rewind are inline:
+// a fused cell makes dozens of arena requests, every one of them on the
+// hot path.
 //
 // Concurrency model: arenas are single-threaded by design. Hot-path code
 // uses FrameArena::ThreadLocal(), one arena per thread, so ParallelFor
@@ -18,6 +21,7 @@
 #define VQE_COMMON_ARENA_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -53,8 +57,20 @@ class FrameArena {
 
   /// Returns `bytes` of storage aligned to `align` (a power of two).
   /// Never returns nullptr; zero-byte requests yield a unique aligned
-  /// pointer into the current block.
-  void* Allocate(size_t bytes, size_t align);
+  /// pointer into the current block. The fast path — the request fits in
+  /// the current block — is inline: an align-up and a bounds check.
+  void* Allocate(size_t bytes, size_t align) {
+    // Align the absolute address, not the intra-block offset: block bases
+    // from ::operator new only honour fundamental alignment.
+    const uintptr_t base = reinterpret_cast<uintptr_t>(cur_data_);
+    const size_t offset = static_cast<size_t>(
+        ((base + cur_offset_ + align - 1) & ~(uintptr_t{align} - 1)) - base);
+    if (cur_data_ != nullptr && offset + bytes <= cur_size_) {
+      cur_offset_ = offset + bytes;
+      return cur_data_ + offset;
+    }
+    return AllocateSlow(bytes, align);
+  }
 
   /// Typed convenience: uninitialized storage for `n` objects of T.
   template <typename T>
@@ -66,7 +82,16 @@ class FrameArena {
   /// after this call. Strictly LIFO: rewinding invalidates every pointer
   /// obtained since the mark.
   Marker Mark() const { return Marker{cur_block_, cur_offset_}; }
-  void Rewind(const Marker& m);
+  void Rewind(const Marker& m) {
+    assert(m.block < blocks_.size() || (m.block == 0 && m.offset == 0));
+    if (blocks_.empty()) return;
+    if (m.block != cur_block_) {
+      cur_block_ = m.block;
+      cur_data_ = blocks_[m.block].data;
+      cur_size_ = blocks_[m.block].size;
+    }
+    cur_offset_ = m.offset;
+  }
 
   /// Rewinds to empty, keeping the blocks for reuse.
   void Reset() { Rewind(Marker{0, 0}); }
@@ -89,6 +114,10 @@ class FrameArena {
     size_t size = 0;
   };
 
+  /// Allocate when the request does not fit the current block (or there
+  /// is none yet): moves to the next retained block or grows.
+  void* AllocateSlow(size_t bytes, size_t align);
+
   /// Makes the cursor point at a block with at least `bytes` of room,
   /// reusing retained blocks before growing the footprint.
   void NextBlock(size_t bytes);
@@ -96,6 +125,10 @@ class FrameArena {
   std::vector<Block> blocks_;
   size_t cur_block_ = 0;
   size_t cur_offset_ = 0;
+  /// blocks_[cur_block_]'s data and size, cached for the inline fast path
+  /// (nullptr / 0 while no block exists).
+  char* cur_data_ = nullptr;
+  size_t cur_size_ = 0;
   size_t min_block_bytes_;
   Stats stats_;
 };

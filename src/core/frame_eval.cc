@@ -7,17 +7,25 @@
 
 namespace vqe {
 
-FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
-                                   const DetectorPool& pool,
+FrameEvalContext::FrameEvalContext(const DetectorPool& pool,
                                    uint64_t trial_seed,
                                    const MatrixOptions& options,
                                    const EnsembleMethod& fusion)
-    : options_(&options), fusion_(&fusion) {
+    : pool_(&pool),
+      trial_seed_(trial_seed),
+      options_(&options),
+      fusion_(&fusion) {
+  inputs_.reserve(pool.detectors.size());
+}
+
+void FrameEvalContext::Load(const VideoFrame& frame) {
+  const DetectorPool& pool = *pool_;
   const size_t m = pool.detectors.size();
   model_out_.resize(m);
-  model_cost_ms_.resize(m);
+  model_cost_ms_.assign(m, 0.0);
   model_fault_ms_.assign(m, 0.0);
   model_ok_.assign(m, 0);
+  available_mask_ = 0;
   // Materialize per-model outputs once (the reuse of Alg. 1 lines 9-10),
   // each call routed through the deadline/retry choke point. The default
   // policy on a plain detector reduces to Detect + InferenceCostMs in the
@@ -26,25 +34,27 @@ FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
   // over the surviving models stays fully evaluable.
   for (size_t i = 0; i < m; ++i) {
     DetectorCallOutcome call =
-        DetectWithRetries(*pool.detectors[i], frame, trial_seed,
-                          options.retry);
+        DetectWithRetries(*pool.detectors[i], frame, trial_seed_,
+                          options_->retry);
     model_cost_ms_[i] = call.charged_ms();
     model_fault_ms_[i] = call.fault_ms;
     if (call.ok()) {
       model_out_[i] = std::move(call.detections);
       model_ok_[i] = 1;
       available_mask_ |= Singleton(static_cast<int>(i));
+    } else {
+      model_out_[i].clear();
     }
   }
-  const DetectionList ref_out = pool.reference->Detect(frame, trial_seed);
-  ref_cost_ms_ = pool.reference->InferenceCostMs(frame, trial_seed);
-  const GroundTruthList ref_gt =
-      DetectionsAsGroundTruth(ref_out, options.ref_confidence_threshold);
+  const DetectionList ref_out = pool.reference->Detect(frame, trial_seed_);
+  ref_cost_ms_ = pool.reference->InferenceCostMs(frame, trial_seed_);
+  DetectionsAsGroundTruth(ref_out, options_->ref_confidence_threshold,
+                          &ref_gt_);
 
-  // Per-frame invariants of the mask loop, built once and reused across
-  // every evaluation.
-  ref_index_ = BuildGroundTruthIndex(ref_gt);
-  gt_index_ = BuildGroundTruthIndex(frame.objects);
+  // Per-frame invariants of the mask loop, rebuilt in place once and
+  // reused across every evaluation.
+  RebuildGroundTruthIndex(ref_gt_, &ref_index_);
+  RebuildGroundTruthIndex(frame.objects, &gt_index_);
   // The SoA store is built for every fusion method: its per-class,
   // presorted pools feed the grouped flatten of all 2^m − 1 mask
   // evaluations. The pairwise-IoU tile on top of it pays off only for
@@ -52,11 +62,8 @@ FrameEvalContext::FrameEvalContext(const VideoFrame& frame,
   // WBF queries derived cluster boxes, so the tile would be pure
   // construction overhead there.
   const int num_ids = AssignFrameDetIds(model_out_);
-  soa_ = FrameSoA(model_out_, num_ids);
-  if (fusion.ConsumesIouCache()) {
-    iou_cache_ = PairwiseIouCache(soa_);
-  }
-  inputs_.reserve(m);
+  soa_.Rebuild(model_out_, num_ids);
+  if (fusion_->ConsumesIouCache()) iou_cache_.Rebuild(soa_);
 }
 
 double FrameEvalContext::FullEnsembleCostMs() const {

@@ -5,7 +5,9 @@
 // the LazyFrameEvaluator (which materializes only what a strategy touches)
 // run their mask evaluations through this one code path, so lazy and eager
 // results are bit-identical *by construction*, not by parallel maintenance
-// of two arithmetic pipelines.
+// of two arithmetic pipelines. A context is loaded frame after frame in
+// place (Load), so both keep one per thread rather than building one per
+// frame.
 
 #ifndef VQE_CORE_FRAME_EVAL_H_
 #define VQE_CORE_FRAME_EVAL_H_
@@ -48,20 +50,40 @@ struct MaskEvaluation {
 
 /// All per-frame state the mask loop reuses: cached per-model detections
 /// and costs, the reference pseudo-ground-truth index, the true
-/// ground-truth index, and (when the fusion method consumes it) the
-/// pairwise-IoU tile over the cached detections.
+/// ground-truth index, the frame's SoA store and (when the fusion method
+/// consumes it) the pairwise-IoU tile over the cached detections.
 ///
-/// Not thread-safe: Evaluate and Fuse reuse a scratch span. Parallel
-/// callers build one context per frame (frames are independent pure
+/// One context serves many frames: Load re-targets it and reuses every
+/// buffer, so a warmed context allocates nothing per frame beyond the
+/// lists the detectors and the reference model return. It is neither
+/// copyable nor movable — the SoA store points into its own model lists.
+///
+/// Not thread-safe: Load, Evaluate and Fuse reuse its buffers. Parallel
+/// callers keep one context per worker (frames are independent pure
 /// functions of (frame, trial_seed), which is what makes the parallel
 /// eager build bit-identical for any worker count).
 class FrameEvalContext {
  public:
-  /// Runs all m detectors and the reference model on `frame`. `pool`,
-  /// `options` and `fusion` must outlive the context.
+  /// A context with no frame loaded. `pool`, `options` and `fusion` must
+  /// outlive the context.
+  FrameEvalContext(const DetectorPool& pool, uint64_t trial_seed,
+                   const MatrixOptions& options, const EnsembleMethod& fusion);
+
+  /// A context with `frame` loaded.
   FrameEvalContext(const VideoFrame& frame, const DetectorPool& pool,
                    uint64_t trial_seed, const MatrixOptions& options,
-                   const EnsembleMethod& fusion);
+                   const EnsembleMethod& fusion)
+      : FrameEvalContext(pool, trial_seed, options, fusion) {
+    Load(frame);
+  }
+
+  FrameEvalContext(const FrameEvalContext&) = delete;
+  FrameEvalContext& operator=(const FrameEvalContext&) = delete;
+
+  /// Runs all m detectors and the reference model on `frame` and rebuilds
+  /// every per-frame structure in place. Everything read afterwards is
+  /// exactly what a fresh context over `frame` would hold.
+  void Load(const VideoFrame& frame);
 
   int num_models() const { return static_cast<int>(model_out_.size()); }
   const std::vector<double>& model_cost_ms() const { return model_cost_ms_; }
@@ -104,11 +126,13 @@ class FrameEvalContext {
   /// that need the boxes (the skip gate's tracker ingest).
   void Fuse(EnsembleId mask, DetectionList* out);
 
-  /// The frame's SoA detection store (empty unless the fusion method
-  /// consumes the IoU cache, which is when the tile kernel needs it).
+  /// The frame's SoA detection store, built on every Load for every
+  /// fusion method: its presorted class blocks feed all mask fusions.
   const FrameSoA& soa() const { return soa_; }
 
  private:
+  const DetectorPool* pool_;
+  uint64_t trial_seed_;
   const MatrixOptions* options_;
   const EnsembleMethod* fusion_;
   std::vector<DetectionList> model_out_;
@@ -117,6 +141,8 @@ class FrameEvalContext {
   std::vector<uint8_t> model_ok_;
   EnsembleId available_mask_ = 0;
   double ref_cost_ms_ = 0.0;
+  /// The reference model's boxes as pseudo-ground truth (Load scratch).
+  GroundTruthList ref_gt_;
   GroundTruthIndex ref_index_;
   GroundTruthIndex gt_index_;
   FrameSoA soa_;

@@ -90,7 +90,7 @@ Result<FrameMatrix> BuildFrameMatrix(const Video& video,
   // nothing and the matrix is bit-identical for every worker count.
   matrix.frames.resize(video.size());
 
-  auto build_frame = [&](size_t t) {
+  auto build_frame = [&](FrameEvalContext& ctx, size_t t) {
     const VideoFrame& frame = video.frames[t];
     FrameEvaluation& fe = matrix.frames[t];
     fe.context = frame.context;
@@ -104,7 +104,7 @@ Result<FrameMatrix> BuildFrameMatrix(const Video& video,
     // the per-model outputs once; the loop below materializes the full
     // mask lattice from it — the eager path OPT/BF and the Figure 3
     // aggregates rely on.
-    FrameEvalContext ctx(frame, pool, trial_seed, options, *fusion);
+    ctx.Load(frame);
     fe.model_cost_ms = ctx.model_cost_ms();
     fe.ref_cost_ms = ctx.ref_cost_ms();
     fe.available_mask = ctx.available_mask();
@@ -122,7 +122,20 @@ Result<FrameMatrix> BuildFrameMatrix(const Video& video,
     fe.best_true_candidates = ParetoTrueCandidates(fe, num_masks);
   };
 
-  ParallelFor(video.size(), options.parallelism, build_frame);
+  // Chunks of consecutive frames, each reloading one context in place
+  // frame after frame: one chunk on a serial build, else about eight per
+  // worker (the slack ParallelFor itself keeps for skewed frames).
+  const size_t n = video.size();
+  const int workers = ResolveWorkers(options.parallelism, n);
+  const size_t chunk =
+      workers <= 1 ? n
+                   : std::max<size_t>(1, n / (static_cast<size_t>(workers) * 8));
+  const size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
+  ParallelFor(num_chunks, options.parallelism, [&](size_t c) {
+    FrameEvalContext ctx(pool, trial_seed, options, *fusion);
+    const size_t end = std::min(n, (c + 1) * chunk);
+    for (size_t t = c * chunk; t < end; ++t) build_frame(ctx, t);
+  });
   return matrix;
 }
 

@@ -32,32 +32,33 @@ LazyFrameEvaluator::LazyFrameEvaluator(Video video, const DetectorPool& pool,
       pool_(&pool),
       trial_seed_(trial_seed),
       options_(options),
-      fusion_(std::move(fusion)) {
+      fusion_(std::move(fusion)),
+      live_(pool, trial_seed, options_, *fusion_) {
   frames_.resize(video_.size());
 }
 
 FrameEvalContext& LazyFrameEvaluator::LiveContext(size_t t) {
-  if (live_.has_value() && live_t_ == t) return *live_;
-  // emplace destroys the previous frame's context before building this
-  // one, so at most one is ever alive. A frame with a memo was touched
-  // and evicted before, and rebuilding it is deterministic.
-  live_.emplace(video_.frames[t], *pool_, trial_seed_, options_, *fusion_);
+  if (live_t_ == t) return live_;
+  // Reloading re-targets the one context in place, so exactly one frame's
+  // detections are ever held. A frame with a memo was touched and evicted
+  // before, and reloading it is deterministic.
+  live_.Load(video_.frames[t]);
   live_t_ = t;
   FrameRecord& rec = frames_[t];
   if (!rec.memo.empty()) {
     ++frames_rebuilt_;
-    return *live_;
+    return live_;
   }
   const uint32_t num_masks = num_ensembles();
   rec.memo.resize(num_masks + 1);
   rec.state.assign(num_masks + 1, kUnread);
-  rec.model_cost_ms = live_->model_cost_ms();
-  rec.model_fault_ms = live_->model_fault_ms();
-  rec.ref_cost_ms = live_->ref_cost_ms();
-  rec.max_cost_ms = live_->FullEnsembleCostMs();
-  rec.available_mask = live_->available_mask();
+  rec.model_cost_ms = live_.model_cost_ms();
+  rec.model_fault_ms = live_.model_fault_ms();
+  rec.ref_cost_ms = live_.ref_cost_ms();
+  rec.max_cost_ms = live_.FullEnsembleCostMs();
+  rec.available_mask = live_.available_mask();
   ++frames_touched_;
-  return *live_;
+  return live_;
 }
 
 FrameStats LazyFrameEvaluator::Stats(size_t t) {
@@ -106,9 +107,8 @@ MaskEvaluation LazyFrameEvaluator::Read(size_t t, EnsembleId mask,
 
 Result<double> LazyFrameEvaluator::ScorePropagated(size_t t,
                                                    const DetectionList& dets) {
-  const GroundTruthIndex index =
-      BuildGroundTruthIndex(video_.frames[t].objects);
-  return FrameMeanAp(dets, index, options_.ap);
+  RebuildGroundTruthIndex(video_.frames[t].objects, &propagated_index_);
+  return FrameMeanAp(dets, propagated_index_, options_.ap);
 }
 
 const DetectionList* LazyFrameEvaluator::FusedOutput(size_t t,

@@ -8,15 +8,18 @@
 // (frame, mask); repeated reads — subset updates, window replays, oracle
 // probes — are free.
 //
-// Memory model: at most one FrameEvalContext (the per-model detections,
-// ground-truth indexes, SoA store and scratch of Alg. 1 lines 9–10) is
-// live — the frame being evaluated. Touching another frame replaces it.
-// What each touched frame keeps is its memo plus the scalars Stats()
-// returns, so a long run holds a few small blocks per frame, not a whole
-// detector context. The engine never reads a frame again after stepping
-// past it, so single-pass runs never need an evicted context back; an
-// Eval or FusedOutput that does (an unmemoised mask on an earlier frame)
-// rebuilds it deterministically and counts it in frames_rebuilt().
+// Memory model: one FrameEvalContext (the per-model detections,
+// ground-truth indexes, SoA store and scratch of Alg. 1 lines 9–10) lives
+// as long as the evaluator and holds the frame being evaluated. Touching
+// another frame reloads it in place, reusing its buffers, so a touched
+// frame costs the detector lists plus its record's four blocks and no
+// other heap allocation. What each touched frame keeps is its memo plus
+// the scalars Stats() returns, so a long run holds a few small blocks per
+// frame, not a whole detector context. The engine never reads a frame
+// again after stepping past it, so single-pass runs never need an evicted
+// frame back; an Eval or FusedOutput that does (an unmemoised mask on an
+// earlier frame) reloads it deterministically and counts it in
+// frames_rebuilt().
 //
 // The memo caches this evaluator's own reads and is never snapshotted: a
 // run restored from a checkpoint or migration payload only reads frames
@@ -42,7 +45,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -97,7 +99,8 @@ class LazyFrameEvaluator final : public EvaluationSource {
   bool SupportsPropagation() const override { return true; }
 
   /// Scores against the frame's ground truth directly from the owned
-  /// video; runs no detector and does not materialize the frame.
+  /// video (its index rebuilt in a reused buffer); runs no detector and
+  /// does not materialize the frame.
   Result<double> ScorePropagated(size_t t,
                                  const DetectionList& dets) override;
 
@@ -168,9 +171,13 @@ class LazyFrameEvaluator final : public EvaluationSource {
   MatrixOptions options_;
   std::unique_ptr<EnsembleMethod> fusion_;
   std::vector<FrameRecord> frames_;
-  /// The one live context and the frame it belongs to.
-  std::optional<FrameEvalContext> live_;
-  size_t live_t_ = 0;
+  /// The one context, reloaded in place for each frame read, and the
+  /// frame it holds (kNoFrame before the first).
+  static constexpr size_t kNoFrame = static_cast<size_t>(-1);
+  FrameEvalContext live_;
+  size_t live_t_ = kNoFrame;
+  /// ScorePropagated's ground-truth index, rebuilt in place per call.
+  GroundTruthIndex propagated_index_;
   size_t frames_touched_ = 0;
   size_t frames_rebuilt_ = 0;
   uint64_t masks_materialized_ = 0;

@@ -135,11 +135,11 @@ double IntegratePrCurveArena(const ArenaCurve& curve,
 
 // SingleClassAp over a class-filtered arena run of detections.
 double SingleClassApArena(const Detection* detections, size_t n,
-                          const GroundTruthList& ground_truth,
+                          const GroundTruthBox* ground_truth, size_t num_boxes,
                           const ApOptions& options, FrameArena& arena) {
   size_t num_gt = 0;
-  for (const auto& g : ground_truth) {
-    if (!g.difficult) ++num_gt;
+  for (size_t g = 0; g < num_boxes; ++g) {
+    if (!ground_truth[g].difficult) ++num_gt;
   }
   if (num_gt == 0) {
     // No evaluable objects of this class: perfect iff every detection is
@@ -147,7 +147,7 @@ double SingleClassApArena(const Detection* detections, size_t n,
     if (n == 0) return 1.0;
     ArenaScope scope(arena);
     const detail::ArenaMatchResult mr = detail::MatchDetectionsArena(
-        detections, n, ground_truth, options.iou_threshold, arena);
+        detections, n, ground_truth, num_boxes, options.iou_threshold, arena);
     for (size_t i = 0; i < mr.size; ++i) {
       if (!mr.matches[i].ignored) return 0.0;
     }
@@ -156,7 +156,7 @@ double SingleClassApArena(const Detection* detections, size_t n,
   if (n == 0) return 0.0;
   ArenaScope scope(arena);
   const detail::ArenaMatchResult mr = detail::MatchDetectionsArena(
-      detections, n, ground_truth, options.iou_threshold, arena);
+      detections, n, ground_truth, num_boxes, options.iou_threshold, arena);
   const ArenaCurve curve =
       PrecisionRecallCurveArena(mr.matches, mr.size, mr.num_gt, arena);
   return IntegratePrCurveArena(curve, options.interpolation);
@@ -222,21 +222,46 @@ double SingleClassAp(const DetectionList& detections,
   return IntegratePrCurve(curve, options.interpolation);
 }
 
-GroundTruthIndex BuildGroundTruthIndex(const GroundTruthList& ground_truth) {
-  GroundTruthIndex index;
+void RebuildGroundTruthIndex(const GroundTruthList& ground_truth,
+                             GroundTruthIndex* index) {
+  // Count each class into its ascending-label range, then scatter the
+  // boxes in input order: `end` serves as each range's fill cursor.
+  auto& classes = index->classes;
+  classes.clear();
   for (const auto& g : ground_truth) {
     auto it = std::lower_bound(
-        index.classes.begin(), index.classes.end(), g.label,
-        [](const GroundTruthIndex::ClassEntry& e, ClassId l) {
-          return e.label < l;
+        classes.begin(), classes.end(), g.label,
+        [](const GroundTruthIndex::ClassRange& r, ClassId l) {
+          return r.label < l;
         });
-    if (it == index.classes.end() || it->label != g.label) {
-      it = index.classes.insert(it, GroundTruthIndex::ClassEntry{});
+    if (it == classes.end() || it->label != g.label) {
+      it = classes.insert(it, GroundTruthIndex::ClassRange{});
       it->label = g.label;
     }
-    it->boxes.push_back(g);
+    ++it->end;
     if (!g.difficult) it->has_evaluable = true;
   }
+  size_t begin = 0;
+  for (auto& r : classes) {
+    const size_t count = r.end;
+    r.begin = begin;
+    r.end = begin;
+    begin += count;
+  }
+  index->boxes.resize(ground_truth.size());
+  for (const auto& g : ground_truth) {
+    auto it = std::lower_bound(
+        classes.begin(), classes.end(), g.label,
+        [](const GroundTruthIndex::ClassRange& r, ClassId l) {
+          return r.label < l;
+        });
+    index->boxes[it->end++] = g;
+  }
+}
+
+GroundTruthIndex BuildGroundTruthIndex(const GroundTruthList& ground_truth) {
+  GroundTruthIndex index;
+  RebuildGroundTruthIndex(ground_truth, &index);
   return index;
 }
 
@@ -259,13 +284,15 @@ void ClassMajorMeanAp::AddClass(ClassId label, const Detection* dets,
                                 size_t n) {
   if (n == 0) return;
   SkipBelow(label);
-  static const GroundTruthList kNoGt;
-  const GroundTruthList* cls_gt = &kNoGt;
+  const GroundTruthBox* cls_gt = nullptr;
+  size_t cls_gt_size = 0;
   const auto& classes = ground_truth_->classes;
   if (next_entry_ < classes.size() && classes[next_entry_].label == label) {
-    cls_gt = &classes[next_entry_++].boxes;
+    const GroundTruthIndex::ClassRange& r = classes[next_entry_++];
+    cls_gt = ground_truth_->boxes.data() + r.begin;
+    cls_gt_size = r.end - r.begin;
   }
-  sum_ += SingleClassApArena(dets, n, *cls_gt, *options_,
+  sum_ += SingleClassApArena(dets, n, cls_gt, cls_gt_size, *options_,
                              FrameArena::ThreadLocal());
   ++num_classes_;
 }
@@ -290,15 +317,21 @@ double FrameMeanAp(const DetectionList& detections,
 GroundTruthList DetectionsAsGroundTruth(const DetectionList& reference,
                                         double min_confidence) {
   GroundTruthList out;
-  out.reserve(reference.size());
+  DetectionsAsGroundTruth(reference, min_confidence, &out);
+  return out;
+}
+
+void DetectionsAsGroundTruth(const DetectionList& reference,
+                             double min_confidence, GroundTruthList* out) {
+  out->clear();
+  out->reserve(reference.size());
   for (const auto& d : reference) {
     if (d.confidence < min_confidence) continue;
     GroundTruthBox g;
     g.box = d.box;
     g.label = d.label;
-    out.push_back(g);
+    out->push_back(g);
   }
-  return out;
 }
 
 double DatasetMeanAp(const std::vector<DetectionList>& detections_per_frame,

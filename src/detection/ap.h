@@ -57,23 +57,36 @@ double SingleClassAp(const DetectionList& detections,
                      const ApOptions& options);
 
 /// Class-partitioned view of one frame's ground truth: the per-class box
-/// lists FrameMeanAp needs, built once and reused across many evaluations
+/// runs FrameMeanAp needs, built once and reused across many evaluations
 /// of different detection lists against the same ground truth (matrix
-/// construction evaluates 2^m − 1 fused outputs per frame).
+/// construction evaluates 2^m − 1 fused outputs per frame). Flat: one
+/// label-sorted box array plus per-class ranges, so rebuilding an index in
+/// place for another frame frees nothing and, once warmed, allocates
+/// nothing.
 struct GroundTruthIndex {
-  struct ClassEntry {
+  struct ClassRange {
     ClassId label = 0;
-    /// All GT boxes of the class, difficult included, in original order.
-    GroundTruthList boxes;
+    /// The class's boxes are boxes[begin, end): difficult included, in
+    /// original order.
+    size_t begin = 0;
+    size_t end = 0;
     /// True when the class has at least one non-difficult box (such
     /// classes always enter the per-frame class union).
     bool has_evaluable = false;
   };
-  /// Entries in ascending label order.
-  std::vector<ClassEntry> classes;
+  /// Every GT box, grouped by ascending label (stable within a class).
+  GroundTruthList boxes;
+  /// One range per class, in ascending label order.
+  std::vector<ClassRange> classes;
 };
 
-/// Partitions `ground_truth` by class.
+/// Repartitions `ground_truth` by class into `*index`, reusing its
+/// buffers.
+void RebuildGroundTruthIndex(const GroundTruthList& ground_truth,
+                             GroundTruthIndex* index);
+
+/// Partitions `ground_truth` by class (RebuildGroundTruthIndex into a
+/// fresh index).
 GroundTruthIndex BuildGroundTruthIndex(const GroundTruthList& ground_truth);
 
 /// Class-major frame mean AP against a prebuilt index: the one place the
@@ -132,6 +145,10 @@ double FrameMeanAp(const DetectionList& detections,
 /// Detections below `min_confidence` are dropped.
 GroundTruthList DetectionsAsGroundTruth(const DetectionList& reference,
                                         double min_confidence = 0.0);
+
+/// The same into `*out` (cleared first, capacity kept).
+void DetectionsAsGroundTruth(const DetectionList& reference,
+                             double min_confidence, GroundTruthList* out);
 
 /// Dataset-level mAP over many frames: detections are pooled per class
 /// across frames before PR integration (VOC protocol).

@@ -1,64 +1,54 @@
 #include "detection/frame_soa.h"
 
 #include <algorithm>
-#include <cstddef>
 
 namespace vqe {
 
-FrameSoA::FrameSoA(const std::vector<DetectionList>& per_model, int num_ids)
-    : source_(&per_model) {
-  if (num_ids <= 0) return;
-  num_ids_ = num_ids;
-  const size_t n = static_cast<size_t>(num_ids);
-  x1_.assign(n, 0.0);
-  y1_.assign(n, 0.0);
-  x2_.assign(n, 0.0);
-  y2_.assign(n, 0.0);
-  score_.assign(n, 0.0);
-  area_.assign(n, 0.0);
-  label_.assign(n, 0);
-  model_.assign(n, -1);
-  filled_.assign(n, 0);
+namespace {
+
+/// Sort key ordering ids by (label, id) ascending: the label with its sign
+/// bit flipped (so signed order survives the unsigned compare) above the
+/// id.
+uint64_t LabelIdKey(ClassId label, size_t id) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(label) ^ 0x80000000u)
+          << 32) |
+         static_cast<uint64_t>(id);
+}
+
+}  // namespace
+
+void FrameSoA::Rebuild(const std::vector<DetectionList>& per_model,
+                       int num_ids) {
+  source_ = &per_model;
+  num_ids_ = std::max(num_ids, 0);
+  const size_t n = static_cast<size_t>(num_ids_);
+  list_slots_.assign(per_model.size(), 0);
+  blocks_.clear();
 
   // Scatter each detection into its id slot, later writers winning — the
   // same id→detection resolution the tile's historical by_id map applied.
-  // `src_list`/`src_ptr` record the winning writer's source-list index and
-  // address for the packed provenance arrays below.
-  std::vector<int32_t> src_list(n, -1);
-  std::vector<const Detection*> src_ptr(n, nullptr);
+  id_src_.assign(n, nullptr);
+  id_list_.resize(n);
   for (size_t li = 0; li < per_model.size(); ++li) {
     for (const auto& d : per_model[li]) {
       if (d.frame_det_id < 0 || d.frame_det_id >= num_ids_) continue;
       const size_t i = static_cast<size_t>(d.frame_det_id);
-      x1_[i] = d.box.x1;
-      y1_[i] = d.box.y1;
-      x2_[i] = d.box.x2;
-      y2_[i] = d.box.y2;
-      score_[i] = d.confidence;
-      area_[i] = d.box.Area();
-      label_[i] = d.label;
-      model_[i] = d.model_index;
-      filled_[i] = 1;
-      src_list[i] = static_cast<int32_t>(li);
-      src_ptr[i] = &d;
+      id_src_[i] = &d;
+      id_list_[i] = static_cast<int32_t>(li);
     }
   }
 
-  // Pack the filled ids into ascending-(label, id) order and record each
-  // class's run. Ids are unique keys, so plain sort is deterministic.
-  packed_id_.reserve(n);
+  // Order the claimed ids by (label, id). The keys are unique, so the
+  // in-place (heap-free) std::sort is deterministic.
+  std::vector<uint64_t>& keys = sort_keys_;
+  keys.clear();
   for (size_t i = 0; i < n; ++i) {
-    if (filled_[i] != 0) packed_id_.push_back(static_cast<int32_t>(i));
+    if (id_src_[i] != nullptr) keys.push_back(LabelIdKey(id_src_[i]->label, i));
   }
-  std::sort(packed_id_.begin(), packed_id_.end(),
-            [this](int32_t a, int32_t b) {
-              const int32_t la = label_[static_cast<size_t>(a)];
-              const int32_t lb = label_[static_cast<size_t>(b)];
-              if (la != lb) return la < lb;
-              return a < b;
-            });
+  std::sort(keys.begin(), keys.end());
 
-  const size_t p = packed_id_.size();
+  const size_t p = keys.size();
+  packed_id_.resize(p);
   packed_x1_.resize(p);
   packed_y1_.resize(p);
   packed_x2_.resize(p);
@@ -66,41 +56,42 @@ FrameSoA::FrameSoA(const std::vector<DetectionList>& per_model, int num_ids)
   packed_area_.resize(p);
   packed_list_.resize(p);
   packed_src_.resize(p);
+  sorted_slot_.resize(p);
   for (size_t s = 0; s < p; ++s) {
-    const size_t i = static_cast<size_t>(packed_id_[s]);
-    packed_x1_[s] = x1_[i];
-    packed_y1_[s] = y1_[i];
-    packed_x2_[s] = x2_[i];
-    packed_y2_[s] = y2_[i];
-    packed_area_[s] = area_[i];
-    packed_list_[s] = src_list[i];
-    packed_src_[s] = src_ptr[i];
-    const ClassId cls = label_[i];
-    if (blocks_.empty() || blocks_.back().label != cls) {
-      blocks_.push_back(LabelBlock{cls, s, s + 1});
+    const size_t i = static_cast<size_t>(keys[s] & 0xffffffffu);
+    const Detection& d = *id_src_[i];
+    packed_id_[s] = static_cast<int32_t>(i);
+    packed_x1_[s] = d.box.x1;
+    packed_y1_[s] = d.box.y1;
+    packed_x2_[s] = d.box.x2;
+    packed_y2_[s] = d.box.y2;
+    packed_area_[s] = d.box.Area();
+    packed_list_[s] = id_list_[i];
+    packed_src_[s] = &d;
+    ++list_slots_[static_cast<size_t>(id_list_[i])];
+    if (blocks_.empty() || blocks_.back().label != d.label) {
+      blocks_.push_back(LabelBlock{d.label, s, s + 1});
     } else {
       blocks_.back().end = s + 1;
     }
-  }
 
-  // Per-block stable descending-score order, computed once per frame.
-  // AssignFrameDetIds hands out ids monotonically in (list, position)
-  // order, so packed (id-ascending) order within a block IS the
-  // model-major flatten order fusion pools in — a stable sort over it
-  // produces exactly the tie-breaks the per-mask SortGroupDesc produced,
-  // and stays exact under any subset filter (stable-sort-then-filter ==
-  // filter-then-stable-sort).
-  sorted_slot_.resize(p);
-  for (size_t s = 0; s < p; ++s) sorted_slot_[s] = static_cast<int32_t>(s);
-  for (const LabelBlock& block : blocks_) {
-    std::stable_sort(sorted_slot_.begin() + static_cast<std::ptrdiff_t>(block.begin),
-                     sorted_slot_.begin() + static_cast<std::ptrdiff_t>(block.end),
-                     [this](int32_t a, int32_t b) {
-                       return score_[static_cast<size_t>(packed_id_[
-                                  static_cast<size_t>(a)])] >
-                              score_[static_cast<size_t>(packed_id_[
-                                  static_cast<size_t>(b)])];
-                     });
+    // The block's stable descending-score order, grown one slot at a
+    // time by insertion: the new slot moves ahead only of strictly lower
+    // scores, so ties keep packed (id-ascending) order. AssignFrameDetIds
+    // hands out ids monotonically in (list, position) order, so that IS
+    // the model-major flatten order fusion pools in, and the permutation
+    // equals what std::stable_sort produced — without its per-call heap
+    // buffer — and stays exact under any subset filter
+    // (stable-sort-then-filter == filter-then-stable-sort).
+    const size_t begin = blocks_.back().begin;
+    size_t j = s;
+    while (j > begin &&
+           packed_src_[static_cast<size_t>(sorted_slot_[j - 1])]->confidence <
+               d.confidence) {
+      sorted_slot_[j] = sorted_slot_[j - 1];
+      --j;
+    }
+    sorted_slot_[j] = static_cast<int32_t>(s);
   }
 }
 

@@ -1,27 +1,27 @@
-// Structure-of-arrays mirror of a frame's cached per-model detections.
-// The per-frame fusion hot path evaluates up to 2^m − 1 masks over the
-// same m detection lists; kernels that sweep many box pairs (the pairwise
-// IoU tile, vectorized overlap scans) pay for Detection's AoS layout twice
-// — 64-byte strides for 8-byte coordinate reads, plus a pointer chase per
-// box. FrameSoA is built once per frame, right after AssignFrameDetIds,
-// and exposes the coordinates as contiguous parallel arrays indexed by
-// frame_det_id so those kernels stream over dense lanes instead.
+// Label-sorted packed store of a frame's cached per-model detections, the
+// per-frame half of fusion's work. The per-frame fusion hot path evaluates
+// up to 2^m − 1 masks over the same m detection lists; FrameSoA groups
+// those lists once per frame, right after AssignFrameDetIds, so each mask
+// only filters what was grouped:
+//   * label blocks: frame_det_ids grouped by ascending class label (ids
+//     ascending within a block), with the block's coordinates and areas
+//     packed contiguously for the pairwise-IoU tile's block kernel;
+//   * per packed slot, provenance: the source list index and a pointer to
+//     the source Detection, so fusion filters a block down to a mask's
+//     member lists and reads the full records in place;
+//   * per block, the presorted slots: the stable descending-score order
+//     every mask's confidence-sorted pool is a filter of;
+//   * per source list, the slots its detections claimed, which lets
+//     fusion confirm a span's lists are fully represented in O(m).
 //
-// Two views are maintained:
-//   * id-indexed arrays (x1/y1/x2/y2/score/area/label/model): slot i is
-//     the detection whose frame_det_id == i, matching the ids a prior
-//     AssignFrameDetIds assigned. Slots no detection claims are zeroed
-//     and excluded from the label blocks.
-//   * label-sorted packed blocks: ids grouped by ascending class label
-//     (ids ascending within a block), with the block's coordinates packed
-//     contiguously. Fusion only compares boxes within a class, so a
-//     kernel that walks one block touches exactly the pairs it needs,
-//     over unit-stride lanes the compiler can vectorize.
-//
-// The SoA arrays are plain copies — coordinate and area values are the
+// The packed values are plain copies — coordinates and areas are the
 // exact doubles the source Detections carry (area via BBox::Area(), the
 // same expression scalar IoU evaluates) — so SoA kernels can promise
 // bit-identical results to their pointer-chasing predecessors.
+//
+// Rebuild re-targets the store at another frame's lists and reuses every
+// buffer, so a store kept across frames allocates nothing once its
+// capacity has warmed up.
 
 #ifndef VQE_DETECTION_FRAME_SOA_H_
 #define VQE_DETECTION_FRAME_SOA_H_
@@ -46,34 +46,22 @@ class FrameSoA {
   /// An empty store (num_ids() == 0).
   FrameSoA() = default;
 
-  /// Builds the store over `per_model`, whose detections must carry the
+  /// A store built over `per_model`; see Rebuild.
+  FrameSoA(const std::vector<DetectionList>& per_model, int num_ids) {
+    Rebuild(per_model, num_ids);
+  }
+
+  /// Rebuilds the store over `per_model`, whose detections must carry the
   /// ids a prior AssignFrameDetIds(per_model) assigned; `num_ids` is its
   /// return value. Detections with out-of-range ids are skipped; when two
   /// detections claim one id the later one wins (matching the historical
-  /// id→detection map used by the IoU tile). The source vector must
-  /// outlive the store for per_model_view() to remain valid; the SoA
-  /// arrays themselves are self-contained copies.
-  FrameSoA(const std::vector<DetectionList>& per_model, int num_ids);
+  /// id→detection map used by the IoU tile). `per_model` must stay
+  /// unmodified while the store is read: packed_src() points into it.
+  /// Allocation-free once the buffers have grown to the frame's size.
+  void Rebuild(const std::vector<DetectionList>& per_model, int num_ids);
 
   int num_ids() const { return num_ids_; }
   bool empty() const { return num_ids_ == 0; }
-
-  /// Id-indexed parallel arrays (size num_ids()).
-  const double* x1() const { return x1_.data(); }
-  const double* y1() const { return y1_.data(); }
-  const double* x2() const { return x2_.data(); }
-  const double* y2() const { return y2_.data(); }
-  const double* score() const { return score_.data(); }
-  /// BBox::Area() of each box, precomputed with the exact expression
-  /// scalar IoU uses.
-  const double* area() const { return area_.data(); }
-  const int32_t* label() const { return label_.data(); }
-  /// Producing model's pool index (Detection::model_index).
-  const int32_t* model() const { return model_.data(); }
-  /// True when slot i was claimed by a detection.
-  bool id_filled(int i) const {
-    return filled_[static_cast<size_t>(i)] != 0;
-  }
 
   /// Label-sorted packed view: blocks() partitions the packed arrays by
   /// ascending class; packed_id()[s] maps packed slot s back to the
@@ -89,12 +77,12 @@ class FrameSoA {
 
   /// Per packed slot: the index within the *source vector* of the list the
   /// slot's detection came from (not Detection::model_index, which
-  /// producers may leave unset). Fusion's grouped flatten uses this to
-  /// filter the packed blocks down to a mask's member lists.
+  /// producers may leave unset). Fusion filters the packed blocks down to
+  /// a mask's member lists with it.
   const int32_t* packed_list() const { return packed_list_.data(); }
   /// Per packed slot: pointer to the source Detection (valid while the
-  /// source lists are unmodified). Lets fusion copy full records —
-  /// box_variance and all — straight from the block walk.
+  /// source lists are unmodified). Fusion reads full records — score,
+  /// box_variance and all — through it without copying them.
   const Detection* const* packed_src() const { return packed_src_.data(); }
   /// Per-block stable descending-score permutation: for s in
   /// [block.begin, block.end), sorted_slot()[s] visits the block's packed
@@ -104,10 +92,16 @@ class FrameSoA {
   /// subset, fusion reuses this one per-frame permutation for every mask's
   /// descending-confidence pool instead of re-sorting per mask.
   const int32_t* sorted_slot() const { return sorted_slot_.data(); }
+  /// Per source list (size source()->size()): the packed slots its
+  /// detections claimed. A list is fully represented exactly when this
+  /// equals its size; a shortfall means some detection lost its id slot
+  /// (stale, duplicate or out-of-range frame_det_ids).
+  const uint32_t* list_slots() const { return list_slots_.data(); }
 
-  /// The source per-model vector the store was built over (nullptr for an
-  /// empty store). Fusion's fast path uses address identity against this
-  /// vector to map a mask's input lists back to packed_list() indices.
+  /// The source per-model vector the store was built over (nullptr for a
+  /// default-constructed store). Fusion's fast path uses address identity
+  /// against this vector to map a mask's input lists to packed_list()
+  /// indices.
   const std::vector<DetectionList>* source() const { return source_; }
 
   /// Non-owning view of the source per-model lists, so call sites that
@@ -120,9 +114,6 @@ class FrameSoA {
 
  private:
   int num_ids_ = 0;
-  std::vector<double> x1_, y1_, x2_, y2_, score_, area_;
-  std::vector<int32_t> label_, model_;
-  std::vector<uint8_t> filled_;
   std::vector<LabelBlock> blocks_;
   std::vector<int32_t> packed_id_;
   std::vector<double> packed_x1_, packed_y1_, packed_x2_, packed_y2_,
@@ -130,6 +121,12 @@ class FrameSoA {
   std::vector<int32_t> packed_list_;
   std::vector<const Detection*> packed_src_;
   std::vector<int32_t> sorted_slot_;
+  std::vector<uint32_t> list_slots_;
+  /// Rebuild scratch: by frame_det_id, the winning writer of each id (or
+  /// nullptr) and its source list; and the (label, id) sort keys.
+  std::vector<const Detection*> id_src_;
+  std::vector<int32_t> id_list_;
+  std::vector<uint64_t> sort_keys_;
   const std::vector<DetectionList>* source_ = nullptr;
 };
 

@@ -7,12 +7,13 @@ namespace vqe {
 namespace detail {
 
 ArenaMatchResult MatchDetectionsArena(const Detection* detections, size_t n,
-                                      const GroundTruthList& ground_truth,
+                                      const GroundTruthBox* ground_truth,
+                                      size_t num_gt_boxes,
                                       double iou_threshold,
                                       FrameArena& arena) {
   ArenaMatchResult result;
-  for (const auto& gt : ground_truth) {
-    if (!gt.difficult) ++result.num_gt;
+  for (size_t g = 0; g < num_gt_boxes; ++g) {
+    if (!ground_truth[g].difficult) ++result.num_gt;
   }
 
   // Confidence-descending processing order (stable for determinism — the
@@ -24,7 +25,6 @@ ArenaMatchResult MatchDetectionsArena(const Detection* detections, size_t n,
     return detections[a].confidence > detections[b].confidence;
   });
 
-  const size_t num_gt_boxes = ground_truth.size();
   uint8_t* gt_claimed = arena.AllocateArray<uint8_t>(num_gt_boxes);
   for (size_t g = 0; g < num_gt_boxes; ++g) gt_claimed[g] = 0;
   // Ground-truth areas, hoisted out of the det × gt sweep (each IoU query
@@ -80,8 +80,8 @@ MatchResult MatchDetections(const DetectionList& detections,
   FrameArena& arena = FrameArena::ThreadLocal();
   ArenaScope scope(arena);
   const detail::ArenaMatchResult r = detail::MatchDetectionsArena(
-      detections.data(), detections.size(), ground_truth, iou_threshold,
-      arena);
+      detections.data(), detections.size(), ground_truth.data(),
+      ground_truth.size(), iou_threshold, arena);
   MatchResult result;
   result.num_gt = r.num_gt;
   result.matches.assign(r.matches, r.matches + r.size);

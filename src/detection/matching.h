@@ -62,7 +62,8 @@ struct ArenaMatchResult {
   size_t num_gt = 0;
 };
 ArenaMatchResult MatchDetectionsArena(const Detection* detections, size_t n,
-                                      const GroundTruthList& ground_truth,
+                                      const GroundTruthBox* ground_truth,
+                                      size_t num_gt_boxes,
                                       double iou_threshold, FrameArena& arena);
 
 }  // namespace detail

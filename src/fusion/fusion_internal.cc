@@ -1,89 +1,84 @@
 #include "fusion/fusion_internal.h"
 
 #include <algorithm>
+#include <bit>
 #include <new>
 
 namespace vqe {
 namespace fusion_internal {
 
-namespace {
-
-/// The SoA fast path of GroupByClass: filter the frame's packed label
-/// blocks down to the span's member lists. Returns false (leaving *out
-/// untouched beyond scratch) when the span doesn't map onto the store.
-bool GroupFromSoA(DetectionListSpan per_model, FrameArena& arena,
-                  const FrameSoA& soa, bool sorted, ClassGroups* out) {
+bool SoAMemberMask(DetectionListSpan per_model, const FrameSoA& soa,
+                   uint64_t* members) {
   const std::vector<DetectionList>* src = soa.source();
   if (src == nullptr) return false;
-
+  const size_t num_lists = src->size();
+  if (num_lists > 64) return false;
   // Map each span list to its source-vector position by address identity.
   // The forward-only scan enforces strictly ascending source order, the
   // precondition for packed (id-ascending) order to equal the span's
-  // model-major flatten order.
-  const size_t num_lists = src->size();
-  int32_t* span_pos = arena.AllocateArray<int32_t>(num_lists);
-  for (size_t q = 0; q < num_lists; ++q) span_pos[q] = -1;
+  // model-major flatten order. A member list whose slot count falls short
+  // of its size lost a detection's id slot (stale or duplicate
+  // frame_det_ids), where only the generic flatten is faithful.
+  const uint32_t* slots = soa.list_slots();
+  uint64_t mask = 0;
   size_t scan = 0;
   for (size_t j = 0; j < per_model.size(); ++j) {
     const DetectionList* lp = &per_model[j];
     while (scan < num_lists && &(*src)[scan] != lp) ++scan;
-    if (scan == num_lists) return false;
-    span_pos[scan++] = static_cast<int32_t>(j);
+    if (scan == num_lists || slots[scan] != lp->size()) return false;
+    mask |= uint64_t{1} << scan;
+    ++scan;
   }
+  *members = mask;
+  return true;
+}
 
-  // Per-block member counts. The totals must reconcile exactly with the
-  // span: a shortfall means some detection never claimed its id slot
-  // (stale or duplicate frame_det_ids), where only the generic flatten is
-  // faithful.
-  const auto& blocks = soa.blocks();
-  const int32_t* plist = soa.packed_list();
-  size_t* block_count = arena.AllocateArray<size_t>(blocks.size());
-  size_t num_classes = 0;
+namespace {
+
+/// The SoA fast path of GroupByClass: filter the frame's packed label
+/// blocks down to the span's member lists. Returns false when the span
+/// doesn't map onto the store.
+bool GroupFromSoA(DetectionListSpan per_model, FrameArena& arena,
+                  const FrameSoA& soa, bool sorted, ClassGroups* out) {
+  uint64_t members = 0;
+  if (!SoAMemberMask(per_model, soa, &members)) return false;
+  // Every member list is fully represented, so the span's total is the
+  // member slot count and sizes the pool up front: one pass fills it.
   size_t total = 0;
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    size_t cnt = 0;
-    for (size_t s = blocks[b].begin; s < blocks[b].end; ++s) {
-      if (span_pos[plist[s]] >= 0) ++cnt;
-    }
-    block_count[b] = cnt;
-    if (cnt > 0) {
-      ++num_classes;
-      total += cnt;
-    }
-  }
-  size_t span_total = 0;
-  for (size_t j = 0; j < per_model.size(); ++j) {
-    span_total += per_model[j].size();
-  }
-  if (total != span_total) return false;
+  for (size_t j = 0; j < per_model.size(); ++j) total += per_model[j].size();
   out->total = total;
   if (total == 0) return true;
 
-  ClassGroup* groups = arena.AllocateArray<ClassGroup>(num_classes);
-  Detection* grouped = arena.AllocateArray<Detection>(total);
-  int32_t* sources = arena.AllocateArray<int32_t>(total);
+  const auto& blocks = soa.blocks();
+  const int32_t* plist = soa.packed_list();
   const Detection* const* psrc = soa.packed_src();
   const int32_t* sslot = soa.sorted_slot();
+  ClassGroup* groups = arena.AllocateArray<ClassGroup>(blocks.size());
+  Detection* grouped = arena.AllocateArray<Detection>(total);
+  int32_t* sources = arena.AllocateArray<int32_t>(total);
   size_t pos = 0;
   size_t g = 0;
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (block_count[b] == 0) continue;
-    ClassGroup* grp = new (groups + g++) ClassGroup();
-    grp->label = blocks[b].label;
-    grp->dets = grouped + pos;
-    grp->sources = sources + pos;
-    grp->size = block_count[b];
-    for (size_t s = blocks[b].begin; s < blocks[b].end; ++s) {
+  for (const FrameSoA::LabelBlock& block : blocks) {
+    const size_t first = pos;
+    for (size_t s = block.begin; s < block.end; ++s) {
       const size_t slot = sorted ? static_cast<size_t>(sslot[s]) : s;
-      const int32_t j = span_pos[plist[slot]];
-      if (j < 0) continue;
+      const int list = plist[slot];
+      if (!IsMember(members, list)) continue;
       new (grouped + pos) Detection(*psrc[slot]);
-      sources[pos] = j;
+      // The span position of source list `list`: the members below it.
+      sources[pos] = static_cast<int32_t>(
+          std::popcount(members & ((uint64_t{1} << list) - 1)));
       ++pos;
     }
+    if (pos == first) continue;
+    ClassGroup* grp = new (groups + g++) ClassGroup();
+    grp->label = block.label;
+    grp->dets = grouped + first;
+    grp->sources = sources + first;
+    grp->size = pos - first;
   }
   out->groups = groups;
-  out->size = num_classes;
+  out->size = g;
   out->presorted = sorted;
   return true;
 }

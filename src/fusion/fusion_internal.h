@@ -7,6 +7,12 @@
 // ArenaScope at the top of each FuseInto and reclaimed wholesale when the
 // call returns. Only the caller-owned output list touches the heap, and
 // only until its capacity has warmed up.
+//
+// Given the frame's FrameSoA, a span's member lists become a bitmask over
+// the store's source lists (SoAMemberMask), checked in O(m). Methods that
+// edit their pools get arena copies grouped from the presorted blocks
+// (GroupByClass); WBF, which only reads its members, walks the blocks
+// itself and reads each member in place through packed_src().
 
 #ifndef VQE_FUSION_FUSION_INTERNAL_H_
 #define VQE_FUSION_FUSION_INTERNAL_H_
@@ -58,6 +64,21 @@ struct ClassGroups {
   const ClassGroup* begin() const { return groups; }
   const ClassGroup* end() const { return groups + size; }
 };
+/// The per-frame fast paths' admission test: maps `per_model`'s lists onto
+/// soa.source() by address identity and returns them as a bitmask over
+/// source positions in `*members`. Declines (returns false) when a list
+/// is not in the source, the lists are not in strictly ascending source
+/// order, a member list lost a detection's id slot (FrameSoA::list_slots()
+/// short of its size), or the source has more than 64 lists. O(m); no
+/// scratch.
+bool SoAMemberMask(DetectionListSpan per_model, const FrameSoA& soa,
+                   uint64_t* members);
+
+/// True when source list `list` is in the SoAMemberMask bitmask.
+inline bool IsMember(uint64_t members, int list) {
+  return ((members >> list) & 1u) != 0;
+}
+
 /// `soa`, when non-null, enables the per-frame fast path: the frame's
 /// FrameSoA already holds every input list grouped by class, in model-major
 /// order, with a per-class stable descending-score permutation computed

@@ -14,7 +14,8 @@ int AssignFrameDetIds(std::vector<DetectionList>& per_model) {
   return static_cast<int>(next);
 }
 
-PairwiseIouCache::PairwiseIouCache(const FrameSoA& soa) {
+void PairwiseIouCache::Rebuild(const FrameSoA& soa) {
+  n_ = 0;
   if (soa.num_ids() <= 0 || soa.num_ids() > kMaxCachedDetections) return;
   n_ = soa.num_ids();
   const size_t n = static_cast<size_t>(n_);

@@ -31,7 +31,7 @@ int AssignFrameDetIds(std::vector<DetectionList>& per_model);
 /// Dense tile of pairwise IoUs between a frame's cached detections,
 /// indexed by frame_det_id. Same-label pairs are filled eagerly (fusion
 /// only compares within a class); Get falls back to computing IoU for any
-/// pair the tile does not cover. Read-only after construction, so safe to
+/// pair the tile does not cover. Read-only between (re)builds, so safe to
 /// share across concurrent Fuse calls.
 class PairwiseIouCache {
  public:
@@ -46,7 +46,12 @@ class PairwiseIouCache {
   /// Same-label pairs are swept one label block at a time over the store's
   /// packed coordinate lanes — branch-light, unit-stride, vectorizable —
   /// while honouring the bit-identity contract above.
-  explicit PairwiseIouCache(const FrameSoA& soa);
+  explicit PairwiseIouCache(const FrameSoA& soa) { Rebuild(soa); }
+
+  /// Rebuilds the tile over another frame's store, reusing its buffer: a
+  /// cache kept across frames allocates only when a frame outgrows every
+  /// earlier one.
+  void Rebuild(const FrameSoA& soa);
 
   /// Builds the tile over `per_model`, whose detections must carry the ids
   /// a prior AssignFrameDetIds(per_model) assigned; `num_ids` is its

@@ -9,6 +9,8 @@ namespace vqe {
 
 using fusion_internal::ClassGroup;
 using fusion_internal::GroupByClass;
+using fusion_internal::IsMember;
+using fusion_internal::SoAMemberMask;
 using fusion_internal::SortDescArena;
 using fusion_internal::SortGroupDesc;
 
@@ -53,6 +55,70 @@ struct WbfCluster {
   }
 };
 
+// One class's clusters: Add the class's pool in descending confidence,
+// then Emit rescales, thresholds and sorts the fused boxes and hands the
+// survivors to the sink. Both pool walks (the frame store's presorted
+// blocks and the generic grouped flatten) feed this one loop.
+class ClassClusters {
+ public:
+  /// At most one cluster per pooled detection: a flat arena run replaces
+  /// the historical vector-of-clusters.
+  ClassClusters(size_t max_members, FrameArena& arena)
+      : clusters_(arena.AllocateArray<WbfCluster>(max_members)) {}
+
+  void Add(const Detection& d, double iou_threshold) {
+    // Find the best-matching existing cluster by fused-box IoU (candidate
+    // area hoisted out of the cluster sweep).
+    const double d_area = d.box.Area();
+    int best = -1;
+    double best_iou = iou_threshold;
+    for (size_t c = 0; c < size_; ++c) {
+      const double iou = IoUWithAreas(clusters_[c].fused.box,
+                                      clusters_[c].fused_area, d.box, d_area);
+      if (iou > best_iou) {
+        best_iou = iou;
+        best = static_cast<int>(c);
+      }
+    }
+    if (best < 0) {
+      new (clusters_ + size_) WbfCluster();
+      best = static_cast<int>(size_++);
+    }
+    clusters_[static_cast<size_t>(best)].Add(d);
+  }
+
+  void Emit(ClassId label, size_t num_models, double score_threshold,
+            FrameArena& arena, ClassSink* sink) {
+    Detection* fused = arena.AllocateArray<Detection>(size_);
+    size_t num_fused = 0;
+    for (size_t ci = 0; ci < size_; ++ci) {
+      WbfCluster& c = clusters_[ci];
+      // Confidence rescaling: penalize clusters fewer models contributed
+      // to.
+      if (num_models > 0) {
+        const double n = static_cast<double>(c.size);
+        const double t = static_cast<double>(num_models);
+        c.fused.confidence *= std::min(n, t) / t;
+      }
+      if (c.fused.confidence >= score_threshold) {
+        new (fused + num_fused++) Detection(c.fused);
+      }
+    }
+    if (num_fused == 0) return;
+    // The class's slice of FuseInto's stably confidence-sorted output: the
+    // clusters of one class keep their creation order among ties there.
+    ArenaStableSort(fused, num_fused, arena,
+                    [](const Detection& a, const Detection& b) {
+                      return a.confidence > b.confidence;
+                    });
+    sink->AddClass(label, fused, num_fused);
+  }
+
+ private:
+  WbfCluster* clusters_;
+  size_t size_ = 0;
+};
+
 // Appends each class's fused boxes to a list (FuseInto's class-major
 // pass).
 class AppendSink final : public ClassSink {
@@ -80,65 +146,45 @@ void WbfFusion::FuseByClass(DetectionListSpan per_model,
   FrameArena& arena = FrameArena::ThreadLocal();
   ArenaScope scope(arena);
 
-  // Per-model weighting (Solovyev et al.) happens during the grouped
-  // flatten; GroupByClass ignores the weights unless they match the input
-  // (and declines the SoA fast path when they are active, since weighting
-  // rescales the sort keys).
-  const auto groups = GroupByClass(per_model, arena, &options_.model_weights,
-                                   soa, /*sorted=*/true);
+  // In place on the frame store: each label block's presorted slots,
+  // filtered to the span's member lists, are exactly the class's stable
+  // descending-confidence pool, and the clusters read the members
+  // through packed_src() without copying them. Per-model weighting
+  // (Solovyev et al.) rescales the sort keys, so active weights — like a
+  // span the store cannot map — take the generic flatten instead.
+  const bool weighted = options_.model_weights.size() == num_models;
+  uint64_t members = 0;
+  if (soa != nullptr && !weighted &&
+      SoAMemberMask(per_model, *soa, &members)) {
+    const int32_t* plist = soa->packed_list();
+    const Detection* const* psrc = soa->packed_src();
+    const int32_t* sslot = soa->sorted_slot();
+    for (const FrameSoA::LabelBlock& block : soa->blocks()) {
+      ArenaScope class_scope(arena);
+      ClassClusters clusters(block.end - block.begin, arena);
+      for (size_t s = block.begin; s < block.end; ++s) {
+        const size_t slot = static_cast<size_t>(sslot[s]);
+        if (!IsMember(members, plist[slot])) continue;
+        clusters.Add(*psrc[slot], options_.iou_threshold);
+      }
+      clusters.Emit(block.label, num_models, options_.score_threshold, arena,
+                    sink);
+    }
+    return;
+  }
+
+  // The generic flatten applies the weights (min(1, conf · weight_i))
+  // while pooling.
+  const auto groups = GroupByClass(per_model, arena, &options_.model_weights);
   for (const ClassGroup& group : groups) {
     ArenaScope class_scope(arena);
-    Detection* dets = group.dets;
-    if (!groups.presorted) SortGroupDesc(group, arena);
-
-    // At most one cluster per pooled detection: a flat arena run replaces
-    // the historical vector-of-clusters.
-    WbfCluster* clusters = arena.AllocateArray<WbfCluster>(group.size);
-    size_t num_clusters = 0;
+    SortGroupDesc(group, arena);
+    ClassClusters clusters(group.size, arena);
     for (size_t i = 0; i < group.size; ++i) {
-      const Detection& d = dets[i];
-      // Find the best-matching existing cluster by fused-box IoU (candidate
-      // area hoisted out of the cluster sweep).
-      const double d_area = d.box.Area();
-      int best = -1;
-      double best_iou = options_.iou_threshold;
-      for (size_t c = 0; c < num_clusters; ++c) {
-        const double iou = IoUWithAreas(clusters[c].fused.box,
-                                        clusters[c].fused_area, d.box, d_area);
-        if (iou > best_iou) {
-          best_iou = iou;
-          best = static_cast<int>(c);
-        }
-      }
-      if (best < 0) {
-        new (clusters + num_clusters) WbfCluster();
-        best = static_cast<int>(num_clusters++);
-      }
-      clusters[static_cast<size_t>(best)].Add(d);
+      clusters.Add(group.dets[i], options_.iou_threshold);
     }
-
-    Detection* fused = arena.AllocateArray<Detection>(num_clusters);
-    size_t num_fused = 0;
-    for (size_t ci = 0; ci < num_clusters; ++ci) {
-      WbfCluster& c = clusters[ci];
-      // Confidence rescaling: penalize clusters fewer models contributed to.
-      if (num_models > 0) {
-        const double n = static_cast<double>(c.size);
-        const double t = static_cast<double>(num_models);
-        c.fused.confidence *= std::min(n, t) / t;
-      }
-      if (c.fused.confidence >= options_.score_threshold) {
-        new (fused + num_fused++) Detection(c.fused);
-      }
-    }
-    if (num_fused == 0) continue;
-    // The class's slice of FuseInto's stably confidence-sorted output: the
-    // clusters of one class keep their creation order among ties there.
-    ArenaStableSort(fused, num_fused, arena,
-                    [](const Detection& a, const Detection& b) {
-                      return a.confidence > b.confidence;
-                    });
-    sink->AddClass(group.label, fused, num_fused);
+    clusters.Emit(group.label, num_models, options_.score_threshold, arena,
+                  sink);
   }
 }
 

@@ -445,9 +445,16 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   std::vector<double> est_score(num_masks + 1);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<DetectionList> model_out(static_cast<size_t>(m));
-  // Steady-state scratch for the per-frame subset-fusion loop: the input
-  // span and the realized mask's fused-output buffer FuseInto refills,
-  // both reused across frames so they stop allocating once warmed up.
+  // Steady-state scratch for the per-frame subset-fusion loop, rebuilt in
+  // place every detect frame so it stops allocating once warmed up: the
+  // per-model costs, the reference pseudo-ground truth and its index, the
+  // frame's SoA store and IoU tile, the input span, and the realized
+  // mask's fused-output buffer FuseInto refills.
+  std::vector<double> model_cost(static_cast<size_t>(m));
+  GroundTruthList ref_gt;
+  GroundTruthIndex ref_index;
+  FrameSoA frame_soa;
+  PairwiseIouCache iou_tile;
   std::vector<const DetectionList*> inputs;
   inputs.reserve(static_cast<size_t>(m));
   DetectionList selected_fused;
@@ -609,7 +616,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
           pool.detectors[static_cast<size_t>(i)]->InferenceCostMs(
               frame, options.seed);
     }
-    std::vector<double> model_cost(static_cast<size_t>(m), 0.0);
+    model_cost.assign(static_cast<size_t>(m), 0.0);
     EnsembleId realized = 0;
     for (int i = 0; i < m; ++i) {
       if (!ContainsModel(selected, i)) {
@@ -659,16 +666,17 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       }
 
       // Reference model (AP estimation) when the strategy learns from it.
-      GroundTruthList ref_gt;
-      if (strategy->UsesReferenceModel()) {
+      const bool uses_ref = strategy->UsesReferenceModel();
+      if (uses_ref) {
         const DetectionList ref_out =
             pool.reference->Detect(frame, options.seed);
         const double ref_ms =
             pool.reference->InferenceCostMs(frame, options.seed);
         out.reference_cost_ms += ref_ms;
         obs.CountMs(qobs.reference_ms, ref_ms);
-        ref_gt = DetectionsAsGroundTruth(
-            ref_out, options.matrix.ref_confidence_threshold);
+        DetectionsAsGroundTruth(
+            ref_out, options.matrix.ref_confidence_threshold, &ref_gt);
+        RebuildGroundTruthIndex(ref_gt, &ref_index);
       }
 
       // Estimate the reward of every subset of the *realized* ensemble
@@ -681,15 +689,9 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       // strict subset is fused class-major straight into its est_ap, and
       // not at all when the strategy learns nothing from the reference.
       est_score.assign(num_masks + 1, nan);
-      const bool uses_ref = strategy->UsesReferenceModel();
-      GroundTruthIndex ref_index;
-      if (uses_ref) ref_index = BuildGroundTruthIndex(ref_gt);
       const int num_ids = AssignFrameDetIds(model_out);
-      const FrameSoA frame_soa(model_out, num_ids);
-      PairwiseIouCache iou_tile;
-      if (fusion->ConsumesIouCache()) {
-        iou_tile = PairwiseIouCache(frame_soa);
-      }
+      frame_soa.Rebuild(model_out, num_ids);
+      if (fusion->ConsumesIouCache()) iou_tile.Rebuild(frame_soa);
       ForEachSubset(realized, [&](EnsembleId sub) {
         inputs.clear();
         size_t boxes = 0;

@@ -228,8 +228,7 @@ Result<StreamScheduler::ExtractedSession> StreamScheduler::ExtractSession(
     // scheduler's pooled percentiles (wall and simulated alike).
     for (const double ms : slot.latency_ms) frame_latency_ms_.Add(ms);
     const int cls = PriorityClassIndex(out.session->priority());
-    class_sim_ms_[cls].insert(class_sim_ms_[cls].end(), slot.sim_ms.begin(),
-                              slot.sim_ms.end());
+    for (const double ms : slot.sim_ms) class_sim_ms_[cls].Add(ms);
     active_.erase(active_.begin() + static_cast<long>(i));
     return out;
   }
@@ -307,8 +306,7 @@ void StreamScheduler::Retire(Slot& slot) {
   stats_.algorithm_wall_ms += sr.result.breakdown.algorithm_ms;
   const int cls = PriorityClassIndex(sr.priority);
   stats_.classes[cls].frames += sr.frames;
-  class_sim_ms_[cls].insert(class_sim_ms_[cls].end(), slot.sim_ms.begin(),
-                            slot.sim_ms.end());
+  for (const double ms : slot.sim_ms) class_sim_ms_[cls].Add(ms);
   for (const double ms : slot.latency_ms) frame_latency_ms_.Add(ms);
   retired_.push_back(std::move(sr));
 }
@@ -490,9 +488,9 @@ Result<ServeReport> StreamScheduler::FinishServing() {
   stats_.frame_p999_ms = frame_latency_ms_.Percentile(0.999);
   for (int c = 0; c < kNumPriorityClasses; ++c) {
     ServeStats::ClassStats& cs = stats_.classes[c];
-    cs.sim_p50_ms = SamplePercentileInPlace(class_sim_ms_[c], 0.50);
-    cs.sim_p99_ms = SamplePercentileInPlace(class_sim_ms_[c], 0.99);
-    cs.sim_p999_ms = SamplePercentileInPlace(class_sim_ms_[c], 0.999);
+    cs.sim_p50_ms = class_sim_ms_[c].Percentile(0.50);
+    cs.sim_p99_ms = class_sim_ms_[c].Percentile(0.99);
+    cs.sim_p999_ms = class_sim_ms_[c].Percentile(0.999);
     cs.shed_rate = cs.submitted == 0
                        ? 0.0
                        : static_cast<double>(cs.shed_submissions) /

@@ -147,7 +147,10 @@ struct ServeStats {
   /// Per-priority-class accounting. Latency percentiles here are on the
   /// *simulated* frame clock (per-frame charged-cost deltas) — the same
   /// deterministic signal the overload controller senses — so the SLO
-  /// verdicts they support are identical across machines and reruns.
+  /// verdicts they support are identical across machines and reruns. Like
+  /// frame_p*_ms they are read from a LatencyHistogram: the upper edge of
+  /// the nearest-rank sample's 64-per-octave bucket, never below the exact
+  /// percentile and at most 1.09 % above it.
   struct ClassStats {
     uint64_t submitted = 0;
     uint64_t admitted = 0;
@@ -330,10 +333,11 @@ class StreamScheduler {
   /// extraction: bounded by the span of latencies seen, not by frames
   /// served.
   LatencyHistogram frame_latency_ms_;
-  /// Pooled per-class simulated frame-cost samples (merged on retirement
-  /// and extraction) for the ClassStats percentiles. Kept exact: the SLO
-  /// verdicts and cross-run equality checks compare them exactly.
-  std::vector<double> class_sim_ms_[kNumPriorityClasses];
+  /// Pooled per-class simulated frame costs (merged on retirement and
+  /// extraction) for the ClassStats percentiles, bounded like the wall
+  /// samples. Bucketing is a pure function of the samples, so reruns and
+  /// worker counts still agree exactly.
+  LatencyHistogram class_sim_ms_[kNumPriorityClasses];
   /// Present only when options.overload.enabled.
   std::unique_ptr<OverloadController> controller_;
 

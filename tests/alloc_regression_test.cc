@@ -9,9 +9,11 @@
 // a second identical pass performs exactly zero heap allocations — for
 // every fusion method. The same holds for a lazy evaluator's
 // estimate-only cells, their upgrades and FusedOutput on a live frame,
-// and the engine's lazy frame loop allocates nothing beyond each frame's
-// context. A last gate bounds what a lazy run retains per frame once the
-// run has moved past it.
+// and for in-place rebuilds of the per-frame stores (SoA, ground-truth
+// indexes, IoU tile) on warmed storage. A warmed context reload allocates
+// only the lists the detectors return, and the engine's lazy frame loop
+// adds only each frame's record. A last gate bounds what a lazy run
+// retains per frame once the run has moved past it.
 
 #include <atomic>
 #include <cstdlib>
@@ -31,7 +33,11 @@
 #include "core/frame_matrix.h"
 #include "core/lazy_frame_evaluator.h"
 #include "core/mes.h"
+#include "detection/ap.h"
+#include "detection/frame_soa.h"
+#include "fusion/iou_cache.h"
 #include "models/model_zoo.h"
+#include "runtime/retry.h"
 #include "sim/dataset.h"
 
 namespace {
@@ -284,50 +290,152 @@ TEST(EngineSteadyStateTest, DisabledObsFrameLoopIsAllocationFree) {
       << "steady-state StepFrame hit the heap with obs disabled";
 }
 
-// On a lazy source each detect frame necessarily allocates its detector
-// context (per-model outputs, ground-truth indexes, SoA store) and memo
-// record. Nothing else in the frame loop may: the class-major cells the
-// engine materializes, full for the realized mask and estimate-only for
-// its strict subsets, run on warmed scratch. So the steady-state frames
-// of an MES run allocate exactly what touching the same frames does.
+// Heap allocations the m detector calls and the reference call make on
+// `frame`: the lists they return, measured by making the same calls here
+// (detections are pure functions of (frame, trial_seed)).
+std::uint64_t DetectorCallAllocs(const DetectorPool& pool,
+                                 const VideoFrame& frame, uint64_t trial_seed,
+                                 const MatrixOptions& options) {
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (const auto& detector : pool.detectors) {
+    const DetectorCallOutcome call =
+        DetectWithRetries(*detector, frame, trial_seed, options.retry);
+    EXPECT_TRUE(call.ok());
+  }
+  {
+    const DetectionList ref = pool.reference->Detect(frame, trial_seed);
+    EXPECT_GE(pool.reference->InferenceCostMs(frame, trial_seed), 0.0);
+  }
+  return g_heap_allocs.load(std::memory_order_relaxed) - before;
+}
+
+// A frame context is reloaded in place, so once its buffers have held a
+// frame, loading that frame again allocates exactly the lists the
+// detectors and the reference model return — nothing for the cached
+// lists, cost vectors, ground-truth indexes, SoA store or scratch. On a
+// lazy source the engine's frame loop adds only each frame's record (memo,
+// memo states and the two cost vectors: four blocks): the class-major
+// cells it materializes, full for the realized mask and estimate-only for
+// its strict subsets, run on warmed scratch. Both gates are exact and run
+// a second pass over frames the context has already held.
 TEST(EngineSteadyStateTest, LazyFrameLoopAllocatesOnlyFrameContexts) {
-  const DetectorPool pool = MakePool(4);
-  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23);
-  ASSERT_GE(video.size(), 8u);
+  const int m = 4;
+  const uint64_t seed = 23;
+  const DetectorPool pool = MakePool(m);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, seed);
+  const size_t n = video.size();
+  ASSERT_GE(n, 8u);
+  const MatrixOptions options;
+  std::vector<std::uint64_t> call_allocs(n);
+  std::uint64_t all_call_allocs = 0;
+  for (size_t t = 0; t < n; ++t) {
+    call_allocs[t] = DetectorCallAllocs(pool, video.frames[t], seed, options);
+    all_call_allocs += call_allocs[t];
+  }
+
+  auto fusion =
+      std::move(CreateEnsembleMethod(options.fusion, options.fusion_options))
+          .value();
+  FrameEvalContext ctx(pool, seed, options, *fusion);
+  for (size_t t = 0; t < n; ++t) {
+    ctx.Load(video.frames[t]);
+    ctx.Evaluate(FullEnsemble(m));
+  }
+  for (size_t t = 0; t < n; ++t) {
+    const std::uint64_t before =
+        g_heap_allocs.load(std::memory_order_relaxed);
+    ctx.Load(video.frames[t]);
+    EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before,
+              call_allocs[t])
+        << "a warmed Load of frame " << t
+        << " allocated beyond the detector and reference lists";
+  }
+
+  // The clip played twice: the second pass reloads frames the live
+  // context has already held.
+  Video twice = video;
+  twice.frames.insert(twice.frames.end(), video.frames.begin(),
+                      video.frames.end());
   auto lazy =
-      std::move(LazyFrameEvaluator::Create(video, pool, /*trial_seed=*/23))
+      std::move(LazyFrameEvaluator::Create(std::move(twice), pool, seed))
           .value();
   MesOptions mes;
   mes.gamma = 2;
   MesStrategy strategy(mes);
-  EngineOptions options;
-  options.strategy_seed = 23;
-  options.compute_regret = false;
-  auto run = EngineRun::Create(*lazy, &strategy, options);
+  EngineOptions engine;
+  engine.strategy_seed = seed;
+  engine.compute_regret = false;
+  auto run = EngineRun::Create(*lazy, &strategy, engine);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-
-  const size_t warm = video.size() / 2;
-  while (!(*run)->done() && (*run)->next_frame() < warm) {
+  while (!(*run)->done() && (*run)->next_frame() < n) {
     ASSERT_TRUE((*run)->StepFrame().ok());
   }
-  ASSERT_FALSE((*run)->done());
+  ASSERT_EQ((*run)->next_frame(), n);
   const std::uint64_t run_before =
       g_heap_allocs.load(std::memory_order_relaxed);
   while (!(*run)->done()) ASSERT_TRUE((*run)->StepFrame().ok());
   const std::uint64_t run_allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - run_before;
-  EXPECT_GT(lazy->masks_materialized(), video.size());
+  EXPECT_EQ(run_allocs, all_call_allocs + 4 * n)
+      << "the lazy frame loop allocated beyond the detector lists and the "
+         "frame records";
+  EXPECT_EQ(lazy->frames_touched(), 2 * n);
+  EXPECT_EQ(lazy->frames_rebuilt(), 0u);
   EXPECT_EQ(lazy->cells_upgraded(), 0u);
+  EXPECT_GT(lazy->masks_materialized(), 2 * n);
+}
 
-  auto touched =
-      std::move(LazyFrameEvaluator::Create(video, pool, /*trial_seed=*/23))
-          .value();
-  const std::uint64_t touch_before =
+// The per-frame stores rebuild in place: once a FrameSoA, the two
+// GroundTruthIndexes and (for methods that consume it) the IoU tile have
+// been rebuilt over a run of frames, rebuilding them over the same frames
+// touches the heap zero times.
+TEST_P(AllocRegressionTest, WarmedRebuildsAreAllocationFree) {
+  const int m = 6;
+  const uint64_t seed = 23;
+  const DetectorPool pool = MakePool(m);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, seed);
+  const size_t frames = std::min<size_t>(video.size(), 6);
+  ASSERT_GE(frames, 2u);
+  auto fusion =
+      std::move(CreateEnsembleMethod(GetParam(), FusionOptions{})).value();
+
+  std::vector<std::vector<DetectionList>> outs(frames);
+  std::vector<int> num_ids(frames);
+  std::vector<GroundTruthList> ref_gt(frames);
+  for (size_t t = 0; t < frames; ++t) {
+    for (const auto& detector : pool.detectors) {
+      outs[t].push_back(detector->Detect(video.frames[t], seed));
+    }
+    num_ids[t] = AssignFrameDetIds(outs[t]);
+    ref_gt[t] = DetectionsAsGroundTruth(
+        pool.reference->Detect(video.frames[t], seed), 0.5);
+  }
+
+  FrameSoA soa;
+  PairwiseIouCache tile;
+  GroundTruthIndex gt_index;
+  GroundTruthIndex ref_index;
+  const auto rebuild_all = [&] {
+    size_t checksum = 0;
+    for (size_t t = 0; t < frames; ++t) {
+      soa.Rebuild(outs[t], num_ids[t]);
+      if (fusion->ConsumesIouCache()) tile.Rebuild(soa);
+      RebuildGroundTruthIndex(video.frames[t].objects, &gt_index);
+      RebuildGroundTruthIndex(ref_gt[t], &ref_index);
+      checksum += soa.packed_size() + soa.blocks().size() +
+                  gt_index.classes.size() + ref_index.boxes.size();
+    }
+    return checksum;
+  };
+  const size_t warm = rebuild_all();
+  const std::uint64_t heap_before =
       g_heap_allocs.load(std::memory_order_relaxed);
-  for (size_t t = warm; t < video.size(); ++t) touched->Stats(t);
-  EXPECT_EQ(run_allocs,
-            g_heap_allocs.load(std::memory_order_relaxed) - touch_before)
-      << "the lazy frame loop allocated beyond its frame contexts";
+  const size_t steady = rebuild_all();
+  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - heap_before, 0u)
+      << FusionKindToString(GetParam())
+      << ": a warmed in-place rebuild hit the heap";
+  EXPECT_EQ(warm, steady);
+  EXPECT_GT(steady, 0u);
 }
 
 // What a lazy run keeps per frame once it has stepped past it: the memo

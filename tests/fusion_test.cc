@@ -527,7 +527,8 @@ TEST_P(FusionPropertyTest, FuseIntoReusedBufferMatchesFreshFuse) {
 // results: fusing any subset of the frame's lists with the store engaged
 // must match the generic flatten bit for bit — including equal-confidence
 // ties, where the stable-sort-filter lemma carries the argument — and a
-// span the store cannot map (descending list order) must quietly fall back.
+// span the store cannot serve (descending list order, or a list short of
+// an id slot) must quietly fall back.
 TEST_P(FusionPropertyTest, SoAFastPathMatchesGenericFlatten) {
   auto method = CreateEnsembleMethod(GetParam());
   ASSERT_TRUE(method.ok());
@@ -592,6 +593,24 @@ TEST_P(FusionPropertyTest, SoAFastPathMatchesGenericFlatten) {
     (*method)->FuseInto(DetectionListSpan(reversed), iou, &soa, &with_soa);
     (*method)->FuseInto(DetectionListSpan(reversed), iou, nullptr, &without);
     expect_same();
+
+    // A detection that lost its id slot (it claims the last id, which a
+    // later detection wins, or an out-of-range one) leaves its list short
+    // in the store: the fast path must decline, not drop the detection.
+    size_t victim_list = 0;
+    while (victim_list < inputs.size() && inputs[victim_list].empty()) {
+      ++victim_list;
+    }
+    if (victim_list == inputs.size()) continue;
+    Detection& victim = inputs[victim_list][0];
+    victim.frame_det_id =
+        victim.frame_det_id == num_ids - 1 ? -1 : num_ids - 1;
+    const FrameSoA short_soa(inputs, num_ids);
+    ASSERT_LT(short_soa.list_slots()[victim_list], inputs[victim_list].size());
+    (*method)->FuseInto(DetectionListSpan(inputs), nullptr, &short_soa,
+                        &with_soa);
+    (*method)->FuseInto(DetectionListSpan(inputs), nullptr, nullptr, &without);
+    expect_same();
   }
 }
 
@@ -622,20 +641,33 @@ TEST(IouTileKernelTest, MatchesScalarIouBitForBit) {
     const FrameSoA soa(inputs, num_ids);
     const PairwiseIouCache tile(soa);
 
+    // Each id's packed slot, and each slot's block label.
+    std::vector<int> slot_of(static_cast<size_t>(num_ids), -1);
+    for (size_t s = 0; s < soa.packed_size(); ++s) {
+      slot_of[static_cast<size_t>(soa.packed_id()[s])] = static_cast<int>(s);
+    }
+    std::vector<ClassId> slot_label(soa.packed_size());
+    for (const FrameSoA::LabelBlock& block : soa.blocks()) {
+      for (size_t s = block.begin; s < block.end; ++s) {
+        slot_label[s] = block.label;
+      }
+    }
     std::vector<const Detection*> all;
     for (const auto& list : inputs) {
       for (const auto& d : list) {
         all.push_back(&d);
-        // The SoA slot for this id must be a plain copy of the source.
-        const size_t k = static_cast<size_t>(d.frame_det_id);
-        ASSERT_TRUE(soa.id_filled(d.frame_det_id));
-        EXPECT_EQ(soa.x1()[k], d.box.x1);
-        EXPECT_EQ(soa.y1()[k], d.box.y1);
-        EXPECT_EQ(soa.x2()[k], d.box.x2);
-        EXPECT_EQ(soa.y2()[k], d.box.y2);
-        EXPECT_EQ(soa.score()[k], d.confidence);
-        EXPECT_EQ(soa.area()[k], d.box.Area());
-        EXPECT_EQ(soa.label()[k], d.label);
+        // The packed slot for this id must be a plain copy of the source.
+        const int k = slot_of[static_cast<size_t>(d.frame_det_id)];
+        ASSERT_GE(k, 0) << "id " << d.frame_det_id << " claimed no slot";
+        const size_t s = static_cast<size_t>(k);
+        EXPECT_EQ(soa.packed_x1()[s], d.box.x1);
+        EXPECT_EQ(soa.packed_y1()[s], d.box.y1);
+        EXPECT_EQ(soa.packed_x2()[s], d.box.x2);
+        EXPECT_EQ(soa.packed_y2()[s], d.box.y2);
+        EXPECT_EQ(soa.packed_src()[s], &d);
+        EXPECT_EQ(soa.packed_src()[s]->confidence, d.confidence);
+        EXPECT_EQ(soa.packed_area()[s], d.box.Area());
+        EXPECT_EQ(slot_label[s], d.label);
       }
     }
     for (const Detection* a : all) {
@@ -668,6 +700,15 @@ TEST(IouTileKernelTest, OverflowFallsBackToRecomputation) {
   ASSERT_GT(num_ids, PairwiseIouCache::kMaxCachedDetections);
   const PairwiseIouCache tile(inputs, num_ids);
   EXPECT_FALSE(tile.enabled());
+  // A tile rebuilt over the oversized frame after a small one must drop
+  // the small frame's tile, not serve it.
+  std::vector<DetectionList> small(1);
+  small[0].push_back(Det(0, 0, 10, 10, 0.9));
+  small[0].push_back(Det(2, 0, 10, 10, 0.8));
+  PairwiseIouCache reused(FrameSoA(small, AssignFrameDetIds(small)));
+  ASSERT_TRUE(reused.enabled());
+  reused.Rebuild(FrameSoA(inputs, num_ids));
+  EXPECT_FALSE(reused.enabled());
 
   // Sampled pairs, including ids beyond the cacheable range and a mix of
   // assigned and unassigned (-1) ids.
@@ -680,6 +721,7 @@ TEST(IouTileKernelTest, OverflowFallsBackToRecomputation) {
         static_cast<uint64_t>(per_model))];
     EXPECT_EQ(tile.Get(a, b), IoU(a.box, b.box));
     EXPECT_EQ(tile.Get(a, fresh), IoU(a.box, fresh.box));
+    EXPECT_EQ(reused.Get(a, b), IoU(a.box, b.box));
   }
 }
 
@@ -732,6 +774,247 @@ TEST(GroundTruthIndexTest, IndexedFrameMeanApMatchesListOverload) {
     }
     const GroundTruthIndex index = BuildGroundTruthIndex(gt);
     EXPECT_EQ(FrameMeanAp(dets, gt, {}), FrameMeanAp(dets, index, {}));
+  }
+}
+
+// A rebuilt index must equal a fresh one: the label-sorted box array and
+// its per-class ranges, each class holding its boxes in original order.
+// One index is rebuilt over lists of every size, so stale ranges or boxes
+// from a larger earlier list would show.
+TEST(GroundTruthIndexTest, RebuildInPlaceMatchesFreshBuild) {
+  Rng rng(53);
+  GroundTruthIndex reused;
+  for (int trial = 0; trial < 30; ++trial) {
+    GroundTruthList gt;
+    const int num_gt = static_cast<int>(rng.UniformInt(12));
+    for (int i = 0; i < num_gt; ++i) {
+      GroundTruthBox g;
+      g.box = BBox::FromXYWH(rng.Uniform(0, 100), rng.Uniform(0, 100), 20, 20);
+      g.label = static_cast<ClassId>(rng.UniformInt(5)) - 1;
+      g.difficult = rng.Bernoulli(0.3);
+      gt.push_back(g);
+    }
+    RebuildGroundTruthIndex(gt, &reused);
+    const GroundTruthIndex fresh = BuildGroundTruthIndex(gt);
+    ASSERT_EQ(reused.boxes.size(), gt.size());
+    ASSERT_EQ(reused.classes.size(), fresh.classes.size());
+    size_t covered = 0;
+    for (size_t c = 0; c < reused.classes.size(); ++c) {
+      const GroundTruthIndex::ClassRange& r = reused.classes[c];
+      EXPECT_EQ(r.label, fresh.classes[c].label);
+      EXPECT_EQ(r.begin, fresh.classes[c].begin);
+      EXPECT_EQ(r.end, fresh.classes[c].end);
+      EXPECT_EQ(r.has_evaluable, fresh.classes[c].has_evaluable);
+      if (c > 0) {
+        EXPECT_LT(reused.classes[c - 1].label, r.label);
+      }
+      EXPECT_EQ(r.begin, covered);
+      // The class's run is exactly its boxes, in original order.
+      size_t k = r.begin;
+      bool evaluable = false;
+      for (const GroundTruthBox& g : gt) {
+        if (g.label != r.label) continue;
+        ASSERT_LT(k, r.end);
+        EXPECT_TRUE(reused.boxes[k].box == g.box);
+        EXPECT_EQ(reused.boxes[k].label, g.label);
+        EXPECT_EQ(reused.boxes[k].difficult, g.difficult);
+        evaluable = evaluable || !g.difficult;
+        ++k;
+      }
+      EXPECT_EQ(k, r.end);
+      EXPECT_EQ(r.has_evaluable, evaluable);
+      covered = r.end;
+    }
+    EXPECT_EQ(covered, gt.size());
+  }
+}
+
+// ---------------------------------------------------------- FrameSoA ----
+
+// Random per-model lists with confidence ties, ids assigned.
+std::vector<DetectionList> RandomFrame(Rng& rng, size_t lists, int max_boxes) {
+  std::vector<DetectionList> inputs(lists);
+  for (auto& list : inputs) {
+    const int n = static_cast<int>(rng.UniformInt(
+        static_cast<uint64_t>(max_boxes)));
+    for (int i = 0; i < n; ++i) {
+      auto d = Det(rng.Uniform(0, 80), rng.Uniform(0, 80), rng.Uniform(5, 40),
+                   rng.Uniform(5, 40), rng.Uniform(0.1, 1.0),
+                   static_cast<ClassId>(rng.UniformInt(3)));
+      d.box_variance = rng.Uniform(0.1, 10.0);
+      if (rng.Bernoulli(0.3)) d.confidence = 0.5;  // score ties
+      list.push_back(d);
+    }
+  }
+  AssignFrameDetIds(inputs);
+  return inputs;
+}
+
+// One store rebuilt over frames of every size must equal a fresh store
+// over each frame, array for array, and its per-list slot counts must
+// show every list fully represented.
+TEST(FrameSoATest, RebuildInPlaceMatchesFreshBuild) {
+  Rng rng(61);
+  FrameSoA reused;
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::vector<DetectionList> inputs =
+        RandomFrame(rng, 1 + rng.UniformInt(5), 12);
+    int num_ids = 0;
+    for (const auto& list : inputs) num_ids += static_cast<int>(list.size());
+    reused.Rebuild(inputs, num_ids);
+    const FrameSoA fresh(inputs, num_ids);
+    ASSERT_EQ(reused.num_ids(), fresh.num_ids());
+    ASSERT_EQ(reused.packed_size(), static_cast<size_t>(num_ids));
+    ASSERT_EQ(reused.packed_size(), fresh.packed_size());
+    ASSERT_EQ(reused.blocks().size(), fresh.blocks().size());
+    for (size_t b = 0; b < reused.blocks().size(); ++b) {
+      EXPECT_EQ(reused.blocks()[b].label, fresh.blocks()[b].label);
+      EXPECT_EQ(reused.blocks()[b].begin, fresh.blocks()[b].begin);
+      EXPECT_EQ(reused.blocks()[b].end, fresh.blocks()[b].end);
+    }
+    for (size_t s = 0; s < reused.packed_size(); ++s) {
+      EXPECT_EQ(reused.packed_id()[s], fresh.packed_id()[s]);
+      EXPECT_EQ(reused.packed_x1()[s], fresh.packed_x1()[s]);
+      EXPECT_EQ(reused.packed_y1()[s], fresh.packed_y1()[s]);
+      EXPECT_EQ(reused.packed_x2()[s], fresh.packed_x2()[s]);
+      EXPECT_EQ(reused.packed_y2()[s], fresh.packed_y2()[s]);
+      EXPECT_EQ(reused.packed_area()[s], fresh.packed_area()[s]);
+      EXPECT_EQ(reused.packed_list()[s], fresh.packed_list()[s]);
+      EXPECT_EQ(reused.packed_src()[s], fresh.packed_src()[s]);
+      EXPECT_EQ(reused.sorted_slot()[s], fresh.sorted_slot()[s]);
+    }
+    for (size_t li = 0; li < inputs.size(); ++li) {
+      EXPECT_EQ(reused.list_slots()[li], inputs[li].size());
+    }
+    // Each block's presorted slots are its stable descending-score order.
+    for (const FrameSoA::LabelBlock& block : reused.blocks()) {
+      std::vector<int32_t> expect;
+      for (size_t s = block.begin; s < block.end; ++s) {
+        expect.push_back(static_cast<int32_t>(s));
+      }
+      std::stable_sort(expect.begin(), expect.end(), [&](int32_t x, int32_t y) {
+        return reused.packed_src()[x]->confidence >
+               reused.packed_src()[y]->confidence;
+      });
+      for (size_t k = 0; k < expect.size(); ++k) {
+        EXPECT_EQ(reused.sorted_slot()[block.begin + k], expect[k]);
+      }
+    }
+  }
+}
+
+// A detection that loses its id slot — a duplicate id (the later claimant
+// wins) or an out-of-range one — leaves its list's slot count short.
+TEST(FrameSoATest, ListSlotsCountOnlyClaimedIds) {
+  std::vector<DetectionList> inputs(2);
+  inputs[0].push_back(Det(0, 0, 10, 10, 0.9));
+  inputs[0].push_back(Det(5, 0, 10, 10, 0.8, 1));
+  inputs[1].push_back(Det(2, 0, 10, 10, 0.7));
+  inputs[1].push_back(Det(8, 8, 10, 10, 0.6, 1));
+  const int num_ids = AssignFrameDetIds(inputs);
+  inputs[0][1].frame_det_id = inputs[1][0].frame_det_id;  // loses to list 1
+  inputs[1][1].frame_det_id = -1;                          // out of range
+  const FrameSoA soa(inputs, num_ids);
+  EXPECT_EQ(soa.packed_size(), 2u);
+  EXPECT_EQ(soa.list_slots()[0], 1u);
+  EXPECT_EQ(soa.list_slots()[1], 1u);
+}
+
+// ------------------------------------------------------ WBF in place ----
+
+/// Records FuseByClass's classes as (label, boxes) runs.
+class RecordingSink final : public ClassSink {
+ public:
+  void AddClass(ClassId label, const Detection* dets, size_t n) override {
+    labels.push_back(label);
+    runs.emplace_back(dets, dets + n);
+  }
+  std::vector<ClassId> labels;
+  std::vector<DetectionList> runs;
+};
+
+void ExpectBitIdentical(const DetectionList& a, const DetectionList& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].box.x1, b[i].box.x1);
+    EXPECT_EQ(a[i].box.y1, b[i].box.y1);
+    EXPECT_EQ(a[i].box.x2, b[i].box.x2);
+    EXPECT_EQ(a[i].box.y2, b[i].box.y2);
+    EXPECT_EQ(a[i].confidence, b[i].confidence);
+    EXPECT_EQ(a[i].box_variance, b[i].box_variance);
+    EXPECT_EQ(a[i].label, b[i].label);
+    EXPECT_EQ(a[i].model_index, b[i].model_index);
+    EXPECT_EQ(a[i].frame_det_id, b[i].frame_det_id);
+  }
+}
+
+/// WBF over `span` with the store and without it (the generic flatten),
+/// compared bit for bit through both FuseInto and FuseByClass.
+void ExpectWbfStoreMatchesGeneric(const WbfFusion& wbf,
+                                  DetectionListSpan span,
+                                  const FrameSoA& soa) {
+  DetectionList with_soa, without;
+  wbf.FuseInto(span, nullptr, &soa, &with_soa);
+  wbf.FuseInto(span, nullptr, nullptr, &without);
+  ExpectBitIdentical(with_soa, without);
+  RecordingSink by_class_soa, by_class_generic;
+  wbf.FuseByClass(span, nullptr, &soa, &by_class_soa);
+  wbf.FuseByClass(span, nullptr, nullptr, &by_class_generic);
+  ASSERT_EQ(by_class_soa.labels, by_class_generic.labels);
+  for (size_t c = 0; c < by_class_soa.runs.size(); ++c) {
+    ExpectBitIdentical(by_class_soa.runs[c], by_class_generic.runs[c]);
+  }
+}
+
+// WBF fuses from the store's presorted blocks and reads members in place:
+// every ascending subset of the lists, confidence ties included, must fuse
+// exactly as the generic flatten does.
+TEST(WbfInPlaceTest, BlockWalkMatchesGenericFlatten) {
+  Rng rng(67);
+  const WbfFusion wbf(DefaultOptions());
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::vector<DetectionList> inputs = RandomFrame(rng, 4, 10);
+    int num_ids = 0;
+    for (const auto& list : inputs) num_ids += static_cast<int>(list.size());
+    const FrameSoA soa(inputs, num_ids);
+    for (uint32_t mask = 1; mask < (1u << 4); ++mask) {
+      std::vector<const DetectionList*> ptrs;
+      for (size_t i = 0; i < 4; ++i) {
+        if ((mask & (1u << i)) != 0) ptrs.push_back(&inputs[i]);
+      }
+      ExpectWbfStoreMatchesGeneric(wbf, DetectionListSpan(ptrs), soa);
+    }
+  }
+}
+
+// Active model_weights rescale the scores the presorted slots were
+// ordered by, so WBF must decline the block walk onto the generic flatten
+// (which applies them) and still match it; a walk that engaged anyway
+// would fuse the unweighted scores. Out-of-order lists and lost id slots
+// decline for every method: see SoAFastPathMatchesGenericFlatten.
+TEST(WbfInPlaceTest, ActiveWeightsDeclineToGenericFlatten) {
+  Rng rng(71);
+  FusionOptions weighted = DefaultOptions();
+  weighted.model_weights = {0.5, 2.0, 1.0};
+  const WbfFusion wbf(DefaultOptions());
+  const WbfFusion wbf_weighted(weighted);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::vector<DetectionList> inputs = RandomFrame(rng, 3, 10);
+    int num_ids = 0;
+    for (const auto& list : inputs) num_ids += static_cast<int>(list.size());
+    const FrameSoA soa(inputs, num_ids);
+    ExpectWbfStoreMatchesGeneric(wbf_weighted, DetectionListSpan(inputs), soa);
+
+    DetectionList plain, scaled;
+    wbf.FuseInto(DetectionListSpan(inputs), nullptr, &soa, &plain);
+    wbf_weighted.FuseInto(DetectionListSpan(inputs), nullptr, &soa, &scaled);
+    bool differs = plain.size() != scaled.size();
+    for (size_t i = 0; !differs && i < plain.size(); ++i) {
+      differs = plain[i].confidence != scaled[i].confidence;
+    }
+    if (!plain.empty()) {
+      EXPECT_TRUE(differs) << "weights had no effect";
+    }
   }
 }
 

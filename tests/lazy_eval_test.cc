@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "core/mes_b.h"
 #include "models/model_zoo.h"
 #include "models/reference_detector.h"
+#include "runtime/fault_injection.h"
 #include "sim/dataset.h"
 #include "temporal/skip_policy.h"
 #include "test_util.h"
@@ -769,6 +772,114 @@ TEST(LazyEvalTest, AutoKeepsEagerForOracleLineup) {
   // OPT's regret against its own argmax baseline is exactly zero.
   EXPECT_EQ(result.outcomes[0].runs[0].regret, 0.0);
 }
+
+// ------------------------------------------------- context reloading ---
+
+void ExpectSameCell(const MaskEvaluation& a, const MaskEvaluation& b,
+                    bool full, EnsembleId mask) {
+  EXPECT_EQ(a.est_ap, b.est_ap) << "mask " << mask;
+  EXPECT_EQ(a.cost_ms, b.cost_ms) << "mask " << mask;
+  EXPECT_EQ(a.fusion_overhead_ms, b.fusion_overhead_ms) << "mask " << mask;
+  if (full) {
+    EXPECT_EQ(a.true_ap, b.true_ap) << "mask " << mask;
+  } else {
+    EXPECT_TRUE(std::isnan(a.true_ap) && std::isnan(b.true_ap))
+        << "mask " << mask;
+  }
+}
+
+void ExpectSameBoxes(const DetectionList& a, const DetectionList& b,
+                     EnsembleId mask) {
+  ASSERT_EQ(a.size(), b.size()) << "mask " << mask;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a[i].box == b[i].box) << "mask " << mask << " box " << i;
+    EXPECT_EQ(a[i].confidence, b[i].confidence) << "mask " << mask;
+    EXPECT_EQ(a[i].box_variance, b[i].box_variance) << "mask " << mask;
+    EXPECT_EQ(a[i].label, b[i].label) << "mask " << mask;
+    EXPECT_EQ(a[i].model_index, b[i].model_index) << "mask " << mask;
+    EXPECT_EQ(a[i].frame_det_id, b[i].frame_det_id) << "mask " << mask;
+  }
+}
+
+// One context reloaded A → B → A must hold exactly what a fresh context
+// over each frame holds, for every fusion kind: every cell, full and
+// estimate-only, and every mask's fused boxes. A is the sparsest of the
+// first frames and B the busiest, so the reloads both grow and shrink the
+// reused buffers, and a detector fails on B, so its list must come back
+// empty there and full again on A. A stale box, id slot, class range or
+// tile entry left by the previous frame would show here.
+class FrameEvalReloadTest : public ::testing::TestWithParam<FusionKind> {};
+
+TEST_P(FrameEvalReloadTest, ReloadedContextMatchesFreshContext) {
+  const int m = 4;
+  const uint64_t seed = 31;
+  const Video video = MakeVideo(/*scene_scale=*/0.02, seed);
+  const size_t scan = std::min<size_t>(video.size(), 24);
+  ASSERT_GE(scan, 3u);
+  size_t a = 0;
+  size_t b = 0;
+  for (size_t t = 1; t < scan; ++t) {
+    if (video.frames[t].objects.size() < video.frames[a].objects.size()) a = t;
+    if (video.frames[t].objects.size() > video.frames[b].objects.size()) b = t;
+  }
+  const VideoFrame& frame_a = video.frames[a];
+  const VideoFrame& frame_b = video.frames[b];
+  ASSERT_LT(frame_a.objects.size(), frame_b.objects.size());
+  ASSERT_NE(frame_a.frame_index, frame_b.frame_index);
+
+  DetectorPool pool = MakePool(m);
+  FaultScript outage;
+  outage.bursts.push_back(
+      {frame_b.frame_index, frame_b.frame_index + 1, FaultKind::kError, -1});
+  pool.detectors[1] = std::make_unique<FaultInjectingDetector>(
+      std::move(pool.detectors[1]), outage);
+
+  MatrixOptions options;
+  options.fusion = GetParam();
+  const auto fusion = std::move(CreateEnsembleMethod(options.fusion,
+                                                     options.fusion_options))
+                          .value();
+  const uint32_t num_masks = NumEnsembles(m);
+  FrameEvalContext reused(pool, seed, options, *fusion);
+  DetectionList reused_boxes;
+  DetectionList fresh_boxes;
+  for (const VideoFrame* frame : {&frame_a, &frame_b, &frame_a}) {
+    SCOPED_TRACE(frame == &frame_a ? "frame A" : "frame B");
+    reused.Load(*frame);
+    FrameEvalContext fresh(*frame, pool, seed, options, *fusion);
+    EXPECT_EQ(reused.model_ok(1), frame == &frame_a);
+    EXPECT_EQ(reused.available_mask(), fresh.available_mask());
+    EXPECT_EQ(reused.model_cost_ms(), fresh.model_cost_ms());
+    EXPECT_EQ(reused.model_fault_ms(), fresh.model_fault_ms());
+    EXPECT_EQ(reused.ref_cost_ms(), fresh.ref_cost_ms());
+    EXPECT_EQ(reused.FullEnsembleCostMs(), fresh.FullEnsembleCostMs());
+    EXPECT_EQ(reused.soa().packed_size(), fresh.soa().packed_size());
+    for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
+      ExpectSameCell(reused.Evaluate(mask), fresh.Evaluate(mask),
+                     /*full=*/true, mask);
+      ExpectSameCell(reused.Evaluate(mask, /*with_true_ap=*/false),
+                     fresh.Evaluate(mask, /*with_true_ap=*/false),
+                     /*full=*/false, mask);
+      reused.Fuse(mask, &reused_boxes);
+      fresh.Fuse(mask, &fresh_boxes);
+      ExpectSameBoxes(reused_boxes, fresh_boxes, mask);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, FrameEvalReloadTest,
+                         ::testing::ValuesIn(AllFusionKinds()),
+                         [](const ::testing::TestParamInfo<FusionKind>& info) {
+                           const std::string name =
+                               FusionKindToString(info.param);
+                           std::string out;
+                           for (const char c : name) {
+                             if (std::isalnum(static_cast<unsigned char>(c))) {
+                               out += c;
+                             }
+                           }
+                           return out;
+                         });
 
 }  // namespace
 }  // namespace vqe

@@ -13,6 +13,10 @@
 # build-ubsan/ (all .gitignore'd) and run the suites that exercise the
 # shared thread pool, the chunked ParallelFor scheduler, the pairwise-IoU
 # tile shared across fusion calls, the class-major fuse-and-score kernel,
+# the per-frame stores reloaded in place (frame contexts, SoA store,
+# ground-truth indexes, IoU tile — a source pointer that survives a
+# reload is a use-after-free ASan reports) with their exact allocation
+# gates, and WBF's in-place block walk,
 # lazy-vs-eager evaluation equivalence (estimate-only cells included),
 # the fault-tolerant detector runtime (retry/breaker/degradation), the
 # snapshot/checkpoint stack (hostile-byte parsing plus the crash-resume
@@ -118,10 +122,11 @@ run_sanitizer() {
   cmake -B "$dir" -S . -DVQE_SANITIZE="$san" >/dev/null
   cmake --build "$dir" -j --target \
     thread_pool_test determinism_test fusion_test class_major_test \
-    lazy_eval_test runtime_test snapshot_test resume_test serialization_test \
-    serve_test fleet_test temporal_test tracker_test workload_test obs_test
+    lazy_eval_test alloc_regression_test runtime_test snapshot_test \
+    resume_test serialization_test serve_test fleet_test temporal_test \
+    tracker_test workload_test obs_test
   ctest --test-dir "$dir" --output-on-failure -j 4 \
-    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|LazyMemo|FusionProperty|ClassMajorKernel|FaultInjection|RetryTest|CircuitBreaker|ResilientDetector|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|TrackerState|Workload|Overload|SamplePercentile|LatencyHistogram|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState"
+    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|LazyMemo|FrameEvalReload|FusionProperty|IouTileKernel|FrameSoA|GroundTruthIndex|WbfInPlace|ClassMajorKernel|FaultInjection|RetryTest|CircuitBreaker|ResilientDetector|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|TrackerState|Workload|Overload|SamplePercentile|LatencyHistogram|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState|AllocRegression|LazyRetainedHeap|ArenaSteadyState"
 }
 
 stage() {
