@@ -13,11 +13,10 @@
 // bit-identical, and report how many of the |V|·(2^m − 1) cells the lazy
 // run actually materialized.
 //
-// Section 3 — kernel microbenches, detector simulation excluded: the
-// pairwise-IoU tile build (pre-PR pointer-map scalar sweep vs the SoA
-// label-block kernel) and single fusion calls (pre-PR map-pooling,
-// copy-heavy Fuse replicas vs the arena-backed FuseInto), each verified
-// bit-identical against its replica.
+// Section 3 — kernel microbenches, detector simulation excluded: single
+// fusion calls (pre-PR map-pooling, copy-heavy Fuse replicas vs the
+// arena-backed FuseInto; WBF through its frame-store entry point), each
+// verified bit-identical against its replica.
 //
 // Emits BENCH_matrix_build.json so later PRs can track the trajectory.
 
@@ -38,7 +37,7 @@
 #include "detection/ap.h"
 #include "detection/frame_soa.h"
 #include "fusion/ensemble_method.h"
-#include "fusion/iou_cache.h"
+#include "fusion/wbf.h"
 #include "sim/dataset.h"
 
 using namespace vqe;
@@ -55,9 +54,7 @@ double LegacyBuildSeconds(const Video& video, const DetectorPool& pool,
                           uint64_t seed, const MatrixOptions& options) {
   const int m = static_cast<int>(pool.detectors.size());
   const uint32_t num_masks = NumEnsembles(m);
-  auto fusion =
-      std::move(CreateEnsembleMethod(options.fusion, options.fusion_options))
-          .value();
+  const WbfFusion fusion;
 
   Stopwatch watch;
   double checksum = 0.0;
@@ -80,7 +77,7 @@ double LegacyBuildSeconds(const Video& video, const DetectorPool& pool,
         if (!ContainsModel(mask, i)) continue;
         inputs.push_back(model_out[static_cast<size_t>(i)]);
       }
-      const DetectionList fused = fusion->Fuse(inputs);
+      const DetectionList fused = fusion.Fuse(inputs);
       checksum += FrameMeanAp(fused, ref_gt, options.ap);
       checksum += FrameMeanAp(fused, frame.objects, options.ap);
     }
@@ -145,52 +142,6 @@ bool SameRun(const RunResult& a, const RunResult& b) {
 // Faithful reproductions of the pre-optimization kernels, kept bench-local
 // so the comparison survives after the production code moved on.
 
-/// The pre-PR tile build: an id → Detection* map over the AoS inputs,
-/// then a scalar IoU(a.box, b.box) per same-label pair.
-struct LegacyIouTile {
-  int n = 0;
-  std::vector<double> tile;
-
-  LegacyIouTile(const std::vector<DetectionList>& per_model, int num_ids) {
-    if (num_ids <= 0 || num_ids > PairwiseIouCache::kMaxCachedDetections) {
-      return;
-    }
-    n = num_ids;
-    const size_t size = static_cast<size_t>(n);
-    tile.assign(size * size, -1.0);
-    std::vector<const Detection*> by_id(size, nullptr);
-    for (const auto& list : per_model) {
-      for (const auto& d : list) {
-        if (d.frame_det_id >= 0 && d.frame_det_id < n) {
-          by_id[static_cast<size_t>(d.frame_det_id)] = &d;
-        }
-      }
-    }
-    for (size_t i = 0; i < size; ++i) {
-      const Detection* a = by_id[i];
-      if (a == nullptr) continue;
-      for (size_t j = i; j < size; ++j) {
-        const Detection* b = by_id[j];
-        if (b == nullptr || b->label != a->label) continue;
-        const double iou = IoU(a->box, b->box);
-        tile[i * size + j] = iou;
-        tile[j * size + i] = iou;
-      }
-    }
-  }
-
-  double Get(const Detection& a, const Detection& b) const {
-    if (a.frame_det_id >= 0 && a.frame_det_id < n && b.frame_det_id >= 0 &&
-        b.frame_det_id < n) {
-      const double v = tile[static_cast<size_t>(a.frame_det_id) *
-                                static_cast<size_t>(n) +
-                            static_cast<size_t>(b.frame_det_id)];
-      if (v >= 0.0) return v;
-    }
-    return IoU(a.box, b.box);
-  }
-};
-
 /// Pre-PR class pooling: a std::map of per-class copies per call.
 std::map<ClassId, DetectionList> LegacyPoolByClass(
     DetectionListSpan per_model) {
@@ -208,15 +159,9 @@ void LegacySortDesc(DetectionList* dets) {
                    });
 }
 
-double LegacyCachedIoU(const PairwiseIouCache* iou, const Detection& a,
-                       const Detection& b) {
-  return iou != nullptr ? iou->Get(a, b) : IoU(a.box, b.box);
-}
-
 /// The pre-PR NMS inner loop: map pooling, a pooled copy per class, a
 /// heap-allocating stable sort and a std::vector<bool> flag set per call.
 DetectionList LegacyNmsFuse(DetectionListSpan per_model,
-                            const PairwiseIouCache* iou,
                             const FusionOptions& options) {
   DetectionList out;
   for (auto& [cls, pooled] : LegacyPoolByClass(per_model)) {
@@ -227,11 +172,10 @@ DetectionList LegacyNmsFuse(DetectionListSpan per_model,
       if (suppressed[i]) continue;
       Detection kept = dets[i];
       kept.model_index = -1;
-      kept.frame_det_id = -1;
       if (kept.confidence >= options.score_threshold) out.push_back(kept);
       for (size_t j = i + 1; j < dets.size(); ++j) {
         if (suppressed[j]) continue;
-        if (LegacyCachedIoU(iou, dets[i], dets[j]) > options.iou_threshold) {
+        if (IoU(dets[i].box, dets[j].box) > options.iou_threshold) {
           suppressed[j] = true;
         }
       }
@@ -240,9 +184,8 @@ DetectionList LegacyNmsFuse(DetectionListSpan per_model,
   return out;
 }
 
-/// The pre-PR WBF: weighted per-model input copies, map pooling, and
-/// clusters that hold their member list and refold it front-to-back after
-/// every insertion.
+/// The pre-PR WBF: map pooling, and clusters that hold their member list
+/// and refold it front-to-back after every insertion.
 DetectionList LegacyWbfFuse(DetectionListSpan per_model,
                             const FusionOptions& options) {
   struct Cluster {
@@ -276,21 +219,7 @@ DetectionList LegacyWbfFuse(DetectionListSpan per_model,
 
   const size_t num_models = per_model.size();
   DetectionList out;
-
-  DetectionListSpan inputs = per_model;
-  std::vector<DetectionList> weighted;
-  if (options.model_weights.size() == num_models) {
-    weighted.resize(num_models);
-    for (size_t i = 0; i < num_models; ++i) {
-      weighted[i] = per_model[i];
-      for (auto& d : weighted[i]) {
-        d.confidence = std::min(1.0, d.confidence * options.model_weights[i]);
-      }
-    }
-    inputs = DetectionListSpan(weighted);
-  }
-
-  for (auto& [cls, pooled] : LegacyPoolByClass(inputs)) {
+  for (auto& [cls, pooled] : LegacyPoolByClass(per_model)) {
     DetectionList dets = pooled;
     LegacySortDesc(&dets);
 
@@ -529,21 +458,18 @@ int main() {
     const Video kvideo = std::move(SampleVideo(*spec, sample)).value();
     const uint64_t kseed = 37;
 
-    // Materialize every frame's detector outputs (with frame ids) up
-    // front: the kernels below are timed over fixed inputs.
+    // Materialize every frame's detector outputs up front: the kernels
+    // below are timed over fixed inputs.
     std::vector<std::vector<DetectionList>> frame_out;
-    std::vector<int> frame_ids;
     size_t total_boxes = 0;
     for (const VideoFrame& frame : kvideo.frames) {
       std::vector<DetectionList> model_out(static_cast<size_t>(m));
       for (int i = 0; i < m; ++i) {
         model_out[static_cast<size_t>(i)] =
             pool.detectors[static_cast<size_t>(i)]->Detect(frame, kseed);
+        total_boxes += model_out[static_cast<size_t>(i)].size();
       }
-      const int num_ids = AssignFrameDetIds(model_out);
-      total_boxes += static_cast<size_t>(num_ids);
       frame_out.push_back(std::move(model_out));
-      frame_ids.push_back(num_ids);
     }
     kernel_frames = frame_out.size();
     kernel_reps = std::max<size_t>(50, settings.trials * 20);
@@ -553,59 +479,16 @@ int main() {
                                        static_cast<double>(kernel_frames);
     double sink = 0.0;
 
-    // Tile build: legacy pointer-map sweep vs SoA label-block kernel (SoA
-    // construction included — it is part of the per-frame cost).
-    std::vector<PairwiseIouCache> tiles;  // reused by the fusion benches
-    std::vector<FrameSoA> soas;           // reused by the fusion benches
-    bool tile_identical = true;
-    for (size_t f = 0; f < kernel_frames; ++f) {
-      const LegacyIouTile legacy(frame_out[f], frame_ids[f]);
-      soas.emplace_back(frame_out[f], frame_ids[f]);
-      tiles.emplace_back(soas.back());
-      for (const auto& list_a : frame_out[f]) {
-        for (const auto& a : list_a) {
-          for (const auto& list_b : frame_out[f]) {
-            for (const auto& b : list_b) {
-              if (tiles.back().Get(a, b) != legacy.Get(a, b)) {
-                tile_identical = false;
-              }
-            }
-          }
-        }
-      }
-    }
-    {
-      KernelResult r;
-      r.name = "iou_tile_build";
-      r.identical = tile_identical;
-      Stopwatch legacy_watch;
-      for (size_t rep = 0; rep < kernel_reps; ++rep) {
-        for (size_t f = 0; f < kernel_frames; ++f) {
-          const LegacyIouTile tile(frame_out[f], frame_ids[f]);
-          sink += static_cast<double>(tile.tile.size());
-        }
-      }
-      const double legacy_s = legacy_watch.ElapsedSeconds();
-      Stopwatch soa_watch;
-      for (size_t rep = 0; rep < kernel_reps; ++rep) {
-        for (size_t f = 0; f < kernel_frames; ++f) {
-          const PairwiseIouCache tile(FrameSoA(frame_out[f], frame_ids[f]));
-          sink += tile.enabled() ? 1.0 : 0.0;
-        }
-      }
-      const double soa_s = soa_watch.ElapsedSeconds();
-      const double ops = static_cast<double>(kernel_reps * kernel_frames);
-      r.legacy_per_sec = ops / legacy_s;
-      r.new_per_sec = ops / soa_s;
-      kernels.push_back(r);
-    }
-
     // Single fusion calls over the full-pool mask: pre-PR Fuse replicas vs
-    // the arena-backed FuseInto with a reused output buffer.
-    MatrixOptions kernel_options;
-    const FusionOptions fopts = kernel_options.fusion_options;
+    // the arena-backed FuseInto with a reused output buffer. WBF fuses
+    // from each frame's store, as the pipeline does (the store is built
+    // once per frame, outside the timed loop, like the pipeline's).
+    const FusionOptions fopts;
     auto nms = std::move(CreateEnsembleMethod(FusionKind::kNms, fopts)).value();
-    auto wbf = std::move(CreateEnsembleMethod(FusionKind::kWbf, fopts)).value();
+    const WbfFusion wbf(fopts);
+    std::vector<FrameSoA> soas;
+    soas.reserve(kernel_frames);
+    for (const auto& out : frame_out) soas.emplace_back(out);
     DetectionList fused;
 
     {
@@ -614,16 +497,15 @@ int main() {
       r.identical = true;
       for (size_t f = 0; f < kernel_frames; ++f) {
         const DetectionList legacy =
-            LegacyNmsFuse(DetectionListSpan(frame_out[f]), &tiles[f], fopts);
-        nms->FuseInto(DetectionListSpan(frame_out[f]), &tiles[f], &soas[f],
-                        &fused);
+            LegacyNmsFuse(DetectionListSpan(frame_out[f]), fopts);
+        nms->FuseInto(DetectionListSpan(frame_out[f]), &fused);
         r.identical = r.identical && SameDetections(legacy, fused);
       }
       Stopwatch legacy_watch;
       for (size_t rep = 0; rep < kernel_reps; ++rep) {
         for (size_t f = 0; f < kernel_frames; ++f) {
           const DetectionList out =
-              LegacyNmsFuse(DetectionListSpan(frame_out[f]), &tiles[f], fopts);
+              LegacyNmsFuse(DetectionListSpan(frame_out[f]), fopts);
           sink += static_cast<double>(out.size());
         }
       }
@@ -631,8 +513,7 @@ int main() {
       Stopwatch new_watch;
       for (size_t rep = 0; rep < kernel_reps; ++rep) {
         for (size_t f = 0; f < kernel_frames; ++f) {
-          nms->FuseInto(DetectionListSpan(frame_out[f]), &tiles[f], &soas[f],
-                        &fused);
+          nms->FuseInto(DetectionListSpan(frame_out[f]), &fused);
           sink += static_cast<double>(fused.size());
         }
       }
@@ -650,8 +531,7 @@ int main() {
       for (size_t f = 0; f < kernel_frames; ++f) {
         const DetectionList legacy =
             LegacyWbfFuse(DetectionListSpan(frame_out[f]), fopts);
-        wbf->FuseInto(DetectionListSpan(frame_out[f]), nullptr, &soas[f],
-                        &fused);
+        wbf.FuseInto(DetectionListSpan(frame_out[f]), &soas[f], &fused);
         r.identical = r.identical && SameDetections(legacy, fused);
       }
       Stopwatch legacy_watch;
@@ -666,8 +546,7 @@ int main() {
       Stopwatch new_watch;
       for (size_t rep = 0; rep < kernel_reps; ++rep) {
         for (size_t f = 0; f < kernel_frames; ++f) {
-          wbf->FuseInto(DetectionListSpan(frame_out[f]), nullptr, &soas[f],
-                        &fused);
+          wbf.FuseInto(DetectionListSpan(frame_out[f]), &soas[f], &fused);
           sink += static_cast<double>(fused.size());
         }
       }
@@ -694,13 +573,10 @@ int main() {
   kernel_table.Print(std::cout);
   std::printf(
       "\n'legacy' are bench-local replicas of the pre-optimization\n"
-      "kernels (pointer-map tile sweep; map-pooling copy-heavy fusion);\n"
-      "'identical' checks the new kernels reproduce them bit for bit.\n"
-      "iou_tile_build times the full per-frame store construction, which\n"
-      "deliberately does MORE work than the legacy tile (it also builds\n"
-      "the presorted class pools the fuse kernels consume) — it is paid\n"
-      "once per frame and amortized over up to 2^m - 1 mask fusions,\n"
-      "where the per-mask kernels above win it back many times over.\n");
+      "kernels (map-pooling copy-heavy fusion); 'identical' checks the\n"
+      "new kernels reproduce them bit for bit. wbf_fuse reads each\n"
+      "frame's presorted SoA store, built once per frame and amortized\n"
+      "over up to 2^m - 1 mask fusions in the pipeline.\n");
 
   FILE* json = std::fopen("BENCH_matrix_build.json", "w");
   if (json == nullptr) {

@@ -9,6 +9,7 @@
 #include <iostream>
 #include <map>
 
+#include "fusion/ensemble_method.h"
 #include "models/model_zoo.h"
 #include "query/executor.h"
 #include "query/explain.h"

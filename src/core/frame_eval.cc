@@ -9,12 +9,8 @@ namespace vqe {
 
 FrameEvalContext::FrameEvalContext(const DetectorPool& pool,
                                    uint64_t trial_seed,
-                                   const MatrixOptions& options,
-                                   const EnsembleMethod& fusion)
-    : pool_(&pool),
-      trial_seed_(trial_seed),
-      options_(&options),
-      fusion_(&fusion) {
+                                   const MatrixOptions& options)
+    : pool_(&pool), trial_seed_(trial_seed), options_(&options) {
   inputs_.reserve(pool.detectors.size());
 }
 
@@ -55,15 +51,8 @@ void FrameEvalContext::Load(const VideoFrame& frame) {
   // reused across every evaluation.
   RebuildGroundTruthIndex(ref_gt_, &ref_index_);
   RebuildGroundTruthIndex(frame.objects, &gt_index_);
-  // The SoA store is built for every fusion method: its per-class,
-  // presorted pools feed the grouped flatten of all 2^m − 1 mask
-  // evaluations. The pairwise-IoU tile on top of it pays off only for
-  // methods whose IoU queries are raw-pair (NMS family, NMW, Consensus);
-  // WBF queries derived cluster boxes, so the tile would be pure
-  // construction overhead there.
-  const int num_ids = AssignFrameDetIds(model_out_);
-  soa_.Rebuild(model_out_, num_ids);
-  if (fusion_->ConsumesIouCache()) iou_cache_.Rebuild(soa_);
+  // The store's per-class, presorted pools feed all 2^m − 1 mask fusions.
+  soa_.Rebuild(model_out_);
 }
 
 double FrameEvalContext::FullEnsembleCostMs() const {
@@ -117,9 +106,7 @@ MaskEvaluation FrameEvalContext::Evaluate(EnsembleId mask, bool with_true_ap) {
   ClassMajorMeanAp est(ref_index_, options_->ap);
   ClassMajorMeanAp truth(gt_index_, options_->ap);
   ScoreSink sink(&est, with_true_ap ? &truth : nullptr);
-  fusion_->FuseByClass(DetectionListSpan(inputs_),
-                       iou_cache_.enabled() ? &iou_cache_ : nullptr, &soa_,
-                       &sink);
+  fusion_.FuseByClass(DetectionListSpan(inputs_), &soa_, &sink);
 
   MaskEvaluation e;
   e.fusion_overhead_ms = SimulatedFusionOverheadMs(num_boxes);
@@ -133,8 +120,7 @@ MaskEvaluation FrameEvalContext::Evaluate(EnsembleId mask, bool with_true_ap) {
 void FrameEvalContext::Fuse(EnsembleId mask, DetectionList* out) {
   double model_cost = 0.0;
   GatherInputs(mask, &model_cost);
-  fusion_->FuseInto(DetectionListSpan(inputs_),
-                    iou_cache_.enabled() ? &iou_cache_ : nullptr, &soa_, out);
+  fusion_.FuseInto(DetectionListSpan(inputs_), &soa_, out);
 }
 
 }  // namespace vqe

@@ -1,8 +1,9 @@
 // Shared per-frame evaluation kernel: runs every detector and the
 // reference model on one frame, caches their outputs and the per-class
-// ground-truth indexes, and evaluates any ensemble mask on demand. Both
-// the eager BuildFrameMatrix (which materializes all 2^m − 1 masks) and
-// the LazyFrameEvaluator (which materializes only what a strategy touches)
+// ground-truth indexes, and evaluates any ensemble mask on demand, fused
+// with WBF from the frame's presorted SoA store. Both the eager
+// BuildFrameMatrix (which materializes all 2^m − 1 masks) and the
+// LazyFrameEvaluator (which materializes only what a strategy touches)
 // run their mask evaluations through this one code path, so lazy and eager
 // results are bit-identical *by construction*, not by parallel maintenance
 // of two arithmetic pipelines. A context is loaded frame after frame in
@@ -18,8 +19,7 @@
 #include "core/frame_matrix.h"
 #include "detection/ap.h"
 #include "detection/frame_soa.h"
-#include "fusion/ensemble_method.h"
-#include "fusion/iou_cache.h"
+#include "fusion/wbf.h"
 #include "models/model_zoo.h"
 #include "sim/video.h"
 
@@ -50,8 +50,8 @@ struct MaskEvaluation {
 
 /// All per-frame state the mask loop reuses: cached per-model detections
 /// and costs, the reference pseudo-ground-truth index, the true
-/// ground-truth index, the frame's SoA store and (when the fusion method
-/// consumes it) the pairwise-IoU tile over the cached detections.
+/// ground-truth index and the frame's SoA store, which WBF (the pipeline's
+/// fusion method) fuses every mask from.
 ///
 /// One context serves many frames: Load re-targets it and reuses every
 /// buffer, so a warmed context allocates nothing per frame beyond the
@@ -64,16 +64,15 @@ struct MaskEvaluation {
 /// eager build bit-identical for any worker count).
 class FrameEvalContext {
  public:
-  /// A context with no frame loaded. `pool`, `options` and `fusion` must
-  /// outlive the context.
+  /// A context with no frame loaded. `pool` and `options` must outlive
+  /// the context.
   FrameEvalContext(const DetectorPool& pool, uint64_t trial_seed,
-                   const MatrixOptions& options, const EnsembleMethod& fusion);
+                   const MatrixOptions& options);
 
   /// A context with `frame` loaded.
   FrameEvalContext(const VideoFrame& frame, const DetectorPool& pool,
-                   uint64_t trial_seed, const MatrixOptions& options,
-                   const EnsembleMethod& fusion)
-      : FrameEvalContext(pool, trial_seed, options, fusion) {
+                   uint64_t trial_seed, const MatrixOptions& options)
+      : FrameEvalContext(pool, trial_seed, options) {
     Load(frame);
   }
 
@@ -108,33 +107,33 @@ class FrameEvalContext {
   /// rounded sum can exceed the full pool's.
   double FullEnsembleCostMs() const;
 
-  /// Fuses and scores one mask from the cached outputs, class-major: the
-  /// fusion method hands each fused class straight to the mean-AP
-  /// accumulators (EnsembleMethod::FuseByClass, ClassMajorMeanAp), so no
-  /// fused list is assembled, globally sorted or re-filtered per class.
-  /// With `with_true_ap` false only est_ap is scored (the ground-truth
-  /// matching is skipped) and true_ap is NaN; est_ap, cost_ms and
+  /// Fuses and scores one mask from the cached outputs, class-major: WBF
+  /// hands each fused class straight to the mean-AP accumulators
+  /// (WbfFusion::FuseByClass, ClassMajorMeanAp), so no fused list is
+  /// assembled, globally sorted or re-filtered per class. With
+  /// `with_true_ap` false only est_ap is scored (the ground-truth matching
+  /// is skipped) and true_ap is NaN; est_ap, cost_ms and
   /// fusion_overhead_ms are bit-identical either way.
   ///
   /// Steady-state allocation-free: fusion/scoring scratch lives in the
-  /// calling thread's FrameArena and the per-frame IoU tile was built up
-  /// front.
+  /// calling thread's FrameArena.
   MaskEvaluation Evaluate(EnsembleId mask, bool with_true_ap = true);
 
   /// Fuses one mask into `*out` (cleared first, capacity kept) exactly as
-  /// EnsembleMethod::FuseInto lists it, scoring nothing — for callers
-  /// that need the boxes (the skip gate's tracker ingest).
+  /// WbfFusion::FuseInto lists it, scoring nothing — for callers that
+  /// need the boxes (the skip gate's tracker ingest).
   void Fuse(EnsembleId mask, DetectionList* out);
 
-  /// The frame's SoA detection store, built on every Load for every
-  /// fusion method: its presorted class blocks feed all mask fusions.
+  /// The frame's SoA detection store, rebuilt on every Load: its
+  /// presorted class blocks feed all mask fusions.
   const FrameSoA& soa() const { return soa_; }
 
  private:
   const DetectorPool* pool_;
   uint64_t trial_seed_;
   const MatrixOptions* options_;
-  const EnsembleMethod* fusion_;
+  /// The pipeline's one fusion method, with default options.
+  WbfFusion fusion_;
   std::vector<DetectionList> model_out_;
   std::vector<double> model_cost_ms_;
   std::vector<double> model_fault_ms_;
@@ -146,7 +145,6 @@ class FrameEvalContext {
   GroundTruthIndex ref_index_;
   GroundTruthIndex gt_index_;
   FrameSoA soa_;
-  PairwiseIouCache iou_cache_;
   std::vector<const DetectionList*> inputs_;  // scratch for GatherInputs
 
   /// Points inputs_ at `mask`'s member outputs (ascending model index) and

@@ -19,8 +19,7 @@ Status MatrixOptions::Validate() const {
   if (parallelism < 0) {
     return Status::InvalidArgument("parallelism must be >= 0");
   }
-  VQE_RETURN_NOT_OK(retry.Validate());
-  return fusion_options.Validate();
+  return retry.Validate();
 }
 
 namespace {
@@ -73,10 +72,6 @@ Result<FrameMatrix> BuildFrameMatrix(const Video& video,
   if (pool.reference == nullptr) {
     return Status::InvalidArgument("pool has no reference model");
   }
-
-  VQE_ASSIGN_OR_RETURN(auto fusion,
-                       CreateEnsembleMethod(options.fusion,
-                                            options.fusion_options));
 
   const int m = static_cast<int>(pool.detectors.size());
   const uint32_t num_masks = NumEnsembles(m);
@@ -132,7 +127,7 @@ Result<FrameMatrix> BuildFrameMatrix(const Video& video,
                    : std::max<size_t>(1, n / (static_cast<size_t>(workers) * 8));
   const size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
   ParallelFor(num_chunks, options.parallelism, [&](size_t c) {
-    FrameEvalContext ctx(pool, trial_seed, options, *fusion);
+    FrameEvalContext ctx(pool, trial_seed, options);
     const size_t end = std::min(n, (c + 1) * chunk);
     for (size_t t = c * chunk; t < end; ++t) build_frame(ctx, t);
   });

@@ -4,9 +4,10 @@
 // the online algorithms), and the simulated costs of Equation (1).
 //
 // Building the matrix materializes each model's detections once per frame
-// and fuses every ensemble from the cached outputs — exactly the reuse MES
-// exploits in Alg. 1 lines 9–10 — so the per-ensemble *charged* costs are
-// the paper's: c_{S|v} = Σ_{M∈S} c_{M|v} + c^e_{S|v}.
+// and fuses every ensemble from the cached outputs with WBF, the paper's
+// fusion method — exactly the reuse MES exploits in Alg. 1 lines 9–10 — so
+// the per-ensemble *charged* costs are the paper's:
+// c_{S|v} = Σ_{M∈S} c_{M|v} + c^e_{S|v}.
 
 #ifndef VQE_CORE_FRAME_MATRIX_H_
 #define VQE_CORE_FRAME_MATRIX_H_
@@ -17,7 +18,6 @@
 #include "common/status.h"
 #include "core/ensemble_id.h"
 #include "detection/ap.h"
-#include "fusion/ensemble_method.h"
 #include "models/model_zoo.h"
 #include "runtime/retry.h"
 #include "sim/video.h"
@@ -30,8 +30,6 @@ struct MatrixOptions {
   /// Reference detections below this confidence are dropped before being
   /// used as pseudo-ground-truth (filters LiDAR clutter).
   double ref_confidence_threshold = 0.5;
-  FusionKind fusion = FusionKind::kWbf;
-  FusionOptions fusion_options;
   /// Worker threads for frame-level parallelism. 0 = share the process
   /// pool (degrades to serial when nested inside trial-level parallelism);
   /// 1 = always serial; n = up to n workers. Frames are independent pure

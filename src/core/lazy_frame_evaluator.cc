@@ -17,23 +17,18 @@ Result<std::unique_ptr<LazyFrameEvaluator>> LazyFrameEvaluator::Create(
   if (pool.reference == nullptr) {
     return Status::InvalidArgument("pool has no reference model");
   }
-  VQE_ASSIGN_OR_RETURN(auto fusion,
-                       CreateEnsembleMethod(options.fusion,
-                                            options.fusion_options));
-  return std::unique_ptr<LazyFrameEvaluator>(new LazyFrameEvaluator(
-      std::move(video), pool, trial_seed, options, std::move(fusion)));
+  return std::unique_ptr<LazyFrameEvaluator>(
+      new LazyFrameEvaluator(std::move(video), pool, trial_seed, options));
 }
 
 LazyFrameEvaluator::LazyFrameEvaluator(Video video, const DetectorPool& pool,
                                        uint64_t trial_seed,
-                                       const MatrixOptions& options,
-                                       std::unique_ptr<EnsembleMethod> fusion)
+                                       const MatrixOptions& options)
     : video_(std::move(video)),
       pool_(&pool),
       trial_seed_(trial_seed),
       options_(options),
-      fusion_(std::move(fusion)),
-      live_(pool, trial_seed, options_, *fusion_) {
+      live_(pool, trial_seed, options_) {
   frames_.resize(video_.size());
 }
 

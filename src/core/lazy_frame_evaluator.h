@@ -35,10 +35,11 @@
 // memo keeps no boxes).
 //
 // All evaluation goes through the same FrameEvalContext kernel as the
-// eager build, so every materialized cell is bit-identical to the
-// corresponding FrameMatrix entry. The cost normalizer max_S c_{S|v}
-// needs no lattice scan: it is the full pool's cost, computable from the
-// frame's box counts alone (see FrameEvalContext::FullEnsembleCostMs).
+// eager build (WBF over the frame's SoA store), so every materialized
+// cell is bit-identical to the corresponding FrameMatrix entry. The cost
+// normalizer max_S c_{S|v} needs no lattice scan: it is the full pool's
+// cost, computable from the frame's box counts alone (see
+// FrameEvalContext::FullEnsembleCostMs).
 
 #ifndef VQE_CORE_LAZY_FRAME_EVALUATOR_H_
 #define VQE_CORE_LAZY_FRAME_EVALUATOR_H_
@@ -137,8 +138,7 @@ class LazyFrameEvaluator final : public EvaluationSource {
 
  private:
   LazyFrameEvaluator(Video video, const DetectorPool& pool,
-                     uint64_t trial_seed, const MatrixOptions& options,
-                     std::unique_ptr<EnsembleMethod> fusion);
+                     uint64_t trial_seed, const MatrixOptions& options);
 
   /// Memo state of one cell.
   enum CellState : uint8_t { kUnread = 0, kEstimate = 1, kFull = 2 };
@@ -169,7 +169,6 @@ class LazyFrameEvaluator final : public EvaluationSource {
   const DetectorPool* pool_;
   uint64_t trial_seed_;
   MatrixOptions options_;
-  std::unique_ptr<EnsembleMethod> fusion_;
   std::vector<FrameRecord> frames_;
   /// The one context, reloaded in place for each frame read, and the
   /// frame it holds (kNoFrame before the first).

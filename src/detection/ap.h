@@ -98,9 +98,8 @@ GroundTruthIndex BuildGroundTruthIndex(const GroundTruthList& ground_truth);
 /// count — adding +0.0 never changes the running sum — so the result is
 /// bit-identical to scoring the whole union in label order.
 ///
-/// The fusion kernels feed it directly (EnsembleMethod::FuseByClass), so a
-/// fused list is scored without a global confidence sort or a per-class
-/// re-filter. Scratch comes from the calling thread's FrameArena;
+/// WBF feeds it directly (WbfFusion::FuseByClass), so a fused list is
+/// scored without a global confidence sort or a per-class re-filter. Scratch comes from the calling thread's FrameArena;
 /// `ground_truth` and `options` must outlive the accumulator.
 class ClassMajorMeanAp final : public ClassSink {
  public:

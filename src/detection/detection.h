@@ -27,12 +27,6 @@ struct Detection {
   /// Predicted localization variance (pixels²) used by Softer-NMS variance
   /// voting; 0 when the producer does not estimate it.
   double box_variance = 0.0;
-  /// Frame-local identity for the pairwise-IoU tile cache
-  /// (fusion/iou_cache.h), assigned by AssignFrameDetIds over the frame's
-  /// cached per-model outputs; −1 when unassigned. Fusion outputs always
-  /// reset it to −1: a fused box is a new object whose coordinates no
-  /// longer match any cached tile row.
-  int32_t frame_det_id = -1;
 };
 
 /// All detections on one frame, in no particular order.
@@ -109,11 +103,10 @@ std::vector<ClassId> DistinctLabels(const DetectionList& dets);
 std::vector<ClassId> DistinctLabels(const GroundTruthList& gts);
 
 /// Receives a detection list one class at a time, labels strictly
-/// ascending, each call with at least one detection. The fusion kernels
-/// hand their output to one (EnsembleMethod::FuseByClass) and the
-/// class-major mean-AP accumulator (detection/ap.h) is one, so a fused
-/// list can be scored without ever being assembled, sorted or
-/// re-filtered per class.
+/// ascending, each call with at least one detection. WBF hands its fused
+/// boxes to one (WbfFusion::FuseByClass) and the class-major mean-AP
+/// accumulator (detection/ap.h) is one, so a fused list can be scored
+/// without ever being assembled, sorted or re-filtered per class.
 class ClassSink {
  public:
   virtual ~ClassSink() = default;

@@ -5,15 +5,13 @@
 
 namespace vqe {
 
-using fusion_internal::CachedIoU;
 using fusion_internal::ClassGroup;
 using fusion_internal::GroupByClass;
 using fusion_internal::SortDescArena;
 using fusion_internal::SortGroupDesc;
 
 void ConsensusFusion::FuseInto(DetectionListSpan per_model,
-                               const PairwiseIouCache* iou,
-                               const FrameSoA* soa, DetectionList* out) const {
+                               DetectionList* out) const {
   const int num_models = static_cast<int>(per_model.size());
   const int required =
       options_.min_votes > 0
@@ -25,13 +23,11 @@ void ConsensusFusion::FuseInto(DetectionListSpan per_model,
   ArenaScope scope(arena);
   // Vote counting uses the group's *positional* sources array, so it is
   // correct even when producers left model_index unset.
-  const auto groups =
-      GroupByClass(per_model, arena, nullptr, soa, /*sorted=*/true);
-  for (const ClassGroup& group : groups) {
+  for (const ClassGroup& group : GroupByClass(per_model, arena)) {
     Detection* dets = group.dets;
     const int32_t* sources = group.sources;
     const size_t n = group.size;
-    if (!groups.presorted) SortGroupDesc(group, arena);
+    SortGroupDesc(group, arena);
 
     uint8_t* used = arena.AllocateArray<uint8_t>(n);
     for (size_t i = 0; i < n; ++i) used[i] = 0;
@@ -44,7 +40,7 @@ void ConsensusFusion::FuseInto(DetectionListSpan per_model,
       cluster[cluster_size++] = static_cast<uint32_t>(i);
       for (size_t j = i + 1; j < n; ++j) {
         if (used[j]) continue;
-        if (CachedIoU(iou, dets[i], dets[j]) > options_.iou_threshold) {
+        if (IoU(dets[i].box, dets[j].box) > options_.iou_threshold) {
           used[j] = 1;
           cluster[cluster_size++] = static_cast<uint32_t>(j);
         }

@@ -22,9 +22,8 @@ class ConsensusFusion : public EnsembleMethod {
  public:
   explicit ConsensusFusion(const FusionOptions& options) : options_(options) {}
   std::string name() const override { return "Fusion"; }
-  void FuseInto(DetectionListSpan per_model, const PairwiseIouCache* iou,
-                const FrameSoA* soa, DetectionList* out) const override;
-  bool ConsumesIouCache() const override { return true; }
+  void FuseInto(DetectionListSpan per_model,
+                DetectionList* out) const override;
 
  private:
   FusionOptions options_;

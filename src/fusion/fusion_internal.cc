@@ -1,108 +1,16 @@
 #include "fusion/fusion_internal.h"
 
 #include <algorithm>
-#include <bit>
 #include <new>
 
 namespace vqe {
 namespace fusion_internal {
 
-bool SoAMemberMask(DetectionListSpan per_model, const FrameSoA& soa,
-                   uint64_t* members) {
-  const std::vector<DetectionList>* src = soa.source();
-  if (src == nullptr) return false;
-  const size_t num_lists = src->size();
-  if (num_lists > 64) return false;
-  // Map each span list to its source-vector position by address identity.
-  // The forward-only scan enforces strictly ascending source order, the
-  // precondition for packed (id-ascending) order to equal the span's
-  // model-major flatten order. A member list whose slot count falls short
-  // of its size lost a detection's id slot (stale or duplicate
-  // frame_det_ids), where only the generic flatten is faithful.
-  const uint32_t* slots = soa.list_slots();
-  uint64_t mask = 0;
-  size_t scan = 0;
-  for (size_t j = 0; j < per_model.size(); ++j) {
-    const DetectionList* lp = &per_model[j];
-    while (scan < num_lists && &(*src)[scan] != lp) ++scan;
-    if (scan == num_lists || slots[scan] != lp->size()) return false;
-    mask |= uint64_t{1} << scan;
-    ++scan;
-  }
-  *members = mask;
-  return true;
-}
-
-namespace {
-
-/// The SoA fast path of GroupByClass: filter the frame's packed label
-/// blocks down to the span's member lists. Returns false when the span
-/// doesn't map onto the store.
-bool GroupFromSoA(DetectionListSpan per_model, FrameArena& arena,
-                  const FrameSoA& soa, bool sorted, ClassGroups* out) {
-  uint64_t members = 0;
-  if (!SoAMemberMask(per_model, soa, &members)) return false;
-  // Every member list is fully represented, so the span's total is the
-  // member slot count and sizes the pool up front: one pass fills it.
-  size_t total = 0;
-  for (size_t j = 0; j < per_model.size(); ++j) total += per_model[j].size();
-  out->total = total;
-  if (total == 0) return true;
-
-  const auto& blocks = soa.blocks();
-  const int32_t* plist = soa.packed_list();
-  const Detection* const* psrc = soa.packed_src();
-  const int32_t* sslot = soa.sorted_slot();
-  ClassGroup* groups = arena.AllocateArray<ClassGroup>(blocks.size());
-  Detection* grouped = arena.AllocateArray<Detection>(total);
-  int32_t* sources = arena.AllocateArray<int32_t>(total);
-  size_t pos = 0;
-  size_t g = 0;
-  for (const FrameSoA::LabelBlock& block : blocks) {
-    const size_t first = pos;
-    for (size_t s = block.begin; s < block.end; ++s) {
-      const size_t slot = sorted ? static_cast<size_t>(sslot[s]) : s;
-      const int list = plist[slot];
-      if (!IsMember(members, list)) continue;
-      new (grouped + pos) Detection(*psrc[slot]);
-      // The span position of source list `list`: the members below it.
-      sources[pos] = static_cast<int32_t>(
-          std::popcount(members & ((uint64_t{1} << list) - 1)));
-      ++pos;
-    }
-    if (pos == first) continue;
-    ClassGroup* grp = new (groups + g++) ClassGroup();
-    grp->label = block.label;
-    grp->dets = grouped + first;
-    grp->sources = sources + first;
-    grp->size = pos - first;
-  }
-  out->groups = groups;
-  out->size = g;
-  out->presorted = sorted;
-  return true;
-}
-
-}  // namespace
-
-ClassGroups GroupByClass(DetectionListSpan per_model, FrameArena& arena,
-                         const std::vector<double>* model_weights,
-                         const FrameSoA* soa, bool sorted) {
+ClassGroups GroupByClass(DetectionListSpan per_model, FrameArena& arena) {
   ClassGroups out;
-  const bool weights_active =
-      model_weights != nullptr && model_weights->size() == per_model.size();
-  if (soa != nullptr && !weights_active &&
-      GroupFromSoA(per_model, arena, *soa, sorted, &out)) {
-    return out;
-  }
-  out = ClassGroups();
   size_t total = 0;
   for (size_t i = 0; i < per_model.size(); ++i) total += per_model[i].size();
-  out.total = total;
   if (total == 0) return out;
-
-  const bool weighted =
-      model_weights != nullptr && model_weights->size() == per_model.size();
 
   // Distinct labels, ascending — the iteration order the historical
   // std::map pooling produced.
@@ -147,11 +55,7 @@ ClassGroups GroupByClass(DetectionListSpan per_model, FrameArena& arena,
   for (size_t i = 0; i < per_model.size(); ++i) {
     for (const auto& d : per_model[i]) {
       const size_t slot_pos = offsets[class_index(d.label)]++;
-      Detection* slot = new (grouped + slot_pos) Detection(d);
-      if (weighted) {
-        slot->confidence =
-            std::min(1.0, slot->confidence * (*model_weights)[i]);
-      }
+      new (grouped + slot_pos) Detection(d);
       sources[slot_pos] = static_cast<int32_t>(i);
     }
   }
@@ -197,13 +101,6 @@ void SortDescArena(DetectionList* dets, FrameArena& arena) {
                   [](const Detection& a, const Detection& b) {
                     return a.confidence > b.confidence;
                   });
-}
-
-void SortDesc(DetectionList* dets) {
-  std::stable_sort(dets->begin(), dets->end(),
-                   [](const Detection& a, const Detection& b) {
-                     return a.confidence > b.confidence;
-                   });
 }
 
 }  // namespace fusion_internal

@@ -7,34 +7,29 @@
 
 namespace vqe {
 
-using fusion_internal::CachedIoU;
 using fusion_internal::ClassGroup;
 using fusion_internal::GroupByClass;
 using fusion_internal::SortGroupDesc;
 
 void NmsFusion::FuseInto(DetectionListSpan per_model,
-                         const PairwiseIouCache* iou, const FrameSoA* soa,
                          DetectionList* out) const {
   out->clear();
   FrameArena& arena = FrameArena::ThreadLocal();
   ArenaScope scope(arena);
-  const auto groups =
-      GroupByClass(per_model, arena, nullptr, soa, /*sorted=*/true);
-  for (const ClassGroup& group : groups) {
+  for (const ClassGroup& group : GroupByClass(per_model, arena)) {
     Detection* dets = group.dets;
     const size_t n = group.size;
-    if (!groups.presorted) SortGroupDesc(group, arena);
+    SortGroupDesc(group, arena);
     uint8_t* suppressed = arena.AllocateArray<uint8_t>(n);
     for (size_t i = 0; i < n; ++i) suppressed[i] = 0;
     for (size_t i = 0; i < n; ++i) {
       if (suppressed[i]) continue;
       Detection kept = dets[i];
       kept.model_index = -1;
-      kept.frame_det_id = -1;
       if (kept.confidence >= options_.score_threshold) out->push_back(kept);
       for (size_t j = i + 1; j < n; ++j) {
         if (suppressed[j]) continue;
-        if (CachedIoU(iou, dets[i], dets[j]) > options_.iou_threshold) {
+        if (IoU(dets[i].box, dets[j].box) > options_.iou_threshold) {
           suppressed[j] = 1;
         }
       }
@@ -43,7 +38,6 @@ void NmsFusion::FuseInto(DetectionListSpan per_model,
 }
 
 void SoftNmsFusion::FuseInto(DetectionListSpan per_model,
-                             const PairwiseIouCache* iou, const FrameSoA* soa,
                              DetectionList* out) const {
   // Drop decayed boxes below this floor even when the caller sets a zero
   // score_threshold, matching the reference implementation's behaviour.
@@ -53,11 +47,9 @@ void SoftNmsFusion::FuseInto(DetectionListSpan per_model,
   out->clear();
   FrameArena& arena = FrameArena::ThreadLocal();
   ArenaScope scope(arena);
-  // Soft-NMS needs its pools in model-major input order (its argmax scan's
-  // first-of-equals tie-break depends on it), so the SoA path is asked for
-  // the unsorted grouping.
-  for (const ClassGroup& group :
-       GroupByClass(per_model, arena, nullptr, soa, /*sorted=*/false)) {
+  // Soft-NMS keeps its pools in model-major input order: its argmax scan's
+  // first-of-equals tie-break depends on it.
+  for (const ClassGroup& group : GroupByClass(per_model, arena)) {
     // The group's detections are this kernel's working set, edited in
     // place: `rem` is the live prefix (the historical `remaining` list).
     Detection* dets = group.dets;
@@ -69,23 +61,19 @@ void SoftNmsFusion::FuseInto(DetectionListSpan per_model,
       for (size_t i = 1; i < rem; ++i) {
         if (dets[i].confidence > dets[best].confidence) best = i;
       }
-      // `kept` retains its frame_det_id for the decay loop's cached IoU
-      // queries (its box is the raw input box); the emitted copy resets
-      // the fusion-output identity fields.
       const Detection kept = dets[best];
       for (size_t i = best; i + 1 < rem; ++i) dets[i] = dets[i + 1];
       --rem;
       if (kept.confidence < floor) continue;
       Detection emitted = kept;
       emitted.model_index = -1;
-      emitted.frame_det_id = -1;
       out->push_back(emitted);
 
       // Decay the scores of overlapping survivors, compacting in place —
       // the same survivor order the historical rebuilt `next` list kept.
       size_t w = 0;
       for (size_t i = 0; i < rem; ++i) {
-        const double overlap = CachedIoU(iou, kept, dets[i]);
+        const double overlap = IoU(kept.box, dets[i].box);
         double decayed = dets[i].confidence;
         if (decay_ == Decay::kLinear) {
           if (overlap > options_.iou_threshold) decayed *= (1.0 - overlap);
@@ -104,18 +92,15 @@ void SoftNmsFusion::FuseInto(DetectionListSpan per_model,
 }
 
 void SofterNmsFusion::FuseInto(DetectionListSpan per_model,
-                               const PairwiseIouCache* iou,
-                               const FrameSoA* soa, DetectionList* out) const {
+                               DetectionList* out) const {
   constexpr double kVarianceEpsilon = 1e-3;
   out->clear();
   FrameArena& arena = FrameArena::ThreadLocal();
   ArenaScope scope(arena);
-  const auto groups =
-      GroupByClass(per_model, arena, nullptr, soa, /*sorted=*/true);
-  for (const ClassGroup& group : groups) {
+  for (const ClassGroup& group : GroupByClass(per_model, arena)) {
     Detection* dets = group.dets;
     const size_t n = group.size;
-    if (!groups.presorted) SortGroupDesc(group, arena);
+    SortGroupDesc(group, arena);
     uint8_t* suppressed = arena.AllocateArray<uint8_t>(n);
     for (size_t i = 0; i < n; ++i) suppressed[i] = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -125,7 +110,7 @@ void SofterNmsFusion::FuseInto(DetectionListSpan per_model,
       double wsum = 0.0;
       BBox voted{0, 0, 0, 0};
       for (size_t j = 0; j < n; ++j) {
-        const double overlap = CachedIoU(iou, dets[i], dets[j]);
+        const double overlap = IoU(dets[i].box, dets[j].box);
         const bool is_self = j == i;
         if (!is_self && overlap <= options_.iou_threshold) continue;
         const double variance =
@@ -148,7 +133,6 @@ void SofterNmsFusion::FuseInto(DetectionListSpan per_model,
                         voted.y2 / wsum};
       }
       kept.model_index = -1;
-      kept.frame_det_id = -1;
       if (kept.confidence >= options_.score_threshold) out->push_back(kept);
     }
   }

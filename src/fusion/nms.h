@@ -16,9 +16,8 @@ class NmsFusion : public EnsembleMethod {
  public:
   explicit NmsFusion(const FusionOptions& options) : options_(options) {}
   std::string name() const override { return "NMS"; }
-  void FuseInto(DetectionListSpan per_model, const PairwiseIouCache* iou,
-                const FrameSoA* soa, DetectionList* out) const override;
-  bool ConsumesIouCache() const override { return true; }
+  void FuseInto(DetectionListSpan per_model,
+                DetectionList* out) const override;
 
  private:
   FusionOptions options_;
@@ -37,9 +36,8 @@ class SoftNmsFusion : public EnsembleMethod {
   std::string name() const override {
     return decay_ == Decay::kLinear ? "Soft-NMS(linear)" : "Soft-NMS(gauss)";
   }
-  void FuseInto(DetectionListSpan per_model, const PairwiseIouCache* iou,
-                const FrameSoA* soa, DetectionList* out) const override;
-  bool ConsumesIouCache() const override { return true; }
+  void FuseInto(DetectionListSpan per_model,
+                DetectionList* out) const override;
 
  private:
   FusionOptions options_;
@@ -55,9 +53,8 @@ class SofterNmsFusion : public EnsembleMethod {
  public:
   explicit SofterNmsFusion(const FusionOptions& options) : options_(options) {}
   std::string name() const override { return "Softer-NMS"; }
-  void FuseInto(DetectionListSpan per_model, const PairwiseIouCache* iou,
-                const FrameSoA* soa, DetectionList* out) const override;
-  bool ConsumesIouCache() const override { return true; }
+  void FuseInto(DetectionListSpan per_model,
+                DetectionList* out) const override;
 
  private:
   FusionOptions options_;

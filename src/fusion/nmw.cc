@@ -5,24 +5,20 @@
 
 namespace vqe {
 
-using fusion_internal::CachedIoU;
 using fusion_internal::ClassGroup;
 using fusion_internal::GroupByClass;
 using fusion_internal::SortDescArena;
 using fusion_internal::SortGroupDesc;
 
 void NmwFusion::FuseInto(DetectionListSpan per_model,
-                         const PairwiseIouCache* iou, const FrameSoA* soa,
                          DetectionList* out) const {
   out->clear();
   FrameArena& arena = FrameArena::ThreadLocal();
   ArenaScope scope(arena);
-  const auto groups =
-      GroupByClass(per_model, arena, nullptr, soa, /*sorted=*/true);
-  for (const ClassGroup& group : groups) {
+  for (const ClassGroup& group : GroupByClass(per_model, arena)) {
     Detection* dets = group.dets;
     const size_t n = group.size;
-    if (!groups.presorted) SortGroupDesc(group, arena);
+    SortGroupDesc(group, arena);
     uint8_t* used = arena.AllocateArray<uint8_t>(n);
     for (size_t i = 0; i < n; ++i) used[i] = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -43,7 +39,7 @@ void NmwFusion::FuseInto(DetectionListSpan per_model,
       accumulate(dets[i], 1.0);  // the top box votes with IoU 1 to itself
       for (size_t j = i + 1; j < n; ++j) {
         if (used[j]) continue;
-        const double overlap = CachedIoU(iou, dets[i], dets[j]);
+        const double overlap = IoU(dets[i].box, dets[j].box);
         if (overlap > options_.iou_threshold) {
           used[j] = 1;
           accumulate(dets[j], overlap);
@@ -55,7 +51,6 @@ void NmwFusion::FuseInto(DetectionListSpan per_model,
         fused.box = BBox{x1 / wsum, y1 / wsum, x2 / wsum, y2 / wsum};
       }
       fused.model_index = -1;
-      fused.frame_det_id = -1;
       if (fused.confidence >= options_.score_threshold) out->push_back(fused);
     }
   }

@@ -15,9 +15,8 @@ class NmwFusion : public EnsembleMethod {
  public:
   explicit NmwFusion(const FusionOptions& options) : options_(options) {}
   std::string name() const override { return "NMW"; }
-  void FuseInto(DetectionListSpan per_model, const PairwiseIouCache* iou,
-                const FrameSoA* soa, DetectionList* out) const override;
-  bool ConsumesIouCache() const override { return true; }
+  void FuseInto(DetectionListSpan per_model,
+                DetectionList* out) const override;
 
  private:
   FusionOptions options_;

@@ -56,11 +56,6 @@ Status FusionOptions::Validate() const {
   if (min_votes < 0) {
     return Status::InvalidArgument("min_votes must be non-negative");
   }
-  for (double w : model_weights) {
-    if (w <= 0.0) {
-      return Status::InvalidArgument("model_weights must be positive");
-    }
-  }
   return Status::OK();
 }
 

@@ -9,12 +9,35 @@ namespace vqe {
 
 using fusion_internal::ClassGroup;
 using fusion_internal::GroupByClass;
-using fusion_internal::IsMember;
-using fusion_internal::SoAMemberMask;
 using fusion_internal::SortDescArena;
 using fusion_internal::SortGroupDesc;
 
 namespace {
+
+// The block walk's admission test: maps `per_model`'s lists onto
+// soa.source() by address identity and returns them as a bitmask over
+// source positions in `*members`. Declines (returns false) when a list is
+// not in the source, the lists are not in strictly ascending source order
+// (the precondition for packed order to equal the span's model-major
+// flatten order), or the source has more than 64 lists. O(m); no scratch.
+bool SoAMemberMask(DetectionListSpan per_model, const FrameSoA& soa,
+                   uint64_t* members) {
+  const std::vector<DetectionList>* src = soa.source();
+  if (src == nullptr) return false;
+  const size_t num_lists = src->size();
+  if (num_lists > 64) return false;
+  uint64_t mask = 0;
+  size_t scan = 0;
+  for (size_t j = 0; j < per_model.size(); ++j) {
+    const DetectionList* lp = &per_model[j];
+    while (scan < num_lists && &(*src)[scan] != lp) ++scan;
+    if (scan == num_lists) return false;
+    mask |= uint64_t{1} << scan;
+    ++scan;
+  }
+  *members = mask;
+  return true;
+}
 
 // A cluster carries the running member folds instead of the member list.
 // The historical cluster refolded its members front-to-back after every
@@ -134,14 +157,8 @@ class AppendSink final : public ClassSink {
 
 }  // namespace
 
-// WBF deliberately ignores the IoU cache (ConsumesIouCache() stays
-// false): candidates are matched against the *fused* box of each cluster,
-// a derived confidence-weighted average — even a single-member cluster's
-// center is (w·x)/w, not bitwise x — so no raw-pair tile can serve these
-// queries bit-identically.
-void WbfFusion::FuseByClass(DetectionListSpan per_model,
-                            const PairwiseIouCache* /*iou*/,
-                            const FrameSoA* soa, ClassSink* sink) const {
+void WbfFusion::FuseByClass(DetectionListSpan per_model, const FrameSoA* soa,
+                            ClassSink* sink) const {
   const size_t num_models = per_model.size();
   FrameArena& arena = FrameArena::ThreadLocal();
   ArenaScope scope(arena);
@@ -149,13 +166,9 @@ void WbfFusion::FuseByClass(DetectionListSpan per_model,
   // In place on the frame store: each label block's presorted slots,
   // filtered to the span's member lists, are exactly the class's stable
   // descending-confidence pool, and the clusters read the members
-  // through packed_src() without copying them. Per-model weighting
-  // (Solovyev et al.) rescales the sort keys, so active weights — like a
-  // span the store cannot map — take the generic flatten instead.
-  const bool weighted = options_.model_weights.size() == num_models;
+  // through packed_src() without copying them.
   uint64_t members = 0;
-  if (soa != nullptr && !weighted &&
-      SoAMemberMask(per_model, *soa, &members)) {
+  if (soa != nullptr && SoAMemberMask(per_model, *soa, &members)) {
     const int32_t* plist = soa->packed_list();
     const Detection* const* psrc = soa->packed_src();
     const int32_t* sslot = soa->sorted_slot();
@@ -164,7 +177,7 @@ void WbfFusion::FuseByClass(DetectionListSpan per_model,
       ClassClusters clusters(block.end - block.begin, arena);
       for (size_t s = block.begin; s < block.end; ++s) {
         const size_t slot = static_cast<size_t>(sslot[s]);
-        if (!IsMember(members, plist[slot])) continue;
+        if (((members >> plist[slot]) & 1u) == 0) continue;
         clusters.Add(*psrc[slot], options_.iou_threshold);
       }
       clusters.Emit(block.label, num_models, options_.score_threshold, arena,
@@ -173,10 +186,7 @@ void WbfFusion::FuseByClass(DetectionListSpan per_model,
     return;
   }
 
-  // The generic flatten applies the weights (min(1, conf · weight_i))
-  // while pooling.
-  const auto groups = GroupByClass(per_model, arena, &options_.model_weights);
-  for (const ClassGroup& group : groups) {
+  for (const ClassGroup& group : GroupByClass(per_model, arena)) {
     ArenaScope class_scope(arena);
     SortGroupDesc(group, arena);
     ClassClusters clusters(group.size, arena);
@@ -192,12 +202,11 @@ void WbfFusion::FuseByClass(DetectionListSpan per_model,
 // sort of the class-grouped cluster list: both order equal-confidence
 // boxes of different classes by label and those of one class by cluster
 // creation order.
-void WbfFusion::FuseInto(DetectionListSpan per_model,
-                         const PairwiseIouCache* iou, const FrameSoA* soa,
+void WbfFusion::FuseInto(DetectionListSpan per_model, const FrameSoA* soa,
                          DetectionList* out) const {
   out->clear();
   AppendSink append(out);
-  FuseByClass(per_model, iou, soa, &append);
+  FuseByClass(per_model, soa, &append);
   SortDescArena(out, FrameArena::ThreadLocal());
 }
 

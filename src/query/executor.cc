@@ -15,12 +15,12 @@
 #include "core/mes_b.h"
 #include "detection/ap.h"
 #include "detection/frame_soa.h"
-#include "fusion/iou_cache.h"
+#include "fusion/wbf.h"
 #include "models/model_zoo.h"
 #include "query/explain.h"
 #include "query/parser.h"
 #include "query/predicate.h"
-#include "runtime/resilient_detector.h"
+#include "runtime/retry.h"
 #include "sim/dataset.h"
 #include "temporal/gate.h"
 #include "track/tracker.h"
@@ -114,7 +114,7 @@ Status ReadQueryOutput(ByteReader& r, QueryOutput* out) {
 Result<std::vector<uint8_t>> BuildQuerySnapshot(
     const IdentityWriter& identity, size_t next_t, size_t next_iteration,
     const QueryOutput& out, const SelectionStrategy& strategy,
-    const std::vector<ResilientDetector>& runtime, const IouTracker* tracker,
+    const std::vector<CircuitBreaker>& breakers, const IouTracker* tracker,
     const TemporalGate* gate) {
   SnapshotWriter snap;
   snap.AddSection(kQueryMetaSection)
@@ -128,9 +128,9 @@ Result<std::vector<uint8_t>> BuildQuerySnapshot(
   VQE_RETURN_NOT_OK(strategy.SaveState(snap.AddSection(kQueryStrategySection)));
   {
     ByteWriter& w = snap.AddSection(kQueryRuntimeSection);
-    w.U64(runtime.size());
-    for (const ResilientDetector& d : runtime) {
-      VQE_RETURN_NOT_OK(d.SaveState(w));
+    w.U64(breakers.size());
+    for (const CircuitBreaker& breaker : breakers) {
+      VQE_RETURN_NOT_OK(breaker.SaveState(w));
     }
   }
   if (tracker != nullptr) {
@@ -148,7 +148,7 @@ Result<std::vector<uint8_t>> BuildQuerySnapshot(
 Status RestoreQueryRun(const SnapshotReader& snap,
                        const IdentityWriter& identity, size_t num_frames,
                        SelectionStrategy* strategy,
-                       std::vector<ResilientDetector>* runtime,
+                       std::vector<CircuitBreaker>* breakers,
                        IouTracker* tracker, TemporalGate* gate,
                        QueryOutput* out, size_t* next_t,
                        size_t* next_iteration) {
@@ -169,8 +169,8 @@ Status RestoreQueryRun(const SnapshotReader& snap,
   VQE_RETURN_NOT_OK(ReadQueryOutput(res, &restored));
   VQE_RETURN_NOT_OK(res.ExpectEnd());
   if (restored.selection_counts.size() !=
-          NumEnsembles(static_cast<int>(runtime->size())) + 1 ||
-      restored.model_failures.size() != runtime->size()) {
+          NumEnsembles(static_cast<int>(breakers->size())) + 1 ||
+      restored.model_failures.size() != breakers->size()) {
     return Status::DataLoss("query checkpoint output shape mismatch");
   }
 
@@ -181,11 +181,11 @@ Status RestoreQueryRun(const SnapshotReader& snap,
   VQE_ASSIGN_OR_RETURN(ByteReader rt, snap.Section(kQueryRuntimeSection));
   uint64_t runtime_count = 0;
   VQE_RETURN_NOT_OK(rt.U64(&runtime_count));
-  if (runtime_count != runtime->size()) {
+  if (runtime_count != breakers->size()) {
     return Status::DataLoss("query checkpoint runtime count mismatch");
   }
-  for (ResilientDetector& d : *runtime) {
-    VQE_RETURN_NOT_OK(d.RestoreState(rt));
+  for (CircuitBreaker& breaker : *breakers) {
+    VQE_RETURN_NOT_OK(breaker.RestoreState(rt));
   }
   VQE_RETURN_NOT_OK(rt.ExpectEnd());
 
@@ -400,9 +400,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   const uint32_t num_masks = NumEnsembles(m);
 
   VQE_ASSIGN_OR_RETURN(auto strategy, MakeStrategy(query, options));
-  VQE_ASSIGN_OR_RETURN(auto fusion,
-                       CreateEnsembleMethod(options.matrix.fusion,
-                                            options.matrix.fusion_options));
+  const WbfFusion fusion;
 
   StrategyContext ctx;
   ctx.num_models = m;
@@ -417,15 +415,13 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   out.model_failures.assign(static_cast<size_t>(m), 0);
   for (const auto& d : pool.detectors) out.model_names.push_back(d->name());
 
-  // The fault-tolerance stack: one ResilientDetector (retry + breaker) per
-  // pool model. With the default policy and no fault scripts every call
-  // succeeds on the first attempt, the breakers never leave closed, and the
-  // execution is bit-identical to the pre-runtime path.
-  std::vector<ResilientDetector> runtime;
-  runtime.reserve(pool.detectors.size());
-  for (const auto& d : pool.detectors) {
-    runtime.emplace_back(d.get(), options.matrix.retry, options.breaker);
-  }
+  // The fault-tolerance stack: every pool model's calls run under the
+  // retry policy (DetectWithRetries), behind its own circuit breaker. With
+  // the default policy and no fault scripts every call succeeds on the
+  // first attempt, the breakers never leave closed, and the execution is
+  // bit-identical to the pre-runtime path.
+  std::vector<CircuitBreaker> breakers(pool.detectors.size(),
+                                       CircuitBreaker(options.breaker));
 
   // Temporal predicates (TRACKS) need an online tracker over the fused
   // detections of the selected ensembles.
@@ -448,13 +444,12 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   // Steady-state scratch for the per-frame subset-fusion loop, rebuilt in
   // place every detect frame so it stops allocating once warmed up: the
   // per-model costs, the reference pseudo-ground truth and its index, the
-  // frame's SoA store and IoU tile, the input span, and the realized
-  // mask's fused-output buffer FuseInto refills.
+  // frame's SoA store, the input span, and the realized mask's
+  // fused-output buffer FuseInto refills.
   std::vector<double> model_cost(static_cast<size_t>(m));
   GroundTruthList ref_gt;
   GroundTruthIndex ref_index;
   FrameSoA frame_soa;
-  PairwiseIouCache iou_tile;
   std::vector<const DetectionList*> inputs;
   inputs.reserve(static_cast<size_t>(m));
   DetectionList selected_fused;
@@ -499,7 +494,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
     if (loaded.ok()) {
       out.checkpoint.generations_rejected = loaded->rejected;
       VQE_RETURN_NOT_OK(RestoreQueryRun(
-          loaded->snapshot, identity, video.size(), strategy.get(), &runtime,
+          loaded->snapshot, identity, video.size(), strategy.get(), &breakers,
           standalone_tracker, gate.get(), &out, &start_t, &iteration));
       out.checkpoint.resumed = true;
       out.checkpoint.resumed_from_iteration = iteration;
@@ -536,7 +531,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       VQE_ASSIGN_OR_RETURN(
           std::vector<uint8_t> bytes,
           BuildQuerySnapshot(identity, t + stride, iteration, out, *strategy,
-                             runtime, standalone_tracker, gate.get()));
+                             breakers, standalone_tracker, gate.get()));
       VQE_RETURN_NOT_OK(ckpt->Write(next_generation, bytes));
       ++next_generation;
       ++out.checkpoint.snapshots_written;
@@ -593,7 +588,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
     // something, and half-open probes are how breakers recover.
     EnsembleId healthy = 0;
     for (int i = 0; i < m; ++i) {
-      if (runtime[static_cast<size_t>(i)].StateAt(frame_t) !=
+      if (breakers[static_cast<size_t>(i)].StateAt(frame_t) !=
           BreakerState::kOpen) {
         healthy |= Singleton(i);
       }
@@ -624,9 +619,23 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
         continue;
       }
       // The fault-tolerant call path: retries + deadline under the policy,
-      // short-circuited at zero cost while the model's breaker is open.
-      DetectorCallOutcome call =
-          runtime[static_cast<size_t>(i)].Call(frame, options.seed, frame_t);
+      // with the outcome fed to the model's breaker. An open breaker
+      // refuses the call at zero cost: no attempt, no recorded failure.
+      const ObjectDetector& detector = *pool.detectors[static_cast<size_t>(i)];
+      CircuitBreaker& breaker = breakers[static_cast<size_t>(i)];
+      DetectorCallOutcome call;
+      if (breaker.AllowsCallAt(frame_t)) {
+        call = DetectWithRetries(detector, frame, options.seed,
+                                 options.matrix.retry);
+        if (call.ok()) {
+          breaker.RecordSuccess(frame_t);
+        } else {
+          breaker.RecordFailure(frame_t);
+        }
+      } else {
+        call.status =
+            Status::Unavailable(detector.name() + ": circuit breaker open");
+      }
       out.fault_ms += call.fault_ms;
       obs.CountMs(qobs.fault_ms, call.fault_ms);
       frame_cost += call.charged_ms();
@@ -683,15 +692,13 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       // (outputs are reused; only the cheap box fusion re-runs) — failed
       // members contribute nothing, so the realized sub-masks are the only
       // arms with honest observations. The subsets all fuse the same cached
-      // boxes, so share one pairwise-IoU tile across them (model_out is
-      // reused between frames: re-id every frame). Only the realized
-      // mask's boxes are kept (WHERE, TRACKS() and the gate read them); a
-      // strict subset is fused class-major straight into its est_ap, and
-      // not at all when the strategy learns nothing from the reference.
+      // boxes, so share one SoA store across them (model_out is reused
+      // between frames: rebuild it every frame). Only the realized mask's
+      // boxes are kept (WHERE, TRACKS() and the gate read them); a strict
+      // subset is fused class-major straight into its est_ap, and not at
+      // all when the strategy learns nothing from the reference.
       est_score.assign(num_masks + 1, nan);
-      const int num_ids = AssignFrameDetIds(model_out);
-      frame_soa.Rebuild(model_out, num_ids);
-      if (fusion->ConsumesIouCache()) iou_tile.Rebuild(frame_soa);
+      frame_soa.Rebuild(model_out);
       ForEachSubset(realized, [&](EnsembleId sub) {
         inputs.clear();
         size_t boxes = 0;
@@ -708,15 +715,15 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
         cost += overhead;
         double est_ap = 0.0;
         if (sub == realized) {
-          fusion->FuseInto(DetectionListSpan(inputs), &iou_tile, &frame_soa,
-                           &selected_fused);
+          fusion.FuseInto(DetectionListSpan(inputs), &frame_soa,
+                          &selected_fused);
           if (uses_ref) {
             est_ap = FrameMeanAp(selected_fused, ref_index, options.matrix.ap);
           }
         } else if (uses_ref) {
           ClassMajorMeanAp accumulator(ref_index, options.matrix.ap);
-          fusion->FuseByClass(DetectionListSpan(inputs), &iou_tile,
-                              &frame_soa, &accumulator);
+          fusion.FuseByClass(DetectionListSpan(inputs), &frame_soa,
+                             &accumulator);
           est_ap = accumulator.Finish();
         }
         if (uses_ref) {

@@ -1,8 +1,9 @@
 // Streaming query executor: runs a parsed query end-to-end — samples the
 // named dataset, builds the detector pool, and processes the video frame by
 // frame exactly as a deployment would: the strategy picks an ensemble, only
-// those models run, their outputs are fused, the reference model estimates
-// AP for the bandit update, and the WHERE predicate filters the frame.
+// those models run, their outputs are fused with WBF, the reference model
+// estimates AP for the bandit update, and the WHERE predicate filters the
+// frame.
 //
 // Unlike the experiment engine (core/engine.h), which replays precomputed
 // evaluation matrices for measurement, this executor is genuinely online:
@@ -38,9 +39,10 @@ struct QueryEngineOptions {
   size_t gamma = 10;
   /// λ for SW-MES.
   size_t sw_window = 450;
-  /// Fusion method, AP options, REF threshold, and the per-call retry
-  /// policy of every pool detector (matrix.retry; defaults: single
-  /// attempt, no deadline — bit-identical to the pre-runtime path).
+  /// AP options, REF threshold, and the per-call retry policy of every
+  /// pool detector (matrix.retry; defaults: single attempt, no deadline —
+  /// bit-identical to the pre-runtime path). Queries fuse with WBF, like
+  /// every other pipeline path.
   MatrixOptions matrix;
   /// Per-model circuit breakers on the frame clock; an open model is masked
   /// out of the strategy's candidate ensembles until it recovers.
@@ -50,7 +52,7 @@ struct QueryEngineOptions {
   /// is). Used to rehearse outages end-to-end through a live query.
   std::vector<FaultScript> fault_scripts;
   /// Crash-safe checkpointing of the whole query run (strategy state,
-  /// per-model runtime stacks, tracker, output accumulators, cursor).
+  /// per-model circuit breakers, tracker, output accumulators, cursor).
   /// Resumed queries produce bit-identical output (wall_seconds aside).
   CheckpointPolicy checkpoint;
   /// Temporal-coherence fast path: skipped frames are answered from

@@ -1,19 +1,18 @@
 // Zero-allocation regression gate for the fused hot path. Evaluating a
 // frame's mask lattice must stop touching the heap once the scratch has
 // warmed up: the class-major fuse-and-score kernel keeps its transients in
-// the thread's FrameArena (the default FuseByClass also reuses one
-// thread-local fused list), and the arena's blocks are recycled between
+// the thread's FrameArena, and the arena's blocks are recycled between
 // masks. This test instruments global operator new and the arena's block
 // counter, warms a FrameEvalContext with one mask pass (full and
 // estimate-only evaluations plus Fuse into a reused buffer), then asserts
-// a second identical pass performs exactly zero heap allocations — for
-// every fusion method. The same holds for a lazy evaluator's
-// estimate-only cells, their upgrades and FusedOutput on a live frame,
-// and for in-place rebuilds of the per-frame stores (SoA, ground-truth
-// indexes, IoU tile) on warmed storage. A warmed context reload allocates
-// only the lists the detectors return, and the engine's lazy frame loop
-// adds only each frame's record. A last gate bounds what a lazy run
-// retains per frame once the run has moved past it.
+// a second identical pass performs exactly zero heap allocations. The
+// same holds for each fusion method's plain FuseInto over a frame's mask
+// lattice, for a lazy evaluator's estimate-only cells, their upgrades and
+// FusedOutput on a live frame, and for in-place rebuilds of the per-frame
+// stores (SoA, ground-truth indexes) on warmed storage. A warmed context
+// reload allocates only the lists the detectors return, and the engine's
+// lazy frame loop adds only each frame's record. A last gate bounds what a
+// lazy run retains per frame once the run has moved past it.
 
 #include <atomic>
 #include <cstdlib>
@@ -35,7 +34,7 @@
 #include "core/mes.h"
 #include "detection/ap.h"
 #include "detection/frame_soa.h"
-#include "fusion/iou_cache.h"
+#include "fusion/ensemble_method.h"
 #include "models/model_zoo.h"
 #include "runtime/retry.h"
 #include "sim/dataset.h"
@@ -115,22 +114,18 @@ struct PassCounters {
   double checksum = 0.0;
 };
 
-// One full pass over the frame's mask lattice — a full and an
-// estimate-only evaluation and a Fuse into `fused` per mask — with heap and
-// arena-block allocation counts taken around it.
-PassCounters MaskPass(FrameEvalContext& ctx, uint32_t num_masks,
-                      DetectionList* fused) {
+// One full pass over a frame's mask lattice, `fuse_mask(mask)` per mask
+// (returning a checksum of what it produced), with heap and arena-block
+// allocation counts taken around it.
+template <typename FuseMask>
+PassCounters MaskPass(uint32_t num_masks, FuseMask&& fuse_mask) {
   PassCounters c;
   const std::uint64_t heap_before =
       g_heap_allocs.load(std::memory_order_relaxed);
   const std::uint64_t blocks_before =
       FrameArena::ThreadLocal().stats().block_allocs;
   for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
-    const MaskEvaluation e = ctx.Evaluate(mask);
-    const MaskEvaluation estimate = ctx.Evaluate(mask, /*with_true_ap=*/false);
-    ctx.Fuse(mask, fused);
-    c.checksum += e.est_ap + e.true_ap + e.cost_ms + estimate.est_ap +
-                  static_cast<double>(fused->size());
+    c.checksum += fuse_mask(mask);
   }
   c.heap_allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - heap_before;
@@ -139,57 +134,121 @@ PassCounters MaskPass(FrameEvalContext& ctx, uint32_t num_masks,
   return c;
 }
 
-class AllocRegressionTest : public ::testing::TestWithParam<FusionKind> {};
+// A warm-up pass may allocate (the fused buffers and the arena grow to
+// their high-water marks); the steady-state pass repeats the work
+// bit-identically with zero heap traffic and no arena growth.
+void ExpectSteadyPassAllocationFree(const PassCounters& warm,
+                                    const PassCounters& steady,
+                                    const std::string& where) {
+  EXPECT_EQ(steady.heap_allocs, 0u)
+      << where << ": steady-state mask pass hit the heap";
+  EXPECT_EQ(steady.arena_blocks, 0u) << where << ": arena grew after warm-up";
+  // Identical inputs must produce identical outputs (the counters'
+  // absence of drift is only meaningful if the work really repeated).
+  EXPECT_EQ(warm.checksum, steady.checksum) << where;
+}
 
-TEST_P(AllocRegressionTest, SteadyStateMaskLoopIsAllocationFree) {
+// The pipeline's mask loop: a full and an estimate-only evaluation and a
+// Fuse into a reused buffer per mask, on a loaded frame context.
+TEST(ContextAllocRegressionTest, MaskLoopIsAllocationFree) {
   const int m = 6;
   const DetectorPool pool = MakePool(m);
   const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23);
   ASSERT_GE(video.size(), 2u);
-
-  MatrixOptions options;
-  options.fusion = GetParam();
-  auto fusion =
-      std::move(CreateEnsembleMethod(options.fusion, options.fusion_options))
-          .value();
+  const MatrixOptions options;
   const uint32_t num_masks = NumEnsembles(m);
 
   for (size_t t = 0; t < std::min<size_t>(video.size(), 3); ++t) {
-    FrameEvalContext ctx(video.frames[t], pool, /*trial_seed=*/23, options,
-                         *fusion);
+    FrameEvalContext ctx(video.frames[t], pool, /*trial_seed=*/23, options);
     DetectionList fused;
-    // Warm-up pass: may allocate (the fused buffers and the arena grow to
-    // their high-water marks).
-    const PassCounters warm = MaskPass(ctx, num_masks, &fused);
-    // Steady-state pass: bit-identical work, zero heap traffic.
-    const PassCounters steady = MaskPass(ctx, num_masks, &fused);
-
-    EXPECT_EQ(steady.heap_allocs, 0u)
-        << FusionKindToString(options.fusion) << " frame " << t
-        << ": steady-state mask pass hit the heap";
-    EXPECT_EQ(steady.arena_blocks, 0u)
-        << FusionKindToString(options.fusion) << " frame " << t
-        << ": arena grew after warm-up";
-    // Identical inputs must produce identical outputs (the counters'
-    // absence of drift is only meaningful if the work really repeated).
-    EXPECT_EQ(warm.checksum, steady.checksum);
+    const auto pass = [&](EnsembleId mask) {
+      const MaskEvaluation e = ctx.Evaluate(mask);
+      const MaskEvaluation estimate =
+          ctx.Evaluate(mask, /*with_true_ap=*/false);
+      ctx.Fuse(mask, &fused);
+      return e.est_ap + e.true_ap + e.cost_ms + estimate.est_ap +
+             static_cast<double>(fused.size());
+    };
+    const PassCounters warm = MaskPass(num_masks, pass);
+    const PassCounters steady = MaskPass(num_masks, pass);
+    ExpectSteadyPassAllocationFree(warm, steady,
+                                   "frame " + std::to_string(t));
   }
 }
+
+// Each of the seven methods' plain FuseInto over every mask of a frame's
+// detector lists, into a reused buffer: the comparison kernels (§5.2)
+// keep their pools, sort buffers and flags in the thread's FrameArena.
+class AllocRegressionTest : public ::testing::TestWithParam<FusionKind> {};
+
+TEST_P(AllocRegressionTest, SteadyStateMaskLoopIsAllocationFree) {
+  const int m = 6;
+  const uint64_t seed = 23;
+  const DetectorPool pool = MakePool(m);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, seed);
+  ASSERT_GE(video.size(), 2u);
+  const auto method = std::move(CreateEnsembleMethod(GetParam())).value();
+  const uint32_t num_masks = NumEnsembles(m);
+
+  for (size_t t = 0; t < std::min<size_t>(video.size(), 3); ++t) {
+    std::vector<DetectionList> outs;
+    for (const auto& detector : pool.detectors) {
+      outs.push_back(detector->Detect(video.frames[t], seed));
+    }
+    std::vector<const DetectionList*> inputs;
+    inputs.reserve(outs.size());
+    DetectionList fused;
+    const auto pass = [&](EnsembleId mask) {
+      inputs.clear();
+      for (int i = 0; i < m; ++i) {
+        if (ContainsModel(mask, i)) {
+          inputs.push_back(&outs[static_cast<size_t>(i)]);
+        }
+      }
+      method->FuseInto(DetectionListSpan(inputs), &fused);
+      double checksum = static_cast<double>(fused.size());
+      for (const Detection& d : fused) checksum += d.confidence + d.box.x1;
+      return checksum;
+    };
+    const PassCounters warm = MaskPass(num_masks, pass);
+    const PassCounters steady = MaskPass(num_masks, pass);
+    ExpectSteadyPassAllocationFree(
+        warm, steady, method->name() + " frame " + std::to_string(t));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FusionKinds, AllocRegressionTest,
+                         ::testing::ValuesIn(AllFusionKinds()),
+                         [](const ::testing::TestParamInfo<FusionKind>& info) {
+                           switch (info.param) {
+                             case FusionKind::kWbf: return std::string("Wbf");
+                             case FusionKind::kNms: return std::string("Nms");
+                             case FusionKind::kConsensus:
+                               return std::string("Consensus");
+                             case FusionKind::kSoftNmsLinear:
+                               return std::string("SoftNmsLinear");
+                             case FusionKind::kSoftNmsGaussian:
+                               return std::string("SoftNmsGaussian");
+                             case FusionKind::kSofterNms:
+                               return std::string("SofterNms");
+                             case FusionKind::kNmw: return std::string("Nmw");
+                           }
+                           return std::string("Other");
+                         });
 
 // A lazy evaluator on a live frame: fresh estimate-only cells, their
 // upgrades to full and FusedOutput all run allocation-free once this
 // thread's scratch and the evaluator's fused buffer have warmed up.
-TEST_P(AllocRegressionTest, LazyCellsAndFusedOutputAreAllocationFree) {
+TEST(ContextAllocRegressionTest, LazyCellsAndFusedOutputAreAllocationFree) {
   const int m = 4;
   const DetectorPool pool = MakePool(m);
   const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23);
-  MatrixOptions options;
-  options.fusion = GetParam();
+  const MatrixOptions options;
   const uint32_t num_masks = NumEnsembles(m);
 
   for (size_t t = 0; t < std::min<size_t>(video.size(), 3); ++t) {
-    // Warm the thread's arena (and the default kernel's fused list) on a
-    // throwaway evaluator over the same frame.
+    // Warm the thread's arena on a throwaway evaluator over the same
+    // frame.
     auto warm = std::move(LazyFrameEvaluator::Create(video, pool, 23, options))
                     .value();
     for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
@@ -217,34 +276,15 @@ TEST_P(AllocRegressionTest, LazyCellsAndFusedOutputAreAllocationFree) {
     }
     EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - heap_before,
               0u)
-        << FusionKindToString(options.fusion) << " frame " << t;
+        << "frame " << t;
     EXPECT_EQ(FrameArena::ThreadLocal().stats().block_allocs - blocks_before,
               0u)
-        << FusionKindToString(options.fusion) << " frame " << t;
+        << "frame " << t;
     EXPECT_EQ(lazy->masks_materialized(), num_masks);
     EXPECT_EQ(lazy->cells_upgraded(), num_masks);
     EXPECT_GE(checksum, 0.0);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(FusionKinds, AllocRegressionTest,
-                         ::testing::ValuesIn(AllFusionKinds()),
-                         [](const ::testing::TestParamInfo<FusionKind>& info) {
-                           switch (info.param) {
-                             case FusionKind::kWbf: return std::string("Wbf");
-                             case FusionKind::kNms: return std::string("Nms");
-                             case FusionKind::kConsensus:
-                               return std::string("Consensus");
-                             case FusionKind::kSoftNmsLinear:
-                               return std::string("SoftNmsLinear");
-                             case FusionKind::kSoftNmsGaussian:
-                               return std::string("SoftNmsGaussian");
-                             case FusionKind::kSofterNms:
-                               return std::string("SofterNms");
-                             case FusionKind::kNmw: return std::string("Nmw");
-                           }
-                           return std::string("Other");
-                         });
 
 // The engine frame loop with observability DISABLED (the default) must be
 // as quiet as the mask lattice underneath it: after the warm-up frames,
@@ -333,10 +373,7 @@ TEST(EngineSteadyStateTest, LazyFrameLoopAllocatesOnlyFrameContexts) {
     all_call_allocs += call_allocs[t];
   }
 
-  auto fusion =
-      std::move(CreateEnsembleMethod(options.fusion, options.fusion_options))
-          .value();
-  FrameEvalContext ctx(pool, seed, options, *fusion);
+  FrameEvalContext ctx(pool, seed, options);
   for (size_t t = 0; t < n; ++t) {
     ctx.Load(video.frames[t]);
     ctx.Evaluate(FullEnsemble(m));
@@ -385,41 +422,34 @@ TEST(EngineSteadyStateTest, LazyFrameLoopAllocatesOnlyFrameContexts) {
   EXPECT_GT(lazy->masks_materialized(), 2 * n);
 }
 
-// The per-frame stores rebuild in place: once a FrameSoA, the two
-// GroundTruthIndexes and (for methods that consume it) the IoU tile have
-// been rebuilt over a run of frames, rebuilding them over the same frames
-// touches the heap zero times.
-TEST_P(AllocRegressionTest, WarmedRebuildsAreAllocationFree) {
+// The per-frame stores rebuild in place: once a FrameSoA and the two
+// GroundTruthIndexes have been rebuilt over a run of frames, rebuilding
+// them over the same frames touches the heap zero times.
+TEST(ContextAllocRegressionTest, WarmedRebuildsAreAllocationFree) {
   const int m = 6;
   const uint64_t seed = 23;
   const DetectorPool pool = MakePool(m);
   const Video video = MakeVideo(/*scene_scale=*/0.02, seed);
   const size_t frames = std::min<size_t>(video.size(), 6);
   ASSERT_GE(frames, 2u);
-  auto fusion =
-      std::move(CreateEnsembleMethod(GetParam(), FusionOptions{})).value();
 
   std::vector<std::vector<DetectionList>> outs(frames);
-  std::vector<int> num_ids(frames);
   std::vector<GroundTruthList> ref_gt(frames);
   for (size_t t = 0; t < frames; ++t) {
     for (const auto& detector : pool.detectors) {
       outs[t].push_back(detector->Detect(video.frames[t], seed));
     }
-    num_ids[t] = AssignFrameDetIds(outs[t]);
     ref_gt[t] = DetectionsAsGroundTruth(
         pool.reference->Detect(video.frames[t], seed), 0.5);
   }
 
   FrameSoA soa;
-  PairwiseIouCache tile;
   GroundTruthIndex gt_index;
   GroundTruthIndex ref_index;
   const auto rebuild_all = [&] {
     size_t checksum = 0;
     for (size_t t = 0; t < frames; ++t) {
-      soa.Rebuild(outs[t], num_ids[t]);
-      if (fusion->ConsumesIouCache()) tile.Rebuild(soa);
+      soa.Rebuild(outs[t]);
       RebuildGroundTruthIndex(video.frames[t].objects, &gt_index);
       RebuildGroundTruthIndex(ref_gt[t], &ref_index);
       checksum += soa.packed_size() + soa.blocks().size() +
@@ -432,8 +462,7 @@ TEST_P(AllocRegressionTest, WarmedRebuildsAreAllocationFree) {
       g_heap_allocs.load(std::memory_order_relaxed);
   const size_t steady = rebuild_all();
   EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - heap_before, 0u)
-      << FusionKindToString(GetParam())
-      << ": a warmed in-place rebuild hit the heap";
+      << "a warmed in-place rebuild hit the heap";
   EXPECT_EQ(warm, steady);
   EXPECT_GT(steady, 0u);
 }

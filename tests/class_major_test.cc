@@ -1,12 +1,11 @@
-// Class-major fuse-and-score kernel: EnsembleMethod::FuseByClass must hand
+// Class-major fuse-and-score kernel: WbfFusion::FuseByClass must hand
 // over exactly a stable class partition of FuseInto's output, and every
 // AP scored class-major (ClassMajorMeanAp, FrameEvalContext::Evaluate)
 // must equal the historical per-class formula over FuseInto's list, bit
-// for bit — for every fusion kind and every mask.
+// for bit — for every mask, on the frame store and off it.
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <set>
 #include <string>
@@ -17,8 +16,7 @@
 #include "core/frame_eval.h"
 #include "detection/ap.h"
 #include "detection/frame_soa.h"
-#include "fusion/ensemble_method.h"
-#include "fusion/iou_cache.h"
+#include "fusion/wbf.h"
 #include "models/model_zoo.h"
 #include "sim/dataset.h"
 
@@ -98,38 +96,31 @@ void ExpectSameBits(const DetectionList& a, const DetectionList& b,
     EXPECT_EQ(a[i].box.y2, b[i].box.y2) << where << " i=" << i;
     EXPECT_EQ(a[i].box_variance, b[i].box_variance) << where << " i=" << i;
     EXPECT_EQ(a[i].model_index, b[i].model_index) << where << " i=" << i;
-    EXPECT_EQ(a[i].frame_det_id, b[i].frame_det_id) << where << " i=" << i;
   }
 }
 
-/// The option sets every kind runs under: defaults; a score threshold
-/// that empties whole classes (class 3 only ever scores below it); and
-/// active model weights, which send WBF down the non-SoA flatten.
-std::vector<std::pair<std::string, FusionOptions>> OptionSets(int m) {
+/// The option sets WBF runs under: defaults, and a score threshold that
+/// empties whole classes (class 3 only ever scores below it).
+std::vector<std::pair<std::string, FusionOptions>> OptionSets() {
   std::vector<std::pair<std::string, FusionOptions>> sets;
   sets.emplace_back("defaults", FusionOptions{});
   FusionOptions threshold;
   threshold.score_threshold = 0.45;
   sets.emplace_back("score_threshold", threshold);
-  FusionOptions weighted;
-  for (int i = 0; i < m; ++i) weighted.model_weights.push_back(0.5 + 0.5 * i);
-  sets.emplace_back("model_weights", weighted);
   return sets;
 }
-
-class ClassMajorKernelTest : public ::testing::TestWithParam<FusionKind> {};
 
 // Synthetic frames built to hit every edge: confidence ties within and
 // across classes, a class the threshold empties, classes only in ground
 // truth or only in the reference, an all-difficult ground-truth class,
-// and empty frames (no boxes at all, or ground truth without boxes).
-TEST_P(ClassMajorKernelTest, SyntheticFramesMatchFuseIntoBitForBit) {
+// and empty frames (no boxes at all, or ground truth without boxes). Each
+// mask fuses through the frame store's block walk and the generic flatten.
+TEST(ClassMajorKernelTest, SyntheticFramesMatchFuseIntoBitForBit) {
   const int m = 3;
   const ApOptions ap;
   Rng rng(41);
-  for (const auto& [set_name, fusion_options] : OptionSets(m)) {
-    auto method = CreateEnsembleMethod(GetParam(), fusion_options);
-    ASSERT_TRUE(method.ok()) << method.status().ToString();
+  for (const auto& [set_name, options] : OptionSets()) {
+    const WbfFusion wbf(options);
     for (int trial = 0; trial < 24; ++trial) {
       std::vector<DetectionList> inputs(static_cast<size_t>(m));
       // Trials 0 and 1 are empty frames; the rest draw boxes around a few
@@ -152,11 +143,7 @@ TEST_P(ClassMajorKernelTest, SyntheticFramesMatchFuseIntoBitForBit) {
           }
         }
       }
-      const int num_ids = AssignFrameDetIds(inputs);
-      const FrameSoA soa(inputs, num_ids);
-      const PairwiseIouCache tile(soa);
-      const PairwiseIouCache* iou =
-          (*method)->ConsumesIouCache() ? &tile : nullptr;
+      const FrameSoA soa(inputs);
 
       // Ground truth: class 0 and 1 near the sites, class 2 all difficult,
       // class 4 never detected. The reference adds class 5, seen by
@@ -193,25 +180,28 @@ TEST_P(ClassMajorKernelTest, SyntheticFramesMatchFuseIntoBitForBit) {
             ptrs.push_back(&inputs[static_cast<size_t>(i)]);
           }
         }
-        const std::string where = std::string(FusionKindToString(GetParam())) +
-                                  " " + set_name + " trial " +
-                                  std::to_string(trial) + " mask " +
-                                  std::to_string(mask);
-        DetectionList fused;
-        (*method)->FuseInto(DetectionListSpan(ptrs), iou, &soa, &fused);
-        RecordingSink recorded;
-        (*method)->FuseByClass(DetectionListSpan(ptrs), iou, &soa, &recorded);
-        ExpectSameBits(recorded.boxes, StablePartition(fused), where);
+        const FrameSoA* const stores[] = {&soa, nullptr};
+        for (const FrameSoA* store : stores) {
+          const std::string where =
+              set_name + (store != nullptr ? " store" : " generic") +
+              " trial " + std::to_string(trial) + " mask " +
+              std::to_string(mask);
+          DetectionList fused;
+          wbf.FuseInto(DetectionListSpan(ptrs), store, &fused);
+          RecordingSink recorded;
+          wbf.FuseByClass(DetectionListSpan(ptrs), store, &recorded);
+          ExpectSameBits(recorded.boxes, StablePartition(fused), where);
 
-        for (const auto* index : {&gt_index, &ref_index}) {
-          const GroundTruthList& truth = index == &gt_index ? gt : ref_gt;
-          ClassMajorMeanAp accumulator(*index, ap);
-          (*method)->FuseByClass(DetectionListSpan(ptrs), iou, &soa,
-                                 &accumulator);
-          const double class_major = accumulator.Finish();
-          EXPECT_EQ(class_major, FrameMeanAp(fused, *index, ap)) << where;
-          EXPECT_EQ(class_major, FrameMeanAp(fused, truth, ap)) << where;
-          EXPECT_EQ(class_major, ReferenceMeanAp(fused, truth, ap)) << where;
+          for (const auto* index : {&gt_index, &ref_index}) {
+            const GroundTruthList& truth = index == &gt_index ? gt : ref_gt;
+            ClassMajorMeanAp accumulator(*index, ap);
+            wbf.FuseByClass(DetectionListSpan(ptrs), store, &accumulator);
+            const double class_major = accumulator.Finish();
+            EXPECT_EQ(class_major, FrameMeanAp(fused, *index, ap)) << where;
+            EXPECT_EQ(class_major, FrameMeanAp(fused, truth, ap)) << where;
+            EXPECT_EQ(class_major, ReferenceMeanAp(fused, truth, ap))
+                << where;
+          }
         }
       }
     }
@@ -222,7 +212,7 @@ TEST_P(ClassMajorKernelTest, SyntheticFramesMatchFuseIntoBitForBit) {
 // share: Evaluate's class-major est_ap and true_ap equal the historical
 // formula over Fuse's list (which is FuseInto's), and an estimate-only
 // evaluation keeps est_ap and the costs and leaves true_ap NaN.
-TEST_P(ClassMajorKernelTest, EvaluateMatchesFrameMeanApOverFusedList) {
+TEST(ClassMajorKernelTest, EvaluateMatchesFrameMeanApOverFusedList) {
   const int m = 4;
   const std::vector<std::string> names = {
       "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7@clear",
@@ -239,53 +229,30 @@ TEST_P(ClassMajorKernelTest, EvaluateMatchesFrameMeanApOverFusedList) {
   const Video video = std::move(SampleVideo(*spec, sample)).value();
   ASSERT_GE(video.size(), 4u);
 
-  for (const auto& [set_name, fusion_options] : OptionSets(m)) {
-    MatrixOptions options;
-    options.fusion = GetParam();
-    options.fusion_options = fusion_options;
-    auto fusion =
-        std::move(CreateEnsembleMethod(options.fusion, options.fusion_options))
-            .value();
-    for (size_t t = 0; t < video.size(); t += video.size() / 4) {
-      const VideoFrame& frame = video.frames[t];
-      FrameEvalContext ctx(frame, pool, /*trial_seed=*/5, options, *fusion);
-      const GroundTruthList ref_gt = DetectionsAsGroundTruth(
-          pool.reference->Detect(frame, 5), options.ref_confidence_threshold);
-      DetectionList fused;
-      for (EnsembleId mask = 1; mask <= NumEnsembles(m); ++mask) {
-        const std::string where = std::string(FusionKindToString(GetParam())) +
-                                  " " + set_name + " t " + std::to_string(t) +
-                                  " mask " + std::to_string(mask);
-        const MaskEvaluation full = ctx.Evaluate(mask);
-        const MaskEvaluation estimate = ctx.Evaluate(mask, false);
-        ctx.Fuse(mask, &fused);
-        EXPECT_EQ(full.est_ap, ReferenceMeanAp(fused, ref_gt, options.ap))
-            << where;
-        EXPECT_EQ(full.true_ap,
-                  ReferenceMeanAp(fused, frame.objects, options.ap))
-            << where;
-        EXPECT_EQ(estimate.est_ap, full.est_ap) << where;
-        EXPECT_EQ(estimate.cost_ms, full.cost_ms) << where;
-        EXPECT_EQ(estimate.fusion_overhead_ms, full.fusion_overhead_ms)
-            << where;
-        EXPECT_TRUE(std::isnan(estimate.true_ap)) << where;
-      }
+  const MatrixOptions options;
+  for (size_t t = 0; t < video.size(); t += video.size() / 4) {
+    const VideoFrame& frame = video.frames[t];
+    FrameEvalContext ctx(frame, pool, /*trial_seed=*/5, options);
+    const GroundTruthList ref_gt = DetectionsAsGroundTruth(
+        pool.reference->Detect(frame, 5), options.ref_confidence_threshold);
+    DetectionList fused;
+    for (EnsembleId mask = 1; mask <= NumEnsembles(m); ++mask) {
+      const std::string where =
+          "t " + std::to_string(t) + " mask " + std::to_string(mask);
+      const MaskEvaluation full = ctx.Evaluate(mask);
+      const MaskEvaluation estimate = ctx.Evaluate(mask, false);
+      ctx.Fuse(mask, &fused);
+      EXPECT_EQ(full.est_ap, ReferenceMeanAp(fused, ref_gt, options.ap))
+          << where;
+      EXPECT_EQ(full.true_ap, ReferenceMeanAp(fused, frame.objects, options.ap))
+          << where;
+      EXPECT_EQ(estimate.est_ap, full.est_ap) << where;
+      EXPECT_EQ(estimate.cost_ms, full.cost_ms) << where;
+      EXPECT_EQ(estimate.fusion_overhead_ms, full.fusion_overhead_ms) << where;
+      EXPECT_TRUE(std::isnan(estimate.true_ap)) << where;
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, ClassMajorKernelTest,
-                         ::testing::ValuesIn(AllFusionKinds()),
-                         [](const ::testing::TestParamInfo<FusionKind>& info) {
-                           std::string name = FusionKindToString(info.param);
-                           std::string out;
-                           for (const char c : name) {
-                             if (std::isalnum(static_cast<unsigned char>(c))) {
-                               out += c;
-                             }
-                           }
-                           return out;
-                         });
 
 }  // namespace
 }  // namespace vqe

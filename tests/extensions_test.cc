@@ -1,6 +1,6 @@
 // Tests for the extension features: D-MES (discounted UCB), COCO-protocol
-// evaluation, WBF per-model weights, query EXPLAIN, CSV export, and
-// context-dependent scene composition.
+// evaluation, query EXPLAIN, CSV export, and context-dependent scene
+// composition.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "core/engine.h"
 #include "core/mes.h"
 #include "detection/coco_eval.h"
-#include "fusion/wbf.h"
 #include "query/explain.h"
 #include "query/parser.h"
 #include "sim/object_classes.h"
@@ -176,50 +175,6 @@ TEST(CocoEvalTest, DatasetClassApMatchesPooledProtocol) {
   std::vector<GroundTruthList> gts{{Gt(0, 0, 10, 10)}, {Gt(0, 0, 10, 10)}};
   EXPECT_NEAR(DatasetClassAp(dets, gts, 0, 0.5), 0.5, 0.01);
   EXPECT_DOUBLE_EQ(DatasetClassAp(dets, gts, 5, 0.5), 1.0);  // vacuous class
-}
-
-// -------------------------------------------------------- WBF model weights --
-
-TEST(WbfWeightsTest, WeightsScaleConfidenceBeforeFusion) {
-  FusionOptions opt;
-  opt.iou_threshold = 0.5;
-  opt.model_weights = {2.0, 1.0};
-  WbfFusion wbf(opt);
-  // Same box from both models at conf 0.4; model 0 weighted 2x.
-  const auto out = wbf.Fuse({{Det(0, 0, 10, 10, 0.4)},
-                             {Det(0, 0, 10, 10, 0.4)}});
-  ASSERT_EQ(out.size(), 1u);
-  // Confidences become 0.8 and 0.4 -> mean 0.6 (both models voted).
-  EXPECT_NEAR(out[0].confidence, 0.6, 1e-9);
-}
-
-TEST(WbfWeightsTest, WeightCapsAtOne) {
-  FusionOptions opt;
-  opt.model_weights = {10.0};
-  WbfFusion wbf(opt);
-  const auto out = wbf.Fuse({{Det(0, 0, 10, 10, 0.5)}});
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_LE(out[0].confidence, 1.0);
-}
-
-TEST(WbfWeightsTest, MismatchedWeightVectorIgnored) {
-  FusionOptions opt;
-  opt.model_weights = {2.0, 1.0, 1.0};  // three weights, two models
-  WbfFusion wbf(opt);
-  const auto out = wbf.Fuse({{Det(0, 0, 10, 10, 0.4)},
-                             {Det(0, 0, 10, 10, 0.4)}});
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_NEAR(out[0].confidence, 0.4, 1e-9);  // unweighted behaviour
-}
-
-TEST(WbfWeightsTest, ValidationRejectsNonPositive) {
-  FusionOptions opt;
-  opt.model_weights = {1.0, 0.0};
-  EXPECT_FALSE(opt.Validate().ok());
-  opt.model_weights = {1.0, -2.0};
-  EXPECT_FALSE(opt.Validate().ok());
-  opt.model_weights = {1.0, 2.0};
-  EXPECT_TRUE(opt.Validate().ok());
 }
 
 // ----------------------------------------------------------------- EXPLAIN --

@@ -12,7 +12,6 @@
 #include "detection/frame_soa.h"
 #include "fusion/consensus.h"
 #include "fusion/ensemble_method.h"
-#include "fusion/iou_cache.h"
 #include "fusion/nms.h"
 #include "fusion/nmw.h"
 #include "fusion/wbf.h"
@@ -436,52 +435,6 @@ TEST_P(FusionPropertyTest, PointerViewMatchesOwningInput) {
   }
 }
 
-// Fusing with the per-frame pairwise-IoU tile must match the uncached
-// path bit for bit: the tile stores exactly what IoU() returns, methods
-// that measure IoU against derived boxes (WBF) opt out, and a disabled
-// cache degrades to recomputation.
-TEST_P(FusionPropertyTest, CachedIouMatchesUncached) {
-  auto method = CreateEnsembleMethod(GetParam());
-  ASSERT_TRUE(method.ok());
-  Rng rng(53);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<DetectionList> inputs(3);
-    for (auto& list : inputs) {
-      const int n = static_cast<int>(rng.UniformInt(6));
-      for (int i = 0; i < n; ++i) {
-        auto d = Det(rng.Uniform(0, 100), rng.Uniform(0, 100),
-                     rng.Uniform(10, 40), rng.Uniform(10, 40),
-                     rng.Uniform(0.1, 1.0), rng.UniformInt(2));
-        d.box_variance = rng.Uniform(0.1, 10.0);
-        list.push_back(d);
-      }
-    }
-    const auto plain = (*method)->Fuse(inputs);
-
-    const int num_ids = AssignFrameDetIds(inputs);
-    const PairwiseIouCache tile(inputs, num_ids);
-    std::vector<const DetectionList*> ptrs;
-    for (const auto& list : inputs) ptrs.push_back(&list);
-    const auto cached = (*method)->Fuse(DetectionListSpan(ptrs), &tile);
-    const PairwiseIouCache disabled;
-    const auto no_tile = (*method)->Fuse(DetectionListSpan(ptrs), &disabled);
-
-    for (const auto* out : {&cached, &no_tile}) {
-      ASSERT_EQ(plain.size(), out->size());
-      for (size_t i = 0; i < plain.size(); ++i) {
-        EXPECT_EQ(plain[i].confidence, (*out)[i].confidence);
-        EXPECT_EQ(plain[i].label, (*out)[i].label);
-        EXPECT_EQ(plain[i].box.x1, (*out)[i].box.x1);
-        EXPECT_EQ(plain[i].box.y1, (*out)[i].box.y1);
-        EXPECT_EQ(plain[i].box.x2, (*out)[i].box.x2);
-        EXPECT_EQ(plain[i].box.y2, (*out)[i].box.y2);
-        // Fused outputs never leak a frame-local id.
-        EXPECT_EQ((*out)[i].frame_det_id, -1);
-      }
-    }
-  }
-}
-
 // Reusing one output buffer across FuseInto calls must leave no trace of
 // prior contents: the hot path hands every fusion call the same reserved
 // DetectionList, so stale results from another mask or frame must be
@@ -508,7 +461,7 @@ TEST_P(FusionPropertyTest, FuseIntoReusedBufferMatchesFreshFuse) {
 
     std::vector<const DetectionList*> ptrs;
     for (const auto& list : inputs) ptrs.push_back(&list);
-    (*method)->FuseInto(DetectionListSpan(ptrs), nullptr, nullptr, &reused);
+    (*method)->FuseInto(DetectionListSpan(ptrs), &reused);
 
     ASSERT_EQ(fresh.size(), reused.size());
     for (size_t i = 0; i < fresh.size(); ++i) {
@@ -521,235 +474,6 @@ TEST_P(FusionPropertyTest, FuseIntoReusedBufferMatchesFreshFuse) {
       EXPECT_EQ(fresh[i].box_variance, reused[i].box_variance);
     }
   }
-}
-
-// The per-frame SoA store's presorted class pools must be invisible in the
-// results: fusing any subset of the frame's lists with the store engaged
-// must match the generic flatten bit for bit — including equal-confidence
-// ties, where the stable-sort-filter lemma carries the argument — and a
-// span the store cannot serve (descending list order, or a list short of
-// an id slot) must quietly fall back.
-TEST_P(FusionPropertyTest, SoAFastPathMatchesGenericFlatten) {
-  auto method = CreateEnsembleMethod(GetParam());
-  ASSERT_TRUE(method.ok());
-  Rng rng(113);
-  DetectionList with_soa, without;
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<DetectionList> inputs(4);
-    for (auto& list : inputs) {
-      const int n = static_cast<int>(rng.UniformInt(8));
-      for (int i = 0; i < n; ++i) {
-        auto d = Det(rng.Uniform(0, 80), rng.Uniform(0, 80),
-                     rng.Uniform(5, 40), rng.Uniform(5, 40),
-                     rng.Uniform(0.1, 1.0),
-                     static_cast<ClassId>(rng.UniformInt(3)));
-        d.box_variance = rng.Uniform(0.1, 10.0);
-        // Force score ties so the presorted pools' tie-breaks are exercised.
-        if (rng.Bernoulli(0.3)) d.confidence = 0.5;
-        list.push_back(d);
-      }
-    }
-    const int num_ids = AssignFrameDetIds(inputs);
-    const FrameSoA soa(inputs, num_ids);
-    const PairwiseIouCache tile(soa);
-    const PairwiseIouCache* iou =
-        (*method)->ConsumesIouCache() ? &tile : nullptr;
-
-    const auto expect_same = [&] {
-      ASSERT_EQ(with_soa.size(), without.size());
-      for (size_t i = 0; i < with_soa.size(); ++i) {
-        EXPECT_EQ(with_soa[i].confidence, without[i].confidence);
-        EXPECT_EQ(with_soa[i].label, without[i].label);
-        EXPECT_EQ(with_soa[i].model_index, without[i].model_index);
-        EXPECT_EQ(with_soa[i].frame_det_id, without[i].frame_det_id);
-        EXPECT_EQ(with_soa[i].box_variance, without[i].box_variance);
-        EXPECT_EQ(with_soa[i].box.x1, without[i].box.x1);
-        EXPECT_EQ(with_soa[i].box.y1, without[i].box.y1);
-        EXPECT_EQ(with_soa[i].box.x2, without[i].box.x2);
-        EXPECT_EQ(with_soa[i].box.y2, without[i].box.y2);
-      }
-    };
-
-    // Every non-empty subset of the lists, in ascending order — the order
-    // the hot paths assemble and the fast path accepts.
-    for (uint32_t mask = 1; mask < (1u << 4); ++mask) {
-      std::vector<const DetectionList*> ptrs;
-      for (int i = 0; i < 4; ++i) {
-        if ((mask & (1u << i)) != 0) {
-          ptrs.push_back(&inputs[static_cast<size_t>(i)]);
-        }
-      }
-      (*method)->FuseInto(DetectionListSpan(ptrs), iou, &soa, &with_soa);
-      (*method)->FuseInto(DetectionListSpan(ptrs), iou, nullptr, &without);
-      expect_same();
-    }
-
-    // Descending list order cannot map onto the store's ascending source
-    // walk: the fast path must decline, not mis-pool.
-    std::vector<const DetectionList*> reversed;
-    for (int i = 3; i >= 0; --i) {
-      reversed.push_back(&inputs[static_cast<size_t>(i)]);
-    }
-    (*method)->FuseInto(DetectionListSpan(reversed), iou, &soa, &with_soa);
-    (*method)->FuseInto(DetectionListSpan(reversed), iou, nullptr, &without);
-    expect_same();
-
-    // A detection that lost its id slot (it claims the last id, which a
-    // later detection wins, or an out-of-range one) leaves its list short
-    // in the store: the fast path must decline, not drop the detection.
-    size_t victim_list = 0;
-    while (victim_list < inputs.size() && inputs[victim_list].empty()) {
-      ++victim_list;
-    }
-    if (victim_list == inputs.size()) continue;
-    Detection& victim = inputs[victim_list][0];
-    victim.frame_det_id =
-        victim.frame_det_id == num_ids - 1 ? -1 : num_ids - 1;
-    const FrameSoA short_soa(inputs, num_ids);
-    ASSERT_LT(short_soa.list_slots()[victim_list], inputs[victim_list].size());
-    (*method)->FuseInto(DetectionListSpan(inputs), nullptr, &short_soa,
-                        &with_soa);
-    (*method)->FuseInto(DetectionListSpan(inputs), nullptr, nullptr, &without);
-    expect_same();
-  }
-}
-
-// ------------------------------------------------------ SoA / IoU tile ---
-
-// The SoA block kernel must agree with scalar IoU(a.box, b.box) bit for
-// bit on every same-label pair — including degenerate geometry: zero-width
-// and zero-height boxes, and byte-identical duplicates.
-TEST(IouTileKernelTest, MatchesScalarIouBitForBit) {
-  Rng rng(71);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<DetectionList> inputs(3);
-    for (auto& list : inputs) {
-      const int n = static_cast<int>(rng.UniformInt(10));
-      for (int i = 0; i < n; ++i) {
-        double w = rng.Uniform(0.0, 30.0);
-        double h = rng.Uniform(0.0, 30.0);
-        if (rng.Bernoulli(0.15)) w = 0.0;  // zero-area: degenerate width
-        if (rng.Bernoulli(0.15)) h = 0.0;  // degenerate height
-        list.push_back(Det(rng.Uniform(0, 60), rng.Uniform(0, 60), w, h,
-                           rng.Uniform(0.05, 1.0),
-                           static_cast<ClassId>(rng.UniformInt(3))));
-        // Occasionally duplicate the box exactly (identical coordinates).
-        if (rng.Bernoulli(0.2)) list.push_back(list.back());
-      }
-    }
-    const int num_ids = AssignFrameDetIds(inputs);
-    const FrameSoA soa(inputs, num_ids);
-    const PairwiseIouCache tile(soa);
-
-    // Each id's packed slot, and each slot's block label.
-    std::vector<int> slot_of(static_cast<size_t>(num_ids), -1);
-    for (size_t s = 0; s < soa.packed_size(); ++s) {
-      slot_of[static_cast<size_t>(soa.packed_id()[s])] = static_cast<int>(s);
-    }
-    std::vector<ClassId> slot_label(soa.packed_size());
-    for (const FrameSoA::LabelBlock& block : soa.blocks()) {
-      for (size_t s = block.begin; s < block.end; ++s) {
-        slot_label[s] = block.label;
-      }
-    }
-    std::vector<const Detection*> all;
-    for (const auto& list : inputs) {
-      for (const auto& d : list) {
-        all.push_back(&d);
-        // The packed slot for this id must be a plain copy of the source.
-        const int k = slot_of[static_cast<size_t>(d.frame_det_id)];
-        ASSERT_GE(k, 0) << "id " << d.frame_det_id << " claimed no slot";
-        const size_t s = static_cast<size_t>(k);
-        EXPECT_EQ(soa.packed_x1()[s], d.box.x1);
-        EXPECT_EQ(soa.packed_y1()[s], d.box.y1);
-        EXPECT_EQ(soa.packed_x2()[s], d.box.x2);
-        EXPECT_EQ(soa.packed_y2()[s], d.box.y2);
-        EXPECT_EQ(soa.packed_src()[s], &d);
-        EXPECT_EQ(soa.packed_src()[s]->confidence, d.confidence);
-        EXPECT_EQ(soa.packed_area()[s], d.box.Area());
-        EXPECT_EQ(slot_label[s], d.label);
-      }
-    }
-    for (const Detection* a : all) {
-      for (const Detection* b : all) {
-        // Same-label pairs come from the tile; the rest recompute — both
-        // must equal the scalar value exactly, in both orientations.
-        EXPECT_EQ(tile.Get(*a, *b), IoU(a->box, b->box))
-            << "trial " << trial << " ids " << a->frame_det_id << ","
-            << b->frame_det_id;
-      }
-    }
-  }
-}
-
-// Frames larger than kMaxCachedDetections skip the tile entirely; Get must
-// degrade to recomputation for every pair, cached-range ids or not.
-TEST(IouTileKernelTest, OverflowFallsBackToRecomputation) {
-  Rng rng(9);
-  std::vector<DetectionList> inputs(2);
-  const int per_model = PairwiseIouCache::kMaxCachedDetections / 2 + 8;
-  for (auto& list : inputs) {
-    for (int i = 0; i < per_model; ++i) {
-      list.push_back(Det(rng.Uniform(0, 200), rng.Uniform(0, 200),
-                         rng.Uniform(5, 30), rng.Uniform(5, 30),
-                         rng.Uniform(0.05, 1.0),
-                         static_cast<ClassId>(rng.UniformInt(2))));
-    }
-  }
-  const int num_ids = AssignFrameDetIds(inputs);
-  ASSERT_GT(num_ids, PairwiseIouCache::kMaxCachedDetections);
-  const PairwiseIouCache tile(inputs, num_ids);
-  EXPECT_FALSE(tile.enabled());
-  // A tile rebuilt over the oversized frame after a small one must drop
-  // the small frame's tile, not serve it.
-  std::vector<DetectionList> small(1);
-  small[0].push_back(Det(0, 0, 10, 10, 0.9));
-  small[0].push_back(Det(2, 0, 10, 10, 0.8));
-  PairwiseIouCache reused(FrameSoA(small, AssignFrameDetIds(small)));
-  ASSERT_TRUE(reused.enabled());
-  reused.Rebuild(FrameSoA(inputs, num_ids));
-  EXPECT_FALSE(reused.enabled());
-
-  // Sampled pairs, including ids beyond the cacheable range and a mix of
-  // assigned and unassigned (-1) ids.
-  Detection fresh = Det(50, 50, 20, 20, 0.5);
-  ASSERT_EQ(fresh.frame_det_id, -1);
-  for (int s = 0; s < 500; ++s) {
-    const auto& a = inputs[s % 2][rng.UniformInt(
-        static_cast<uint64_t>(per_model))];
-    const auto& b = inputs[(s + 1) % 2][rng.UniformInt(
-        static_cast<uint64_t>(per_model))];
-    EXPECT_EQ(tile.Get(a, b), IoU(a.box, b.box));
-    EXPECT_EQ(tile.Get(a, fresh), IoU(a.box, fresh.box));
-    EXPECT_EQ(reused.Get(a, b), IoU(a.box, b.box));
-  }
-}
-
-// With the tile enabled, detections the tile has never seen (fresh fusion
-// outputs with frame_det_id == -1, or ids outside the tile) recompute
-// while in-range ids keep hitting the cache — mixed queries must all match
-// the scalar value.
-TEST(IouTileKernelTest, MixedCachedAndUncachedIds) {
-  std::vector<DetectionList> inputs(2);
-  inputs[0].push_back(Det(0, 0, 10, 10, 0.9));
-  inputs[0].push_back(Det(5, 0, 10, 10, 0.8));
-  inputs[1].push_back(Det(2, 0, 10, 10, 0.7));
-  const int num_ids = AssignFrameDetIds(inputs);
-  const PairwiseIouCache tile(inputs, num_ids);
-  ASSERT_TRUE(tile.enabled());
-
-  Detection fresh = Det(1, 1, 10, 10, 0.5);  // never assigned an id
-  Detection stray = Det(3, 0, 10, 10, 0.6);
-  stray.frame_det_id = num_ids + 5;  // id beyond the tile
-  const Detection& cached_a = inputs[0][0];
-  const Detection& cached_b = inputs[1][0];
-
-  EXPECT_EQ(tile.Get(cached_a, cached_b), IoU(cached_a.box, cached_b.box));
-  EXPECT_EQ(tile.Get(cached_a, fresh), IoU(cached_a.box, fresh.box));
-  EXPECT_EQ(tile.Get(fresh, cached_a), IoU(fresh.box, cached_a.box));
-  EXPECT_EQ(tile.Get(fresh, fresh), IoU(fresh.box, fresh.box));
-  EXPECT_EQ(tile.Get(stray, cached_a), IoU(stray.box, cached_a.box));
-  EXPECT_EQ(tile.Get(cached_a, stray), IoU(cached_a.box, stray.box));
 }
 
 // The indexed FrameMeanAp overload must match the list overload exactly.
@@ -831,7 +555,7 @@ TEST(GroundTruthIndexTest, RebuildInPlaceMatchesFreshBuild) {
 
 // ---------------------------------------------------------- FrameSoA ----
 
-// Random per-model lists with confidence ties, ids assigned.
+// Random per-model lists with confidence ties.
 std::vector<DetectionList> RandomFrame(Rng& rng, size_t lists, int max_boxes) {
   std::vector<DetectionList> inputs(lists);
   for (auto& list : inputs) {
@@ -846,25 +570,22 @@ std::vector<DetectionList> RandomFrame(Rng& rng, size_t lists, int max_boxes) {
       list.push_back(d);
     }
   }
-  AssignFrameDetIds(inputs);
   return inputs;
 }
 
 // One store rebuilt over frames of every size must equal a fresh store
-// over each frame, array for array, and its per-list slot counts must
-// show every list fully represented.
+// over each frame, array for array, and hold every detection.
 TEST(FrameSoATest, RebuildInPlaceMatchesFreshBuild) {
   Rng rng(61);
   FrameSoA reused;
   for (int trial = 0; trial < 20; ++trial) {
     const std::vector<DetectionList> inputs =
         RandomFrame(rng, 1 + rng.UniformInt(5), 12);
-    int num_ids = 0;
-    for (const auto& list : inputs) num_ids += static_cast<int>(list.size());
-    reused.Rebuild(inputs, num_ids);
-    const FrameSoA fresh(inputs, num_ids);
-    ASSERT_EQ(reused.num_ids(), fresh.num_ids());
-    ASSERT_EQ(reused.packed_size(), static_cast<size_t>(num_ids));
+    size_t total = 0;
+    for (const auto& list : inputs) total += list.size();
+    reused.Rebuild(inputs);
+    const FrameSoA fresh(inputs);
+    ASSERT_EQ(reused.packed_size(), total);
     ASSERT_EQ(reused.packed_size(), fresh.packed_size());
     ASSERT_EQ(reused.blocks().size(), fresh.blocks().size());
     for (size_t b = 0; b < reused.blocks().size(); ++b) {
@@ -873,18 +594,9 @@ TEST(FrameSoATest, RebuildInPlaceMatchesFreshBuild) {
       EXPECT_EQ(reused.blocks()[b].end, fresh.blocks()[b].end);
     }
     for (size_t s = 0; s < reused.packed_size(); ++s) {
-      EXPECT_EQ(reused.packed_id()[s], fresh.packed_id()[s]);
-      EXPECT_EQ(reused.packed_x1()[s], fresh.packed_x1()[s]);
-      EXPECT_EQ(reused.packed_y1()[s], fresh.packed_y1()[s]);
-      EXPECT_EQ(reused.packed_x2()[s], fresh.packed_x2()[s]);
-      EXPECT_EQ(reused.packed_y2()[s], fresh.packed_y2()[s]);
-      EXPECT_EQ(reused.packed_area()[s], fresh.packed_area()[s]);
       EXPECT_EQ(reused.packed_list()[s], fresh.packed_list()[s]);
       EXPECT_EQ(reused.packed_src()[s], fresh.packed_src()[s]);
       EXPECT_EQ(reused.sorted_slot()[s], fresh.sorted_slot()[s]);
-    }
-    for (size_t li = 0; li < inputs.size(); ++li) {
-      EXPECT_EQ(reused.list_slots()[li], inputs[li].size());
     }
     // Each block's presorted slots are its stable descending-score order.
     for (const FrameSoA::LabelBlock& block : reused.blocks()) {
@@ -903,21 +615,63 @@ TEST(FrameSoATest, RebuildInPlaceMatchesFreshBuild) {
   }
 }
 
-// A detection that loses its id slot — a duplicate id (the later claimant
-// wins) or an out-of-range one — leaves its list's slot count short.
-TEST(FrameSoATest, ListSlotsCountOnlyClaimedIds) {
-  std::vector<DetectionList> inputs(2);
-  inputs[0].push_back(Det(0, 0, 10, 10, 0.9));
-  inputs[0].push_back(Det(5, 0, 10, 10, 0.8, 1));
-  inputs[1].push_back(Det(2, 0, 10, 10, 0.7));
-  inputs[1].push_back(Det(8, 8, 10, 10, 0.6, 1));
-  const int num_ids = AssignFrameDetIds(inputs);
-  inputs[0][1].frame_det_id = inputs[1][0].frame_det_id;  // loses to list 1
-  inputs[1][1].frame_det_id = -1;                          // out of range
-  const FrameSoA soa(inputs, num_ids);
-  EXPECT_EQ(soa.packed_size(), 2u);
-  EXPECT_EQ(soa.list_slots()[0], 1u);
-  EXPECT_EQ(soa.list_slots()[1], 1u);
+// Every detection owns exactly one packed slot: the slot points at it,
+// names its source list, and lies in the block of its label — including
+// degenerate geometry (zero-width and zero-height boxes) and
+// byte-identical duplicates. Within a block, slots run in (list,
+// position) order, the model-major order fusion pools in.
+TEST(FrameSoATest, EveryDetectionOwnsOneSlotInItsLabelBlock) {
+  Rng rng(71);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<DetectionList> inputs(3);
+    for (auto& list : inputs) {
+      const int n = static_cast<int>(rng.UniformInt(10));
+      for (int i = 0; i < n; ++i) {
+        double w = rng.Uniform(0.0, 30.0);
+        double h = rng.Uniform(0.0, 30.0);
+        if (rng.Bernoulli(0.15)) w = 0.0;  // zero-area: degenerate width
+        if (rng.Bernoulli(0.15)) h = 0.0;  // degenerate height
+        list.push_back(Det(rng.Uniform(0, 60), rng.Uniform(0, 60), w, h,
+                           rng.Uniform(0.05, 1.0),
+                           static_cast<ClassId>(rng.UniformInt(3))));
+        // Occasionally duplicate the box exactly (identical coordinates).
+        if (rng.Bernoulli(0.2)) list.push_back(list.back());
+      }
+    }
+    const FrameSoA soa(inputs);
+
+    // Each slot's block label, and each detection's slot.
+    std::vector<ClassId> slot_label(soa.packed_size());
+    for (const FrameSoA::LabelBlock& block : soa.blocks()) {
+      for (size_t s = block.begin; s < block.end; ++s) {
+        slot_label[s] = block.label;
+      }
+      // Within a block, slots follow source (list, position) order.
+      for (size_t s = block.begin + 1; s < block.end; ++s) {
+        const int32_t prev_list = soa.packed_list()[s - 1];
+        const int32_t list = soa.packed_list()[s];
+        EXPECT_TRUE(prev_list < list ||
+                    (prev_list == list &&
+                     soa.packed_src()[s - 1] < soa.packed_src()[s]))
+            << "trial " << trial << " slot " << s;
+      }
+    }
+    size_t total = 0;
+    for (size_t li = 0; li < inputs.size(); ++li) {
+      for (const Detection& d : inputs[li]) {
+        ++total;
+        size_t owners = 0;
+        for (size_t s = 0; s < soa.packed_size(); ++s) {
+          if (soa.packed_src()[s] != &d) continue;
+          ++owners;
+          EXPECT_EQ(soa.packed_list()[s], static_cast<int32_t>(li));
+          EXPECT_EQ(slot_label[s], d.label);
+        }
+        EXPECT_EQ(owners, 1u) << "trial " << trial << " list " << li;
+      }
+    }
+    EXPECT_EQ(soa.packed_size(), total);
+  }
 }
 
 // ------------------------------------------------------ WBF in place ----
@@ -944,7 +698,6 @@ void ExpectBitIdentical(const DetectionList& a, const DetectionList& b) {
     EXPECT_EQ(a[i].box_variance, b[i].box_variance);
     EXPECT_EQ(a[i].label, b[i].label);
     EXPECT_EQ(a[i].model_index, b[i].model_index);
-    EXPECT_EQ(a[i].frame_det_id, b[i].frame_det_id);
   }
 }
 
@@ -954,12 +707,12 @@ void ExpectWbfStoreMatchesGeneric(const WbfFusion& wbf,
                                   DetectionListSpan span,
                                   const FrameSoA& soa) {
   DetectionList with_soa, without;
-  wbf.FuseInto(span, nullptr, &soa, &with_soa);
-  wbf.FuseInto(span, nullptr, nullptr, &without);
+  wbf.FuseInto(span, &soa, &with_soa);
+  wbf.FuseInto(span, &without);
   ExpectBitIdentical(with_soa, without);
   RecordingSink by_class_soa, by_class_generic;
-  wbf.FuseByClass(span, nullptr, &soa, &by_class_soa);
-  wbf.FuseByClass(span, nullptr, nullptr, &by_class_generic);
+  wbf.FuseByClass(span, &soa, &by_class_soa);
+  wbf.FuseByClass(span, nullptr, &by_class_generic);
   ASSERT_EQ(by_class_soa.labels, by_class_generic.labels);
   for (size_t c = 0; c < by_class_soa.runs.size(); ++c) {
     ExpectBitIdentical(by_class_soa.runs[c], by_class_generic.runs[c]);
@@ -968,15 +721,16 @@ void ExpectWbfStoreMatchesGeneric(const WbfFusion& wbf,
 
 // WBF fuses from the store's presorted blocks and reads members in place:
 // every ascending subset of the lists, confidence ties included, must fuse
-// exactly as the generic flatten does.
+// exactly as the generic flatten does — where the stable-sort-filter
+// lemma carries the argument. A span in descending list order cannot map
+// onto the store's ascending source walk, so the block walk must decline
+// onto the generic flatten, not mis-pool.
 TEST(WbfInPlaceTest, BlockWalkMatchesGenericFlatten) {
   Rng rng(67);
   const WbfFusion wbf(DefaultOptions());
   for (int trial = 0; trial < 20; ++trial) {
     const std::vector<DetectionList> inputs = RandomFrame(rng, 4, 10);
-    int num_ids = 0;
-    for (const auto& list : inputs) num_ids += static_cast<int>(list.size());
-    const FrameSoA soa(inputs, num_ids);
+    const FrameSoA soa(inputs);
     for (uint32_t mask = 1; mask < (1u << 4); ++mask) {
       std::vector<const DetectionList*> ptrs;
       for (size_t i = 0; i < 4; ++i) {
@@ -984,37 +738,9 @@ TEST(WbfInPlaceTest, BlockWalkMatchesGenericFlatten) {
       }
       ExpectWbfStoreMatchesGeneric(wbf, DetectionListSpan(ptrs), soa);
     }
-  }
-}
-
-// Active model_weights rescale the scores the presorted slots were
-// ordered by, so WBF must decline the block walk onto the generic flatten
-// (which applies them) and still match it; a walk that engaged anyway
-// would fuse the unweighted scores. Out-of-order lists and lost id slots
-// decline for every method: see SoAFastPathMatchesGenericFlatten.
-TEST(WbfInPlaceTest, ActiveWeightsDeclineToGenericFlatten) {
-  Rng rng(71);
-  FusionOptions weighted = DefaultOptions();
-  weighted.model_weights = {0.5, 2.0, 1.0};
-  const WbfFusion wbf(DefaultOptions());
-  const WbfFusion wbf_weighted(weighted);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::vector<DetectionList> inputs = RandomFrame(rng, 3, 10);
-    int num_ids = 0;
-    for (const auto& list : inputs) num_ids += static_cast<int>(list.size());
-    const FrameSoA soa(inputs, num_ids);
-    ExpectWbfStoreMatchesGeneric(wbf_weighted, DetectionListSpan(inputs), soa);
-
-    DetectionList plain, scaled;
-    wbf.FuseInto(DetectionListSpan(inputs), nullptr, &soa, &plain);
-    wbf_weighted.FuseInto(DetectionListSpan(inputs), nullptr, &soa, &scaled);
-    bool differs = plain.size() != scaled.size();
-    for (size_t i = 0; !differs && i < plain.size(); ++i) {
-      differs = plain[i].confidence != scaled[i].confidence;
-    }
-    if (!plain.empty()) {
-      EXPECT_TRUE(differs) << "weights had no effect";
-    }
+    std::vector<const DetectionList*> reversed;
+    for (size_t i = 4; i-- > 0;) reversed.push_back(&inputs[i]);
+    ExpectWbfStoreMatchesGeneric(wbf, DetectionListSpan(reversed), soa);
   }
 }
 

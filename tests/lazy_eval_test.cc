@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -118,52 +117,46 @@ void ExpectSameRun(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.selection_counts, b.selection_counts);
 }
 
-// Every cell and every frame stat, for each fusion family the cache
-// treats differently (WBF bypasses the IoU tile; NMS and Consensus
-// consume it), and for eager builds at several worker counts.
+// Every cell and every frame stat, for eager builds at several worker
+// counts.
 TEST(LazyEvalTest, EveryCellBitIdenticalToEagerMatrix) {
   const int m = 4;
   const DetectorPool pool = MakePool(m);
   const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/11);
   ASSERT_GT(video.size(), 0u);
 
-  for (const FusionKind kind :
-       {FusionKind::kWbf, FusionKind::kNms, FusionKind::kConsensus}) {
-    MatrixOptions options;
-    options.fusion = kind;
-    for (const int workers : {1, 2, 8}) {
-      options.parallelism = workers;
-      const auto matrix =
-          std::move(BuildFrameMatrix(video, pool, /*trial_seed=*/7, options))
-              .value();
-      auto lazy = std::move(LazyFrameEvaluator::Create(video, pool,
-                                                       /*trial_seed=*/7,
-                                                       options))
-                      .value();
-      ASSERT_EQ(lazy->num_frames(), matrix.size());
-      ASSERT_EQ(lazy->num_models(), matrix.num_models);
-      const uint32_t num_masks = matrix.num_ensembles();
-      for (size_t t = 0; t < matrix.size(); ++t) {
-        const FrameEvaluation& fe = matrix.frames[t];
-        const FrameStats stats = lazy->Stats(t);
-        EXPECT_EQ(stats.context, fe.context);
-        EXPECT_EQ(*stats.model_cost_ms, fe.model_cost_ms);
-        EXPECT_EQ(stats.ref_cost_ms, fe.ref_cost_ms);
-        EXPECT_EQ(stats.max_cost_ms, fe.max_cost_ms)
-            << "FullEnsembleCostMs must equal the eager running max";
-        for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
-          const MaskEvaluation e = lazy->Eval(t, mask);
-          ASSERT_EQ(e.est_ap, fe.est_ap[mask])
-              << FusionKindToString(kind) << " t=" << t << " mask=" << mask;
-          ASSERT_EQ(e.true_ap, fe.true_ap[mask]);
-          ASSERT_EQ(e.cost_ms, fe.cost_ms[mask]);
-          ASSERT_EQ(e.fusion_overhead_ms, fe.fusion_overhead_ms[mask]);
-        }
+  MatrixOptions options;
+  for (const int workers : {1, 2, 8}) {
+    options.parallelism = workers;
+    const auto matrix =
+        std::move(BuildFrameMatrix(video, pool, /*trial_seed=*/7, options))
+            .value();
+    auto lazy = std::move(LazyFrameEvaluator::Create(video, pool,
+                                                     /*trial_seed=*/7,
+                                                     options))
+                    .value();
+    ASSERT_EQ(lazy->num_frames(), matrix.size());
+    ASSERT_EQ(lazy->num_models(), matrix.num_models);
+    const uint32_t num_masks = matrix.num_ensembles();
+    for (size_t t = 0; t < matrix.size(); ++t) {
+      const FrameEvaluation& fe = matrix.frames[t];
+      const FrameStats stats = lazy->Stats(t);
+      EXPECT_EQ(stats.context, fe.context);
+      EXPECT_EQ(*stats.model_cost_ms, fe.model_cost_ms);
+      EXPECT_EQ(stats.ref_cost_ms, fe.ref_cost_ms);
+      EXPECT_EQ(stats.max_cost_ms, fe.max_cost_ms)
+          << "FullEnsembleCostMs must equal the eager running max";
+      for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
+        const MaskEvaluation e = lazy->Eval(t, mask);
+        ASSERT_EQ(e.est_ap, fe.est_ap[mask]) << " t=" << t << " mask=" << mask;
+        ASSERT_EQ(e.true_ap, fe.true_ap[mask]);
+        ASSERT_EQ(e.cost_ms, fe.cost_ms[mask]);
+        ASSERT_EQ(e.fusion_overhead_ms, fe.fusion_overhead_ms[mask]);
       }
-      EXPECT_EQ(lazy->frames_touched(), matrix.size());
-      EXPECT_EQ(lazy->masks_materialized(),
-                static_cast<uint64_t>(matrix.size()) * num_masks);
     }
+    EXPECT_EQ(lazy->frames_touched(), matrix.size());
+    EXPECT_EQ(lazy->masks_materialized(),
+              static_cast<uint64_t>(matrix.size()) * num_masks);
   }
 }
 
@@ -602,11 +595,8 @@ TEST(LazyEvalTest, EvictedFrameRebuildsBitIdenticalToEagerMatrix) {
   const EnsembleId full = FullEnsemble(m);
   const DetectionList* fused = lazy->FusedOutput(0, full);
   ASSERT_NE(fused, nullptr);
-  const auto fusion = std::move(CreateEnsembleMethod(options.fusion,
-                                                     options.fusion_options))
-                          .value();
   DetectionList fresh;
-  FrameEvalContext(video.frames[0], pool, /*trial_seed=*/7, options, *fusion)
+  FrameEvalContext(video.frames[0], pool, /*trial_seed=*/7, options)
       .Fuse(full, &fresh);
   EXPECT_TRUE(SameDetections(*fused, fresh));
   EXPECT_EQ(lazy->frames_rebuilt(), 3u);
@@ -797,20 +787,17 @@ void ExpectSameBoxes(const DetectionList& a, const DetectionList& b,
     EXPECT_EQ(a[i].box_variance, b[i].box_variance) << "mask " << mask;
     EXPECT_EQ(a[i].label, b[i].label) << "mask " << mask;
     EXPECT_EQ(a[i].model_index, b[i].model_index) << "mask " << mask;
-    EXPECT_EQ(a[i].frame_det_id, b[i].frame_det_id) << "mask " << mask;
   }
 }
 
 // One context reloaded A → B → A must hold exactly what a fresh context
-// over each frame holds, for every fusion kind: every cell, full and
-// estimate-only, and every mask's fused boxes. A is the sparsest of the
-// first frames and B the busiest, so the reloads both grow and shrink the
-// reused buffers, and a detector fails on B, so its list must come back
-// empty there and full again on A. A stale box, id slot, class range or
-// tile entry left by the previous frame would show here.
-class FrameEvalReloadTest : public ::testing::TestWithParam<FusionKind> {};
-
-TEST_P(FrameEvalReloadTest, ReloadedContextMatchesFreshContext) {
+// over each frame holds: every cell, full and estimate-only, and every
+// mask's fused boxes. A is the sparsest of the first frames and B the
+// busiest, so the reloads both grow and shrink the reused buffers, and a
+// detector fails on B, so its list must come back empty there and full
+// again on A. A stale box, store slot or class range left by the previous
+// frame would show here.
+TEST(FrameEvalReloadTest, ReloadedContextMatchesFreshContext) {
   const int m = 4;
   const uint64_t seed = 31;
   const Video video = MakeVideo(/*scene_scale=*/0.02, seed);
@@ -834,19 +821,15 @@ TEST_P(FrameEvalReloadTest, ReloadedContextMatchesFreshContext) {
   pool.detectors[1] = std::make_unique<FaultInjectingDetector>(
       std::move(pool.detectors[1]), outage);
 
-  MatrixOptions options;
-  options.fusion = GetParam();
-  const auto fusion = std::move(CreateEnsembleMethod(options.fusion,
-                                                     options.fusion_options))
-                          .value();
+  const MatrixOptions options;
   const uint32_t num_masks = NumEnsembles(m);
-  FrameEvalContext reused(pool, seed, options, *fusion);
+  FrameEvalContext reused(pool, seed, options);
   DetectionList reused_boxes;
   DetectionList fresh_boxes;
   for (const VideoFrame* frame : {&frame_a, &frame_b, &frame_a}) {
     SCOPED_TRACE(frame == &frame_a ? "frame A" : "frame B");
     reused.Load(*frame);
-    FrameEvalContext fresh(*frame, pool, seed, options, *fusion);
+    FrameEvalContext fresh(*frame, pool, seed, options);
     EXPECT_EQ(reused.model_ok(1), frame == &frame_a);
     EXPECT_EQ(reused.available_mask(), fresh.available_mask());
     EXPECT_EQ(reused.model_cost_ms(), fresh.model_cost_ms());
@@ -866,20 +849,6 @@ TEST_P(FrameEvalReloadTest, ReloadedContextMatchesFreshContext) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, FrameEvalReloadTest,
-                         ::testing::ValuesIn(AllFusionKinds()),
-                         [](const ::testing::TestParamInfo<FusionKind>& info) {
-                           const std::string name =
-                               FusionKindToString(info.param);
-                           std::string out;
-                           for (const char c : name) {
-                             if (std::isalnum(static_cast<unsigned char>(c))) {
-                               out += c;
-                             }
-                           }
-                           return out;
-                         });
 
 }  // namespace
 }  // namespace vqe

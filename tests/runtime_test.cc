@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,10 +21,10 @@
 #include "models/model_zoo.h"
 #include "runtime/circuit_breaker.h"
 #include "runtime/fault_injection.h"
-#include "runtime/resilient_detector.h"
 #include "query/executor.h"
 #include "runtime/retry.h"
 #include "sim/dataset.h"
+#include "snapshot/checkpoint.h"
 
 namespace vqe {
 namespace {
@@ -414,46 +415,6 @@ TEST(CircuitBreakerTest, HalfOpenFailureTripsOpenAgain) {
 }
 
 // ---------------------------------------------------------------------------
-// ResilientDetector
-
-TEST(ResilientDetectorTest, ShortCircuitsWhileOpenAndRecovers) {
-  FakeDetector inner;
-  FaultScript script;
-  script.bursts.push_back({0, 6, FaultKind::kError, -1});
-  const FaultInjectingDetector faulty(&inner, script);
-
-  CircuitBreakerOptions breaker;
-  breaker.failure_threshold = 2;
-  breaker.open_frames = 4;
-  ResilientDetector resilient(&faulty, RetryPolicy{}, breaker);
-
-  EXPECT_FALSE(resilient.Call(MakeFrame(0), 1, 0).ok());
-  EXPECT_FALSE(resilient.Call(MakeFrame(1), 1, 1).ok());  // trips open
-  EXPECT_EQ(resilient.breaker().opens(), 1u);
-  const DetectorCallOutcome refused = resilient.Call(MakeFrame(2), 1, 2);
-  EXPECT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(refused.attempts, 0) << "an open breaker refuses without calling";
-  EXPECT_EQ(refused.charged_ms(), 0.0);
-  EXPECT_EQ(resilient.breaker().failures(), 2u)
-      << "a refused call is not a recorded failure";
-
-  // Cool-down elapses at t = 1 + 4 = 5; the probe still hits the burst and
-  // re-trips. The next probe at t = 9 lands after the burst and closes.
-  EXPECT_FALSE(resilient.Call(MakeFrame(5), 1, 5).ok());
-  EXPECT_EQ(resilient.StateAt(6), BreakerState::kOpen);
-  const DetectorCallOutcome recovered = resilient.Call(MakeFrame(9), 1, 9);
-  EXPECT_TRUE(recovered.ok());
-  EXPECT_EQ(resilient.StateAt(10), BreakerState::kClosed);
-  EXPECT_EQ(resilient.breaker().opens(), 2u);
-
-  const DetectorCallOutcome after = resilient.Call(MakeFrame(10), 1, 10);
-  ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after.detections.empty());
-  EXPECT_EQ(resilient.breaker().failures(), 3u);
-}
-
-// ---------------------------------------------------------------------------
 // Engine-level degradation (the ISSUE 3 acceptance scenarios)
 
 // (a) A scripted mid-video outage never aborts the run: every frame
@@ -743,6 +704,79 @@ TEST(ExperimentFaultTest, OnlineQuerySurvivesScriptedOutage) {
   // Misaligned scripts are rejected up front.
   options.fault_scripts.resize(1);
   EXPECT_FALSE(ExecuteQuery(sql, options).ok());
+}
+
+// The executor's breakers, one model: every call fails on frames [0, 6).
+// The breaker (threshold 2, cool-down 4) trips at frame 1, refuses frames
+// 2-4, lets the half-open probe at frame 5 hit the outage and re-trip,
+// refuses frames 6-8, and closes on the probe at frame 9. A one-model pool
+// whose breaker is open still selects that model, so each refused call is
+// a failed call and a failed frame — and costs nothing: the query's fault
+// time is exactly that of the three calls made at frames 0, 1 and 5, and
+// the breaker the query checkpoints has recorded those three failures
+// only.
+TEST(QueryBreakerTest, ShortCircuitsWhileOpenAndRecovers) {
+  const std::string detector = "yolov7-tiny@night";
+  const std::string sql =
+      "SELECT frameID FROM (PROCESS nusc-night PRODUCE frameID, Detections "
+      "USING RAND(" + detector + ")) WHERE COUNT(car) >= 1";
+  FaultScript outage;
+  outage.bursts.push_back({0, 6, FaultKind::kError, -1});
+  QueryEngineOptions options;
+  options.scene_scale = 0.03;
+  options.fault_scripts = {outage};
+  options.breaker.failure_threshold = 2;
+  options.breaker.open_frames = 4;
+  options.checkpoint.directory =
+      ::testing::TempDir() + "vqe_runtime_test/query_breaker";
+  options.checkpoint.every_frames = 10;
+  ASSERT_EQ(
+      std::system(("rm -rf '" + options.checkpoint.directory + "'").c_str()),
+      0);
+  const QueryOutput out = std::move(ExecuteQuery(sql, options)).value();
+  ASSERT_GT(out.frames_processed, 12u);
+  ASSERT_EQ(out.model_failures.size(), 1u);
+  EXPECT_EQ(out.model_failures[0], 9u)
+      << "frames 0-8 fail: three calls and six refusals";
+  EXPECT_EQ(out.failed_frames, 9u) << "the model recovers at frame 9";
+  EXPECT_EQ(out.fallback_frames, 0u);
+
+  // The same three calls, made directly on the query's frames.
+  const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-night");
+  SampleOptions sample;
+  sample.scene_scale = options.scene_scale;
+  sample.seed = options.seed;
+  const Video video = std::move(SampleVideo(*spec, sample)).value();
+  const DetectorPool pool =
+      std::move(BuildPool({std::move(ParseDetectorName(detector)).value()}))
+          .value();
+  const FaultInjectingDetector faulty(pool.detectors[0].get(), outage);
+  double attempted_fault_ms = 0.0;
+  for (const size_t t : {0u, 1u, 5u}) {
+    ASSERT_EQ(video.frames[t].frame_index, static_cast<int64_t>(t));
+    attempted_fault_ms +=
+        DetectWithRetries(faulty, video.frames[t], options.seed, RetryPolicy{})
+            .fault_ms;
+  }
+  EXPECT_GT(attempted_fault_ms, 0.0);
+  EXPECT_EQ(out.fault_ms, attempted_fault_ms)
+      << "a call refused by an open breaker must cost nothing";
+
+  // The newest checkpoint's runtime section: the breaker count, then each
+  // breaker's state.
+  const CheckpointManager ckpt(options.checkpoint.directory);
+  auto loaded = ckpt.LoadLatestGood();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto runtime = loaded->snapshot.Section("runtime");
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+  uint64_t count = 0;
+  ASSERT_TRUE(runtime->U64(&count).ok());
+  ASSERT_EQ(count, 1u);
+  CircuitBreaker breaker(options.breaker);
+  ASSERT_TRUE(breaker.RestoreState(*runtime).ok());
+  EXPECT_TRUE(runtime->ExpectEnd().ok());
+  EXPECT_EQ(breaker.failures(), 3u) << "a refused call is not a failure";
+  EXPECT_EQ(breaker.opens(), 2u);
 }
 
 TEST(ExperimentFaultTest, ApplyFaultScriptsValidatesAlignment) {

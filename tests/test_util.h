@@ -18,7 +18,6 @@
 #include "core/frame_eval.h"
 #include "core/frame_matrix.h"
 #include "detection/ap.h"
-#include "fusion/ensemble_method.h"
 #include "models/model_zoo.h"
 #include "sim/video.h"
 
@@ -95,10 +94,7 @@ class EagerTemporalSource final : public EvaluationSource {
         video_(&video),
         pool_(&pool),
         trial_seed_(trial_seed),
-        options_(&options),
-        fusion_(std::move(CreateEnsembleMethod(options.fusion,
-                                               options.fusion_options))
-                    .value()) {}
+        options_(&options) {}
 
   int num_models() const override { return cells_.num_models(); }
   size_t num_frames() const override { return cells_.num_frames(); }
@@ -117,8 +113,7 @@ class EagerTemporalSource final : public EvaluationSource {
                        options_->ap);
   }
   const DetectionList* FusedOutput(size_t t, EnsembleId mask) override {
-    FrameEvalContext ctx(video_->frames[t], *pool_, trial_seed_, *options_,
-                         *fusion_);
+    FrameEvalContext ctx(video_->frames[t], *pool_, trial_seed_, *options_);
     ctx.Fuse(mask, &fused_);
     return &fused_;
   }
@@ -129,7 +124,6 @@ class EagerTemporalSource final : public EvaluationSource {
   const DetectorPool* pool_;
   uint64_t trial_seed_;
   const MatrixOptions* options_;
-  std::unique_ptr<EnsembleMethod> fusion_;
   DetectionList fused_;
 };
 

@@ -11,12 +11,11 @@
 #
 # The sanitizer passes rebuild into build-asan/, build-tsan/ and
 # build-ubsan/ (all .gitignore'd) and run the suites that exercise the
-# shared thread pool, the chunked ParallelFor scheduler, the pairwise-IoU
-# tile shared across fusion calls, the class-major fuse-and-score kernel,
-# the per-frame stores reloaded in place (frame contexts, SoA store,
-# ground-truth indexes, IoU tile — a source pointer that survives a
-# reload is a use-after-free ASan reports) with their exact allocation
-# gates, and WBF's in-place block walk,
+# shared thread pool, the chunked ParallelFor scheduler, the class-major
+# fuse-and-score kernel, the per-frame stores reloaded in place (frame
+# contexts, SoA store, ground-truth indexes — a source pointer that
+# survives a reload is a use-after-free ASan reports) with their exact
+# allocation gates, and WBF's in-place block walk,
 # lazy-vs-eager evaluation equivalence (estimate-only cells included),
 # the fault-tolerant detector runtime (retry/breaker/degradation), the
 # snapshot/checkpoint stack (hostile-byte parsing plus the crash-resume
@@ -50,10 +49,10 @@ run_tier1() {
 run_perf_smoke() {
   # Tiny-config run of the matrix-build bench. Wall-clock numbers are not
   # gated — CI machines are too noisy for that — but the bench's exit code
-  # reflects its bit-identity verdicts: the optimized kernels (SoA IoU
-  # tile, arena-backed fusion), the serial/parallel matrices and the
-  # eager/lazy strategy runs must all reproduce their reference paths
-  # exactly. Runs from the bench directory so BENCH_matrix_build.json
+  # reflects its bit-identity verdicts: the optimized kernels (arena-backed
+  # fusion, WBF's block walk over the SoA store), the serial/parallel
+  # matrices and the eager/lazy strategy runs must all reproduce their
+  # reference paths exactly. Runs from the bench directory so BENCH_matrix_build.json
   # lands next to the binary, not in the repo root.
   (cd build/bench && VQE_BENCH_TRIALS=2 VQE_BENCH_FRAMES=40 \
     ./bench_matrix_build)
@@ -126,7 +125,7 @@ run_sanitizer() {
     resume_test serialization_test serve_test fleet_test temporal_test \
     tracker_test workload_test obs_test
   ctest --test-dir "$dir" --output-on-failure -j 4 \
-    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|LazyMemo|FrameEvalReload|FusionProperty|IouTileKernel|FrameSoA|GroundTruthIndex|WbfInPlace|ClassMajorKernel|FaultInjection|RetryTest|CircuitBreaker|ResilientDetector|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|TrackerState|Workload|Overload|SamplePercentile|LatencyHistogram|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState|AllocRegression|LazyRetainedHeap|ArenaSteadyState"
+    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|LazyMemo|FrameEvalReload|FusionProperty|FrameSoA|GroundTruthIndex|WbfInPlace|ClassMajorKernel|FaultInjection|RetryTest|CircuitBreaker|QueryBreaker|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|TrackerState|Workload|Overload|SamplePercentile|LatencyHistogram|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState|AllocRegression|LazyRetainedHeap|ArenaSteadyState"
 }
 
 stage() {
