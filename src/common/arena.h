@@ -150,47 +150,6 @@ class ArenaScope {
   FrameArena::Marker mark_;
 };
 
-/// std::allocator adapter over a FrameArena. deallocate is a no-op —
-/// storage is reclaimed by the enclosing ArenaScope — so containers may
-/// "leak" grown-out buffers into the scope; size scratch with reserve
-/// where the bound is known.
-template <typename T>
-class ArenaAllocator {
- public:
-  using value_type = T;
-
-  explicit ArenaAllocator(FrameArena& arena) : arena_(&arena) {}
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
-
-  T* allocate(size_t n) { return arena_->AllocateArray<T>(n); }
-  void deallocate(T*, size_t) {}
-
-  FrameArena* arena() const { return arena_; }
-
-  template <typename U>
-  bool operator==(const ArenaAllocator<U>& o) const {
-    return arena_ == o.arena();
-  }
-  template <typename U>
-  bool operator!=(const ArenaAllocator<U>& o) const {
-    return arena_ != o.arena();
-  }
-
- private:
-  FrameArena* arena_;
-};
-
-/// Vector whose storage lives in a FrameArena; construct with the arena's
-/// allocator and keep it inside the owning ArenaScope.
-template <typename T>
-using ArenaVector = std::vector<T, ArenaAllocator<T>>;
-
-template <typename T>
-ArenaVector<T> MakeArenaVector(FrameArena& arena) {
-  return ArenaVector<T>(ArenaAllocator<T>(arena));
-}
-
 namespace arena_internal {
 
 /// Merges two sorted runs [a, a+na) and [b, b+nb) into out, taking from

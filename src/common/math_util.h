@@ -17,11 +17,6 @@ inline double Clamp(double x, double lo, double hi) {
   return x < lo ? lo : (x > hi ? hi : x);
 }
 
-/// True when |a - b| <= tol.
-inline bool Near(double a, double b, double tol = 1e-9) {
-  return std::fabs(a - b) <= tol;
-}
-
 /// Arithmetic mean; 0 for an empty vector.
 double Mean(const std::vector<double>& xs);
 

@@ -64,28 +64,4 @@ void TablePrinter::Print(std::ostream& os) const {
   for (const auto& row : rows_) emit_row(row, /*align_num=*/true);
 }
 
-void TablePrinter::WriteCsv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < header_.size(); ++c) {
-      if (c > 0) os << ',';
-      const std::string& cell = c < row.size() ? row[c] : "";
-      const bool needs_quoting =
-          cell.find_first_of(",\"\n") != std::string::npos;
-      if (needs_quoting) {
-        os << '"';
-        for (char ch : cell) {
-          if (ch == '"') os << '"';
-          os << ch;
-        }
-        os << '"';
-      } else {
-        os << cell;
-      }
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace vqe

@@ -27,10 +27,6 @@ class TablePrinter {
   /// right-aligned; everything else is left-aligned.
   void Print(std::ostream& os) const;
 
-  /// Writes the table as RFC-4180 CSV (quotes cells containing commas,
-  /// quotes or newlines) for downstream plotting.
-  void WriteCsv(std::ostream& os) const;
-
   size_t num_rows() const { return rows_.size(); }
 
  private:

@@ -526,8 +526,11 @@ TEST(ArenaSteadyStateTest, RepeatedScopesDoNotGrowArena) {
     ArenaScope scope(arena);
     double* xs = arena.AllocateArray<double>(4096);
     for (int i = 0; i < 4096; ++i) xs[i] = static_cast<double>(i);
-    ArenaVector<int> v = MakeArenaVector<int>(arena);
-    for (int i = 0; i < 512; ++i) v.push_back(i);
+    // A buffer growing by doubling, as a container claims it.
+    for (size_t n = 1; n <= 512; n *= 2) {
+      int* v = arena.AllocateArray<int>(n);
+      for (size_t i = 0; i < n; ++i) v[i] = static_cast<int>(i);
+    }
   };
   workload();  // warm-up
   const std::uint64_t blocks = arena.stats().block_allocs;

@@ -1,6 +1,6 @@
 // FrameArena: bump allocation, alignment, Mark/Rewind LIFO reclamation,
-// block growth/reuse, the STL allocator adapter, and the arena stable
-// sort's equivalence with std::stable_sort.
+// block growth/reuse, and the arena stable sort's equivalence with
+// std::stable_sort.
 
 #include "common/arena.h"
 
@@ -98,15 +98,6 @@ TEST(FrameArenaTest, ThreadLocalReturnsSameArenaPerThread) {
   FrameArena* a = &FrameArena::ThreadLocal();
   FrameArena* b = &FrameArena::ThreadLocal();
   EXPECT_EQ(a, b);
-}
-
-TEST(ArenaVectorTest, GrowsAndHoldsValues) {
-  FrameArena arena;
-  ArenaScope scope(arena);
-  ArenaVector<int> v = MakeArenaVector<int>(arena);
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  ASSERT_EQ(v.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(v[static_cast<size_t>(i)], i);
 }
 
 TEST(ArenaStableSortTest, MatchesStdStableSortOnRandomData) {

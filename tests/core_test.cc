@@ -40,6 +40,30 @@ TEST(ScoringTest, Validation) {
   EXPECT_FALSE((ScoringFunction{-0.1, 1.1}).Validate().ok());
 }
 
+TEST(ScoreFormTest, LinearFormMeetsCriteria) {
+  ScoringFunction sc{0.5, 0.5, ScoreForm::kLinear};
+  EXPECT_DOUBLE_EQ(sc.Score(1.0, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(sc.Score(0.0, 1.0), 0.0);
+  for (double ap = 0.0; ap < 0.95; ap += 0.1) {
+    for (double cost = 0.0; cost < 0.95; cost += 0.1) {
+      const double base = sc.Score(ap, cost);
+      EXPECT_GT(sc.Score(ap + 0.05, cost), base);
+      EXPECT_LT(sc.Score(ap, cost + 0.05), base);
+      EXPECT_GE(base, 0.0);
+      EXPECT_LE(base, 1.0);
+    }
+  }
+}
+
+TEST(ScoreFormTest, FormsAgreeAtEndpointsDivergeInside) {
+  ScoringFunction log_form{0.5, 0.5, ScoreForm::kLogarithmic};
+  ScoringFunction lin_form{0.5, 0.5, ScoreForm::kLinear};
+  EXPECT_DOUBLE_EQ(log_form.Score(1, 0), lin_form.Score(1, 0));
+  EXPECT_DOUBLE_EQ(log_form.Score(0, 1), lin_form.Score(0, 1));
+  // log2(x+1) >= x on [0,1]: the log form dominates inside.
+  EXPECT_GT(log_form.Score(0.5, 0.5), lin_form.Score(0.5, 0.5));
+}
+
 // Monotonicity sweep: score rises in AP and falls in cost for all weights.
 class ScoringMonotonicityTest : public ::testing::TestWithParam<double> {};
 

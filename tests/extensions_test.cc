@@ -1,16 +1,11 @@
-// Tests for the extension features: D-MES (discounted UCB), COCO-protocol
-// evaluation, query EXPLAIN, CSV export, and context-dependent scene
-// composition.
+// Tests for the extension features: D-MES (discounted UCB), query EXPLAIN,
+// and context-dependent scene composition.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "common/table_printer.h"
 #include "core/ducb.h"
 #include "core/engine.h"
 #include "core/mes.h"
-#include "detection/coco_eval.h"
 #include "query/explain.h"
 #include "query/parser.h"
 #include "sim/object_classes.h"
@@ -106,77 +101,6 @@ TEST(DucbTest, AdaptsToDriftAtLeastAsWellAsMes) {
   EXPECT_GT(ducb_total, mes_total);
 }
 
-// -------------------------------------------------------------- COCO eval --
-
-Detection Det(double x, double y, double w, double h, double conf,
-              ClassId label = 0) {
-  Detection d;
-  d.box = BBox::FromXYWH(x, y, w, h);
-  d.confidence = conf;
-  d.label = label;
-  return d;
-}
-
-GroundTruthBox Gt(double x, double y, double w, double h, ClassId label = 0) {
-  GroundTruthBox g;
-  g.box = BBox::FromXYWH(x, y, w, h);
-  g.label = label;
-  return g;
-}
-
-TEST(CocoEvalTest, PerfectDetectionsScoreOneEverywhere) {
-  std::vector<DetectionList> dets{{Det(0, 0, 10, 10, 0.9, 0),
-                                   Det(50, 0, 10, 10, 0.8, 1)}};
-  std::vector<GroundTruthList> gts{{Gt(0, 0, 10, 10, 0),
-                                    Gt(50, 0, 10, 10, 1)}};
-  const CocoMetrics m = CocoEvaluate(dets, gts);
-  EXPECT_DOUBLE_EQ(m.map_50, 1.0);
-  EXPECT_DOUBLE_EQ(m.map_75, 1.0);
-  EXPECT_DOUBLE_EQ(m.map_50_95, 1.0);
-  ASSERT_EQ(m.per_class_ap50.size(), 2u);
-  EXPECT_DOUBLE_EQ(m.per_class_ap50.at(0), 1.0);
-}
-
-TEST(CocoEvalTest, LooseBoxPassesAp50ButNotAp75) {
-  // Detection offset so IoU ≈ 0.54: counts at 0.5, fails at 0.75.
-  std::vector<DetectionList> dets{{Det(3, 0, 10, 10, 0.9)}};
-  std::vector<GroundTruthList> gts{{Gt(0, 0, 10, 10)}};
-  const CocoMetrics m = CocoEvaluate(dets, gts);
-  EXPECT_DOUBLE_EQ(m.map_50, 1.0);
-  EXPECT_DOUBLE_EQ(m.map_75, 0.0);
-  EXPECT_GT(m.map_50_95, 0.0);
-  EXPECT_LT(m.map_50_95, 0.5);
-}
-
-TEST(CocoEvalTest, Map5095IsAverageAcrossThresholds) {
-  // Exact box: AP 1.0 at every threshold -> mAP@[.5:.95] = 1.
-  std::vector<DetectionList> dets{{Det(0, 0, 10, 10, 0.9)}};
-  std::vector<GroundTruthList> gts{{Gt(0, 0, 10, 10)}};
-  EXPECT_DOUBLE_EQ(CocoEvaluate(dets, gts).map_50_95, 1.0);
-}
-
-TEST(CocoEvalTest, ClassesWithoutGtExcluded) {
-  std::vector<DetectionList> dets{{Det(0, 0, 10, 10, 0.9, 7)}};  // spurious
-  std::vector<GroundTruthList> gts{{Gt(0, 0, 10, 10, 0)}};
-  const CocoMetrics m = CocoEvaluate(dets, gts);
-  // Only class 0 is evaluated; nothing detected for it.
-  EXPECT_DOUBLE_EQ(m.map_50, 0.0);
-  EXPECT_EQ(m.per_class_ap50.count(7), 0u);
-}
-
-TEST(CocoEvalTest, EmptyEverythingIsVacuouslyPerfect) {
-  const CocoMetrics m = CocoEvaluate({{}, {}}, {{}, {}});
-  EXPECT_DOUBLE_EQ(m.map_50_95, 1.0);
-}
-
-TEST(CocoEvalTest, DatasetClassApMatchesPooledProtocol) {
-  // Class 0 across two frames: one hit, one miss -> AP 0.5 at IoU 0.5.
-  std::vector<DetectionList> dets{{Det(0, 0, 10, 10, 0.9)}, {}};
-  std::vector<GroundTruthList> gts{{Gt(0, 0, 10, 10)}, {Gt(0, 0, 10, 10)}};
-  EXPECT_NEAR(DatasetClassAp(dets, gts, 0, 0.5), 0.5, 0.01);
-  EXPECT_DOUBLE_EQ(DatasetClassAp(dets, gts, 5, 0.5), 1.0);  // vacuous class
-}
-
 // ----------------------------------------------------------------- EXPLAIN --
 
 TEST(ExplainTest, RendersPlanAndPredicate) {
@@ -236,20 +160,6 @@ TEST(ExplainTest, PredicateToStringForms) {
   fine->where->value = 1e20;
   EXPECT_EQ(PredicateToString(fine->where.get()),
             "COUNT(car, min_confidence 0.3) >= 1e+20");
-}
-
-// --------------------------------------------------------------- CSV export --
-
-TEST(CsvTest, EscapesSpecialCells) {
-  TablePrinter t({"a", "b"});
-  t.AddRow({"plain", "with,comma"});
-  t.AddRow({"with\"quote", "multi\nline"});
-  std::ostringstream os;
-  t.WriteCsv(os);
-  EXPECT_EQ(os.str(),
-            "a,b\n"
-            "plain,\"with,comma\"\n"
-            "\"with\"\"quote\",\"multi\nline\"\n");
 }
 
 // ----------------------------------------------- context-dependent classes --

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/predicate.h"
@@ -75,6 +77,31 @@ TEST(TrackerTest, IdentityPersistsAcrossFrames) {
   }
   EXPECT_TRUE(tracker.tracks()[0].IsConfirmed(tracker.options()));
   EXPECT_EQ(tracker.tracks()[0].Age(), 6);
+}
+
+TEST(TrackerTest, OpposingMotionKeepsEachTrackId) {
+  // Two objects move in opposite directions for 30 frames: each keeps the
+  // id it was born with, is updated on every frame, and its box follows
+  // its detection.
+  IouTracker tracker;
+  int64_t ids[2] = {0, 0};
+  for (int f = 0; f < 30; ++f) {
+    const DetectionList dets{Det(5.0 * f, 0, 40, 40, 0.9),
+                             Det(500 - 5.0 * f, 100, 40, 40, 0.9)};
+    const auto& tracks = tracker.Update(dets, f);
+    ASSERT_EQ(tracks.size(), 2u);
+    for (size_t k = 0; k < dets.size(); ++k) {
+      const auto it = std::find_if(
+          tracks.begin(), tracks.end(),
+          [&](const Track& t) { return t.box == dets[k].box; });
+      ASSERT_NE(it, tracks.end()) << "frame " << f << ", object " << k;
+      if (f == 0) ids[k] = it->track_id;
+      EXPECT_EQ(it->track_id, ids[k]) << "frame " << f;
+      EXPECT_TRUE(it->UpdatedThisFrame());
+      EXPECT_EQ(it->hits, f + 1);
+    }
+  }
+  EXPECT_NE(ids[0], ids[1]);
 }
 
 TEST(TrackerTest, VelocityPredictionBridgesFastMotion) {

@@ -122,10 +122,10 @@ run_sanitizer() {
   cmake --build "$dir" -j --target \
     thread_pool_test determinism_test fusion_test class_major_test \
     lazy_eval_test alloc_regression_test runtime_test snapshot_test \
-    resume_test serialization_test serve_test fleet_test temporal_test \
+    resume_test serve_test fleet_test temporal_test \
     tracker_test workload_test obs_test
   ctest --test-dir "$dir" --output-on-failure -j 4 \
-    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|LazyMemo|FrameEvalReload|FusionProperty|FrameSoA|GroundTruthIndex|WbfInPlace|ClassMajorKernel|FaultInjection|RetryTest|CircuitBreaker|QueryBreaker|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serialization|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|TrackerState|Workload|Overload|SamplePercentile|LatencyHistogram|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState|AllocRegression|LazyRetainedHeap|ArenaSteadyState"
+    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|LazyMemo|FrameEvalReload|FusionProperty|FrameSoA|GroundTruthIndex|WbfInPlace|ClassMajorKernel|FaultInjection|RetryTest|CircuitBreaker|QueryBreaker|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|TrackerState|Workload|Overload|SamplePercentile|LatencyHistogram|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState|AllocRegression|LazyRetainedHeap|ArenaSteadyState"
 }
 
 stage() {
