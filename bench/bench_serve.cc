@@ -472,10 +472,11 @@ int main(int argc, char** argv) {
 
   // ---- Sharded fleet sweep: shard count × {clean, chaos} ----
   //
-  // 16 streams (sharing seeds with the 8 solo baselines, unique names so
-  // routing spreads them) served by 1/2/4/8 shard threads. The chaos
-  // variant migrates one live stream onto the last shard at round 2 and
-  // kills that shard at its round 10, so the migrated stream and the
+  // 16 equal-length streams (sharing seeds with the 8 solo baselines)
+  // served by 1/2/4/8 shard threads; placement deals equal lengths
+  // round-robin in submission order, so the first stream lands on shard 0.
+  // The chaos variant migrates that stream onto the last shard at round 2
+  // and kills that shard at its round 10, so the migrated stream and the
   // shard's other sessions all fail over to survivors. Wall-clock scaling
   // is whatever hardware_threads allows; the exit code gates bit-identity
   // of every completing stream and the chaos rows' migration ledger.
@@ -516,13 +517,8 @@ int main(int argc, char** argv) {
         mig.at_round = 2;
         mig.shard = 0;
         mig.target_shard = n - 1;
-        for (const auto& s : fleet_specs) {
-          if (FleetRouteHash(s.name) % static_cast<uint64_t>(n) == 0) {
-            mig.stream = s.name;
-            break;
-          }
-        }
-        if (!mig.stream.empty()) script.events.push_back(mig);
+        mig.stream = fleet_specs.front().name;
+        script.events.push_back(mig);
         ChaosEvent kill;
         kill.kind = ChaosEvent::Kind::kKillShard;
         kill.at_round = 10;

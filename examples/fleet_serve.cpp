@@ -1,7 +1,9 @@
-// Sharded fleet serving with live migration and failover: eight streams
-// hash onto three shards; a chaos script migrates one live stream
-// between shards mid-video (through the snapshot wire format) and then
-// later kills a shard outright. The lost sessions restart on the survivors,
+// Sharded fleet serving with live migration and failover: eight
+// equal-length streams are placed round-robin on three shards (placement
+// puts the longest streams first on the shard with the fewest frames);
+// a chaos script migrates one live stream between shards mid-video
+// (through the snapshot wire format) and then later kills a shard
+// outright. The lost sessions restart on the survivors,
 // and every stream still finishes with a result bit-identical to running
 // it alone — the fleet may move work around, but never changes what any
 // stream computes. Chaos and migrations happen between rounds in a fixed
@@ -79,27 +81,19 @@ int main() {
     solo.push_back(
         std::move(RunStrategy(*source, &strategy, engine)).value());
     streams.push_back({name, make_factory(name, i)});
-    std::printf("%-8s -> shard %llu\n", name.c_str(),
-                static_cast<unsigned long long>(
-                    FleetRouteHash(name) %
-                    static_cast<uint64_t>(options.num_shards)));
   }
 
-  // Chaos: move one of shard 0's streams onto shard 2 at shard 0's round
-  // 2, then crash shard 2 at its round 25 — the migrated stream and
-  // every other session there fail over to the survivors.
+  // Chaos: move cam-0 (the first of the equal-length streams, so placed on
+  // shard 0) onto shard 2 at shard 0's round 2, then crash shard 2 at its
+  // round 25 — the migrated stream and every other session there fail
+  // over to the survivors.
   ChaosScript chaos;
   ChaosEvent migrate;
   migrate.kind = ChaosEvent::Kind::kMigrate;
   migrate.at_round = 2;
   migrate.shard = 0;
   migrate.target_shard = 2;
-  for (const auto& s : streams) {
-    if (FleetRouteHash(s.name) % 3 == 0) {
-      migrate.stream = s.name;
-      break;
-    }
-  }
+  migrate.stream = streams.front().name;
   chaos.events.push_back(migrate);
   ChaosEvent kill;
   kill.kind = ChaosEvent::Kind::kKillShard;

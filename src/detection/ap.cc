@@ -1,9 +1,7 @@
 #include "detection/ap.h"
 
 #include <algorithm>
-#include <cassert>
 #include <new>
-#include <set>
 
 #include "common/arena.h"
 
@@ -332,51 +330,6 @@ void DetectionsAsGroundTruth(const DetectionList& reference,
     g.label = d.label;
     out->push_back(g);
   }
-}
-
-double DatasetMeanAp(const std::vector<DetectionList>& detections_per_frame,
-                     const std::vector<GroundTruthList>& gt_per_frame,
-                     const ApOptions& options) {
-  assert(detections_per_frame.size() == gt_per_frame.size());
-
-  std::set<ClassId> classes;
-  for (const auto& gts : gt_per_frame) {
-    for (const auto& g : gts) {
-      if (!g.difficult) classes.insert(g.label);
-    }
-  }
-  if (classes.empty()) return 1.0;
-
-  double sum = 0.0;
-  for (ClassId cls : classes) {
-    // Pool per-frame matches: match within each frame, then merge the match
-    // records (sorted globally by confidence) to build one PR curve.
-    std::vector<DetectionMatch> pooled;
-    size_t num_gt = 0;
-    for (size_t f = 0; f < gt_per_frame.size(); ++f) {
-      GroundTruthList cls_gt;
-      for (const auto& g : gt_per_frame[f]) {
-        if (g.label == cls) cls_gt.push_back(g);
-      }
-      const DetectionList cls_det =
-          FilterByClass(detections_per_frame[f], cls);
-      const MatchResult mr =
-          MatchDetections(cls_det, cls_gt, options.iou_threshold);
-      num_gt += mr.num_gt;
-      pooled.insert(pooled.end(), mr.matches.begin(), mr.matches.end());
-    }
-    std::stable_sort(pooled.begin(), pooled.end(),
-                     [](const DetectionMatch& a, const DetectionMatch& b) {
-                       return a.confidence > b.confidence;
-                     });
-    if (num_gt == 0) {
-      sum += pooled.empty() ? 1.0 : 0.0;
-      continue;
-    }
-    const auto curve = PrecisionRecallCurve(pooled, num_gt);
-    sum += IntegratePrCurve(curve, options.interpolation);
-  }
-  return sum / static_cast<double>(classes.size());
 }
 
 }  // namespace vqe

@@ -149,12 +149,6 @@ GroundTruthList DetectionsAsGroundTruth(const DetectionList& reference,
 void DetectionsAsGroundTruth(const DetectionList& reference,
                              double min_confidence, GroundTruthList* out);
 
-/// Dataset-level mAP over many frames: detections are pooled per class
-/// across frames before PR integration (VOC protocol).
-double DatasetMeanAp(const std::vector<DetectionList>& detections_per_frame,
-                     const std::vector<GroundTruthList>& gt_per_frame,
-                     const ApOptions& options = {});
-
 }  // namespace vqe
 
 #endif  // VQE_DETECTION_AP_H_

@@ -1,19 +1,10 @@
 #include "detection/detection.h"
 
-#include <algorithm>
 #include <new>
-#include <set>
 
 #include "common/arena.h"
 
 namespace vqe {
-
-void SortByConfidenceDesc(DetectionList* dets) {
-  std::stable_sort(dets->begin(), dets->end(),
-                   [](const Detection& a, const Detection& b) {
-                     return a.confidence > b.confidence;
-                   });
-}
 
 DetectionList FilterByClass(const DetectionList& dets, ClassId cls) {
   DetectionList out;
@@ -22,27 +13,6 @@ DetectionList FilterByClass(const DetectionList& dets, ClassId cls) {
     if (d.label == cls) out.push_back(d);
   }
   return out;
-}
-
-DetectionList FilterByConfidence(const DetectionList& dets, double threshold) {
-  DetectionList out;
-  out.reserve(dets.size());
-  for (const auto& d : dets) {
-    if (d.confidence >= threshold) out.push_back(d);
-  }
-  return out;
-}
-
-std::vector<ClassId> DistinctLabels(const DetectionList& dets) {
-  std::set<ClassId> labels;
-  for (const auto& d : dets) labels.insert(d.label);
-  return {labels.begin(), labels.end()};
-}
-
-std::vector<ClassId> DistinctLabels(const GroundTruthList& gts) {
-  std::set<ClassId> labels;
-  for (const auto& g : gts) labels.insert(g.label);
-  return {labels.begin(), labels.end()};
 }
 
 void PartitionByClass(const DetectionList& dets, ClassSink* sink) {

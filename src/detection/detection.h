@@ -86,21 +86,8 @@ struct GroundTruthBox {
 
 using GroundTruthList = std::vector<GroundTruthBox>;
 
-/// Sorts detections by descending confidence (stable, so equal-confidence
-/// detections keep their input order — important for deterministic AP).
-void SortByConfidenceDesc(DetectionList* dets);
-
 /// Returns only the detections whose label equals cls.
 DetectionList FilterByClass(const DetectionList& dets, ClassId cls);
-
-/// Returns only the detections with confidence >= threshold.
-DetectionList FilterByConfidence(const DetectionList& dets, double threshold);
-
-/// Distinct labels present in `dets`, ascending.
-std::vector<ClassId> DistinctLabels(const DetectionList& dets);
-
-/// Distinct labels present in `gts`, ascending.
-std::vector<ClassId> DistinctLabels(const GroundTruthList& gts);
 
 /// Receives a detection list one class at a time, labels strictly
 /// ascending, each call with at least one detection. WBF hands its fused

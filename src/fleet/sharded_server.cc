@@ -10,15 +10,6 @@
 
 namespace vqe {
 
-uint64_t FleetRouteHash(const std::string& name) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : name) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 Status FleetOptions::Validate() const {
   if (num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
@@ -41,6 +32,9 @@ namespace {
 struct StreamState {
   FleetStreamSpec spec;
   int shard = -1;
+  /// Frames left in the session built at admission: the stream's weight
+  /// in its shard's load wherever it is placed.
+  uint64_t frames = 0;
   int restarts = 0;
   int migrations = 0;
   bool terminal = false;
@@ -57,9 +51,14 @@ struct Shard {
   /// Rounds this shard actually ran (the chaos clock).
   uint64_t rounds_run = 0;
   bool dead = false;
-  /// Streams placed here since the last step phase (admission, restarts);
-  /// the next step phase builds them from their factories.
-  std::vector<size_t> placed;
+  /// Placement load: the non-terminal streams placed here and the sum of
+  /// their frames.
+  int load_streams = 0;
+  uint64_t load_frames = 0;
+  /// Streams placed here since the last step phase, each with the session
+  /// built at admission, or none for a restart (the next step phase
+  /// builds it from its factory).
+  std::vector<std::pair<size_t, std::unique_ptr<StreamSession>>> placed;
   // Step-phase results, read by the coordinator after the join.
   std::vector<std::pair<size_t, Status>> submit_failures;
   Status round_error = Status::OK();
@@ -74,20 +73,28 @@ struct Shard {
   }
 };
 
-/// One shard's step phase, on its own thread: build the placed sessions,
-/// then run DRR rounds until the shard drains or its next scripted event
-/// is due.
+/// Builds a stream's session from its factory.
+Result<std::unique_ptr<StreamSession>> BuildSession(
+    const FleetStreamSpec& spec) {
+  VQE_ASSIGN_OR_RETURN(std::unique_ptr<StreamSession> session,
+                       spec.factory());
+  // Retired reports and migrations find the stream by session name.
+  if (session->name() != spec.name) {
+    return Status::InvalidArgument("factory of stream '" + spec.name +
+                                   "' built session '" + session->name() +
+                                   "'");
+  }
+  return session;
+}
+
+/// One shard's step phase, on its own thread: submit the placed sessions
+/// (building restarts first), then run DRR rounds until the shard drains
+/// or its next scripted event is due.
 void StepShard(Shard& shard, const std::vector<StreamState>& streams) {
-  for (const size_t index : shard.placed) {
-    const FleetStreamSpec& spec = streams[index].spec;
+  for (auto& [index, session] : shard.placed) {
     Status status = [&]() -> Status {
-      VQE_ASSIGN_OR_RETURN(std::unique_ptr<StreamSession> session,
-                           spec.factory());
-      // Retired reports and migrations find the stream by session name.
-      if (session->name() != spec.name) {
-        return Status::InvalidArgument("factory of stream '" + spec.name +
-                                       "' built session '" +
-                                       session->name() + "'");
+      if (session == nullptr) {
+        VQE_ASSIGN_OR_RETURN(session, BuildSession(streams[index].spec));
       }
       return shard.scheduler.Submit(std::move(session)).status();
     }();
@@ -215,33 +222,60 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
   out.stats.num_shards = options_.num_shards;
   out.stats.submitted = specs.size();
 
-  // Fleet front door: global cap, hash placement, least-loaded fallback.
+  // Each placed, non-terminal stream holds one of its shard's
+  // per_shard_capacity slots and adds its frames to the shard's load.
   const int per_shard_capacity =
       options_.shard.max_sessions + options_.shard.queue_depth;
-  std::vector<int> load(num_shards, 0);
   std::vector<StreamState> streams;
   streams.reserve(specs.size());
   std::map<std::string, size_t> by_name;
   size_t remaining = 0;
 
+  // The live shard with a free slot and the fewest placed frames, ties to
+  // the lowest index; -1 when every live shard is full.
   auto least_loaded_live = [&]() -> int {
     int best = -1;
     for (int i = 0; i < options_.num_shards; ++i) {
-      if (shards[static_cast<size_t>(i)]->dead) continue;
-      if (load[static_cast<size_t>(i)] >= per_shard_capacity) continue;
+      const Shard& shard = *shards[static_cast<size_t>(i)];
+      if (shard.dead || shard.load_streams >= per_shard_capacity) continue;
       if (best < 0 ||
-          load[static_cast<size_t>(i)] < load[static_cast<size_t>(best)]) {
+          shard.load_frames < shards[static_cast<size_t>(best)]->load_frames) {
         best = i;
       }
     }
     return best;
   };
-  auto place = [&](size_t index, int target) {
-    streams[index].shard = target;
-    ++load[static_cast<size_t>(target)];
-    shards[static_cast<size_t>(target)]->placed.push_back(index);
+  auto load = [&](StreamState& state, int target) {
+    state.shard = target;
+    Shard& shard = *shards[static_cast<size_t>(target)];
+    ++shard.load_streams;
+    shard.load_frames += state.frames;
+  };
+  auto unload = [&](const StreamState& state) {
+    Shard& shard = *shards[static_cast<size_t>(state.shard)];
+    --shard.load_streams;
+    shard.load_frames -= state.frames;
+  };
+  auto place = [&](size_t index, int target,
+                   std::unique_ptr<StreamSession> session) {
+    load(streams[index], target);
+    shards[static_cast<size_t>(target)]->placed.emplace_back(
+        index, std::move(session));
   };
 
+  // A terminal outcome: the stream leaves its shard's load for good.
+  auto finish_stream = [&](size_t index, StreamReport report) {
+    StreamState& state = streams[index];
+    state.terminal = true;
+    state.report = std::move(report);
+    if (state.shard >= 0) unload(state);
+    --remaining;
+  };
+
+  // Fleet front door, in submission order and before anything is built:
+  // the global cap, then "every shard is full" once the admitted streams
+  // fill every shard's slots.
+  std::vector<size_t> admitted;
   for (FleetStreamSpec& spec : specs) {
     StreamState state;
     state.spec = std::move(spec);
@@ -258,12 +292,8 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
           "max_sessions=" + std::to_string(options_.max_sessions) + ")");
       continue;
     }
-    int target = static_cast<int>(FleetRouteHash(added.spec.name) %
-                                  static_cast<uint64_t>(options_.num_shards));
-    if (load[static_cast<size_t>(target)] >= per_shard_capacity) {
-      target = least_loaded_live();
-    }
-    if (target < 0) {
+    if (out.stats.admitted >= num_shards * static_cast<size_t>(
+                                               per_shard_capacity)) {
       ++out.stats.shed;
       added.terminal = true;
       added.report.status = Status::ResourceExhausted(
@@ -272,25 +302,62 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
     }
     ++out.stats.admitted;
     ++remaining;
-    place(streams.size() - 1, target);
+    admitted.push_back(streams.size() - 1);
+  }
+
+  // Build every admitted session before placement, which weighs each by
+  // its remaining frames: one fresh thread per shard, thread s building
+  // the admitted streams at positions s, s + num_shards, ...
+  std::vector<std::unique_ptr<StreamSession>> built(admitted.size());
+  std::vector<Status> build_errors(admitted.size());
+  {
+    const size_t stride = std::min(num_shards, admitted.size());
+    std::vector<std::thread> builders;
+    for (size_t first = 0; first < stride; ++first) {
+      builders.emplace_back([&, first] {
+        for (size_t k = first; k < admitted.size(); k += stride) {
+          Result<std::unique_ptr<StreamSession>> session =
+              BuildSession(streams[admitted[k]].spec);
+          if (session.ok()) {
+            built[k] = std::move(session).value();
+          } else {
+            build_errors[k] = session.status();
+          }
+        }
+      });
+    }
+    for (std::thread& builder : builders) builder.join();
+  }
+
+  // Longest first, ties in submission order, each onto the least-loaded
+  // shard. A factory error is terminal and never placed.
+  std::vector<size_t> order;
+  for (size_t k = 0; k < admitted.size(); ++k) {
+    StreamState& state = streams[admitted[k]];
+    if (built[k] == nullptr) {
+      StreamReport report;
+      report.name = state.spec.name;
+      report.status = std::move(build_errors[k]);
+      finish_stream(admitted[k], std::move(report));
+      continue;
+    }
+    state.frames = built[k]->num_frames() - built[k]->next_frame();
+    order.push_back(k);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return streams[admitted[a]].frames > streams[admitted[b]].frames;
+  });
+  for (const size_t k : order) {
+    place(admitted[k], least_loaded_live(), std::move(built[k]));
   }
 
   std::vector<double> migration_latency_ms;
-
-  // A terminal outcome: the stream leaves its shard's load for good.
-  auto finish_stream = [&](size_t index, StreamReport report) {
-    StreamState& state = streams[index];
-    state.terminal = true;
-    state.report = std::move(report);
-    if (state.shard >= 0) --load[static_cast<size_t>(state.shard)];
-    --remaining;
-  };
 
   // Restart stream `index` from its factory on the least-loaded live
   // shard. Terminal kUnavailable when the budget or the fleet is exhausted.
   auto restart_stream = [&](size_t index, const Status& why) {
     StreamState& state = streams[index];
-    --load[static_cast<size_t>(state.shard)];
+    unload(state);
     state.shard = -1;
     const int target = least_loaded_live();
     if (state.restarts >= options_.max_restarts || target < 0) {
@@ -307,12 +374,12 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
       return;
     }
     ++state.restarts;
-    place(index, target);
+    place(index, target, nullptr);
   };
 
   // Crash semantics: the shard stops serving and its live sessions and
   // shard-local stats are lost. Every stream placed on it — live or not
-  // yet built — fails over to the survivors.
+  // yet submitted — fails over to the survivors.
   auto kill_shard = [&](int id) {
     shards[static_cast<size_t>(id)]->dead = true;
     ++out.stats.shards_killed;
@@ -336,7 +403,7 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
   // format: extract -> export -> encode -> (queued damage) -> decode ->
   // fresh factory session -> overlay -> implant. A failed implant falls
   // back to a factory restart; a stream that is not live on `source`
-  // (finished, elsewhere, or not yet built) or a dead target aborts.
+  // (finished, elsewhere, or not yet submitted) or a dead target aborts.
   auto migrate = [&](const std::string& name, int source, int target) {
     ++out.stats.migration.attempted;
     coord_obs.Count(obs_mig_attempted);
@@ -407,9 +474,8 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
                           wall.ElapsedMillis(), "target_shard",
                           static_cast<double>(target));
       }
-      --load[static_cast<size_t>(source)];
-      ++load[static_cast<size_t>(target)];
-      state.shard = target;
+      unload(state);
+      load(state, target);
       ++state.migrations;
       return;
     }

@@ -2,23 +2,33 @@
 // a fleet-level admission front door, live session migration between
 // shards, shard failover, and deterministic chaos injection.
 //
-// Architecture. Run alternates two phases until every admitted stream is
-// terminal. The control phase runs serially on the calling thread: each
-// shard's due chaos events in shard order (migrations happen right there,
-// through the wire format). The step phase starts one thread per live
-// shard with work; the thread builds the sessions newly placed on its
-// shard from their factories and runs DRR rounds until the shard drains
-// or its next chaos event is due. After the join the calling thread
-// collects submit failures and retired streams in shard order. A scheduler is touched by one thread per phase, and
-// every control decision is taken in a fixed order, so the whole fleet
-// report — wall-clock fields and fleet_health breaker states aside — is
-// a pure function of the inputs.
+// Architecture. Run admits and places every stream, then alternates two
+// phases until every admitted stream is terminal. The control phase runs
+// serially on the calling thread: each shard's due chaos events in shard
+// order (migrations happen right there, through the wire format). The
+// step phase starts one thread per live shard with work; the thread
+// submits the sessions newly placed on its shard (building restarts from
+// their factories) and runs DRR rounds until the shard drains or its next
+// chaos event is due. After the join the calling thread collects submit
+// failures and retired streams in shard order. A scheduler is touched by
+// one thread per phase, and every control decision is taken in a fixed
+// order, so the whole fleet report — wall-clock fields and fleet_health
+// breaker states aside — is a pure function of the inputs.
 //
-// Admission. Run hashes each stream (FNV-1a of its name) onto a shard;
-// a full shard falls over to the least-loaded one with capacity. The
-// fleet admits at most max_sessions streams overall; the rest are shed
-// with kResourceExhausted and appear in the report as terminal
-// stream entries (and in FleetStats::shed).
+// Admission. In submission order, the fleet admits at most max_sessions
+// streams, and at most num_shards × (shard.max_sessions +
+// shard.queue_depth) of them; the rest are shed with kResourceExhausted
+// and appear in the report as terminal stream entries (and in
+// FleetStats::shed). Run then builds every admitted stream's session, on
+// one fresh thread per shard (thread s builds admitted streams s,
+// s + num_shards, ...), and places the streams longest first by their
+// remaining frames (num_frames() − next_frame(), so a stream resumed from
+// a checkpoint weighs what it has left), ties in submission order. Each
+// goes to the live shard with a free slot that has the fewest placed
+// frames, ties to the lowest shard index. A batch ends when its slowest
+// shard drains, so balancing frames, not stream counts, is what shortens
+// it. A factory error or a session named unlike its stream is terminal
+// with that status and never placed (shard −1).
 //
 // Migration. A live session moves between shards as a MigrationPayload,
 // all within one control phase: the session is extracted from the source
@@ -32,11 +42,14 @@
 // checkpoint directory), so damage costs work, never correctness.
 //
 // Failover. A killed shard loses its live sessions and its shard-local
-// stats (crash semantics). Run restarts every stream placed on it on the
-// least-loaded survivor from its factory (built at the next step phase);
-// streams with a checkpoint directory resume from their newest good
-// generation. Each stream has a bounded restart budget; past it (or with
-// no shard left) it goes terminal with the last failure.
+// stats (crash semantics). Run restarts every stream placed on it from its
+// factory (built at the next step phase) on the survivor that placement
+// would pick: a free slot and the fewest placed frames, each stream
+// weighing the frames it had left at admission. Migration-fallback
+// restarts pick their shard the same way. Streams with a checkpoint
+// directory resume from their newest good generation. Each stream has a
+// bounded restart budget; past it (or with no shard left) it goes
+// terminal with the last failure.
 //
 // Bit-identity. Because every session's state is private and every frame
 // deterministic, a stream that completes — directly, migrated mid-video,
@@ -66,14 +79,14 @@ namespace vqe {
 /// Builds a fresh StreamSession for a stream — used for initial submission
 /// AND for failover restarts / migration targets, so it must be callable
 /// repeatedly and deterministically. The session must carry the stream's
-/// name. Must be safe to invoke from any thread: shard threads build
-/// placed sessions concurrently, the calling thread builds migration
-/// targets (sessions themselves are single-threaded once built).
+/// name. Must be safe to invoke from any thread: admission and shard
+/// threads build sessions concurrently, the calling thread builds
+/// migration targets (sessions themselves are single-threaded once built).
 using SessionFactory =
     std::function<Result<std::unique_ptr<StreamSession>>()>;
 
 struct FleetStreamSpec {
-  /// Fleet-wide unique stream name (the routing and migration key).
+  /// Fleet-wide unique stream name (the migration and report key).
   std::string name;
   SessionFactory factory;
 };
@@ -118,7 +131,7 @@ struct MigrationStats {
   /// rejected payload or a full target).
   uint64_t fallback_restarts = 0;
   /// Migrations with nothing to move (stream finished, elsewhere, or
-  /// not yet built on the source) or a dead target — benign under chaos.
+  /// not yet submitted on the source) or a dead target — benign under chaos.
   uint64_t aborted = 0;
   /// Handoff latency (encoded payload -> implant confirmed), wall clock.
   double latency_p50_ms = 0.0;
@@ -194,10 +207,6 @@ class ShardedServer {
   FleetOptions options_;
   bool ran_ = false;
 };
-
-/// FNV-1a hash of a stream name — the shard routing function (exposed so
-/// tests can place streams deliberately).
-uint64_t FleetRouteHash(const std::string& name);
 
 }  // namespace vqe
 

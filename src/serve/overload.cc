@@ -6,20 +6,6 @@
 
 namespace vqe {
 
-const char* DegradationLevelToString(DegradationLevel level) {
-  switch (level) {
-    case DegradationLevel::kNormal:
-      return "normal";
-    case DegradationLevel::kSkipBoost:
-      return "skip-boost";
-    case DegradationLevel::kEnsembleShrink:
-      return "ensemble-shrink";
-    case DegradationLevel::kShedBatch:
-      return "shed-batch";
-  }
-  return "unknown";
-}
-
 bool operator==(const DegradationTransition& a,
                 const DegradationTransition& b) {
   return a.round == b.round && a.from == b.from && a.to == b.to &&

@@ -58,8 +58,6 @@ enum class DegradationLevel : int {
 };
 inline constexpr int kNumDegradationLevels = 4;
 
-const char* DegradationLevelToString(DegradationLevel level);
-
 /// Per-priority-class service-level objective.
 struct SloTarget {
   /// Simulated per-frame p99 latency target, ms; 0 = no latency SLO.

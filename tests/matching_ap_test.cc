@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "detection/ap.h"
 #include "detection/detection.h"
@@ -232,7 +234,10 @@ TEST(ApTest, RemovingTopTpNeverIncreasesAp) {
       dets.push_back(Det(x, 0, 10, 10, rng.Uniform(0.5, 1.0)));
     }
     const double full_ap = FrameMeanAp(dets, gts, {});
-    SortByConfidenceDesc(&dets);
+    std::stable_sort(dets.begin(), dets.end(),
+                     [](const Detection& a, const Detection& b) {
+                       return a.confidence > b.confidence;
+                     });
     dets.erase(dets.begin());
     const double reduced_ap = FrameMeanAp(dets, gts, {});
     EXPECT_LE(reduced_ap, full_ap + 1e-9);
@@ -245,19 +250,6 @@ TEST(ApTest, DetectionsAsGroundTruthFiltersByConfidence) {
   ASSERT_EQ(gt.size(), 1u);
   EXPECT_DOUBLE_EQ(gt[0].box.x1, 0.0);
   EXPECT_FALSE(gt[0].difficult);
-}
-
-TEST(ApTest, DatasetMeanApPoolsAcrossFrames) {
-  // Frame 1: perfect. Frame 2: missed object. Pooled AP for the class
-  // reflects both frames (not the average of per-frame APs).
-  std::vector<DetectionList> dets{{Det(0, 0, 10, 10, 0.9)}, {}};
-  std::vector<GroundTruthList> gts{{Gt(0, 0, 10, 10)}, {Gt(0, 0, 10, 10)}};
-  const double map = DatasetMeanAp(dets, gts, {});
-  EXPECT_NEAR(map, 0.5, 1e-12);
-}
-
-TEST(ApTest, DatasetMeanApEmpty) {
-  EXPECT_DOUBLE_EQ(DatasetMeanAp({}, {}, {}), 1.0);
 }
 
 TEST(ApTest, SingleClassApZeroGtConventions) {
@@ -301,30 +293,10 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ApInterpolationTest,
 
 // ------------------------------------------------------ detection utils --
 
-TEST(DetectionUtilTest, SortByConfidenceIsStable) {
-  DetectionList dets{Det(0, 0, 1, 1, 0.5, 1), Det(1, 0, 1, 1, 0.9, 2),
-                     Det(2, 0, 1, 1, 0.5, 3)};
-  SortByConfidenceDesc(&dets);
-  EXPECT_EQ(dets[0].label, 2);
-  EXPECT_EQ(dets[1].label, 1);  // stable: first 0.5 stays ahead
-  EXPECT_EQ(dets[2].label, 3);
-}
-
 TEST(DetectionUtilTest, Filters) {
   const DetectionList dets{Det(0, 0, 1, 1, 0.5, 1), Det(0, 0, 1, 1, 0.9, 2)};
   EXPECT_EQ(FilterByClass(dets, 1).size(), 1u);
   EXPECT_EQ(FilterByClass(dets, 3).size(), 0u);
-  EXPECT_EQ(FilterByConfidence(dets, 0.6).size(), 1u);
-  EXPECT_EQ(FilterByConfidence(dets, 0.0).size(), 2u);
-}
-
-TEST(DetectionUtilTest, DistinctLabels) {
-  const DetectionList dets{Det(0, 0, 1, 1, 0.5, 3), Det(0, 0, 1, 1, 0.9, 1),
-                           Det(0, 0, 1, 1, 0.9, 3)};
-  const auto labels = DistinctLabels(dets);
-  ASSERT_EQ(labels.size(), 2u);
-  EXPECT_EQ(labels[0], 1);
-  EXPECT_EQ(labels[1], 3);
 }
 
 }  // namespace

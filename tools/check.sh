@@ -25,7 +25,8 @@
 # (tracker propagation and state, skip-policy snapshots, and the
 # skip-enabled crash-resume and disabled-path invariants), plus the
 # scheduler's latency histogram, plus the sharded fleet
-# (shard threads stepping concurrently between serial control phases,
+# (admission threads building sessions before placement, shard threads
+# stepping concurrently between serial control phases,
 # live migration payloads, scripted chaos — concurrent shards must be
 # race-free under TSan and a corrupted payload must reject with a clean
 # Status under every sanitizer), plus the overload controller and
@@ -71,11 +72,12 @@ run_fleet_chaos_smoke() {
   # Replay the scripted chaos matrix in the plain build (the sanitizer
   # passes replay it again under ASan/TSan/UBSan with --full): shard
   # kills, mid-video migrations and corrupted payloads across backends
-  # and worker counts, every completing stream bit-identical to solo.
-  # The fleet ledger is a pure function of the inputs, so the suite runs
+  # and worker counts, every completing stream bit-identical to solo, and
+  # longest-first placement onto the shard with the fewest placed frames.
+  # The fleet ledger is a pure function of the inputs, so the suites run
   # 20 times: a timing dependence fails here instead of flaking.
   ./build/tests/fleet_test --gtest_repeat=20 \
-    --gtest_filter='ShardedServerTest.*:SchedulerMigrationTest.*'
+    --gtest_filter='ShardedServerTest.*:SchedulerMigrationTest.*:FleetPlacementTest.*'
 }
 
 run_overload_storm_smoke() {
@@ -125,7 +127,7 @@ run_sanitizer() {
     resume_test serve_test fleet_test temporal_test \
     tracker_test workload_test obs_test
   ctest --test-dir "$dir" --output-on-failure -j 4 \
-    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|LazyMemo|FrameEvalReload|FusionProperty|FrameSoA|GroundTruthIndex|WbfInPlace|ClassMajorKernel|FaultInjection|RetryTest|CircuitBreaker|QueryBreaker|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|TrackerState|Workload|Overload|SamplePercentile|LatencyHistogram|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState|AllocRegression|LazyRetainedHeap|ArenaSteadyState"
+    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|LazyMemo|FrameEvalReload|FusionProperty|FrameSoA|GroundTruthIndex|WbfInPlace|ClassMajorKernel|FaultInjection|RetryTest|CircuitBreaker|QueryBreaker|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|FleetPlacement|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|TrackerState|Workload|Overload|SamplePercentile|LatencyHistogram|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState|AllocRegression|LazyRetainedHeap|ArenaSteadyState"
 }
 
 stage() {
