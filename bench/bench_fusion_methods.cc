@@ -36,7 +36,7 @@ int main() {
         outs.push_back(det->Detect(frame, sample.seed));
       }
       const DetectionList fused = method->Fuse(outs);
-      ap += FrameMeanAp(fused, frame.objects, {});
+      ap += FrameMeanAp(fused, frame.objects);
       boxes += static_cast<double>(fused.size());
     }
     ap /= static_cast<double>(video.size());

@@ -31,6 +31,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
+#include "core/frame_eval.h"
 #include "core/frame_matrix.h"
 #include "core/lazy_frame_evaluator.h"
 #include "core/mes.h"
@@ -51,7 +52,7 @@ namespace {
 // (re-deriving the per-class partition on every call). Timed end to end,
 // exactly like BuildFrameMatrix, so the throughput ratio is like-for-like.
 double LegacyBuildSeconds(const Video& video, const DetectorPool& pool,
-                          uint64_t seed, const MatrixOptions& options) {
+                          uint64_t seed) {
   const int m = static_cast<int>(pool.detectors.size());
   const uint32_t num_masks = NumEnsembles(m);
   const WbfFusion fusion;
@@ -69,7 +70,7 @@ double LegacyBuildSeconds(const Video& video, const DetectorPool& pool,
     const DetectionList ref_out = pool.reference->Detect(frame, seed);
     checksum += pool.reference->InferenceCostMs(frame, seed);
     const GroundTruthList ref_gt =
-        DetectionsAsGroundTruth(ref_out, options.ref_confidence_threshold);
+        DetectionsAsGroundTruth(ref_out, kReferenceMinConfidence);
 
     for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
       std::vector<DetectionList> inputs;
@@ -78,8 +79,8 @@ double LegacyBuildSeconds(const Video& video, const DetectorPool& pool,
         inputs.push_back(model_out[static_cast<size_t>(i)]);
       }
       const DetectionList fused = fusion.Fuse(inputs);
-      checksum += FrameMeanAp(fused, ref_gt, options.ap);
-      checksum += FrameMeanAp(fused, frame.objects, options.ap);
+      checksum += FrameMeanAp(fused, ref_gt);
+      checksum += FrameMeanAp(fused, frame.objects);
     }
   }
   const double total = watch.ElapsedSeconds();
@@ -329,7 +330,7 @@ int main() {
     r.frames = video.size();
     r.masks = NumEnsembles(m);
 
-    const double legacy_s = LegacyBuildSeconds(video, pool, seed, options);
+    const double legacy_s = LegacyBuildSeconds(video, pool, seed);
     r.legacy_fps = static_cast<double>(video.size()) / legacy_s;
 
     options.parallelism = 1;

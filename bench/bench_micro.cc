@@ -63,7 +63,7 @@ void BM_FrameMeanAp(benchmark::State& state) {
     gts.push_back(GroundTruthBox{d.box, d.label, -1, false, 0.0});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FrameMeanAp(dets, gts, {}));
+    benchmark::DoNotOptimize(FrameMeanAp(dets, gts));
   }
 }
 BENCHMARK(BM_FrameMeanAp)->Arg(8)->Arg(32);

@@ -39,7 +39,7 @@ int main() {
       const Video v = GenerateScene(gen, SceneContext::kClear, s, 1, 77);
       const VideoFrame& frame = v.frames[0];
       cost += det.InferenceCostMs(frame, s);
-      ap += FrameMeanAp(det.Detect(frame, s), frame.objects, {});
+      ap += FrameMeanAp(det.Detect(frame, s), frame.objects);
     }
     table.AddRow({det.structure_name(),
                   Fmt(det.param_count() / 1e6, 2) + "M",

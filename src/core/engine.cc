@@ -184,9 +184,8 @@ Status EngineRun::StepFrame() {
 
   // Stats after Select so a lazy source only touches processed frames.
   const FrameStats stats = source_->Stats(t);
-  // The arm that actually ran: sources that predate fault accounting
-  // report no availability, which means everything answered.
-  const EnsembleId avail = stats.fault_aware ? stats.available_mask : full_;
+  // The arm that actually ran: the selected members whose call succeeded.
+  const EnsembleId avail = stats.available_mask;
   const EnsembleId realized = selected & avail;
 
   // Charged cost (Eq. 14; Eq. 12 during full-pool initialization):
@@ -199,8 +198,7 @@ Status EngineRun::StepFrame() {
     if (!ContainsModel(selected, i)) continue;
     const size_t idx = static_cast<size_t>(i);
     const double model_ms = (*stats.model_cost_ms)[idx];
-    const double fault_i =
-        stats.model_fault_ms != nullptr ? (*stats.model_fault_ms)[idx] : 0.0;
+    const double fault_i = (*stats.model_fault_ms)[idx];
     frame_cost += model_ms;
     result_.breakdown.detector_ms += model_ms - fault_i;
     result_.breakdown.fault_ms += fault_i;

@@ -2,20 +2,6 @@
 
 namespace vqe {
 
-std::vector<EnsembleId> AllEnsembles(int m) {
-  std::vector<EnsembleId> out;
-  const EnsembleId full = FullEnsemble(m);
-  out.reserve(full);
-  for (EnsembleId id = 1; id <= full; ++id) out.push_back(id);
-  return out;
-}
-
-std::vector<EnsembleId> SubsetsOf(EnsembleId mask) {
-  std::vector<EnsembleId> out;
-  ForEachSubset(mask, [&](EnsembleId sub) { out.push_back(sub); });
-  return out;
-}
-
 std::vector<int> EnsembleModels(EnsembleId id) {
   std::vector<int> out;
   for (int i = 0; i < kMaxPoolSize; ++i) {

@@ -41,15 +41,8 @@ inline bool IsSubsetOf(EnsembleId a, EnsembleId b) { return (a & b) == a; }
 /// The singleton ensemble {model i}.
 inline EnsembleId Singleton(int i) { return EnsembleId{1} << i; }
 
-/// All candidate ensembles 1 .. 2^m − 1, ascending.
-std::vector<EnsembleId> AllEnsembles(int m);
-
-/// All non-empty subsets of `mask`, including `mask` itself, in the
-/// standard descending sub-mask order.
-std::vector<EnsembleId> SubsetsOf(EnsembleId mask);
-
-/// Calls fn(sub) for every non-empty subset of `mask` (including `mask`),
-/// allocation-free.
+/// Calls fn(sub) for every non-empty subset of `mask`, `mask` itself
+/// first, in the standard descending sub-mask order; allocation-free.
 template <typename Fn>
 inline void ForEachSubset(EnsembleId mask, Fn&& fn) {
   for (EnsembleId sub = mask; sub != 0; sub = (sub - 1) & mask) {

@@ -48,14 +48,11 @@ struct FrameStats {
   double ref_cost_ms = 0.0;
   /// max_S c_{S|v}: the normalizer of ĉ (§5.4).
   double max_cost_ms = 0.0;
-  /// Models whose call succeeded on this frame; meaningful only when
-  /// fault_aware (the engine otherwise assumes every model answered).
+  /// Models whose call succeeded on this frame (after retries).
   EnsembleId available_mask = 0;
-  /// Per-model wasted time (failed attempts + backoff), or nullptr when the
-  /// source predates fault accounting.
+  /// Per-model wasted time (failed attempts + backoff), ms (size m); owned
+  /// by the source like model_cost_ms.
   const std::vector<double>* model_fault_ms = nullptr;
-  /// True when this source ran the fault-aware detector pipeline.
-  bool fault_aware = false;
 };
 
 /// A source of per-(frame, mask) evaluations. Accessors are non-const
@@ -99,7 +96,7 @@ class EvaluationSource {
   virtual bool SupportsPropagation() const { return false; }
 
   /// AP of caller-provided (tracker-propagated) detections against frame
-  /// t's ground truth, on the same ApOptions scale as every true_ap cell —
+  /// t's ground truth, by the same AP protocol as every true_ap cell —
   /// the skipped frame's accuracy accounting. Runs no detector.
   virtual Result<double> ScorePropagated(size_t t,
                                          const DetectionList& dets) {
@@ -166,9 +163,7 @@ class MatrixEvaluationSource final : public EvaluationSource {
     stats.ref_cost_ms = fe.ref_cost_ms;
     stats.max_cost_ms = fe.max_cost_ms;
     stats.available_mask = fe.available_mask;
-    stats.model_fault_ms = fe.model_fault_ms.empty() ? nullptr
-                                                     : &fe.model_fault_ms;
-    stats.fault_aware = fe.fault_aware;
+    stats.model_fault_ms = &fe.model_fault_ms;
     return stats;
   }
 

@@ -44,8 +44,7 @@ void FrameEvalContext::Load(const VideoFrame& frame) {
   }
   const DetectionList ref_out = pool.reference->Detect(frame, trial_seed_);
   ref_cost_ms_ = pool.reference->InferenceCostMs(frame, trial_seed_);
-  DetectionsAsGroundTruth(ref_out, options_->ref_confidence_threshold,
-                          &ref_gt_);
+  DetectionsAsGroundTruth(ref_out, kReferenceMinConfidence, &ref_gt_);
 
   // Per-frame invariants of the mask loop, rebuilt in place once and
   // reused across every evaluation.
@@ -103,8 +102,8 @@ class ScoreSink final : public ClassSink {
 MaskEvaluation FrameEvalContext::Evaluate(EnsembleId mask, bool with_true_ap) {
   double model_cost = 0.0;
   const size_t num_boxes = GatherInputs(mask, &model_cost);
-  ClassMajorMeanAp est(ref_index_, options_->ap);
-  ClassMajorMeanAp truth(gt_index_, options_->ap);
+  ClassMajorMeanAp est(ref_index_);
+  ClassMajorMeanAp truth(gt_index_);
   ScoreSink sink(&est, with_true_ap ? &truth : nullptr);
   fusion_.FuseByClass(DetectionListSpan(inputs_), &soa_, &sink);
 

@@ -25,13 +25,18 @@
 
 namespace vqe {
 
+// The evaluation contract below is the single definition shared by matrix
+// construction, the lazy evaluator, and the online query executor.
+
 /// Simulated box-fusion overhead c^e: a fixed dispatch cost plus a per-box
 /// term. Kept ≪ any model's inference cost, per the paper's assumption.
-/// The single definition shared by matrix construction, the lazy
-/// evaluator, and the online query executor.
 inline double SimulatedFusionOverheadMs(size_t num_input_boxes) {
   return 0.01 + 0.002 * static_cast<double>(num_input_boxes);
 }
+
+/// Reference detections below this confidence are dropped before they
+/// stand in as pseudo-ground truth for est_ap (filters LiDAR clutter).
+inline constexpr double kReferenceMinConfidence = 0.5;
 
 /// One mask's evaluation on one frame — the ⟨est_ap, true_ap, cost,
 /// fusion_overhead⟩ cell of the frame matrix.

@@ -9,13 +9,6 @@
 namespace vqe {
 
 Status MatrixOptions::Validate() const {
-  if (ref_confidence_threshold < 0.0 || ref_confidence_threshold > 1.0) {
-    return Status::InvalidArgument(
-        "ref_confidence_threshold must be in [0, 1]");
-  }
-  if (ap.iou_threshold <= 0.0 || ap.iou_threshold > 1.0) {
-    return Status::InvalidArgument("ap.iou_threshold must be in (0, 1]");
-  }
   if (parallelism < 0) {
     return Status::InvalidArgument("parallelism must be >= 0");
   }
@@ -104,7 +97,6 @@ Result<FrameMatrix> BuildFrameMatrix(const Video& video,
     fe.ref_cost_ms = ctx.ref_cost_ms();
     fe.available_mask = ctx.available_mask();
     fe.model_fault_ms = ctx.model_fault_ms();
-    fe.fault_aware = true;
 
     for (EnsembleId mask = 1; mask <= num_masks; ++mask) {
       const MaskEvaluation e = ctx.Evaluate(mask);

@@ -17,19 +17,16 @@
 
 #include "common/status.h"
 #include "core/ensemble_id.h"
-#include "detection/ap.h"
 #include "models/model_zoo.h"
 #include "runtime/retry.h"
 #include "sim/video.h"
 
 namespace vqe {
 
-/// Options for matrix construction.
+/// Options for matrix construction. What a cell scores is fixed: AP at
+/// kApIouThreshold (detection/ap.h) against the reference boxes at or
+/// above kReferenceMinConfidence (core/frame_eval.h).
 struct MatrixOptions {
-  ApOptions ap;
-  /// Reference detections below this confidence are dropped before being
-  /// used as pseudo-ground-truth (filters LiDAR clutter).
-  double ref_confidence_threshold = 0.5;
   /// Worker threads for frame-level parallelism. 0 = share the process
   /// pool (degrades to serial when nested inside trial-level parallelism);
   /// 1 = always serial; n = up to n workers. Frames are independent pure
@@ -69,18 +66,13 @@ struct FrameEvaluation {
   /// engine's oracle scan is O(|frontier|) instead of O(2^m). Empty means
   /// "not cached: scan every mask" (hand-built matrices in tests).
   std::vector<EnsembleId> best_true_candidates;
-  /// Models whose detector call succeeded on this frame (after retries).
-  /// Meaningful only when fault_aware; a selected mask degrades to
-  /// `selected & available_mask` in the engine.
+  /// Models whose detector call succeeded on this frame (after retries); a
+  /// selected mask degrades to `selected & available_mask` in the engine.
   EnsembleId available_mask = 0;
-  /// Wasted per-model time: failed attempts + backoff (size m when
-  /// fault_aware, else empty). Included in model_cost_ms; the engine splits
-  /// it back out into TimeBreakdown.fault_ms.
+  /// Wasted per-model time: failed attempts + backoff (size m). Included in
+  /// model_cost_ms; the engine splits it back out into
+  /// TimeBreakdown.fault_ms.
   std::vector<double> model_fault_ms;
-  /// True for evaluations produced by the fault-aware pipeline. Hand-built
-  /// matrices in tests leave it false, and the engine then treats every
-  /// model as available.
-  bool fault_aware = false;
 };
 
 /// The whole evaluation matrix for one (video, trial) pair.

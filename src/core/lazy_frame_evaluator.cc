@@ -66,7 +66,6 @@ FrameStats LazyFrameEvaluator::Stats(size_t t) {
   stats.max_cost_ms = rec.max_cost_ms;
   stats.available_mask = rec.available_mask;
   stats.model_fault_ms = &rec.model_fault_ms;
-  stats.fault_aware = true;
   return stats;
 }
 
@@ -103,7 +102,7 @@ MaskEvaluation LazyFrameEvaluator::Read(size_t t, EnsembleId mask,
 Result<double> LazyFrameEvaluator::ScorePropagated(size_t t,
                                                    const DetectionList& dets) {
   RebuildGroundTruthIndex(video_.frames[t].objects, &propagated_index_);
-  return FrameMeanAp(dets, propagated_index_, options_.ap);
+  return FrameMeanAp(dets, propagated_index_);
 }
 
 const DetectionList* LazyFrameEvaluator::FusedOutput(size_t t,

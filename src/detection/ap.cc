@@ -41,14 +41,6 @@ std::vector<PrPoint> MonotoneEnvelope(std::vector<PrPoint> curve) {
   return curve;
 }
 
-// Max envelope precision at recall >= r; 0 beyond the curve's max recall.
-double EnvelopePrecisionAt(const std::vector<PrPoint>& envelope, double r) {
-  for (const auto& p : envelope) {
-    if (p.recall >= r - 1e-12) return p.precision;
-  }
-  return 0.0;
-}
-
 // --- Arena twins of the PR pipeline -----------------------------------
 //
 // The scoring hot path (FrameMeanAp against a prebuilt index, thousands of
@@ -88,53 +80,25 @@ ArenaCurve PrecisionRecallCurveArena(const DetectionMatch* matches,
 
 // IntegratePrCurve, with the monotone envelope applied in place (the
 // vector twin's copy carries exactly these values).
-double IntegratePrCurveArena(const ArenaCurve& curve,
-                             ApInterpolation interpolation) {
-  if (curve.size == 0) return 0.0;
+double IntegratePrCurveArena(const ArenaCurve& curve) {
   PrPoint* env = curve.points;
   const size_t n = curve.size;
   for (size_t i = n; i-- > 1;) {
     env[i - 1].precision = std::max(env[i - 1].precision, env[i].precision);
   }
-  const auto envelope_at = [env, n](double r) {
-    for (size_t i = 0; i < n; ++i) {
-      if (env[i].recall >= r - 1e-12) return env[i].precision;
-    }
-    return 0.0;
-  };
-
-  switch (interpolation) {
-    case ApInterpolation::kContinuous: {
-      double ap = 0.0;
-      double prev_recall = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        ap += (env[i].recall - prev_recall) * env[i].precision;
-        prev_recall = env[i].recall;
-      }
-      return ap;
-    }
-    case ApInterpolation::k101Point: {
-      double sum = 0.0;
-      for (int i = 0; i <= 100; ++i) {
-        sum += envelope_at(i / 100.0);
-      }
-      return sum / 101.0;
-    }
-    case ApInterpolation::k11Point: {
-      double sum = 0.0;
-      for (int i = 0; i <= 10; ++i) {
-        sum += envelope_at(i / 10.0);
-      }
-      return sum / 11.0;
-    }
+  double ap = 0.0;
+  double prev_recall = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    ap += (env[i].recall - prev_recall) * env[i].precision;
+    prev_recall = env[i].recall;
   }
-  return 0.0;
+  return ap;
 }
 
 // SingleClassAp over a class-filtered arena run of detections.
 double SingleClassApArena(const Detection* detections, size_t n,
                           const GroundTruthBox* ground_truth, size_t num_boxes,
-                          const ApOptions& options, FrameArena& arena) {
+                          FrameArena& arena) {
   size_t num_gt = 0;
   for (size_t g = 0; g < num_boxes; ++g) {
     if (!ground_truth[g].difficult) ++num_gt;
@@ -145,7 +109,7 @@ double SingleClassApArena(const Detection* detections, size_t n,
     if (n == 0) return 1.0;
     ArenaScope scope(arena);
     const detail::ArenaMatchResult mr = detail::MatchDetectionsArena(
-        detections, n, ground_truth, num_boxes, options.iou_threshold, arena);
+        detections, n, ground_truth, num_boxes, kApIouThreshold, arena);
     for (size_t i = 0; i < mr.size; ++i) {
       if (!mr.matches[i].ignored) return 0.0;
     }
@@ -154,50 +118,26 @@ double SingleClassApArena(const Detection* detections, size_t n,
   if (n == 0) return 0.0;
   ArenaScope scope(arena);
   const detail::ArenaMatchResult mr = detail::MatchDetectionsArena(
-      detections, n, ground_truth, num_boxes, options.iou_threshold, arena);
+      detections, n, ground_truth, num_boxes, kApIouThreshold, arena);
   const ArenaCurve curve =
       PrecisionRecallCurveArena(mr.matches, mr.size, mr.num_gt, arena);
-  return IntegratePrCurveArena(curve, options.interpolation);
+  return IntegratePrCurveArena(curve);
 }
 
 }  // namespace
 
-double IntegratePrCurve(const std::vector<PrPoint>& curve,
-                        ApInterpolation interpolation) {
-  if (curve.empty()) return 0.0;
-  const std::vector<PrPoint> env = MonotoneEnvelope(curve);
-
-  switch (interpolation) {
-    case ApInterpolation::kContinuous: {
-      double ap = 0.0;
-      double prev_recall = 0.0;
-      for (const auto& p : env) {
-        ap += (p.recall - prev_recall) * p.precision;
-        prev_recall = p.recall;
-      }
-      return ap;
-    }
-    case ApInterpolation::k101Point: {
-      double sum = 0.0;
-      for (int i = 0; i <= 100; ++i) {
-        sum += EnvelopePrecisionAt(env, i / 100.0);
-      }
-      return sum / 101.0;
-    }
-    case ApInterpolation::k11Point: {
-      double sum = 0.0;
-      for (int i = 0; i <= 10; ++i) {
-        sum += EnvelopePrecisionAt(env, i / 10.0);
-      }
-      return sum / 11.0;
-    }
+double IntegratePrCurve(const std::vector<PrPoint>& curve) {
+  double ap = 0.0;
+  double prev_recall = 0.0;
+  for (const auto& p : MonotoneEnvelope(curve)) {
+    ap += (p.recall - prev_recall) * p.precision;
+    prev_recall = p.recall;
   }
-  return 0.0;
+  return ap;
 }
 
 double SingleClassAp(const DetectionList& detections,
-                     const GroundTruthList& ground_truth,
-                     const ApOptions& options) {
+                     const GroundTruthList& ground_truth) {
   size_t num_gt = 0;
   for (const auto& g : ground_truth) {
     if (!g.difficult) ++num_gt;
@@ -207,7 +147,7 @@ double SingleClassAp(const DetectionList& detections,
     // ignorable (matched a difficult box) or absent.
     if (detections.empty()) return 1.0;
     const MatchResult mr =
-        MatchDetections(detections, ground_truth, options.iou_threshold);
+        MatchDetections(detections, ground_truth, kApIouThreshold);
     for (const auto& m : mr.matches) {
       if (!m.ignored) return 0.0;
     }
@@ -215,9 +155,9 @@ double SingleClassAp(const DetectionList& detections,
   }
   if (detections.empty()) return 0.0;
   const MatchResult mr =
-      MatchDetections(detections, ground_truth, options.iou_threshold);
+      MatchDetections(detections, ground_truth, kApIouThreshold);
   const auto curve = PrecisionRecallCurve(mr.matches, mr.num_gt);
-  return IntegratePrCurve(curve, options.interpolation);
+  return IntegratePrCurve(curve);
 }
 
 void RebuildGroundTruthIndex(const GroundTruthList& ground_truth,
@@ -264,10 +204,8 @@ GroundTruthIndex BuildGroundTruthIndex(const GroundTruthList& ground_truth) {
 }
 
 double FrameMeanAp(const DetectionList& detections,
-                   const GroundTruthList& ground_truth,
-                   const ApOptions& options) {
-  return FrameMeanAp(detections, BuildGroundTruthIndex(ground_truth),
-                     options);
+                   const GroundTruthList& ground_truth) {
+  return FrameMeanAp(detections, BuildGroundTruthIndex(ground_truth));
 }
 
 void ClassMajorMeanAp::SkipBelow(ClassId label) {
@@ -290,7 +228,7 @@ void ClassMajorMeanAp::AddClass(ClassId label, const Detection* dets,
     cls_gt = ground_truth_->boxes.data() + r.begin;
     cls_gt_size = r.end - r.begin;
   }
-  sum_ += SingleClassApArena(dets, n, cls_gt, cls_gt_size, *options_,
+  sum_ += SingleClassApArena(dets, n, cls_gt, cls_gt_size,
                              FrameArena::ThreadLocal());
   ++num_classes_;
 }
@@ -305,9 +243,8 @@ double ClassMajorMeanAp::Finish() {
 }
 
 double FrameMeanAp(const DetectionList& detections,
-                   const GroundTruthIndex& ground_truth,
-                   const ApOptions& options) {
-  ClassMajorMeanAp accumulator(ground_truth, options);
+                   const GroundTruthIndex& ground_truth) {
+  ClassMajorMeanAp accumulator(ground_truth);
   PartitionByClass(detections, &accumulator);
   return accumulator.Finish();
 }

@@ -2,6 +2,10 @@
 // the paper (§2.3): the area under the precision–recall curve of the
 // detections against reference boxes, computed per class and averaged.
 //
+// One fixed protocol: a detection matches a box at IoU >= kApIouThreshold,
+// and AP is the all-point area under the monotone precision envelope
+// (VOC 2010+).
+//
 // Per-frame conventions (single frames routinely have zero objects):
 //  * no GT boxes and no detections            -> AP = 1.0 (perfect agreement)
 //  * no GT boxes but detections present       -> AP = 0.0 (pure false alarms)
@@ -19,21 +23,8 @@
 
 namespace vqe {
 
-/// Precision–recall integration rule.
-enum class ApInterpolation {
-  /// Area under the monotone-envelope PR curve (VOC 2010+ "all points").
-  kContinuous,
-  /// Mean of precision sampled at recalls {0, 0.01, ..., 1.00} (COCO).
-  k101Point,
-  /// Mean of precision sampled at recalls {0, 0.1, ..., 1.0} (VOC 2007).
-  k11Point,
-};
-
-struct ApOptions {
-  /// Minimum IoU for a detection to match a GT box.
-  double iou_threshold = 0.5;
-  ApInterpolation interpolation = ApInterpolation::kContinuous;
-};
+/// Minimum IoU for a detection to match a GT box.
+inline constexpr double kApIouThreshold = 0.5;
 
 /// One point of a precision–recall curve.
 struct PrPoint {
@@ -46,15 +37,13 @@ struct PrPoint {
 std::vector<PrPoint> PrecisionRecallCurve(
     const std::vector<DetectionMatch>& matches, size_t num_gt);
 
-/// Integrates a PR curve into a single AP value per `interpolation`.
-/// An empty curve yields 0.
-double IntegratePrCurve(const std::vector<PrPoint>& curve,
-                        ApInterpolation interpolation);
+/// Integrates a PR curve into a single AP value: the area under its
+/// monotone precision envelope. An empty curve yields 0.
+double IntegratePrCurve(const std::vector<PrPoint>& curve);
 
 /// AP for a single class on a single frame (inputs already class-filtered).
 double SingleClassAp(const DetectionList& detections,
-                     const GroundTruthList& ground_truth,
-                     const ApOptions& options);
+                     const GroundTruthList& ground_truth);
 
 /// Class-partitioned view of one frame's ground truth: the per-class box
 /// runs FrameMeanAp needs, built once and reused across many evaluations
@@ -99,13 +88,13 @@ GroundTruthIndex BuildGroundTruthIndex(const GroundTruthList& ground_truth);
 /// bit-identical to scoring the whole union in label order.
 ///
 /// WBF feeds it directly (WbfFusion::FuseByClass), so a fused list is
-/// scored without a global confidence sort or a per-class re-filter. Scratch comes from the calling thread's FrameArena;
-/// `ground_truth` and `options` must outlive the accumulator.
+/// scored without a global confidence sort or a per-class re-filter.
+/// Scratch comes from the calling thread's FrameArena; `ground_truth` must
+/// outlive the accumulator.
 class ClassMajorMeanAp final : public ClassSink {
  public:
-  ClassMajorMeanAp(const GroundTruthIndex& ground_truth,
-                   const ApOptions& options)
-      : ground_truth_(&ground_truth), options_(&options) {}
+  explicit ClassMajorMeanAp(const GroundTruthIndex& ground_truth)
+      : ground_truth_(&ground_truth) {}
 
   void AddClass(ClassId label, const Detection* dets, size_t n) override;
 
@@ -119,7 +108,6 @@ class ClassMajorMeanAp final : public ClassSink {
   void SkipBelow(ClassId label);
 
   const GroundTruthIndex* ground_truth_;
-  const ApOptions* options_;
   /// Next index entry not yet matched to a fed class or skipped.
   size_t next_entry_ = 0;
   size_t num_classes_ = 0;
@@ -129,15 +117,13 @@ class ClassMajorMeanAp final : public ClassSink {
 /// Mean AP over the union of classes present in detections or ground truth,
 /// with the zero-object conventions documented at the top of this header.
 double FrameMeanAp(const DetectionList& detections,
-                   const GroundTruthList& ground_truth,
-                   const ApOptions& options = {});
+                   const GroundTruthList& ground_truth);
 
 /// Identical to the list overload (bit-for-bit), but against a prebuilt
 /// index — the fast path when one ground truth is evaluated many times.
 /// A stable class partition of `detections` fed to ClassMajorMeanAp.
 double FrameMeanAp(const DetectionList& detections,
-                   const GroundTruthIndex& ground_truth,
-                   const ApOptions& options = {});
+                   const GroundTruthIndex& ground_truth);
 
 /// Reinterprets a detection list as ground truth, so a reference model's
 /// output can stand in for GT when estimating AP online (paper Eq. (3)).

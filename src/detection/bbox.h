@@ -52,10 +52,6 @@ struct BBox {
     return b;
   }
 
-  bool Contains(double px, double py) const {
-    return px >= x1 && px <= x2 && py >= y1 && py <= y2;
-  }
-
   bool operator==(const BBox& o) const {
     return x1 == o.x1 && y1 == o.y1 && x2 == o.x2 && y2 == o.y2;
   }

@@ -39,9 +39,6 @@ enum class FusionKind {
 /// Human-readable name (e.g. "WBF").
 const char* FusionKindToString(FusionKind kind);
 
-/// Parses a case-insensitive name ("wbf", "soft-nms", ...).
-Result<FusionKind> FusionKindFromString(const std::string& name);
-
 // DetectionListSpan (the non-owning per-model input view of Fuse) lives in
 // detection/detection.h alongside DetectionList, so SoA frame stores and
 // other detection-layer code can speak it without depending on fusion.

@@ -1,4 +1,3 @@
-#include "common/strings.h"
 #include "fusion/consensus.h"
 #include "fusion/ensemble_method.h"
 #include "fusion/nms.h"
@@ -25,22 +24,6 @@ const char* FusionKindToString(FusionKind kind) {
       return "Fusion";
   }
   return "Unknown";
-}
-
-Result<FusionKind> FusionKindFromString(const std::string& name) {
-  const std::string n = ToLower(name);
-  if (n == "nms") return FusionKind::kNms;
-  if (n == "soft-nms" || n == "soft-nms(linear)" || n == "softnms") {
-    return FusionKind::kSoftNmsLinear;
-  }
-  if (n == "soft-nms(gauss)" || n == "soft-nms-gaussian") {
-    return FusionKind::kSoftNmsGaussian;
-  }
-  if (n == "softer-nms" || n == "softernms") return FusionKind::kSofterNms;
-  if (n == "wbf") return FusionKind::kWbf;
-  if (n == "nmw") return FusionKind::kNmw;
-  if (n == "fusion" || n == "consensus") return FusionKind::kConsensus;
-  return Status::NotFound("unknown fusion method: " + name);
 }
 
 Status FusionOptions::Validate() const {

@@ -555,11 +555,6 @@ std::string ExportMetricsText(const MetricsRegistry& registry) {
                                          : std::to_string(m.raw))
            << "\n";
         break;
-      case MetricKind::kGauge:
-        os << "# TYPE " << m.name << " gauge\n";
-        os << m.name << "{domain=\"" << domain << "\"} "
-           << FormatDouble(m.value) << "\n";
-        break;
       case MetricKind::kHistogram: {
         os << "# TYPE " << m.name << " histogram\n";
         uint64_t cumulative = 0;

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 namespace vqe {
@@ -36,10 +35,6 @@ MetricsRegistry::Id MetricsRegistry::RegisterLocked(
       meta.cell = static_cast<uint32_t>(counters_.size());
       counters_.emplace_back();
       break;
-    case MetricKind::kGauge:
-      meta.cell = static_cast<uint32_t>(gauges_.size());
-      gauges_.emplace_back();
-      break;
     case MetricKind::kHistogram: {
       if (!std::is_sorted(bounds.begin(), bounds.end())) return kInvalidId;
       meta.cell = static_cast<uint32_t>(histograms_.size());
@@ -67,14 +62,6 @@ MetricsRegistry::Id MetricsRegistry::Counter(std::string_view name,
   return RegisterLocked(name, MetricKind::kCounter, domain, unit, help, {});
 }
 
-MetricsRegistry::Id MetricsRegistry::Gauge(std::string_view name,
-                                           MetricDomain domain,
-                                           std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RegisterLocked(name, MetricKind::kGauge, domain, MetricUnit::kCount,
-                        help, {});
-}
-
 MetricsRegistry::Id MetricsRegistry::Histogram(std::string_view name,
                                                MetricDomain domain,
                                                std::vector<double> bounds,
@@ -94,12 +81,6 @@ void MetricsRegistry::AddMs(Id id, double ms) {
   if (id >= published_.load(std::memory_order_acquire)) return;
   counters_[metrics_[id].cell].v.fetch_add(MsToTicks(ms),
                                            std::memory_order_relaxed);
-}
-
-void MetricsRegistry::Set(Id id, double v) {
-  if (id >= published_.load(std::memory_order_acquire)) return;
-  gauges_[metrics_[id].cell].bits.store(std::bit_cast<uint64_t>(v),
-                                        std::memory_order_relaxed);
 }
 
 void MetricsRegistry::Observe(Id id, double v) {
@@ -139,11 +120,6 @@ std::vector<MetricsRegistry::MetricView> MetricsRegistry::Snapshot() const {
                          : static_cast<double>(view.raw);
         break;
       }
-      case MetricKind::kGauge: {
-        view.raw = gauges_[meta.cell].bits.load(std::memory_order_relaxed);
-        view.value = std::bit_cast<double>(view.raw);
-        break;
-      }
       case MetricKind::kHistogram: {
         const HistogramCell& cell = histograms_[meta.cell];
         view.histogram.bounds = cell.bounds;
@@ -176,8 +152,6 @@ std::string MetricsRegistry::SimulatedFingerprint() const {
       case MetricKind::kCounter:
         os << view.name << " " << view.raw << "\n";
         break;
-      case MetricKind::kGauge:
-        break;  // last-write-wins: ordering-dependent, excluded
       case MetricKind::kHistogram: {
         os << view.name << " sum_ticks=" << view.raw
            << " count=" << view.histogram.count << " buckets=";

@@ -1,4 +1,4 @@
-// Deterministic metrics registry: named counters, gauges and fixed-bucket
+// Deterministic metrics registry: named counters and fixed-bucket
 // histograms shared by every layer of the serving stack.
 //
 // Two observation domains, kept strictly apart:
@@ -10,18 +10,17 @@
 //     counter's final value is a pure function of the SET of observations
 //     — identical across worker counts, shard counts and scheduler
 //     interleavings for the same seed. SimulatedFingerprint() renders
-//     exactly these metrics (counters and histograms; gauges are
-//     last-write-wins and excluded) for determinism gates.
+//     exactly these metrics for determinism gates.
 //
 //   kWall — real wall-clock measurements and process bookkeeping
 //     (checkpoint write latency, scheduler rounds, batch sizes). Reported
 //     alongside but never mixed into the deterministic fingerprint.
 //
-// Concurrency. Registration (Counter/Gauge/Histogram) takes a mutex and
+// Concurrency. Registration (Counter/Histogram) takes a mutex and
 // may allocate — do it at setup (handles are cached by the instrumented
 // layers). Re-registering a name returns the existing id, so many
 // sessions instrumenting the same registry share one set of series.
-// Observation (Add/AddMs/Set/Observe) is lock-free, allocation-free and
+// Observation (Add/AddMs/Observe) is lock-free, allocation-free and
 // wait-free: one relaxed atomic RMW per call. Cells live in deques, so
 // registration never relocates a cell another thread is updating.
 
@@ -47,7 +46,7 @@ enum class MetricDomain : uint8_t { kSimulated = 0, kWall = 1 };
 /// milliseconds (tick-scaled).
 enum class MetricUnit : uint8_t { kCount = 0, kMs = 1 };
 
-enum class MetricKind : uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
+enum class MetricKind : uint8_t { kCounter = 0, kHistogram = 1 };
 
 const char* MetricDomainToString(MetricDomain domain);
 
@@ -81,12 +80,6 @@ class MetricsRegistry {
              MetricUnit unit = MetricUnit::kCount,
              std::string_view help = "");
 
-  /// Registers (or looks up) a last-write-wins gauge (double-valued).
-  /// Gauges are excluded from SimulatedFingerprint(): concurrent setters
-  /// race by design.
-  Id Gauge(std::string_view name, MetricDomain domain,
-           std::string_view help = "");
-
   /// Registers (or looks up) a histogram with fixed upper bucket bounds
   /// (ascending, exclusive of the implicit +Inf bucket). Bounds of an
   /// already-registered name must match exactly (kInvalidId otherwise).
@@ -100,8 +93,6 @@ class MetricsRegistry {
   void Add(Id id, uint64_t n = 1);
   /// counter += ticks(ms) (kMs counters). Negative deltas clamp to zero.
   void AddMs(Id id, double ms);
-  /// gauge = v (last write wins).
-  void Set(Id id, double v);
   /// Histogram observation (value in the metric's unit).
   void Observe(Id id, double v);
 
@@ -120,8 +111,8 @@ class MetricsRegistry {
     MetricKind kind = MetricKind::kCounter;
     MetricDomain domain = MetricDomain::kSimulated;
     MetricUnit unit = MetricUnit::kCount;
-    /// Counter: value in its unit (ticks decoded for kMs). Gauge: the
-    /// last-written value.
+    /// Counter: value in its unit (ticks decoded for kMs). Histogram: the
+    /// sum of its observations.
     double value = 0.0;
     /// Counter: the raw fixed-point accumulator (exact, for fingerprints).
     uint64_t raw = 0;
@@ -143,9 +134,6 @@ class MetricsRegistry {
  private:
   struct CounterCell {
     std::atomic<uint64_t> v{0};
-  };
-  struct GaugeCell {
-    std::atomic<uint64_t> bits{0};  ///< bit_cast'd double
   };
   struct HistogramCell {
     std::vector<double> bounds;
@@ -176,7 +164,6 @@ class MetricsRegistry {
   /// Deques: push_back never moves existing cells, so observers holding
   /// an Id need no lock.
   std::deque<CounterCell> counters_;
-  std::deque<GaugeCell> gauges_;
   std::deque<HistogramCell> histograms_;
 };
 

@@ -52,9 +52,6 @@ struct ObsHandle {
   void CountMs(MetricsRegistry::Id id, double ms) const {
     if (metrics) metrics->AddMs(id, ms);
   }
-  void Gauge(MetricsRegistry::Id id, double v) const {
-    if (metrics) metrics->Set(id, v);
-  }
   void Observe(MetricsRegistry::Id id, double v) const {
     if (metrics) metrics->Observe(id, v);
   }

@@ -40,7 +40,7 @@ Status QueryEngineOptions::Validate() const {
   }
   VQE_RETURN_NOT_OK(checkpoint.Validate());
   VQE_RETURN_NOT_OK(skip.Validate());
-  return matrix.Validate();
+  return retry.Validate();
 }
 
 namespace {
@@ -625,8 +625,8 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       CircuitBreaker& breaker = breakers[static_cast<size_t>(i)];
       DetectorCallOutcome call;
       if (breaker.AllowsCallAt(frame_t)) {
-        call = DetectWithRetries(detector, frame, options.seed,
-                                 options.matrix.retry);
+        call =
+            DetectWithRetries(detector, frame, options.seed, options.retry);
         if (call.ok()) {
           breaker.RecordSuccess(frame_t);
         } else {
@@ -683,8 +683,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
             pool.reference->InferenceCostMs(frame, options.seed);
         out.reference_cost_ms += ref_ms;
         obs.CountMs(qobs.reference_ms, ref_ms);
-        DetectionsAsGroundTruth(
-            ref_out, options.matrix.ref_confidence_threshold, &ref_gt);
+        DetectionsAsGroundTruth(ref_out, kReferenceMinConfidence, &ref_gt);
         RebuildGroundTruthIndex(ref_gt, &ref_index);
       }
 
@@ -718,10 +717,10 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
           fusion.FuseInto(DetectionListSpan(inputs), &frame_soa,
                           &selected_fused);
           if (uses_ref) {
-            est_ap = FrameMeanAp(selected_fused, ref_index, options.matrix.ap);
+            est_ap = FrameMeanAp(selected_fused, ref_index);
           }
         } else if (uses_ref) {
-          ClassMajorMeanAp accumulator(ref_index, options.matrix.ap);
+          ClassMajorMeanAp accumulator(ref_index);
           fusion.FuseByClass(DetectionListSpan(inputs), &frame_soa,
                              &accumulator);
           est_ap = accumulator.Finish();

@@ -18,12 +18,12 @@
 
 #include "common/status.h"
 #include "core/ensemble_id.h"
-#include "core/frame_matrix.h"
 #include "core/scoring.h"
 #include "obs/obs.h"
 #include "query/ast.h"
 #include "runtime/circuit_breaker.h"
 #include "runtime/fault_injection.h"
+#include "runtime/retry.h"
 #include "snapshot/checkpoint.h"
 #include "temporal/skip_policy.h"
 
@@ -39,11 +39,11 @@ struct QueryEngineOptions {
   size_t gamma = 10;
   /// λ for SW-MES.
   size_t sw_window = 450;
-  /// AP options, REF threshold, and the per-call retry policy of every
-  /// pool detector (matrix.retry; defaults: single attempt, no deadline —
-  /// bit-identical to the pre-runtime path). Queries fuse with WBF, like
-  /// every other pipeline path.
-  MatrixOptions matrix;
+  /// Deadline/retry policy of every pool detector call (defaults: single
+  /// attempt, no deadline — bit-identical to the pre-runtime path).
+  /// Queries fuse with WBF and score by the evaluation contract of
+  /// core/frame_eval.h, like every other pipeline path.
+  RetryPolicy retry;
   /// Per-model circuit breakers on the frame clock; an open model is masked
   /// out of the strategy's candidate ensembles until it recovers.
   CircuitBreakerOptions breaker;

@@ -224,11 +224,6 @@ Result<StreamScheduler::ExtractedSession> StreamScheduler::ExtractSession(
     out.stream_id = slot.stream_id;
     out.carry.frames = slot.frames;
     out.carry.rounds_active = slot.rounds_active;
-    // Latency samples were real steps on this shard: keep them in this
-    // scheduler's pooled percentiles (wall and simulated alike).
-    for (const double ms : slot.latency_ms) frame_latency_ms_.Add(ms);
-    const int cls = PriorityClassIndex(out.session->priority());
-    for (const double ms : slot.sim_ms) class_sim_ms_[cls].Add(ms);
     active_.erase(active_.begin() + static_cast<long>(i));
     return out;
   }
@@ -306,8 +301,6 @@ void StreamScheduler::Retire(Slot& slot) {
   stats_.algorithm_wall_ms += sr.result.breakdown.algorithm_ms;
   const int cls = PriorityClassIndex(sr.priority);
   stats_.classes[cls].frames += sr.frames;
-  for (const double ms : slot.sim_ms) class_sim_ms_[cls].Add(ms);
-  for (const double ms : slot.latency_ms) frame_latency_ms_.Add(ms);
   retired_.push_back(std::move(sr));
 }
 
@@ -405,17 +398,25 @@ void StreamScheduler::RoundOnce() {
         step_ms * ResolveWorkers(options_.parallelism, active_.size()));
   }
 
-  // Sense and decide: merge this round's simulated frame costs into the
-  // controller in slot order (deterministic — never the workers' wall
-  // order), then let the ladder move at most one rung for next round.
-  if (controller_ != nullptr) {
-    for (auto& slot : active_) {
-      const PriorityClass cls = slot->session->priority();
-      for (size_t i = slot->sim_fed; i < slot->sim_ms.size(); ++i) {
-        controller_->RecordFrameCost(cls, slot->sim_ms[i]);
+  // Merge this round's per-frame samples in slot order (deterministic —
+  // never the workers' wall order): the controller senses the simulated
+  // frame costs, the pooled percentiles take both kinds, and every slot
+  // starts the next round empty. Then the ladder moves at most one rung
+  // for next round.
+  for (auto& slot : active_) {
+    const PriorityClass priority = slot->session->priority();
+    if (controller_ != nullptr) {
+      for (const double ms : slot->sim_ms) {
+        controller_->RecordFrameCost(priority, ms);
       }
-      slot->sim_fed = slot->sim_ms.size();
     }
+    LatencyHistogram& class_sim = class_sim_ms_[PriorityClassIndex(priority)];
+    for (const double ms : slot->sim_ms) class_sim.Add(ms);
+    for (const double ms : slot->latency_ms) frame_latency_ms_.Add(ms);
+    slot->sim_ms.clear();
+    slot->latency_ms.clear();
+  }
+  if (controller_ != nullptr) {
     const int level_before = controller_->level();
     controller_->EndRound(round_, static_cast<int>(queue_.size()));
     if (obs_on && controller_->level() != level_before) {

@@ -286,15 +286,13 @@ class StreamScheduler {
     size_t frames = 0;
     uint64_t rounds_active = 0;
     uint64_t admitted_round = 0;
-    /// Per-frame wall latency samples; touched only by the worker
-    /// stepping this slot, so no locking.
+    /// This round's per-frame wall latency samples; touched only by the
+    /// worker stepping this slot, so no locking. RoundOnce merges them
+    /// into the pooled percentiles at round end and clears them.
     std::vector<double> latency_ms;
-    /// Per-frame *simulated* cost deltas (same worker-private rule).
-    /// Feeds the per-class percentiles and the overload controller.
+    /// This round's per-frame *simulated* cost deltas (same rules). Feed
+    /// the per-class percentiles and the overload controller.
     std::vector<double> sim_ms;
-    /// Samples already fed to the controller (merged at round end in slot
-    /// order, on the scheduler thread — deterministic).
-    size_t sim_fed = 0;
     /// Wall time of this slot's step in the last round it was active; the
     /// round dispatches slots longest-first (infinity: never measured).
     double step_ms = std::numeric_limits<double>::infinity();

@@ -1,6 +1,8 @@
 #include "track/tracker.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 namespace vqe {
@@ -48,7 +50,9 @@ void SaveTrack(ByteWriter& w, const Track& t) {
 }
 
 Status RestoreTrack(ByteReader& r, Track* t) {
-  int64_t label, hits, missed;
+  int64_t label = 0;
+  int64_t hits = 0;
+  int64_t missed = 0;
   VQE_RETURN_NOT_OK(r.I64(&t->track_id));
   VQE_RETURN_NOT_OK(r.I64(&label));
   VQE_RETURN_NOT_OK(r.F64(&t->box.x1));
@@ -64,6 +68,16 @@ Status RestoreTrack(ByteReader& r, Track* t) {
   VQE_RETURN_NOT_OK(r.F64(&t->vy));
   if (t->track_id < 1) return Status::DataLoss("track id out of range");
   if (hits < 0 || missed < 0) return Status::DataLoss("track counters negative");
+  // The wire carries int64; the track holds an int32 label and int
+  // counters, so a value the cast would wrap is damage, not data.
+  constexpr int64_t kMaxCounter = std::numeric_limits<int>::max();
+  if (hits > kMaxCounter || missed > kMaxCounter) {
+    return Status::DataLoss("track counters out of range");
+  }
+  if (label < std::numeric_limits<ClassId>::min() ||
+      label > std::numeric_limits<ClassId>::max()) {
+    return Status::DataLoss("track label out of range");
+  }
   t->label = static_cast<ClassId>(label);
   t->hits = static_cast<int>(hits);
   t->missed = static_cast<int>(missed);

@@ -32,14 +32,6 @@ TEST(BBoxTest, AreaAndValidity) {
   EXPECT_TRUE((BBox{0, 0, 0, 0}).IsEmpty());
 }
 
-TEST(BBoxTest, Contains) {
-  const BBox b{0, 0, 10, 10};
-  EXPECT_TRUE(b.Contains(5, 5));
-  EXPECT_TRUE(b.Contains(0, 0));    // boundary inclusive
-  EXPECT_TRUE(b.Contains(10, 10));
-  EXPECT_FALSE(b.Contains(10.01, 5));
-}
-
 TEST(BBoxTest, ClippedToImage) {
   const BBox b{-10, -10, 50, 200};
   const BBox c = b.ClippedTo(100, 100);

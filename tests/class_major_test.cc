@@ -35,8 +35,7 @@ Detection Det(double x, double y, double w, double h, double conf,
 /// The historical FrameMeanAp, written out with the public per-class
 /// primitives: the union of evaluable-GT and detected classes, ascending,
 /// each scored on its FilterByClass slice of the list.
-double ReferenceMeanAp(const DetectionList& dets, const GroundTruthList& gt,
-                       const ApOptions& options) {
+double ReferenceMeanAp(const DetectionList& dets, const GroundTruthList& gt) {
   std::set<ClassId> classes;
   for (const auto& g : gt) {
     if (!g.difficult) classes.insert(g.label);
@@ -49,7 +48,7 @@ double ReferenceMeanAp(const DetectionList& dets, const GroundTruthList& gt,
     for (const auto& g : gt) {
       if (g.label == cls) cls_gt.push_back(g);
     }
-    sum += SingleClassAp(FilterByClass(dets, cls), cls_gt, options);
+    sum += SingleClassAp(FilterByClass(dets, cls), cls_gt);
   }
   return sum / static_cast<double>(classes.size());
 }
@@ -117,7 +116,6 @@ std::vector<std::pair<std::string, FusionOptions>> OptionSets() {
 // mask fuses through the frame store's block walk and the generic flatten.
 TEST(ClassMajorKernelTest, SyntheticFramesMatchFuseIntoBitForBit) {
   const int m = 3;
-  const ApOptions ap;
   Rng rng(41);
   for (const auto& [set_name, options] : OptionSets()) {
     const WbfFusion wbf(options);
@@ -194,13 +192,12 @@ TEST(ClassMajorKernelTest, SyntheticFramesMatchFuseIntoBitForBit) {
 
           for (const auto* index : {&gt_index, &ref_index}) {
             const GroundTruthList& truth = index == &gt_index ? gt : ref_gt;
-            ClassMajorMeanAp accumulator(*index, ap);
+            ClassMajorMeanAp accumulator(*index);
             wbf.FuseByClass(DetectionListSpan(ptrs), store, &accumulator);
             const double class_major = accumulator.Finish();
-            EXPECT_EQ(class_major, FrameMeanAp(fused, *index, ap)) << where;
-            EXPECT_EQ(class_major, FrameMeanAp(fused, truth, ap)) << where;
-            EXPECT_EQ(class_major, ReferenceMeanAp(fused, truth, ap))
-                << where;
+            EXPECT_EQ(class_major, FrameMeanAp(fused, *index)) << where;
+            EXPECT_EQ(class_major, FrameMeanAp(fused, truth)) << where;
+            EXPECT_EQ(class_major, ReferenceMeanAp(fused, truth)) << where;
           }
         }
       }
@@ -234,7 +231,7 @@ TEST(ClassMajorKernelTest, EvaluateMatchesFrameMeanApOverFusedList) {
     const VideoFrame& frame = video.frames[t];
     FrameEvalContext ctx(frame, pool, /*trial_seed=*/5, options);
     const GroundTruthList ref_gt = DetectionsAsGroundTruth(
-        pool.reference->Detect(frame, 5), options.ref_confidence_threshold);
+        pool.reference->Detect(frame, 5), kReferenceMinConfidence);
     DetectionList fused;
     for (EnsembleId mask = 1; mask <= NumEnsembles(m); ++mask) {
       const std::string where =
@@ -242,10 +239,8 @@ TEST(ClassMajorKernelTest, EvaluateMatchesFrameMeanApOverFusedList) {
       const MaskEvaluation full = ctx.Evaluate(mask);
       const MaskEvaluation estimate = ctx.Evaluate(mask, false);
       ctx.Fuse(mask, &fused);
-      EXPECT_EQ(full.est_ap, ReferenceMeanAp(fused, ref_gt, options.ap))
-          << where;
-      EXPECT_EQ(full.true_ap, ReferenceMeanAp(fused, frame.objects, options.ap))
-          << where;
+      EXPECT_EQ(full.est_ap, ReferenceMeanAp(fused, ref_gt)) << where;
+      EXPECT_EQ(full.true_ap, ReferenceMeanAp(fused, frame.objects)) << where;
       EXPECT_EQ(estimate.est_ap, full.est_ap) << where;
       EXPECT_EQ(estimate.cost_ms, full.cost_ms) << where;
       EXPECT_EQ(estimate.fusion_overhead_ms, full.fusion_overhead_ms) << where;

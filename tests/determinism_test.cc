@@ -172,7 +172,7 @@ TEST(SelfConsistencyTest, DetectionsEvaluatedAgainstThemselvesScoreOne) {
   for (int trial = 0; trial < 10; ++trial) {
     const DetectionList dets = RandomDetections(rng, 6);
     const GroundTruthList as_gt = DetectionsAsGroundTruth(dets, 0.0);
-    EXPECT_DOUBLE_EQ(FrameMeanAp(dets, as_gt, {}), 1.0);
+    EXPECT_DOUBLE_EQ(FrameMeanAp(dets, as_gt), 1.0);
   }
 }
 
@@ -186,7 +186,7 @@ TEST(SelfConsistencyTest, ReferenceAgainstItselfScoresOne) {
   for (size_t t = 0; t < std::min<size_t>(video.size(), 20); ++t) {
     const DetectionList ref = pool.reference->Detect(video.frames[t], 1);
     const GroundTruthList ref_gt = DetectionsAsGroundTruth(ref, 0.0);
-    EXPECT_DOUBLE_EQ(FrameMeanAp(ref, ref_gt, {}), 1.0);
+    EXPECT_DOUBLE_EQ(FrameMeanAp(ref, ref_gt), 1.0);
   }
 }
 

@@ -40,16 +40,9 @@ TEST(EnsembleIdTest, SubsetRelation) {
   EXPECT_TRUE(IsSubsetOf(0, 0b011));  // empty set is a subset of anything
 }
 
-TEST(EnsembleIdTest, AllEnsemblesEnumeration) {
-  const auto all = AllEnsembles(3);
-  ASSERT_EQ(all.size(), 7u);
-  for (size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all[i], static_cast<EnsembleId>(i + 1));
-  }
-}
-
-TEST(EnsembleIdTest, SubsetsOfEnumeratesAllNonEmpty) {
-  const auto subs = SubsetsOf(0b1011);
+TEST(EnsembleIdTest, ForEachSubsetEnumeratesAllNonEmpty) {
+  std::vector<EnsembleId> subs;
+  ForEachSubset(0b1011, [&](EnsembleId s) { subs.push_back(s); });
   // 2^3 - 1 = 7 non-empty subsets.
   EXPECT_EQ(subs.size(), 7u);
   std::set<EnsembleId> expected{0b0001, 0b0010, 0b0011, 0b1000,
@@ -58,17 +51,11 @@ TEST(EnsembleIdTest, SubsetsOfEnumeratesAllNonEmpty) {
   EXPECT_EQ(got, expected);
   // The mask itself is included first.
   EXPECT_EQ(subs.front(), 0b1011u);
-}
-
-TEST(EnsembleIdTest, ForEachSubsetMatchesSubsetsOf) {
   for (EnsembleId mask : {1u, 5u, 7u, 21u, 31u}) {
-    std::vector<EnsembleId> via_callback;
-    ForEachSubset(mask, [&](EnsembleId s) { via_callback.push_back(s); });
-    EXPECT_EQ(via_callback, SubsetsOf(mask));
-    for (EnsembleId s : via_callback) {
+    ForEachSubset(mask, [&](EnsembleId s) {
       EXPECT_NE(s, 0u);
       EXPECT_TRUE(IsSubsetOf(s, mask));
-    }
+    });
   }
 }
 

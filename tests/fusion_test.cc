@@ -315,22 +315,6 @@ TEST(FusionRegistryTest, CreatesEveryKind) {
   }
 }
 
-TEST(FusionRegistryTest, RoundTripNames) {
-  for (FusionKind kind : AllFusionKinds()) {
-    const auto parsed = FusionKindFromString(FusionKindToString(kind));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, kind);
-  }
-}
-
-TEST(FusionRegistryTest, ParsesAliases) {
-  EXPECT_EQ(*FusionKindFromString("wbf"), FusionKind::kWbf);
-  EXPECT_EQ(*FusionKindFromString("WBF"), FusionKind::kWbf);
-  EXPECT_EQ(*FusionKindFromString("soft-nms"), FusionKind::kSoftNmsLinear);
-  EXPECT_EQ(*FusionKindFromString("consensus"), FusionKind::kConsensus);
-  EXPECT_FALSE(FusionKindFromString("best-fusion-ever").ok());
-}
-
 TEST(FusionOptionsTest, Validation) {
   FusionOptions o;
   EXPECT_TRUE(o.Validate().ok());
@@ -497,7 +481,7 @@ TEST(GroundTruthIndexTest, IndexedFrameMeanApMatchesListOverload) {
                          static_cast<ClassId>(rng.UniformInt(4))));
     }
     const GroundTruthIndex index = BuildGroundTruthIndex(gt);
-    EXPECT_EQ(FrameMeanAp(dets, gt, {}), FrameMeanAp(dets, index, {}));
+    EXPECT_EQ(FrameMeanAp(dets, gt), FrameMeanAp(dets, index));
   }
 }
 

@@ -132,17 +132,15 @@ TEST(PrCurveTest, ZeroGtYieldsEmptyCurve) {
 TEST(PrCurveTest, IntegrationModes) {
   // Perfect detector: precision 1 at all recalls.
   std::vector<PrPoint> curve{{0.5, 1.0}, {1.0, 1.0}};
-  EXPECT_DOUBLE_EQ(IntegratePrCurve(curve, ApInterpolation::kContinuous), 1.0);
-  EXPECT_DOUBLE_EQ(IntegratePrCurve(curve, ApInterpolation::k101Point), 1.0);
-  EXPECT_DOUBLE_EQ(IntegratePrCurve(curve, ApInterpolation::k11Point), 1.0);
-  EXPECT_DOUBLE_EQ(IntegratePrCurve({}, ApInterpolation::kContinuous), 0.0);
+  EXPECT_DOUBLE_EQ(IntegratePrCurve(curve), 1.0);
+  EXPECT_DOUBLE_EQ(IntegratePrCurve({}), 0.0);
 }
 
 TEST(PrCurveTest, MonotoneEnvelopeApplied) {
   // Precision dips then recovers: the envelope uses the max to the right.
   std::vector<PrPoint> curve{{0.25, 1.0}, {0.25, 0.5}, {0.5, 2.0 / 3.0}};
   // Envelope precision at recall<=0.5 region: max(1.0, ...) for first point.
-  const double ap = IntegratePrCurve(curve, ApInterpolation::kContinuous);
+  const double ap = IntegratePrCurve(curve);
   EXPECT_NEAR(ap, 0.25 * 1.0 + 0.25 * (2.0 / 3.0), 1e-12);
 }
 
@@ -151,20 +149,20 @@ TEST(PrCurveTest, MonotoneEnvelopeApplied) {
 TEST(ApTest, PerfectDetectionsGiveApOne) {
   const DetectionList dets{Det(0, 0, 10, 10, 0.9), Det(20, 20, 10, 10, 0.8)};
   const GroundTruthList gts{Gt(0, 0, 10, 10), Gt(20, 20, 10, 10)};
-  EXPECT_DOUBLE_EQ(FrameMeanAp(dets, gts, {}), 1.0);
+  EXPECT_DOUBLE_EQ(FrameMeanAp(dets, gts), 1.0);
 }
 
 TEST(ApTest, EmptyFrameConventions) {
-  EXPECT_DOUBLE_EQ(FrameMeanAp({}, GroundTruthList{}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(FrameMeanAp({Det(0, 0, 1, 1, 0.9)}, GroundTruthList{}, {}),
+  EXPECT_DOUBLE_EQ(FrameMeanAp({}, GroundTruthList{}), 1.0);
+  EXPECT_DOUBLE_EQ(FrameMeanAp({Det(0, 0, 1, 1, 0.9)}, GroundTruthList{}),
                    0.0);
-  EXPECT_DOUBLE_EQ(FrameMeanAp({}, {Gt(0, 0, 1, 1)}, {}), 0.0);
+  EXPECT_DOUBLE_EQ(FrameMeanAp({}, {Gt(0, 0, 1, 1)}), 0.0);
 }
 
 TEST(ApTest, MissedObjectLowersAp) {
   const GroundTruthList gts{Gt(0, 0, 10, 10), Gt(50, 50, 10, 10)};
   const DetectionList dets{Det(0, 0, 10, 10, 0.9)};
-  const double ap = FrameMeanAp(dets, gts, {});
+  const double ap = FrameMeanAp(dets, gts);
   EXPECT_NEAR(ap, 0.5, 1e-12);  // recall caps at 0.5, precision 1
 }
 
@@ -175,9 +173,9 @@ TEST(ApTest, FalsePositiveBelowTpLowersApLess) {
                                   Det(50, 50, 10, 10, 0.3)};
   const DetectionList with_high_fp{Det(0, 0, 10, 10, 0.5),
                                    Det(50, 50, 10, 10, 0.9)};
-  const double ap_clean = FrameMeanAp(clean, gts, {});
-  const double ap_low = FrameMeanAp(with_low_fp, gts, {});
-  const double ap_high = FrameMeanAp(with_high_fp, gts, {});
+  const double ap_clean = FrameMeanAp(clean, gts);
+  const double ap_low = FrameMeanAp(with_low_fp, gts);
+  const double ap_high = FrameMeanAp(with_high_fp, gts);
   EXPECT_DOUBLE_EQ(ap_clean, 1.0);
   // FP ranked below the TP does not hurt continuous AP...
   EXPECT_DOUBLE_EQ(ap_low, 1.0);
@@ -190,34 +188,32 @@ TEST(ApTest, WrongLabelCountsAgainstBothClasses) {
   const GroundTruthList gts{Gt(0, 0, 10, 10, /*label=*/0)};
   const DetectionList dets{Det(0, 0, 10, 10, 0.9, /*label=*/1)};
   // Class 0: GT but no detection -> 0. Class 1: detection but no GT -> 0.
-  EXPECT_DOUBLE_EQ(FrameMeanAp(dets, gts, {}), 0.0);
+  EXPECT_DOUBLE_EQ(FrameMeanAp(dets, gts), 0.0);
 }
 
 TEST(ApTest, MeanAcrossClasses) {
   const GroundTruthList gts{Gt(0, 0, 10, 10, 0), Gt(50, 50, 10, 10, 1)};
   const DetectionList dets{Det(0, 0, 10, 10, 0.9, 0)};  // class 1 missed
-  EXPECT_NEAR(FrameMeanAp(dets, gts, {}), 0.5, 1e-12);
+  EXPECT_NEAR(FrameMeanAp(dets, gts), 0.5, 1e-12);
 }
 
+// A detection matches only at IoU >= kApIouThreshold (0.5).
 TEST(ApTest, IouThresholdMatters) {
   const GroundTruthList gts{Gt(0, 0, 10, 10)};
-  const DetectionList dets{Det(3, 0, 10, 10, 0.9)};  // IoU = 7/13 ≈ 0.538
-  ApOptions loose;
-  loose.iou_threshold = 0.5;
-  ApOptions strict;
-  strict.iou_threshold = 0.75;
-  EXPECT_DOUBLE_EQ(FrameMeanAp(dets, gts, loose), 1.0);
-  EXPECT_DOUBLE_EQ(FrameMeanAp(dets, gts, strict), 0.0);
+  const DetectionList above{Det(3, 0, 10, 10, 0.9)};  // IoU = 7/13 ≈ 0.538
+  const DetectionList below{Det(4, 0, 10, 10, 0.9)};  // IoU = 6/14 ≈ 0.429
+  EXPECT_DOUBLE_EQ(FrameMeanAp(above, gts), 1.0);
+  EXPECT_DOUBLE_EQ(FrameMeanAp(below, gts), 0.0);
 }
 
 TEST(ApTest, DifficultGtExcluded) {
   const GroundTruthList gts{Gt(0, 0, 10, 10, 0, /*difficult=*/true)};
   // Nothing detected and the only GT is difficult: perfect by convention.
-  EXPECT_DOUBLE_EQ(FrameMeanAp({}, gts, {}), 1.0);
+  EXPECT_DOUBLE_EQ(FrameMeanAp({}, gts), 1.0);
   // Detecting the difficult object is ignored (neither rewarded nor
   // penalized) but the spurious-class rule still applies via class union.
   const DetectionList dets{Det(0, 0, 10, 10, 0.9)};
-  EXPECT_DOUBLE_EQ(FrameMeanAp(dets, gts, {}), 1.0);
+  EXPECT_DOUBLE_EQ(FrameMeanAp(dets, gts), 1.0);
 }
 
 // Removing a detection never *increases* continuous AP when the removed
@@ -233,13 +229,13 @@ TEST(ApTest, RemovingTopTpNeverIncreasesAp) {
       gts.push_back(Gt(x, 0, 10, 10));
       dets.push_back(Det(x, 0, 10, 10, rng.Uniform(0.5, 1.0)));
     }
-    const double full_ap = FrameMeanAp(dets, gts, {});
+    const double full_ap = FrameMeanAp(dets, gts);
     std::stable_sort(dets.begin(), dets.end(),
                      [](const Detection& a, const Detection& b) {
                        return a.confidence > b.confidence;
                      });
     dets.erase(dets.begin());
-    const double reduced_ap = FrameMeanAp(dets, gts, {});
+    const double reduced_ap = FrameMeanAp(dets, gts);
     EXPECT_LE(reduced_ap, full_ap + 1e-9);
   }
 }
@@ -253,16 +249,11 @@ TEST(ApTest, DetectionsAsGroundTruthFiltersByConfidence) {
 }
 
 TEST(ApTest, SingleClassApZeroGtConventions) {
-  EXPECT_DOUBLE_EQ(SingleClassAp({}, {}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(SingleClassAp({Det(0, 0, 1, 1, 0.5)}, {}, {}), 0.0);
+  EXPECT_DOUBLE_EQ(SingleClassAp({}, {}), 1.0);
+  EXPECT_DOUBLE_EQ(SingleClassAp({Det(0, 0, 1, 1, 0.5)}, {}), 0.0);
 }
 
-// Interpolation comparison: 11-point and 101-point should not exceed the
-// continuous AP by more than a sampling artifact and agree on perfect input.
-class ApInterpolationTest
-    : public ::testing::TestWithParam<ApInterpolation> {};
-
-TEST_P(ApInterpolationTest, BoundedInUnitInterval) {
+TEST(ApTest, BoundedInUnitInterval) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     GroundTruthList gts;
@@ -278,18 +269,11 @@ TEST_P(ApInterpolationTest, BoundedInUnitInterval) {
         dets.push_back(Det(500 + 30.0 * i, 0, 10, 10, rng.Uniform(0.1, 1.0)));
       }
     }
-    ApOptions opt;
-    opt.interpolation = GetParam();
-    const double ap = FrameMeanAp(dets, gts, opt);
+    const double ap = FrameMeanAp(dets, gts);
     EXPECT_GE(ap, 0.0);
     EXPECT_LE(ap, 1.0);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllModes, ApInterpolationTest,
-                         ::testing::Values(ApInterpolation::kContinuous,
-                                           ApInterpolation::k101Point,
-                                           ApInterpolation::k11Point));
 
 // ------------------------------------------------------ detection utils --
 

@@ -132,8 +132,8 @@ TEST(SimulatedDetectorTest, InDomainBeatsOutOfDomainAp) {
     const VideoFrame in_frame = MakeFrame(6, SceneContext::kClear, s);
     VideoFrame out_frame = in_frame;
     out_frame.context = SceneContext::kNight;
-    ap_in += FrameMeanAp(det.Detect(in_frame, s), in_frame.objects, {});
-    ap_out += FrameMeanAp(det.Detect(out_frame, s), out_frame.objects, {});
+    ap_in += FrameMeanAp(det.Detect(in_frame, s), in_frame.objects);
+    ap_out += FrameMeanAp(det.Detect(out_frame, s), out_frame.objects);
   }
   EXPECT_GT(ap_in / kTrials, ap_out / kTrials + 0.15);
 }
@@ -147,8 +147,8 @@ TEST(SimulatedDetectorTest, BetterStructureHasBetterAp) {
   const int kTrials = 60;
   for (int s = 0; s < kTrials; ++s) {
     const VideoFrame frame = MakeFrame(6, SceneContext::kClear, s);
-    ap_big += FrameMeanAp(big.Detect(frame, s), frame.objects, {});
-    ap_small += FrameMeanAp(small.Detect(frame, s), frame.objects, {});
+    ap_big += FrameMeanAp(big.Detect(frame, s), frame.objects);
+    ap_small += FrameMeanAp(small.Detect(frame, s), frame.objects);
   }
   EXPECT_GT(ap_big / kTrials, ap_small / kTrials + 0.1);
 }
@@ -264,10 +264,10 @@ TEST(ReferenceDetectorTest, EstimatedApPreservesRanking) {
   for (int s = 0; s < kTrials; ++s) {
     const VideoFrame frame = MakeFrame(6, SceneContext::kClear, s);
     const auto ref_gt = DetectionsAsGroundTruth(ref.Detect(frame, s), 0.5);
-    est_good += FrameMeanAp(good.Detect(frame, s), ref_gt, {});
-    est_bad += FrameMeanAp(bad.Detect(frame, s), ref_gt, {});
-    true_good += FrameMeanAp(good.Detect(frame, s), frame.objects, {});
-    true_bad += FrameMeanAp(bad.Detect(frame, s), frame.objects, {});
+    est_good += FrameMeanAp(good.Detect(frame, s), ref_gt);
+    est_bad += FrameMeanAp(bad.Detect(frame, s), ref_gt);
+    true_good += FrameMeanAp(good.Detect(frame, s), frame.objects);
+    true_bad += FrameMeanAp(bad.Detect(frame, s), frame.objects);
   }
   EXPECT_GT(true_good, true_bad);  // sanity
   EXPECT_GT(est_good, est_bad);    // the ranking survives estimation

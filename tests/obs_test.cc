@@ -87,13 +87,12 @@ void ExpectSameRun(const RunResult& a, const RunResult& b) {
 
 // ---------------------------------------------------------------- metrics --
 
-TEST(MetricsRegistryTest, CountersGaugesAndHistogramsAccumulate) {
+TEST(MetricsRegistryTest, CountersAndHistogramsAccumulate) {
   MetricsRegistry reg;
   const auto frames =
       reg.Counter("frames_total", MetricDomain::kSimulated);
   const auto cost = reg.Counter("charged_cost_ms", MetricDomain::kSimulated,
                                 MetricUnit::kMs);
-  const auto depth = reg.Gauge("queue_depth", MetricDomain::kWall);
   const auto lat = reg.Histogram("frame_ms", MetricDomain::kSimulated,
                                  {1.0, 2.0});
   ASSERT_NE(frames, MetricsRegistry::kInvalidId);
@@ -102,14 +101,11 @@ TEST(MetricsRegistryTest, CountersGaugesAndHistogramsAccumulate) {
   reg.Add(frames, 3);
   reg.AddMs(cost, 1.5);
   reg.AddMs(cost, -2.0);  // negative deltas clamp, counters stay monotone
-  reg.Set(depth, 7.0);
-  reg.Set(depth, 4.0);
   reg.Observe(lat, 0.5);
   reg.Observe(lat, 1.5);
   reg.Observe(lat, 9.0);
 
-  bool saw_frames = false, saw_cost = false, saw_depth = false,
-       saw_lat = false;
+  bool saw_frames = false, saw_cost = false, saw_lat = false;
   for (const auto& view : reg.Snapshot()) {
     if (view.name == "frames_total") {
       saw_frames = true;
@@ -120,10 +116,6 @@ TEST(MetricsRegistryTest, CountersGaugesAndHistogramsAccumulate) {
       saw_cost = true;
       EXPECT_EQ(view.raw, MsToTicks(1.5));
       EXPECT_DOUBLE_EQ(view.value, 1.5);
-    } else if (view.name == "queue_depth") {
-      saw_depth = true;
-      EXPECT_EQ(view.kind, MetricKind::kGauge);
-      EXPECT_DOUBLE_EQ(view.value, 4.0);  // last write wins
     } else if (view.name == "frame_ms") {
       saw_lat = true;
       EXPECT_EQ(view.kind, MetricKind::kHistogram);
@@ -135,7 +127,7 @@ TEST(MetricsRegistryTest, CountersGaugesAndHistogramsAccumulate) {
       EXPECT_DOUBLE_EQ(view.histogram.sum, 11.0);
     }
   }
-  EXPECT_TRUE(saw_frames && saw_cost && saw_depth && saw_lat);
+  EXPECT_TRUE(saw_frames && saw_cost && saw_lat);
 }
 
 TEST(MetricsRegistryTest, ReRegistrationSharesSeriesAndChecksBounds) {
@@ -194,15 +186,14 @@ TEST(MetricsRegistryTest, SimulatedFingerprintIsThreadCountInvariant) {
   EXPECT_EQ(fp, threaded.SimulatedFingerprint());
 }
 
-TEST(MetricsRegistryTest, FingerprintExcludesWallMetricsAndGauges) {
+TEST(MetricsRegistryTest, FingerprintExcludesWallMetrics) {
   MetricsRegistry a, b;
   for (MetricsRegistry* reg : {&a, &b}) {
     reg->Add(reg->Counter("sim_total", MetricDomain::kSimulated), 5);
   }
-  // Divergent wall-domain and gauge state must not move the fingerprint:
-  // wall values are real measurements, gauges are last-write-wins races.
+  // Divergent wall-domain state must not move the fingerprint: wall values
+  // are real measurements.
   a.AddMs(a.Counter("wall_ms", MetricDomain::kWall, MetricUnit::kMs), 123.0);
-  b.Set(b.Gauge("depth", MetricDomain::kSimulated), 9.0);
   EXPECT_EQ(a.SimulatedFingerprint(), b.SimulatedFingerprint());
 }
 
@@ -309,7 +300,6 @@ TEST(MetricsTextTest, ExportRoundTripsThroughTheParser) {
                       MetricUnit::kCount, "frames processed"),
           3);
   reg.AddMs(reg.Counter("wall_ms", MetricDomain::kWall, MetricUnit::kMs), 1.5);
-  reg.Set(reg.Gauge("depth", MetricDomain::kWall), 4.0);
   const auto lat =
       reg.Histogram("frame_ms", MetricDomain::kSimulated, {1.0, 2.0});
   reg.Observe(lat, 0.5);
@@ -323,7 +313,7 @@ TEST(MetricsTextTest, ExportRoundTripsThroughTheParser) {
   auto parsed = ParseMetricsText(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
 
-  double frames = -1.0, wall = -1.0, depth = -1.0;
+  double frames = -1.0, wall = -1.0;
   double bucket_sum = -1.0, bucket_count = -1.0, inf_bucket = -1.0;
   size_t buckets = 0;
   for (const MetricSample& s : *parsed) {
@@ -333,8 +323,6 @@ TEST(MetricsTextTest, ExportRoundTripsThroughTheParser) {
     } else if (s.name == "wall_ms") {
       wall = s.value;
       EXPECT_EQ(s.labels.at("domain"), "wall");
-    } else if (s.name == "depth") {
-      depth = s.value;
     } else if (s.name == "frame_ms_bucket") {
       ++buckets;
       if (s.labels.at("le") == "+Inf") inf_bucket = s.value;
@@ -346,7 +334,6 @@ TEST(MetricsTextTest, ExportRoundTripsThroughTheParser) {
   }
   EXPECT_DOUBLE_EQ(frames, 3.0);
   EXPECT_DOUBLE_EQ(wall, 1.5);
-  EXPECT_DOUBLE_EQ(depth, 4.0);
   EXPECT_EQ(buckets, 3u) << "two bounds + the +Inf bucket";
   EXPECT_DOUBLE_EQ(inf_bucket, 3.0) << "cumulative buckets end at count";
   EXPECT_DOUBLE_EQ(bucket_sum, 11.0);

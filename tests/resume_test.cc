@@ -701,8 +701,8 @@ TEST(QueryResumeTest, FaultedQueryResumesBitIdentically) {
       "USING MES(yolov7-tiny@clear, yolov7-tiny@night; REF)) "
       "WHERE COUNT(*) >= 1";
   QueryEngineOptions opt = SmallQueryOptions();
-  opt.matrix.retry.max_attempts = 2;
-  opt.matrix.retry.backoff_base_ms = 0.25;
+  opt.retry.max_attempts = 2;
+  opt.retry.backoff_base_ms = 0.25;
   opt.breaker.failure_threshold = 2;
   opt.breaker.open_frames = 4;
   opt.fault_scripts.resize(2);

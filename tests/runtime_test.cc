@@ -613,8 +613,6 @@ TEST(EngineFaultToleranceTest, DegradedCellsBitIdenticalLazyVsEager) {
     for (size_t t = 0; t < matrix.size(); ++t) {
       const FrameEvaluation& fe = matrix.frames[t];
       const FrameStats stats = lazy->Stats(t);
-      ASSERT_TRUE(fe.fault_aware);
-      ASSERT_TRUE(stats.fault_aware);
       ASSERT_EQ(stats.available_mask, fe.available_mask) << "t=" << t;
       ASSERT_NE(stats.model_fault_ms, nullptr);
       EXPECT_EQ(*stats.model_fault_ms, fe.model_fault_ms);
@@ -691,7 +689,7 @@ TEST(ExperimentFaultTest, OnlineQuerySurvivesScriptedOutage) {
 
   options.fault_scripts.assign(clean.model_names.size(), FaultScript{});
   options.fault_scripts[0].bursts.push_back({0, 8, FaultKind::kError, -1});
-  options.matrix.retry.max_attempts = 2;
+  options.retry.max_attempts = 2;
   options.breaker.failure_threshold = 2;
   options.breaker.open_frames = 4;
   const QueryOutput outage = std::move(ExecuteQuery(sql, options)).value();

@@ -50,6 +50,8 @@ inline FrameMatrix SyntheticMatrix(int m, size_t frames,
     fe.fusion_overhead_ms.assign(num_masks + 1, 0.01);
     fe.model_cost_ms = model_cost;
     fe.ref_cost_ms = 1.0;
+    fe.available_mask = FullEnsemble(m);
+    fe.model_fault_ms.assign(static_cast<size_t>(m), 0.0);
     const bool flipped = drift_flip && t >= frames / 2;
     for (EnsembleId s = 1; s <= num_masks; ++s) {
       EnsembleId key = s;
@@ -109,8 +111,7 @@ class EagerTemporalSource final : public EvaluationSource {
   bool SupportsPropagation() const override { return true; }
   Result<double> ScorePropagated(size_t t,
                                  const DetectionList& dets) override {
-    return FrameMeanAp(dets, BuildGroundTruthIndex(video_->frames[t].objects),
-                       options_->ap);
+    return FrameMeanAp(dets, BuildGroundTruthIndex(video_->frames[t].objects));
   }
   const DetectionList* FusedOutput(size_t t, EnsembleId mask) override {
     FrameEvalContext ctx(video_->frames[t], *pool_, trial_seed_, *options_);

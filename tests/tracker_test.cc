@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "query/executor.h"
 #include "query/parser.h"
@@ -294,6 +297,64 @@ TEST(TrackerStateTest, TruncatedFinishedListIsDataLossAndLeavesTargetAsIs) {
   ByteWriter after;
   ASSERT_TRUE(target.SaveState(after).ok());
   EXPECT_EQ(after.bytes(), before.bytes());
+}
+
+// A track field the restore would wrap when narrowing it from the wire's
+// int64 (hits or missed above INT_MAX, a label outside int32) is DataLoss,
+// and the target keeps its state. The boundary values themselves restore.
+TEST(TrackerStateTest, NarrowingOverflowIsDataLossAndLeavesTargetAsIs) {
+  IouTracker source;
+  Drive(source, 0, 6);
+  ASSERT_FALSE(source.tracks().empty());
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kLabelMin = std::numeric_limits<int32_t>::min();
+  constexpr int64_t kLabelMax = std::numeric_limits<int32_t>::max();
+  // Field offsets inside one 13-field track record (8 bytes each).
+  constexpr size_t kLabel = 1, kHits = 7, kMissed = 8;
+  struct Case {
+    const char* name;
+    size_t field;
+    int64_t value;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"hits INT_MAX", kHits, kIntMax, true},
+      {"hits 2^31", kHits, kIntMax + 1, false},
+      {"missed INT_MAX", kMissed, kIntMax, true},
+      {"missed 2^31", kMissed, kIntMax + 1, false},
+      {"label INT32_MIN", kLabel, kLabelMin, true},
+      {"label INT32_MAX", kLabel, kLabelMax, true},
+      {"label INT32_MIN - 1", kLabel, kLabelMin - 1, false},
+      {"label INT32_MAX + 1", kLabel, kLabelMax + 1, false},
+  };
+  ByteWriter good;
+  ASSERT_TRUE(source.SaveState(good).ok());
+  for (const Case& c : cases) {
+    // next_id (8 bytes) and the track count (8 bytes) precede track 0.
+    std::vector<uint8_t> bytes = good.bytes();
+    ByteWriter field;
+    field.I64(c.value);
+    std::copy(field.bytes().begin(), field.bytes().end(),
+              bytes.begin() + static_cast<long>(16 + 8 * c.field));
+
+    IouTracker target;
+    Drive(target, 0, 3);
+    ByteWriter before;
+    ASSERT_TRUE(target.SaveState(before).ok());
+    ByteReader reader(bytes.data(), bytes.size());
+    const Status status = target.RestoreState(reader);
+    if (c.ok) {
+      ASSERT_TRUE(status.ok()) << c.name << ": " << status.ToString();
+      ByteWriter resaved;
+      ASSERT_TRUE(target.SaveState(resaved).ok());
+      EXPECT_EQ(resaved.bytes(), bytes) << c.name;
+      continue;
+    }
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << c.name;
+    ByteWriter after;
+    ASSERT_TRUE(target.SaveState(after).ok());
+    EXPECT_EQ(after.bytes(), before.bytes()) << c.name;
+  }
 }
 
 // ------------------------------------------------- coasting (skip path) --
