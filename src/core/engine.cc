@@ -11,6 +11,63 @@
 
 namespace vqe {
 
+namespace {
+
+/// Adds a finished run's totals to the `vqe_engine_*` counters: the
+/// registry's only writer of them. Names are registry-global, so the
+/// simulated-domain values are a pure function of the seeded work,
+/// identical at any worker or shard count.
+void PublishRunResult(MetricsRegistry& reg, const RunResult& result) {
+  const MetricDomain sim = MetricDomain::kSimulated;
+  const MetricDomain wall = MetricDomain::kWall;
+  const TimeBreakdown& tb = result.breakdown;
+  uint64_t model_failures = 0;
+  uint64_t breaker_opens = 0;
+  for (const RunResult::ModelAvailability& health :
+       result.model_availability) {
+    model_failures += health.frames_failed;
+    breaker_opens += health.breaker_opens;
+  }
+  reg.Publish("vqe_engine_frames_total", sim, result.frames_processed,
+              "Frames processed (detect + skip paths)");
+  reg.Publish("vqe_engine_frames_skipped_total", sim,
+              result.skip.skipped_frames,
+              "Frames answered from tracker propagation");
+  reg.Publish("vqe_engine_frames_fallback_total", sim,
+              result.fallback_frames,
+              "Frames completed on a strict sub-mask after member faults");
+  reg.Publish("vqe_engine_frames_failed_total", sim, result.failed_frames,
+              "Frames where every selected member failed");
+  reg.PublishMs("vqe_engine_detector_ms_total", sim, tb.detector_ms,
+                "Simulated camera-detector inference time");
+  reg.PublishMs("vqe_engine_reference_ms_total", sim, tb.reference_ms,
+                "Simulated reference (LiDAR) inference time");
+  reg.PublishMs("vqe_engine_ensembling_ms_total", sim, tb.ensembling_ms,
+                "Simulated box-fusion overhead");
+  reg.PublishMs("vqe_engine_fault_ms_total", sim, tb.fault_ms,
+                "Simulated time wasted on faults (failed calls, retries, "
+                "backoff)");
+  reg.PublishMs("vqe_engine_tracker_ms_total", sim, tb.tracker_ms,
+                "Simulated tracker time of the temporal fast path");
+  reg.PublishMs("vqe_engine_charged_cost_ms_total", sim,
+                result.charged_cost_ms,
+                "Total budget-accountable simulated cost");
+  reg.Publish("vqe_engine_model_call_failures_total", sim, model_failures,
+              "Selected-member calls that failed after retries");
+  reg.Publish("vqe_engine_breaker_opens_total", sim, breaker_opens,
+              "Circuit-breaker open transitions");
+  reg.PublishMs("vqe_engine_algorithm_ms_total", wall, tb.algorithm_ms,
+                "Wall-clock spent in strategy Select/Observe");
+  reg.Publish("vqe_engine_checkpoint_writes_total", sim,
+              result.checkpoint.snapshots_written,
+              "Checkpoint generations written");
+  reg.PublishMs("vqe_engine_checkpoint_write_ms_total", wall,
+                result.checkpoint.checkpoint_write_ms,
+                "Wall-clock spent serializing + durably writing snapshots");
+}
+
+}  // namespace
+
 Status EngineOptions::Validate() const {
   VQE_RETURN_NOT_OK(sc.Validate());
   if (budget_ms < 0.0) {
@@ -143,7 +200,6 @@ Status EngineRun::StepFrame() {
   const bool obs_on = obs_.enabled();
   const int64_t frame_i64 = static_cast<int64_t>(t);
   const double sim0 = result_.charged_cost_ms;
-  const double fault0 = result_.breakdown.fault_ms;
 
   // Mask open-breaker models out of the strategy's candidate arms. If
   // everything is open there is no arm left — fall back to the full pool
@@ -173,7 +229,6 @@ Status EngineRun::StepFrame() {
   if (obs_on) {
     const double select_ms =
         (algo_time_.total_seconds() - select_algo0) * 1e3;
-    obs_.CountMs(obs_ids_.algo_ms, select_ms);
     obs_.Span(MetricDomain::kWall, frame_i64, "select", wall_ledger_ms_,
               select_ms);
     wall_ledger_ms_ += select_ms;
@@ -209,17 +264,11 @@ Status EngineRun::StepFrame() {
       breakers_[idx].RecordSuccess(t);
     } else {
       ++health.frames_failed;
-      if (obs_on) {
-        const uint64_t opens_before = breakers_[idx].opens();
-        breakers_[idx].RecordFailure(t);
-        obs_.Count(obs_ids_.model_failures);
-        if (breakers_[idx].opens() > opens_before) {
-          obs_.Count(obs_ids_.breaker_opens);
-          obs_.Instant(MetricDomain::kSimulated, frame_i64, "breaker_open",
-                       sim0, "model", static_cast<double>(i));
-        }
-      } else {
-        breakers_[idx].RecordFailure(t);
+      const uint64_t opens_before = breakers_[idx].opens();
+      breakers_[idx].RecordFailure(t);
+      if (breakers_[idx].opens() > opens_before) {
+        obs_.Instant(MetricDomain::kSimulated, frame_i64, "breaker_open",
+                     sim0, "model", static_cast<double>(i));
       }
     }
   }
@@ -290,7 +339,6 @@ Status EngineRun::StepFrame() {
     if (obs_on) {
       const double observe_ms =
           (algo_time_.total_seconds() - observe_algo0) * 1e3;
-      obs_.CountMs(obs_ids_.algo_ms, observe_ms);
       obs_.Span(MetricDomain::kWall, frame_i64, "observe", wall_ledger_ms_,
                 observe_ms);
       wall_ledger_ms_ += observe_ms;
@@ -313,11 +361,8 @@ Status EngineRun::StepFrame() {
     ++result_.skip.detect_frames;
     result_.skip.forced_detects = gate_->forced_detects();
     last_max_cost_ms_ = stats.max_cost_ms;
-    if (obs_on) {
-      obs_.CountMs(obs_ids_.tracker_ms, tracker_ms);
-      obs_.Span(MetricDomain::kSimulated, frame_i64, "tracker",
-                result_.charged_cost_ms - tracker_ms, tracker_ms);
-    }
+    obs_.Span(MetricDomain::kSimulated, frame_i64, "tracker",
+              result_.charged_cost_ms - tracker_ms, tracker_ms);
   }
 
   // Measurements (true scores; §5.5). A fully failed frame produced no
@@ -340,25 +385,7 @@ Status EngineRun::StepFrame() {
     result_.cost_curve.emplace_back(result_.frames_processed,
                                     result_.charged_cost_ms);
   }
-  if (obs_on) {
-    obs_.Count(obs_ids_.frames);
-    if (realized == 0) {
-      obs_.Count(obs_ids_.frames_failed);
-    } else if (realized != selected) {
-      obs_.Count(obs_ids_.frames_fallback);
-    }
-    const double fault_delta = result_.breakdown.fault_ms - fault0;
-    const double charged_delta = result_.charged_cost_ms - sim0;
-    obs_.CountMs(obs_ids_.charged_ms, charged_delta);
-    obs_.Observe(obs_ids_.frame_cost_hist, charged_delta);
-    obs_.CountMs(obs_ids_.ensembling_ms, overhead);
-    obs_.CountMs(obs_ids_.fault_ms, fault_delta);
-    obs_.CountMs(obs_ids_.detector_ms,
-                 (frame_cost - overhead) - fault_delta);
-    if (strategy_->UsesReferenceModel()) {
-      obs_.CountMs(obs_ids_.reference_ms, stats.ref_cost_ms);
-    }
-  }
+  obs_.Observe(obs_ids_.frame_cost_hist, result_.charged_cost_ms - sim0);
   ++frames_this_invocation_;
   next_frame_ = t + 1;
   return FrameEpilogue(t);
@@ -399,17 +426,11 @@ Status EngineRun::StepSkippedFrame(size_t t) {
   ++result_.frames_processed;
   ++result_.skip.skipped_frames;
   result_.skip.propagated_ap_sum += true_ap;
-  if (obs_.enabled()) {
-    // The skip path charges only tracker time; its span starts where the
-    // stream's sim clock stood before this frame.
-    obs_.Count(obs_ids_.frames);
-    obs_.Count(obs_ids_.frames_skipped);
-    obs_.CountMs(obs_ids_.tracker_ms, tracker_ms);
-    obs_.CountMs(obs_ids_.charged_ms, tracker_ms);
-    obs_.Observe(obs_ids_.frame_cost_hist, tracker_ms);
-    obs_.Span(MetricDomain::kSimulated, static_cast<int64_t>(t), "tracker",
-              result_.charged_cost_ms - tracker_ms, tracker_ms);
-  }
+  // The skip path charges only tracker time; its span starts where the
+  // stream's sim clock stood before this frame.
+  obs_.Observe(obs_ids_.frame_cost_hist, tracker_ms);
+  obs_.Span(MetricDomain::kSimulated, static_cast<int64_t>(t), "tracker",
+            result_.charged_cost_ms - tracker_ms, tracker_ms);
   if (options_.record_cost_curve) {
     result_.cost_curve.emplace_back(result_.frames_processed,
                                     result_.charged_cost_ms);
@@ -427,65 +448,12 @@ void EngineRun::SetDegradation(int skip_boost, EnsembleId model_mask) {
 void EngineRun::SetObs(const ObsHandle& obs) {
   obs_ = obs;
   if (obs_.metrics == nullptr) return;
-  // Register (or look up) the engine's series once; the frame loop only
-  // touches cached ids afterwards. Names are registry-global: counters
-  // aggregate across streams, which keeps the simulated-domain values a
-  // pure function of the seeded work — identical at any worker or shard
-  // count.
-  MetricsRegistry& reg = *obs_.metrics;
-  const MetricDomain sim = MetricDomain::kSimulated;
-  const MetricDomain wall = MetricDomain::kWall;
-  obs_ids_.frames = reg.Counter("vqe_engine_frames_total", sim,
-                                MetricUnit::kCount,
-                                "Frames processed (detect + skip paths)");
-  obs_ids_.frames_skipped =
-      reg.Counter("vqe_engine_frames_skipped_total", sim, MetricUnit::kCount,
-                  "Frames answered from tracker propagation");
-  obs_ids_.frames_fallback =
-      reg.Counter("vqe_engine_frames_fallback_total", sim, MetricUnit::kCount,
-                  "Frames completed on a strict sub-mask after member faults");
-  obs_ids_.frames_failed =
-      reg.Counter("vqe_engine_frames_failed_total", sim, MetricUnit::kCount,
-                  "Frames where every selected member failed");
-  obs_ids_.detector_ms =
-      reg.Counter("vqe_engine_detector_ms_total", sim, MetricUnit::kMs,
-                  "Simulated camera-detector inference time");
-  obs_ids_.reference_ms =
-      reg.Counter("vqe_engine_reference_ms_total", sim, MetricUnit::kMs,
-                  "Simulated reference (LiDAR) inference time");
-  obs_ids_.ensembling_ms =
-      reg.Counter("vqe_engine_ensembling_ms_total", sim, MetricUnit::kMs,
-                  "Simulated box-fusion overhead");
-  obs_ids_.fault_ms =
-      reg.Counter("vqe_engine_fault_ms_total", sim, MetricUnit::kMs,
-                  "Simulated time wasted on faults (failed calls, retries, "
-                  "backoff)");
-  obs_ids_.tracker_ms =
-      reg.Counter("vqe_engine_tracker_ms_total", sim, MetricUnit::kMs,
-                  "Simulated tracker time of the temporal fast path");
-  obs_ids_.charged_ms =
-      reg.Counter("vqe_engine_charged_cost_ms_total", sim, MetricUnit::kMs,
-                  "Total budget-accountable simulated cost");
-  obs_ids_.frame_cost_hist = reg.Histogram(
-      "vqe_engine_frame_cost_ms", sim,
+  // The per-frame histogram is the one series the frame loop touches, so
+  // its id is cached here; the counters are published by Finish.
+  obs_ids_.frame_cost_hist = obs_.metrics->Histogram(
+      "vqe_engine_frame_cost_ms", MetricDomain::kSimulated,
       {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0}, MetricUnit::kMs,
       "Per-frame charged simulated cost");
-  obs_ids_.model_failures =
-      reg.Counter("vqe_engine_model_call_failures_total", sim,
-                  MetricUnit::kCount,
-                  "Selected-member calls that failed after retries");
-  obs_ids_.breaker_opens =
-      reg.Counter("vqe_engine_breaker_opens_total", sim, MetricUnit::kCount,
-                  "Circuit-breaker open transitions");
-  obs_ids_.algo_ms =
-      reg.Counter("vqe_engine_algorithm_ms_total", wall, MetricUnit::kMs,
-                  "Wall-clock spent in strategy Select/Observe");
-  obs_ids_.ckpt_writes =
-      reg.Counter("vqe_engine_checkpoint_writes_total", sim,
-                  MetricUnit::kCount, "Checkpoint generations written");
-  obs_ids_.ckpt_write_ms =
-      reg.Counter("vqe_engine_checkpoint_write_ms_total", wall, MetricUnit::kMs,
-                  "Wall-clock spent serializing + durably writing snapshots");
 }
 
 Result<std::vector<uint8_t>> EngineRun::ExportSnapshot() const {
@@ -495,11 +463,7 @@ Result<std::vector<uint8_t>> EngineRun::ExportSnapshot() const {
   SnapshotWriter snap;
   snap.AddSection(kEngineMetaSection)
       .Bytes(identity_.bytes().data(), identity_.bytes().size());
-  {
-    ByteWriter& w = snap.AddSection(kEngineCursorSection);
-    w.U64(next_frame_);
-    w.F64(algo_time_.total_seconds());
-  }
+  snap.AddSection(kEngineCursorSection).U64(next_frame_);
   WriteRunResult(snap.AddSection(kEngineResultSection), result_);
   VQE_RETURN_NOT_OK(strategy_->SaveState(snap.AddSection(kStrategySection)));
   {
@@ -532,9 +496,12 @@ Status EngineRun::RestoreFromSnapshot(const SnapshotReader& snapshot) {
   VQE_ASSIGN_OR_RETURN(ByteReader cursor,
                        snapshot.Section(kEngineCursorSection));
   uint64_t frame = 0;
-  double algo_seconds = 0.0;
   VQE_RETURN_NOT_OK(cursor.U64(&frame));
-  VQE_RETURN_NOT_OK(cursor.F64(&algo_seconds));
+  // Older builds also wrote the run's wall-clock strategy seconds here;
+  // skip them, so their checkpoints and payloads still resume.
+  if (cursor.remaining() == sizeof(double)) {
+    VQE_RETURN_NOT_OK(cursor.Skip(sizeof(double)));
+  }
   VQE_RETURN_NOT_OK(cursor.ExpectEnd());
   if (frame >= num_frames_) {
     return Status::DataLoss("checkpoint cursor beyond end of video");
@@ -578,7 +545,6 @@ Status EngineRun::RestoreFromSnapshot(const SnapshotReader& snapshot) {
   restored.checkpoint = result_.checkpoint;  // per-invocation, never restored
   result_ = std::move(restored);
   next_frame_ = static_cast<size_t>(frame);
-  algo_time_.Add(algo_seconds);
   return Status::OK();
 }
 
@@ -622,8 +588,6 @@ Status EngineRun::FrameEpilogue(size_t t) {
     const double write_ms = watch.ElapsedMillis();
     result_.checkpoint.checkpoint_write_ms += write_ms;
     if (obs_.enabled()) {
-      obs_.Count(obs_ids_.ckpt_writes);
-      obs_.CountMs(obs_ids_.ckpt_write_ms, write_ms);
       obs_.Span(MetricDomain::kWall, static_cast<int64_t>(t),
                 "checkpoint_write", wall_ledger_ms_, write_ms);
       wall_ledger_ms_ += write_ms;
@@ -659,6 +623,7 @@ Result<RunResult> EngineRun::Finish() {
         breakers_[static_cast<size_t>(i)].opens();
   }
   result_.breakdown.algorithm_ms = algo_time_.total_seconds() * 1e3;
+  if (obs_.metrics != nullptr) PublishRunResult(*obs_.metrics, result_);
   return std::move(result_);
 }
 

@@ -70,11 +70,13 @@ struct EngineOptions {
   /// is behind one `enabled()` branch and the frame loop performs zero
   /// extra allocations, so a run without obs is bit-identical to a build
   /// that never heard of it. When enabled, instrumentation only *reads*
-  /// run state — observation never perturbs selection — and all
-  /// simulated-domain counters it emits are deterministic across worker
-  /// and shard counts. Like SetDegradation, the handle is a property of
-  /// the process, not of the stream: it is absent from the identity
-  /// fingerprint and from snapshots.
+  /// run state — observation never perturbs selection. Each stepped frame
+  /// records its spans and one frame-cost histogram sample; the
+  /// `vqe_engine_*` counters are published once, from the finished
+  /// RunResult, by Finish (a run that aborts publishes none), so they are
+  /// deterministic across worker and shard counts. Like SetDegradation,
+  /// the handle is a property of the process, not of the stream: it is
+  /// absent from the identity fingerprint and from snapshots.
   ObsHandle obs;
 
   Status Validate() const;
@@ -97,7 +99,9 @@ struct TimeBreakdown {
   /// tracker. Zero whenever skipping is disabled.
   double tracker_ms = 0.0;
   /// Real wall-clock spent in strategy Select/Observe, ms — the "other
-  /// optimization components" share.
+  /// optimization components" share. It covers this invocation only:
+  /// snapshots carry no wall time, so a resumed or migrated run counts
+  /// from its restore, and no bit-identity check reads this field.
   double algorithm_ms = 0.0;
 
   /// Simulated frame-clock time only (detector + reference + ensembling +
@@ -272,7 +276,7 @@ class EngineRun {
   /// attribution via ObsHandle::WithStream). Same contract as the
   /// degradation overlay: a node property, never fingerprinted, never
   /// snapshotted, and SetObs({}) restores the exact disabled path.
-  /// Registration of metric series happens here (locking, may allocate);
+  /// Registers the frame-cost histogram here (locking, may allocate), so
   /// the per-frame observation path stays lock- and allocation-free.
   void SetObs(const ObsHandle& obs);
 
@@ -295,8 +299,9 @@ class EngineRun {
   /// migration target is always a freshly created run).
   Status RestoreFromSnapshot(const SnapshotReader& snapshot);
 
-  /// Finalizes averages and per-model breaker counters and returns the
-  /// RunResult. Callable once; the run is done() afterwards.
+  /// Finalizes averages and per-model breaker counters, publishes the
+  /// RunResult's totals to the obs registry (when one is bound) and
+  /// returns the RunResult. Callable once; the run is done() afterwards.
   Result<RunResult> Finish();
 
  private:
@@ -353,27 +358,12 @@ class EngineRun {
   /// materialize it on a lazy source and defeat the skip.
   double last_max_cost_ms_ = 0.0;
 
-  /// Observability sink (disabled by default; see SetObs). Cached metric
-  /// ids are registered once per SetObs so the frame loop never hashes a
+  /// Observability sink (disabled by default; see SetObs). The histogram
+  /// id is registered once per SetObs so the frame loop never hashes a
   /// metric name.
   ObsHandle obs_;
   struct ObsIds {
-    MetricsRegistry::Id frames = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id frames_skipped = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id frames_fallback = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id frames_failed = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id detector_ms = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id reference_ms = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id ensembling_ms = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id fault_ms = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id tracker_ms = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id charged_ms = MetricsRegistry::kInvalidId;
     MetricsRegistry::Id frame_cost_hist = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id model_failures = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id breaker_opens = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id algo_ms = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id ckpt_writes = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id ckpt_write_ms = MetricsRegistry::kInvalidId;
   };
   ObsIds obs_ids_;
   /// Cumulative instrumented wall time (select/observe/checkpoint): the

@@ -114,6 +114,34 @@ void StepShard(Shard& shard, const std::vector<StreamState>& streams) {
   }
 }
 
+/// Adds a completed Run's ledger to the `vqe_fleet_*` series: the
+/// registry's only writer of them.
+void PublishFleetStats(MetricsRegistry& reg, const FleetStats& stats,
+                       const std::vector<double>& migration_latency_ms) {
+  const MetricDomain wall = MetricDomain::kWall;
+  const MigrationStats& mig = stats.migration;
+  reg.Publish("vqe_fleet_migrations_attempted_total", wall, mig.attempted,
+              "Live-migration extractions asked");
+  reg.Publish("vqe_fleet_migrations_completed_total", wall, mig.completed,
+              "Sessions implanted on targets");
+  reg.Publish("vqe_fleet_migrations_rejected_total", wall,
+              mig.rejected_corrupt + mig.rejected_identity,
+              "Payloads rejected (corrupt or identity mismatch)");
+  reg.Publish("vqe_fleet_migration_fallback_restarts_total", wall,
+              mig.fallback_restarts,
+              "Factory restarts after failed migrations");
+  reg.Publish("vqe_fleet_failover_streams_total", wall,
+              stats.failover_streams, "Streams restarted off dead shards");
+  reg.Publish("vqe_fleet_shards_killed_total", wall,
+              static_cast<uint64_t>(stats.shards_killed),
+              "Shards killed (scripted or on a serving error)");
+  const MetricsRegistry::Id latency = reg.Histogram(
+      "vqe_fleet_migration_latency_ms", wall,
+      {0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0}, MetricUnit::kMs,
+      "Handoff latency: encoded payload -> implant confirmed");
+  for (const double ms : migration_latency_ms) reg.Observe(latency, ms);
+}
+
 }  // namespace
 
 Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
@@ -140,50 +168,14 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
   Stopwatch wall;
   BreakerRegistry fleet_health(options_.shard.fleet_breaker);
 
-  // Coordinator-side observability (wall domain; see FleetOptions::obs).
+  // Coordinator-side tracing (wall domain; see FleetOptions::obs).
   // Instant-event timestamps ride the real wall clock of the calling
   // thread, which handles every control event serially, so per-track
-  // timestamps stay monotone.
+  // timestamps stay monotone. The counters are published once, from
+  // FleetStats, when Run completes.
   const bool obs_on = options_.obs.enabled();
   ObsHandle coord_obs;
-  MetricsRegistry::Id obs_mig_attempted = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id obs_mig_completed = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id obs_mig_rejected = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id obs_mig_fallbacks = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id obs_failovers = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id obs_shards_killed = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id obs_mig_latency = MetricsRegistry::kInvalidId;
-  if (obs_on) {
-    coord_obs = options_.obs.WithNodeTrack(options_.num_shards);
-    if (options_.obs.metrics != nullptr) {
-      MetricsRegistry& reg = *options_.obs.metrics;
-      const MetricDomain w = MetricDomain::kWall;
-      obs_mig_attempted =
-          reg.Counter("vqe_fleet_migrations_attempted_total", w,
-                      MetricUnit::kCount, "Live-migration extractions asked");
-      obs_mig_completed =
-          reg.Counter("vqe_fleet_migrations_completed_total", w,
-                      MetricUnit::kCount, "Sessions implanted on targets");
-      obs_mig_rejected =
-          reg.Counter("vqe_fleet_migrations_rejected_total", w,
-                      MetricUnit::kCount,
-                      "Payloads rejected (corrupt or identity mismatch)");
-      obs_mig_fallbacks =
-          reg.Counter("vqe_fleet_migration_fallback_restarts_total", w,
-                      MetricUnit::kCount,
-                      "Factory restarts after failed migrations");
-      obs_failovers =
-          reg.Counter("vqe_fleet_failover_streams_total", w,
-                      MetricUnit::kCount, "Streams restarted off dead shards");
-      obs_shards_killed =
-          reg.Counter("vqe_fleet_shards_killed_total", w, MetricUnit::kCount,
-                      "Shards killed (scripted or on a serving error)");
-      obs_mig_latency = reg.Histogram(
-          "vqe_fleet_migration_latency_ms", w,
-          {0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0}, MetricUnit::kMs,
-          "Handoff latency: encoded payload -> implant confirmed");
-    }
-  }
+  if (obs_on) coord_obs = options_.obs.WithNodeTrack(options_.num_shards);
 
   // Build shards; split the chaos script. Corruption events stay with the
   // coordinator as per-target-shard FIFOs consumed by migration payloads.
@@ -384,7 +376,6 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
     shards[static_cast<size_t>(id)]->dead = true;
     ++out.stats.shards_killed;
     if (obs_on) {
-      coord_obs.Count(obs_shards_killed);
       coord_obs.Instant(MetricDomain::kWall, -1, "shard_dead",
                         wall.ElapsedMillis(), "shard",
                         static_cast<double>(id));
@@ -392,7 +383,6 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
     for (size_t index = 0; index < streams.size(); ++index) {
       if (streams[index].terminal || streams[index].shard != id) continue;
       ++out.stats.failover_streams;
-      coord_obs.Count(obs_failovers);
       restart_stream(index, Status::Unavailable(
                                 "shard " + std::to_string(id) +
                                 " died with the stream on it"));
@@ -406,7 +396,6 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
   // (finished, elsewhere, or not yet submitted) or a dead target aborts.
   auto migrate = [&](const std::string& name, int source, int target) {
     ++out.stats.migration.attempted;
-    coord_obs.Count(obs_mig_attempted);
     Shard& from = *shards[static_cast<size_t>(source)];
     Shard& to = *shards[static_cast<size_t>(target)];
     if (to.dead) {
@@ -466,10 +455,8 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
     if (status.ok()) {
       const double handoff_ms = handoff.ElapsedMillis();
       migration_latency_ms.push_back(handoff_ms);
-      coord_obs.Observe(obs_mig_latency, handoff_ms);
       ++out.stats.migration.completed;
       if (obs_on) {
-        coord_obs.Count(obs_mig_completed);
         coord_obs.Instant(MetricDomain::kWall, -1, "migration_complete",
                           wall.ElapsedMillis(), "target_shard",
                           static_cast<double>(target));
@@ -481,16 +468,13 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
     }
     if (status.code() == StatusCode::kDataLoss) {
       ++out.stats.migration.rejected_corrupt;
-      coord_obs.Count(obs_mig_rejected);
     } else if (status.code() == StatusCode::kFailedPrecondition) {
       ++out.stats.migration.rejected_identity;
-      coord_obs.Count(obs_mig_rejected);
     }
     // The session is gone (its state rejected or the target full): restart
     // from the factory — checkpointed streams resume, the rest replay
     // deterministically from frame 0.
     ++out.stats.migration.fallback_restarts;
-    coord_obs.Count(obs_mig_fallbacks);
     restart_stream(index, status);
   };
 
@@ -574,6 +558,9 @@ Result<FleetReport> ShardedServer::Run(std::vector<FleetStreamSpec> specs,
     fsr.migrations = state.migrations;
     fsr.report = std::move(state.report);
     out.streams.push_back(std::move(fsr));
+  }
+  if (options_.obs.metrics != nullptr) {
+    PublishFleetStats(*options_.obs.metrics, out.stats, migration_latency_ms);
   }
   out.stats.migration.latency_p50_ms =
       SamplePercentileInPlace(migration_latency_ms, 0.5);

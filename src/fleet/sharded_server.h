@@ -106,10 +106,13 @@ struct FleetOptions {
   /// Observability sink. Disabled by default (no metrics, no tracing,
   /// bit-identical results). When enabled, each shard's scheduler gets the
   /// handle with obs_node = its shard id (round spans land on "node i"
-  /// tracks), sessions trace on their stream tracks, and the coordinator
-  /// emits migration/failover/shard-death counters plus instant events on
-  /// the node track `num_shards` — all wall-domain: shard placement and
-  /// crash recovery are process bookkeeping, not results.
+  /// tracks), sessions trace on their stream tracks, the coordinator
+  /// traces migration and shard-death instants on the node track
+  /// `num_shards`, and a completed Run publishes the migration, failover
+  /// and shard-kill counters and the migration-latency histogram once,
+  /// from FleetStats. All wall-domain: shard placement and crash recovery
+  /// are process bookkeeping, not results. A killed shard publishes
+  /// nothing, like the sessions it held.
   ObsHandle obs;
 
   Status Validate() const;

@@ -72,6 +72,16 @@ MetricsRegistry::Id MetricsRegistry::Histogram(std::string_view name,
                         std::move(bounds));
 }
 
+void MetricsRegistry::Publish(std::string_view name, MetricDomain domain,
+                              uint64_t n, std::string_view help) {
+  Add(Counter(name, domain, MetricUnit::kCount, help), n);
+}
+
+void MetricsRegistry::PublishMs(std::string_view name, MetricDomain domain,
+                                double ms, std::string_view help) {
+  AddMs(Counter(name, domain, MetricUnit::kMs, help), ms);
+}
+
 void MetricsRegistry::Add(Id id, uint64_t n) {
   if (id >= published_.load(std::memory_order_acquire)) return;
   counters_[metrics_[id].cell].v.fetch_add(n, std::memory_order_relaxed);

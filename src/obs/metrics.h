@@ -13,13 +13,14 @@
 //     exactly these metrics for determinism gates.
 //
 //   kWall — real wall-clock measurements and process bookkeeping
-//     (checkpoint write latency, scheduler rounds, batch sizes). Reported
+//     (checkpoint write latency, scheduler rounds, migrations). Reported
 //     alongside but never mixed into the deterministic fingerprint.
 //
-// Concurrency. Registration (Counter/Histogram) takes a mutex and
-// may allocate — do it at setup (handles are cached by the instrumented
-// layers). Re-registering a name returns the existing id, so many
-// sessions instrumenting the same registry share one set of series.
+// Concurrency. Registration (Counter/Histogram/Publish) takes a mutex
+// and may allocate — do it at setup or at a completion point, never in a
+// frame loop (the per-frame histograms' ids are cached by the
+// instrumented layers). Re-registering a name returns the existing id, so
+// many sessions instrumenting the same registry share one set of series.
 // Observation (Add/AddMs/Observe) is lock-free, allocation-free and
 // wait-free: one relaxed atomic RMW per call. Cells live in deques, so
 // registration never relocates a cell another thread is updating.
@@ -86,6 +87,14 @@ class MetricsRegistry {
   Id Histogram(std::string_view name, MetricDomain domain,
                std::vector<double> bounds, MetricUnit unit = MetricUnit::kMs,
                std::string_view help = "");
+
+  /// Registers (or looks up) a kCount / kMs counter and adds `n` / the
+  /// ticks of `ms` to it: how a component publishes its finished ledger
+  /// at a completion point. Locks, so never call it in a frame loop.
+  void Publish(std::string_view name, MetricDomain domain, uint64_t n,
+               std::string_view help);
+  void PublishMs(std::string_view name, MetricDomain domain, double ms,
+                 std::string_view help);
 
   // --- observation (hot path: lock-free, allocation-free) ---------------
 

@@ -11,9 +11,12 @@
 // Attribution: `WithStream(id)` rebinds the handle's trace track to a
 // stream so engine-level spans land on that stream's timeline;
 // `WithNodeTrack(n)` binds process-scoped tracks (scheduler, shards) at
-// kNodeTrackBase + n. Metrics are registry-global — simulated-domain
-// counters aggregate identically across worker and shard counts, which
-// is what the determinism gate fingerprints.
+// kNodeTrackBase + n. Metrics are registry-global. A counter that mirrors
+// a stats struct (RunResult, QueryOutput, ServeStats, FleetStats) is
+// published once from that struct when its component completes, so
+// simulated-domain counters aggregate identically across worker and
+// shard counts, which is what the determinism gate fingerprints; spans
+// and histograms record every stepped frame.
 
 #ifndef VQE_OBS_OBS_H_
 #define VQE_OBS_OBS_H_

@@ -287,66 +287,53 @@ Result<std::unique_ptr<SelectionStrategy>> MakeStrategy(
   return Status::NotFound("unknown strategy: " + clause.strategy);
 }
 
-/// Metric ids of the query executor (all kInvalidId when obs is off, so
-/// every observation site is a guarded no-op).
+/// Metric ids the query's frame loop touches (kInvalidId when obs is off,
+/// so every observation site is a guarded no-op).
 struct QueryObsIds {
-  MetricsRegistry::Id frames = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id matched = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id skipped = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id failed = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id fallback = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id charged_ms = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id reference_ms = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id fault_ms = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id model_failures = MetricsRegistry::kInvalidId;
   MetricsRegistry::Id frame_cost = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id ckpt_writes = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id ckpt_write_ms = MetricsRegistry::kInvalidId;
-  MetricsRegistry::Id wall_ms = MetricsRegistry::kInvalidId;
 };
 
 QueryObsIds RegisterQueryObs(MetricsRegistry& reg) {
   QueryObsIds ids;
-  const MetricDomain sim = MetricDomain::kSimulated;
-  const MetricDomain wall = MetricDomain::kWall;
-  ids.frames = reg.Counter("vqe_query_frames_total", sim, MetricUnit::kCount,
-                           "Frames consumed by the query loop");
-  ids.matched = reg.Counter("vqe_query_frames_matched_total", sim,
-                            MetricUnit::kCount, "Frames passing WHERE");
-  ids.skipped =
-      reg.Counter("vqe_query_frames_skipped_total", sim, MetricUnit::kCount,
-                  "Frames answered from tracker propagation");
-  ids.failed =
-      reg.Counter("vqe_query_frames_failed_total", sim, MetricUnit::kCount,
-                  "Frames where every selected member failed");
-  ids.fallback =
-      reg.Counter("vqe_query_fallback_frames_total", sim, MetricUnit::kCount,
-                  "Frames completed on a strict sub-mask of the selection");
-  ids.charged_ms =
-      reg.Counter("vqe_query_charged_cost_ms_total", sim, MetricUnit::kMs,
-                  "Simulated inference cost charged (Eq. 12/14)");
-  ids.reference_ms =
-      reg.Counter("vqe_query_reference_ms_total", sim, MetricUnit::kMs,
-                  "Simulated reference-model cost");
-  ids.fault_ms =
-      reg.Counter("vqe_query_fault_ms_total", sim, MetricUnit::kMs,
-                  "Simulated time lost to faults");
-  ids.model_failures =
-      reg.Counter("vqe_query_model_call_failures_total", sim,
-                  MetricUnit::kCount, "Per-model failed calls");
   ids.frame_cost = reg.Histogram(
-      "vqe_query_frame_cost_ms", sim,
+      "vqe_query_frame_cost_ms", MetricDomain::kSimulated,
       {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0}, MetricUnit::kMs,
       "Per-frame simulated charged cost");
-  ids.ckpt_writes =
-      reg.Counter("vqe_query_checkpoint_writes_total", sim,
-                  MetricUnit::kCount, "Snapshots durably written");
-  ids.ckpt_write_ms =
-      reg.Counter("vqe_query_checkpoint_write_ms_total", wall, MetricUnit::kMs,
-                  "Wall-clock spent writing snapshots");
-  ids.wall_ms = reg.Counter("vqe_query_wall_ms_total", wall, MetricUnit::kMs,
-                            "Wall-clock of whole query executions");
   return ids;
+}
+
+/// Adds a finished query's totals to the `vqe_query_*` counters: the
+/// registry's only writer of them.
+void PublishQueryOutput(MetricsRegistry& reg, const QueryOutput& out) {
+  const MetricDomain sim = MetricDomain::kSimulated;
+  const MetricDomain wall = MetricDomain::kWall;
+  uint64_t model_failures = 0;
+  for (const uint64_t n : out.model_failures) model_failures += n;
+  reg.Publish("vqe_query_frames_total", sim, out.frames_processed,
+              "Frames consumed by the query loop");
+  reg.Publish("vqe_query_frames_matched_total", sim, out.frames_matched,
+              "Frames passing WHERE");
+  reg.Publish("vqe_query_frames_skipped_total", sim, out.skipped_frames,
+              "Frames answered from tracker propagation");
+  reg.Publish("vqe_query_frames_failed_total", sim, out.failed_frames,
+              "Frames where every selected member failed");
+  reg.Publish("vqe_query_fallback_frames_total", sim, out.fallback_frames,
+              "Frames completed on a strict sub-mask of the selection");
+  reg.PublishMs("vqe_query_charged_cost_ms_total", sim, out.charged_cost_ms,
+                "Simulated inference cost charged (Eq. 12/14)");
+  reg.PublishMs("vqe_query_reference_ms_total", sim, out.reference_cost_ms,
+                "Simulated reference-model cost");
+  reg.PublishMs("vqe_query_fault_ms_total", sim, out.fault_ms,
+                "Simulated time lost to faults");
+  reg.Publish("vqe_query_model_call_failures_total", sim, model_failures,
+              "Per-model failed calls");
+  reg.Publish("vqe_query_checkpoint_writes_total", sim,
+              out.checkpoint.snapshots_written, "Snapshots durably written");
+  reg.PublishMs("vqe_query_checkpoint_write_ms_total", wall,
+                out.checkpoint.checkpoint_write_ms,
+                "Wall-clock spent writing snapshots");
+  reg.PublishMs("vqe_query_wall_ms_total", wall, out.wall_seconds * 1000.0,
+                "Wall-clock of whole query executions");
 }
 
 }  // namespace
@@ -356,8 +343,9 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   VQE_RETURN_NOT_OK(options.Validate());
   VQE_RETURN_NOT_OK(ValidatePredicate(query.where.get()));
 
-  // Observability registration happens once, up front (locks, may
-  // allocate); the frame loop then only touches lock-free counters.
+  // The frame-cost histogram is registered once, up front (locks, may
+  // allocate); the frame loop then only touches lock-free cells, and the
+  // counters are published from `out` once the query completes.
   const ObsHandle& obs = options.obs;
   QueryObsIds qobs;
   if (obs.metrics != nullptr) qobs = RegisterQueryObs(*obs.metrics);
@@ -517,8 +505,6 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
     ++frames_this_invocation;
     if (obs.enabled()) {
       const double frame_ms = out.charged_cost_ms - frame_sim0;
-      obs.Count(qobs.frames);
-      obs.CountMs(qobs.charged_ms, frame_ms);
       obs.Observe(qobs.frame_cost, frame_ms);
       obs.Span(MetricDomain::kSimulated, video.frames[t].frame_index,
                "query_frame", frame_sim0, frame_ms);
@@ -537,8 +523,6 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       ++out.checkpoint.snapshots_written;
       const double write_ms = watch.ElapsedMillis();
       out.checkpoint.checkpoint_write_ms += write_ms;
-      obs.Count(qobs.ckpt_writes);
-      obs.CountMs(qobs.ckpt_write_ms, write_ms);
     }
 
     // Crash injection for the resume tests (see CheckpointPolicy): abort
@@ -573,10 +557,8 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
                             needs_tracks ? &active_tracks : nullptr)) {
         out.frame_ids.push_back(frame.frame_index);
         ++out.frames_matched;
-        obs.Count(qobs.matched);
       }
       ++out.skipped_frames;
-      obs.Count(qobs.skipped);
       VQE_RETURN_NOT_OK(frame_epilogue(t));
       continue;
     }
@@ -637,7 +619,6 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
             Status::Unavailable(detector.name() + ": circuit breaker open");
       }
       out.fault_ms += call.fault_ms;
-      obs.CountMs(qobs.fault_ms, call.fault_ms);
       frame_cost += call.charged_ms();
       if (call.ok()) {
         model_out[static_cast<size_t>(i)] = std::move(call.detections);
@@ -646,7 +627,6 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       } else {
         model_out[static_cast<size_t>(i)].clear();
         ++out.model_failures[static_cast<size_t>(i)];
-        obs.Count(qobs.model_failures);
       }
     }
 
@@ -657,7 +637,6 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
       // an empty frame so stale tracks age out on schedule.
       out.charged_cost_ms += frame_cost;
       ++out.failed_frames;
-      obs.Count(qobs.failed);
       if (gate != nullptr) {
         // The gate still observes the (empty) frame: stale tracks age out,
         // the open skip episode closes, and tracker time is charged.
@@ -669,10 +648,7 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
         tracker.Update(DetectionList{}, frame.frame_index);
       }
     } else {
-      if (realized != selected) {
-        ++out.fallback_frames;
-        obs.Count(qobs.fallback);
-      }
+      if (realized != selected) ++out.fallback_frames;
 
       // Reference model (AP estimation) when the strategy learns from it.
       const bool uses_ref = strategy->UsesReferenceModel();
@@ -682,7 +658,6 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
         const double ref_ms =
             pool.reference->InferenceCostMs(frame, options.seed);
         out.reference_cost_ms += ref_ms;
-        obs.CountMs(qobs.reference_ms, ref_ms);
         DetectionsAsGroundTruth(ref_out, kReferenceMinConfidence, &ref_gt);
         RebuildGroundTruthIndex(ref_gt, &ref_index);
       }
@@ -758,7 +733,6 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
                             needs_tracks ? &active_tracks : nullptr)) {
         out.frame_ids.push_back(frame.frame_index);
         ++out.frames_matched;
-        obs.Count(qobs.matched);
       }
     }
 
@@ -767,11 +741,9 @@ Result<QueryOutput> ExecuteQuery(const Query& query,
   }
 
   out.wall_seconds = wall.ElapsedSeconds();
-  if (obs.enabled()) {
-    const double wall_ms = out.wall_seconds * 1000.0;
-    obs.CountMs(qobs.wall_ms, wall_ms);
-    obs.Span(MetricDomain::kWall, -1, "execute_query", 0.0, wall_ms);
-  }
+  if (obs.metrics != nullptr) PublishQueryOutput(*obs.metrics, out);
+  obs.Span(MetricDomain::kWall, -1, "execute_query", 0.0,
+           out.wall_seconds * 1000.0);
   return out;
 }
 

@@ -64,11 +64,13 @@ struct QueryEngineOptions {
   SkipOptions skip;
   /// Observability sink. Disabled by default: no metrics, no tracing, no
   /// allocations in the frame loop, output bit-identical to a build that
-  /// never heard of observability. When enabled the executor emits
-  /// simulated-domain per-frame counters/spans (deterministic — queries
-  /// are single-threaded) and wall-domain bookkeeping on the handle's
-  /// track. Never serialized into checkpoints and absent from the resume
-  /// identity fingerprint.
+  /// never heard of observability. When enabled the executor records a
+  /// simulated-domain span and frame-cost histogram sample per frame on
+  /// the handle's track, and a query that completes publishes its
+  /// QueryOutput totals to the `vqe_query_*` counters once (an aborted
+  /// invocation publishes none; a resumed one publishes its whole
+  /// totals). Never serialized into checkpoints and absent from the
+  /// resume identity fingerprint.
   ObsHandle obs;
 
   Status Validate() const;

@@ -98,8 +98,15 @@ Status CircuitBreaker::RestoreState(ByteReader& reader) {
   if (state > static_cast<uint8_t>(BreakerState::kHalfOpen)) {
     return Status::DataLoss("breaker state enum out of range");
   }
-  if (consecutive_failures < 0 || probe_successes < 0) {
-    return Status::DataLoss("breaker counters negative");
+  // A breaker trips (and resets the streak) when consecutive failures
+  // reach the threshold, and keeps its probe count once the probes close
+  // it: larger counts are unreachable, and some would not fit an int.
+  if (consecutive_failures < 0 ||
+      consecutive_failures >= options_.failure_threshold) {
+    return Status::DataLoss("breaker failure streak out of range");
+  }
+  if (probe_successes < 0 || probe_successes > options_.half_open_probes) {
+    return Status::DataLoss("breaker probe count out of range");
   }
   state_ = static_cast<BreakerState>(state);
   opened_at_ = static_cast<size_t>(opened_at);

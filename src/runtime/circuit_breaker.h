@@ -67,7 +67,8 @@ class CircuitBreaker {
   Status SaveState(ByteWriter& writer) const;
 
   /// Restores a SaveState payload; DataLoss on malformed bytes (e.g. an
-  /// out-of-range state enum), leaving the breaker untouched.
+  /// out-of-range state enum, or counters the state machine cannot
+  /// reach under this breaker's options), leaving the breaker untouched.
   Status RestoreState(ByteReader& reader);
 
  private:

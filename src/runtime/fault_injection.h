@@ -17,10 +17,22 @@
 #include <vector>
 
 #include "common/status.h"
-#include "runtime/fallible_detector.h"
+#include "detection/detection.h"
+#include "models/detector.h"
 #include "sim/scene_context.h"
+#include "sim/video.h"
 
 namespace vqe {
+
+/// The result of one detector attempt: status, detections (meaningful only
+/// when status is OK), and the simulated latency the attempt consumed.
+/// Failed attempts still burn time: the retry layer charges that latency
+/// as fault time.
+struct AttemptOutcome {
+  Status status;
+  DetectionList detections;
+  double latency_ms = 0.0;
+};
 
 /// What an injected fault does to one attempt.
 enum class FaultKind : uint8_t {
@@ -79,11 +91,15 @@ struct FaultScript {
 
 /// Decorates a detector with a FaultScript. Name, cost model, and metadata
 /// pass through to the inner detector; Attempt applies the scripted fault
-/// for (frame, trial_seed, attempt). The legacy Detect/InferenceCostMs
+/// for (frame, trial_seed, attempt), where `attempt` numbers retries within
+/// one logical call (0 = first try), so a transient fault can clear on
+/// retry while a burst persists. It is the only detector with a failure
+/// channel: the retry layer (runtime/retry.h) runs every other detector as
+/// infallible. The legacy Detect/InferenceCostMs
 /// views reflect attempt 0 with hard errors degraded to empty output, so
 /// code that has not adopted the runtime path still sees the outage, just
 /// without the error signal.
-class FaultInjectingDetector final : public FallibleDetector {
+class FaultInjectingDetector final : public ObjectDetector {
  public:
   /// Non-owning: `inner` must outlive this decorator.
   FaultInjectingDetector(const ObjectDetector* inner, FaultScript script);
@@ -92,7 +108,7 @@ class FaultInjectingDetector final : public FallibleDetector {
                          FaultScript script);
 
   AttemptOutcome Attempt(const VideoFrame& frame, uint64_t trial_seed,
-                         int attempt) const override;
+                         int attempt) const;
 
   /// The fault scheduled for (frame, seed, attempt); kNone when healthy.
   FaultKind FaultAt(const VideoFrame& frame, uint64_t trial_seed,

@@ -3,7 +3,7 @@
 #include <string>
 #include <utility>
 
-#include "runtime/fallible_detector.h"
+#include "runtime/fault_injection.h"
 
 namespace vqe {
 
@@ -43,7 +43,7 @@ DetectorCallOutcome DetectWithRetries(const ObjectDetector& detector,
                                       const VideoFrame& frame,
                                       uint64_t trial_seed,
                                       const RetryPolicy& policy) {
-  const auto* fallible = dynamic_cast<const FallibleDetector*>(&detector);
+  const auto* faulty = dynamic_cast<const FaultInjectingDetector*>(&detector);
   DetectorCallOutcome call;
   double backoff = policy.backoff_base_ms;
   for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
@@ -53,8 +53,8 @@ DetectorCallOutcome DetectWithRetries(const ObjectDetector& detector,
     }
     ++call.attempts;
     AttemptOutcome outcome =
-        fallible ? fallible->Attempt(frame, trial_seed, attempt)
-                 : InfallibleAttempt(detector, frame, trial_seed);
+        faulty ? faulty->Attempt(frame, trial_seed, attempt)
+               : InfallibleAttempt(detector, frame, trial_seed);
     if (outcome.status.ok() && policy.deadline_ms > 0.0 &&
         outcome.latency_ms > policy.deadline_ms) {
       // The attempt would have answered eventually, but past the deadline:

@@ -57,7 +57,7 @@ struct DetectorCallOutcome {
 
 /// Runs one logical detector call under `policy`.
 ///
-/// FallibleDetector instances go through their Attempt API; any other
+/// A FaultInjectingDetector goes through its Attempt API; any other
 /// ObjectDetector is treated as infallible (one attempt, Detect +
 /// InferenceCostMs, in that order — the same call order the evaluation
 /// stack used before the runtime existed, preserving RNG-stream

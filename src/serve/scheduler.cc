@@ -39,10 +39,10 @@ StreamScheduler::StreamScheduler(ServeOptions options)
   if (options_.obs.enabled()) {
     node_obs_ = options_.obs.WithNodeTrack(options_.obs_node);
     if (options_.obs.metrics != nullptr) {
+      // Per-round and per-event series only: the counters with a
+      // ServeStats twin are published by FinishServing.
       MetricsRegistry& reg = *options_.obs.metrics;
       const MetricDomain wall = MetricDomain::kWall;
-      obs_ids_.rounds = reg.Counter("vqe_sched_rounds_total", wall,
-                                    MetricUnit::kCount, "DRR rounds run");
       obs_ids_.round_ms =
           reg.Counter("vqe_sched_round_ms_total", wall, MetricUnit::kMs,
                       "Wall-clock spent inside DRR rounds");
@@ -55,21 +55,9 @@ StreamScheduler::StreamScheduler(ServeOptions options)
       obs_ids_.drr_charge_ms =
           reg.Counter("vqe_sched_drr_charge_ms_total", wall, MetricUnit::kMs,
                       "Simulated-ms deficit charged for stepped frames");
-      obs_ids_.admitted =
-          reg.Counter("vqe_sched_admitted_total", wall, MetricUnit::kCount,
-                      "Sessions activated into slots");
-      obs_ids_.shed =
-          reg.Counter("vqe_sched_shed_total", wall, MetricUnit::kCount,
-                      "Submissions rejected with kResourceExhausted");
       obs_ids_.retired =
           reg.Counter("vqe_sched_retired_total", wall, MetricUnit::kCount,
                       "Sessions retired (drained or failed)");
-      obs_ids_.stream_errors =
-          reg.Counter("vqe_sched_stream_errors_total", wall,
-                      MetricUnit::kCount, "Sessions retired with an error");
-      obs_ids_.overload_transitions =
-          reg.Counter("vqe_sched_overload_transitions_total", wall,
-                      MetricUnit::kCount, "Degradation-ladder level changes");
       obs_ids_.slot_busy_ms =
           reg.Counter("vqe_sched_slot_busy_ms_total", wall, MetricUnit::kMs,
                       "Wall-clock slots spent stepping inside rounds");
@@ -96,11 +84,9 @@ void StreamScheduler::Activate(std::unique_ptr<StreamSession> session,
     // Per-stream attribution: the engine's spans land on this stream's
     // trace track; metric series stay registry-global.
     slot->session->SetObs(options_.obs.WithStream(static_cast<int64_t>(id)));
-    node_obs_.Count(obs_ids_.admitted);
   }
   ++stats_.classes[PriorityClassIndex(slot->session->priority())].admitted;
   active_.push_back(std::move(slot));
-  ++stats_.admitted;
   stats_.peak_active =
       std::max(stats_.peak_active, static_cast<int>(active_.size()));
 }
@@ -115,7 +101,6 @@ Result<uint64_t> StreamScheduler::Submit(
     return Status::FailedPrecondition(
         "scheduler already finished; submit before FinishServing");
   }
-  ++stats_.submitted;
   const int cls = PriorityClassIndex(session->priority());
   ++stats_.classes[cls].submitted;
 
@@ -131,8 +116,6 @@ Result<uint64_t> StreamScheduler::Submit(
       }
     }
     if (!any_callable) {
-      ++stats_.shed_submissions;
-      node_obs_.Count(obs_ids_.shed);
       ++stats_.classes[cls].shed_submissions;
       return Status::ResourceExhausted(
           "session '" + session->name() +
@@ -145,8 +128,6 @@ Result<uint64_t> StreamScheduler::Submit(
   // sessions stay (they drain on residual deficit; see RoundOnce).
   if (controller_ != nullptr && controller_->throttle_batch() &&
       session->priority() == PriorityClass::kBatch) {
-    ++stats_.shed_submissions;
-    node_obs_.Count(obs_ids_.shed);
     ++stats_.classes[cls].shed_submissions;
     return Status::ResourceExhausted(
         "session '" + session->name() +
@@ -165,8 +146,6 @@ Result<uint64_t> StreamScheduler::Submit(
         std::max(stats_.peak_queued, static_cast<int>(queue_.size()));
     return id;
   }
-  ++stats_.shed_submissions;
-  node_obs_.Count(obs_ids_.shed);
   ++stats_.classes[cls].shed_submissions;
   return Status::ResourceExhausted(
       "session '" + session->name() + "' shed: " +
@@ -188,7 +167,6 @@ Result<uint64_t> StreamScheduler::ImplantSession(
   // No fleet-breaker gate and no batch-shed gate: the stream was admitted
   // fleet-wide before it started; migration must not re-litigate admission
   // mid-video.
-  ++stats_.submitted;
   const int cls = PriorityClassIndex(session->priority());
   ++stats_.classes[cls].submitted;
   if (static_cast<int>(active_.size()) < options_.max_sessions) {
@@ -203,8 +181,6 @@ Result<uint64_t> StreamScheduler::ImplantSession(
         std::max(stats_.peak_queued, static_cast<int>(queue_.size()));
     return id;
   }
-  ++stats_.shed_submissions;
-  node_obs_.Count(obs_ids_.shed);
   ++stats_.classes[cls].shed_submissions;
   return Status::ResourceExhausted(
       "implant of '" + session->name() + "' rejected: shard full");
@@ -292,10 +268,8 @@ void StreamScheduler::Retire(Slot& slot) {
     ++stats_.failed_streams;
     stats_.errors.push_back(ServeStats::StreamError{
         sr.stream_id, sr.name, sr.status.code(), sr.status.message()});
-    node_obs_.Count(obs_ids_.stream_errors);
   }
   node_obs_.Count(obs_ids_.retired);
-  stats_.frames += sr.frames;
   stats_.skipped_frames += sr.result.skip.skipped_frames;
   stats_.simulated_ms += sr.result.breakdown.SimulatedMs();
   stats_.algorithm_wall_ms += sr.result.breakdown.algorithm_ms;
@@ -420,7 +394,6 @@ void StreamScheduler::RoundOnce() {
     const int level_before = controller_->level();
     controller_->EndRound(round_, static_cast<int>(queue_.size()));
     if (obs_on && controller_->level() != level_before) {
-      node_obs_.Count(obs_ids_.overload_transitions);
       node_obs_.Instant(MetricDomain::kWall, -1, "overload_level",
                         obs_wall_ledger_ms_, "level",
                         static_cast<double>(controller_->level()));
@@ -443,7 +416,6 @@ void StreamScheduler::RoundOnce() {
     const double round_ms = round_watch.ElapsedMillis();
     const uint64_t frames_this_round =
         frames_at_round_end - frames_at_round_start;
-    node_obs_.Count(obs_ids_.rounds);
     node_obs_.CountMs(obs_ids_.round_ms, round_ms);
     node_obs_.Count(obs_ids_.frames, frames_this_round);
     node_obs_.Span(MetricDomain::kWall, -1, "round", obs_wall_ledger_ms_,
@@ -489,6 +461,11 @@ Result<ServeReport> StreamScheduler::FinishServing() {
   stats_.frame_p999_ms = frame_latency_ms_.Percentile(0.999);
   for (int c = 0; c < kNumPriorityClasses; ++c) {
     ServeStats::ClassStats& cs = stats_.classes[c];
+    // Each event counts only in its class; the totals are the sums.
+    stats_.submitted += cs.submitted;
+    stats_.admitted += cs.admitted;
+    stats_.shed_submissions += cs.shed_submissions;
+    stats_.frames += cs.frames;
     cs.sim_p50_ms = class_sim_ms_[c].Percentile(0.50);
     cs.sim_p99_ms = class_sim_ms_[c].Percentile(0.99);
     cs.sim_p999_ms = class_sim_ms_[c].Percentile(0.999);
@@ -502,6 +479,21 @@ Result<ServeReport> StreamScheduler::FinishServing() {
     stats_.degradations = controller_->ledger();
   }
   stats_.fleet_health = registry_->Snapshot(round_);
+  if (options_.obs.metrics != nullptr) {
+    MetricsRegistry& reg = *options_.obs.metrics;
+    const MetricDomain wall = MetricDomain::kWall;
+    reg.Publish("vqe_sched_rounds_total", wall, stats_.rounds,
+                "DRR rounds run");
+    reg.Publish("vqe_sched_admitted_total", wall, stats_.admitted,
+                "Sessions activated into slots");
+    reg.Publish("vqe_sched_shed_total", wall, stats_.shed_submissions,
+                "Submissions rejected with kResourceExhausted");
+    reg.Publish("vqe_sched_stream_errors_total", wall, stats_.failed_streams,
+                "Sessions retired with an error");
+    reg.Publish("vqe_sched_overload_transitions_total", wall,
+                stats_.degradations.size(),
+                "Degradation-ladder level changes");
+  }
   report.stats = stats_;
   return report;
 }

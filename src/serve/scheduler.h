@@ -69,12 +69,15 @@ struct ServeOptions {
   OverloadOptions overload;
   /// Observability sink. Disabled by default (no metrics, no tracing, no
   /// allocations, bit-identical results). When enabled, each activated
-  /// session's engine gets the handle rebound to its stream track, and
-  /// the scheduler itself emits rounds, DRR charges, shed/retire counts
-  /// and overload-ladder transitions on the node track `obs_node` — all
-  /// in the wall domain: which frames share a round is process
-  /// bookkeeping, not a result, so it stays out of the simulated-domain
-  /// determinism fingerprint.
+  /// session's engine gets the handle rebound to its stream track. The
+  /// scheduler counts per round what ServeStats has no field for (round
+  /// wall time, frames stepped, DRR credit and charge, retirements, slot
+  /// busy time and step capacity), traces rounds and ladder transitions
+  /// on the node track `obs_node`, and FinishServing publishes rounds,
+  /// admissions, sheds, stream errors and ladder transitions once, from
+  /// the final ServeStats. All of it is in the wall domain: which frames
+  /// share a round is process bookkeeping, not a result, so it stays out
+  /// of the simulated-domain determinism fingerprint.
   ObsHandle obs;
   /// Node index for the scheduler's trace track (fleet shards set their
   /// shard id; solo schedulers keep 0).
@@ -106,6 +109,8 @@ struct StreamReport {
 /// `wall_ms` is real elapsed time (streams overlap inside it), while
 /// `simulated_ms` is the summed per-stream frame clock (additive across
 /// streams by construction). Their ratio is the effective concurrency.
+/// `submitted`, `admitted`, `shed_submissions` and `frames` are the sums
+/// of the `classes` fields of the same name.
 struct ServeStats {
   double wall_ms = 0.0;
   /// Σ per-stream TimeBreakdown::SimulatedMs() — additive frame-clock.
@@ -223,9 +228,11 @@ class StreamScheduler {
   /// not taken are returned by FinishServing.
   std::vector<StreamReport> TakeRetired();
 
-  /// Finalizes stats (wall clock, latency percentiles, fleet health) and
-  /// returns the report with every not-yet-taken StreamReport. Callable
-  /// once; the scheduler rejects further work afterwards.
+  /// Finalizes stats (wall clock, class sums, latency percentiles, fleet
+  /// health), publishes the counters ServeStats mirrors to the obs
+  /// registry, and returns the report with every not-yet-taken
+  /// StreamReport. Callable once; the scheduler rejects further work
+  /// afterwards.
   Result<ServeReport> FinishServing();
 
   // --- Live-session migration hooks ------------------------------------
@@ -342,16 +349,11 @@ class StreamScheduler {
   /// Observability: node-track handle + cached ids (see ServeOptions::obs).
   ObsHandle node_obs_;
   struct ObsIds {
-    MetricsRegistry::Id rounds = MetricsRegistry::kInvalidId;
     MetricsRegistry::Id round_ms = MetricsRegistry::kInvalidId;
     MetricsRegistry::Id frames = MetricsRegistry::kInvalidId;
     MetricsRegistry::Id drr_credit_ms = MetricsRegistry::kInvalidId;
     MetricsRegistry::Id drr_charge_ms = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id admitted = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id shed = MetricsRegistry::kInvalidId;
     MetricsRegistry::Id retired = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id stream_errors = MetricsRegistry::kInvalidId;
-    MetricsRegistry::Id overload_transitions = MetricsRegistry::kInvalidId;
     MetricsRegistry::Id slot_busy_ms = MetricsRegistry::kInvalidId;
     MetricsRegistry::Id step_capacity_ms = MetricsRegistry::kInvalidId;
   };

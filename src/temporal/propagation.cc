@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "temporal/skip_policy.h"
+
 namespace vqe {
 
 TrackPropagator::TrackPropagator(const TrackerOptions& tracker_options,
@@ -134,7 +136,10 @@ Status TrackPropagator::RestoreState(ByteReader& r) {
   VQE_RETURN_NOT_OK(r.F64(&instability));
   VQE_RETURN_NOT_OK(r.F64(&agreement));
   VQE_RETURN_NOT_OK(r.U64(&last_count));
-  if (streak < 0) return Status::DataLoss("coast streak negative");
+  // A streak never outlasts the longest episode a gate can plan.
+  if (streak < 0 || streak > kMaxSkipBudget + kMaxSkipBoost) {
+    return Status::DataLoss("coast streak out of range");
+  }
   VQE_RETURN_NOT_OK(tracker_.RestoreState(r));
   coast_streak_ = static_cast<int>(streak);
   churn_ = churn;

@@ -1,6 +1,7 @@
 #include "temporal/skip_policy.h"
 
 #include <cmath>
+#include <string>
 
 #include "temporal/difficulty.h"
 
@@ -24,8 +25,9 @@ Status SkipOptions::Validate() const {
   if (skip_budget < 0) {
     return Status::InvalidArgument("skip_budget must be >= 0");
   }
-  if (skip_budget > 1024) {
-    return Status::InvalidArgument("skip_budget must be <= 1024");
+  if (skip_budget > kMaxSkipBudget) {
+    return Status::InvalidArgument("skip_budget must be <= " +
+                                   std::to_string(kMaxSkipBudget));
   }
   return Status::OK();
 }

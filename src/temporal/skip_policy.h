@@ -44,10 +44,13 @@ enum class SkipMode : uint8_t {
 /// Short name, e.g. "bandit".
 const char* SkipModeToString(SkipMode mode);
 
+/// Upper bound on SkipOptions::skip_budget.
+inline constexpr int kMaxSkipBudget = 1024;
+
 /// Upper bound on TemporalGate::SetSkipBoost — the serving layer's dynamic
 /// overload overlay on top of the configured skip_budget (same cap as the
 /// budget itself).
-inline constexpr int kMaxSkipBoost = 1024;
+inline constexpr int kMaxSkipBoost = kMaxSkipBudget;
 
 /// kDifficultyGated: skip only when difficulty < this threshold.
 inline constexpr double kSkipDifficultyThreshold = 0.35;

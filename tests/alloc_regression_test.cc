@@ -38,6 +38,7 @@
 #include "models/model_zoo.h"
 #include "runtime/retry.h"
 #include "sim/dataset.h"
+#include "test_util.h"
 
 namespace {
 
@@ -88,25 +89,8 @@ void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 namespace vqe {
 namespace {
 
-DetectorPool MakePool(int m) {
-  const std::vector<std::string> names = {
-      "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7-tiny@rainy",
-      "yolov7@clear",      "yolov7-micro@clear", "yolov7@night"};
-  std::vector<DetectorProfile> profiles;
-  for (int i = 0; i < m; ++i) {
-    profiles.push_back(
-        std::move(ParseDetectorName(names[static_cast<size_t>(i)])).value());
-  }
-  return std::move(BuildPool(profiles)).value();
-}
-
-Video MakeVideo(double scene_scale, uint64_t seed) {
-  const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc");
-  SampleOptions sample;
-  sample.scene_scale = scene_scale;
-  sample.seed = seed;
-  return std::move(SampleVideo(*spec, sample)).value();
-}
+using test::MakePool;
+using test::MakeVideo;
 
 struct PassCounters {
   std::uint64_t heap_allocs = 0;
@@ -153,7 +137,7 @@ void ExpectSteadyPassAllocationFree(const PassCounters& warm,
 TEST(ContextAllocRegressionTest, MaskLoopIsAllocationFree) {
   const int m = 6;
   const DetectorPool pool = MakePool(m);
-  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23, "nusc");
   ASSERT_GE(video.size(), 2u);
   const MatrixOptions options;
   const uint32_t num_masks = NumEnsembles(m);
@@ -185,7 +169,7 @@ TEST_P(AllocRegressionTest, SteadyStateMaskLoopIsAllocationFree) {
   const int m = 6;
   const uint64_t seed = 23;
   const DetectorPool pool = MakePool(m);
-  const Video video = MakeVideo(/*scene_scale=*/0.02, seed);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, seed, "nusc");
   ASSERT_GE(video.size(), 2u);
   const auto method = std::move(CreateEnsembleMethod(GetParam())).value();
   const uint32_t num_masks = NumEnsembles(m);
@@ -242,7 +226,7 @@ INSTANTIATE_TEST_SUITE_P(FusionKinds, AllocRegressionTest,
 TEST(ContextAllocRegressionTest, LazyCellsAndFusedOutputAreAllocationFree) {
   const int m = 4;
   const DetectorPool pool = MakePool(m);
-  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23, "nusc");
   const MatrixOptions options;
   const uint32_t num_masks = NumEnsembles(m);
 
@@ -294,7 +278,7 @@ TEST(ContextAllocRegressionTest, LazyCellsAndFusedOutputAreAllocationFree) {
 // registration or a buffer.
 TEST(EngineSteadyStateTest, DisabledObsFrameLoopIsAllocationFree) {
   const DetectorPool pool = MakePool(3);
-  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/23, "nusc");
   ASSERT_GE(video.size(), 8u);
   const auto matrix =
       BuildFrameMatrix(video, pool, /*trial_seed=*/23, MatrixOptions{});
@@ -362,7 +346,7 @@ TEST(EngineSteadyStateTest, LazyFrameLoopAllocatesOnlyFrameContexts) {
   const int m = 4;
   const uint64_t seed = 23;
   const DetectorPool pool = MakePool(m);
-  const Video video = MakeVideo(/*scene_scale=*/0.02, seed);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, seed, "nusc");
   const size_t n = video.size();
   ASSERT_GE(n, 8u);
   const MatrixOptions options;
@@ -429,7 +413,7 @@ TEST(ContextAllocRegressionTest, WarmedRebuildsAreAllocationFree) {
   const int m = 6;
   const uint64_t seed = 23;
   const DetectorPool pool = MakePool(m);
-  const Video video = MakeVideo(/*scene_scale=*/0.02, seed);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, seed, "nusc");
   const size_t frames = std::min<size_t>(video.size(), 6);
   ASSERT_GE(frames, 2u);
 
@@ -478,7 +462,7 @@ TEST(LazyRetainedHeapTest, RunRetainsOnlyMemoAndScalarsPerFrame) {
 #endif
   const int m = 6;
   const DetectorPool pool = MakePool(m);
-  const Video video = MakeVideo(/*scene_scale=*/0.06, /*seed=*/29);
+  const Video video = MakeVideo(/*scene_scale=*/0.06, /*seed=*/29, "nusc");
   const size_t n = video.size() / 2;
   ASSERT_GE(n, 40u);
 

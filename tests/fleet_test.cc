@@ -35,54 +35,18 @@
 #include "serve/stream_session.h"
 #include "sim/dataset.h"
 #include "snapshot/checkpoint.h"
+#include "test_util.h"
 
 namespace vqe {
 namespace {
 
-DetectorPool MakePool(int m) {
-  const std::vector<std::string> names = {
-      "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7-tiny@rainy",
-      "yolov7@clear",      "yolov7-micro@clear"};
-  std::vector<DetectorProfile> profiles;
-  for (int i = 0; i < m; ++i) {
-    profiles.push_back(
-        std::move(ParseDetectorName(names[static_cast<size_t>(i)])).value());
-  }
-  return std::move(BuildPool(profiles)).value();
-}
+using test::ExpectSameRun;
+using test::MakePool;
+using test::MakeStrategy;
+using test::MakeVideo;
+using test::ScratchDir;
 
-Video MakeVideo(double scene_scale, uint64_t seed) {
-  const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-night");
-  SampleOptions sample;
-  sample.scene_scale = scene_scale;
-  sample.seed = seed;
-  return std::move(SampleVideo(*spec, sample)).value();
-}
-
-std::unique_ptr<SelectionStrategy> MakeStrategy(const std::string& kind) {
-  if (kind == "MES") {
-    MesOptions o;
-    o.gamma = 2;
-    return std::make_unique<MesStrategy>(o);
-  }
-  if (kind == "MES-B") {
-    MesBOptions o;
-    o.gamma = 2;
-    return std::make_unique<MesBStrategy>(o);
-  }
-  if (kind == "SW-MES") {
-    SwMesOptions o;
-    o.gamma = 2;
-    o.window = 8;
-    return std::make_unique<SwMesStrategy>(o);
-  }
-  if (kind == "D-MES") {
-    DucbOptions o;
-    o.gamma = 2;
-    return std::make_unique<DucbMesStrategy>(o);
-  }
-  return std::make_unique<RandomStrategy>();
-}
+constexpr char kScratch[] = "vqe_fleet_test";
 
 /// The serve_test fault mix: a scripted mid-video outage on model 0,
 /// random per-attempt errors on model 1.
@@ -118,14 +82,6 @@ Video Clip(const Video& video, const StreamSpec& spec) {
   Video clip = video;
   if (spec.frames > 0) clip.frames.resize(spec.frames);
   return clip;
-}
-
-/// Fresh (empty) checkpoint directory under the test temp root.
-std::string ScratchDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "vqe_fleet_test/" + name;
-  const int rc = std::system(("rm -rf '" + dir + "'").c_str());
-  EXPECT_EQ(rc, 0);
-  return dir;  // CheckpointManager::Init mkdir -p's it
 }
 
 RunResult SoloBaseline(const Video& video, const DetectorPool& base,
@@ -190,35 +146,6 @@ SessionFactory MakeFactory(const Video& video, const DetectorPool& base,
   return [&video, &base, spec, lazy, faults] {
     return BuildSession(video, base, spec, lazy, faults);
   };
-}
-
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.s_sum, b.s_sum);
-  EXPECT_EQ(a.avg_true_ap, b.avg_true_ap);
-  EXPECT_EQ(a.avg_norm_cost, b.avg_norm_cost);
-  EXPECT_EQ(a.frames_processed, b.frames_processed);
-  EXPECT_EQ(a.regret_available, b.regret_available);
-  EXPECT_EQ(a.regret, b.regret);
-  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
-  EXPECT_EQ(a.breakdown.detector_ms, b.breakdown.detector_ms);
-  EXPECT_EQ(a.breakdown.reference_ms, b.breakdown.reference_ms);
-  EXPECT_EQ(a.breakdown.ensembling_ms, b.breakdown.ensembling_ms);
-  EXPECT_EQ(a.breakdown.fault_ms, b.breakdown.fault_ms);
-  EXPECT_EQ(a.selection_counts, b.selection_counts);
-  EXPECT_EQ(a.cost_curve, b.cost_curve);
-  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
-  EXPECT_EQ(a.failed_frames, b.failed_frames);
-  ASSERT_EQ(a.model_availability.size(), b.model_availability.size());
-  for (size_t i = 0; i < a.model_availability.size(); ++i) {
-    EXPECT_EQ(a.model_availability[i].frames_selected,
-              b.model_availability[i].frames_selected);
-    EXPECT_EQ(a.model_availability[i].frames_failed,
-              b.model_availability[i].frames_failed);
-    EXPECT_EQ(a.model_availability[i].breaker_opens,
-              b.model_availability[i].breaker_opens);
-    EXPECT_EQ(a.model_availability[i].fault_ms,
-              b.model_availability[i].fault_ms);
-  }
 }
 
 /// Fine-grained rounds so chaos events land mid-video: ~1 frame per round.
@@ -815,7 +742,7 @@ TEST(FleetPlacementTest, ResumedStreamIsPlacedByItsRemainingFrames) {
   ASSERT_GE(video.size(), 30u);
   FleetScenario scenario = PlacementScenario(2, {30, 16, 12});
   StreamSpec& resumed = scenario.specs[0];
-  resumed.checkpoint.directory = ScratchDir("placement-resume");
+  resumed.checkpoint.directory = ScratchDir(kScratch, "placement-resume");
   resumed.checkpoint.every_frames = 4;
 
   // An earlier process served 22 of its 30 frames and crashed; its newest

@@ -32,27 +32,9 @@
 namespace vqe {
 namespace {
 
-// Eight distinct structure@context detectors; pools take the first m.
-DetectorPool MakePool(int m) {
-  const std::vector<std::string> names = {
-      "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7-tiny@rainy",
-      "yolov7@clear",      "yolov7-micro@clear", "yolov7@night",
-      "faster-rcnn@clear", "yolov7-micro@rainy"};
-  std::vector<DetectorProfile> profiles;
-  for (int i = 0; i < m; ++i) {
-    profiles.push_back(
-        std::move(ParseDetectorName(names[static_cast<size_t>(i)])).value());
-  }
-  return std::move(BuildPool(profiles)).value();
-}
-
-Video MakeVideo(double scene_scale, uint64_t seed) {
-  const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-night");
-  SampleOptions sample;
-  sample.scene_scale = scene_scale;
-  sample.seed = seed;
-  return std::move(SampleVideo(*spec, sample)).value();
-}
+using test::ExpectSameRun;
+using test::MakePool;
+using test::MakeVideo;
 
 /// Forwards to a pool detector and counts its Detect calls — the work a
 /// rebuilt frame context repeats.
@@ -101,20 +83,6 @@ bool SameDetections(const DetectionList& a, const DetectionList& b) {
     }
   }
   return true;
-}
-
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.s_sum, b.s_sum);
-  EXPECT_EQ(a.avg_true_ap, b.avg_true_ap);
-  EXPECT_EQ(a.avg_norm_cost, b.avg_norm_cost);
-  EXPECT_EQ(a.frames_processed, b.frames_processed);
-  EXPECT_EQ(a.regret, b.regret);
-  EXPECT_EQ(a.regret_available, b.regret_available);
-  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
-  EXPECT_EQ(a.breakdown.detector_ms, b.breakdown.detector_ms);
-  EXPECT_EQ(a.breakdown.reference_ms, b.breakdown.reference_ms);
-  EXPECT_EQ(a.breakdown.ensembling_ms, b.breakdown.ensembling_ms);
-  EXPECT_EQ(a.selection_counts, b.selection_counts);
 }
 
 // Every cell and every frame stat, for eager builds at several worker

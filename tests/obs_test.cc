@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "query/executor.h"
 #include "serve/scheduler.h"
 #include "sim/dataset.h"
 #include "test_util.h"
@@ -37,52 +39,79 @@
 namespace vqe {
 namespace {
 
-DetectorPool MakePool(int m) {
-  const std::vector<std::string> names = {
-      "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7-tiny@rainy",
-      "yolov7@clear",      "yolov7-micro@clear"};
-  std::vector<DetectorProfile> profiles;
-  for (int i = 0; i < m; ++i) {
-    profiles.push_back(
-        std::move(ParseDetectorName(names[static_cast<size_t>(i)])).value());
+using test::ExpectSameRun;
+using test::MakePool;
+using test::MakeVideo;
+using test::ScratchDir;
+
+constexpr char kScratch[] = "vqe_obs_test";
+
+/// Raw value of every counter whose name starts with `prefix`, by name;
+/// only the simulated-domain ones when `sim_only`.
+std::map<std::string, uint64_t> Counters(const MetricsRegistry& reg,
+                                         const std::string& prefix,
+                                         bool sim_only = false) {
+  std::map<std::string, uint64_t> out;
+  for (const MetricsRegistry::MetricView& v : reg.Snapshot()) {
+    if (v.kind != MetricKind::kCounter || v.name.rfind(prefix, 0) != 0) {
+      continue;
+    }
+    if (sim_only && v.domain != MetricDomain::kSimulated) continue;
+    out[v.name] = v.raw;
   }
-  return std::move(BuildPool(profiles)).value();
+  return out;
 }
 
-Video MakeVideo(double scene_scale, uint64_t seed) {
-  const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-night");
-  SampleOptions sample;
-  sample.scene_scale = scene_scale;
-  sample.seed = seed;
-  return std::move(SampleVideo(*spec, sample)).value();
+/// What the `vqe_engine_*` counters read once `runs` have finished: each
+/// count is the sum of its RunResult field, each ms series the sum of the
+/// fields' MsToTicks.
+std::map<std::string, uint64_t> EngineLedger(
+    const std::vector<const RunResult*>& runs) {
+  std::map<std::string, uint64_t> m;
+  for (const RunResult* r : runs) {
+    const TimeBreakdown& tb = r->breakdown;
+    m["vqe_engine_frames_total"] += r->frames_processed;
+    m["vqe_engine_frames_skipped_total"] += r->skip.skipped_frames;
+    m["vqe_engine_frames_fallback_total"] += r->fallback_frames;
+    m["vqe_engine_frames_failed_total"] += r->failed_frames;
+    m["vqe_engine_detector_ms_total"] += MsToTicks(tb.detector_ms);
+    m["vqe_engine_reference_ms_total"] += MsToTicks(tb.reference_ms);
+    m["vqe_engine_ensembling_ms_total"] += MsToTicks(tb.ensembling_ms);
+    m["vqe_engine_fault_ms_total"] += MsToTicks(tb.fault_ms);
+    m["vqe_engine_tracker_ms_total"] += MsToTicks(tb.tracker_ms);
+    m["vqe_engine_charged_cost_ms_total"] += MsToTicks(r->charged_cost_ms);
+    m["vqe_engine_algorithm_ms_total"] += MsToTicks(tb.algorithm_ms);
+    m["vqe_engine_checkpoint_writes_total"] += r->checkpoint.snapshots_written;
+    m["vqe_engine_checkpoint_write_ms_total"] +=
+        MsToTicks(r->checkpoint.checkpoint_write_ms);
+    for (const RunResult::ModelAvailability& h : r->model_availability) {
+      m["vqe_engine_model_call_failures_total"] += h.frames_failed;
+      m["vqe_engine_breaker_opens_total"] += h.breaker_opens;
+    }
+  }
+  return m;
 }
 
-std::string ScratchDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "vqe_obs_test/" + name;
-  const int rc = std::system(("rm -rf '" + dir + "'").c_str());
-  EXPECT_EQ(rc, 0);
-  return dir;
-}
-
-/// Bit-identity over every deterministic RunResult field (wall-clock
-/// bookkeeping excluded) — same contract as resume_test.
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.s_sum, b.s_sum);
-  EXPECT_EQ(a.avg_true_ap, b.avg_true_ap);
-  EXPECT_EQ(a.avg_norm_cost, b.avg_norm_cost);
-  EXPECT_EQ(a.frames_processed, b.frames_processed);
-  EXPECT_EQ(a.regret_available, b.regret_available);
-  EXPECT_EQ(a.regret, b.regret);
-  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
-  EXPECT_EQ(a.breakdown.detector_ms, b.breakdown.detector_ms);
-  EXPECT_EQ(a.breakdown.reference_ms, b.breakdown.reference_ms);
-  EXPECT_EQ(a.breakdown.ensembling_ms, b.breakdown.ensembling_ms);
-  EXPECT_EQ(a.breakdown.fault_ms, b.breakdown.fault_ms);
-  EXPECT_EQ(a.selection_counts, b.selection_counts);
-  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
-  EXPECT_EQ(a.failed_frames, b.failed_frames);
-  EXPECT_EQ(a.skip.skipped_frames, b.skip.skipped_frames);
-  EXPECT_EQ(a.skip.detect_frames, b.skip.detect_frames);
+/// The same for the `vqe_query_*` counters after one completed query.
+std::map<std::string, uint64_t> QueryLedger(const QueryOutput& out) {
+  uint64_t model_failures = 0;
+  for (const uint64_t n : out.model_failures) model_failures += n;
+  return {
+      {"vqe_query_frames_total", out.frames_processed},
+      {"vqe_query_frames_matched_total", out.frames_matched},
+      {"vqe_query_frames_skipped_total", out.skipped_frames},
+      {"vqe_query_frames_failed_total", out.failed_frames},
+      {"vqe_query_fallback_frames_total", out.fallback_frames},
+      {"vqe_query_charged_cost_ms_total", MsToTicks(out.charged_cost_ms)},
+      {"vqe_query_reference_ms_total", MsToTicks(out.reference_cost_ms)},
+      {"vqe_query_fault_ms_total", MsToTicks(out.fault_ms)},
+      {"vqe_query_model_call_failures_total", model_failures},
+      {"vqe_query_checkpoint_writes_total",
+       out.checkpoint.snapshots_written},
+      {"vqe_query_checkpoint_write_ms_total",
+       MsToTicks(out.checkpoint.checkpoint_write_ms)},
+      {"vqe_query_wall_ms_total", MsToTicks(out.wall_seconds * 1000.0)},
+  };
 }
 
 // ---------------------------------------------------------------- metrics --
@@ -552,6 +581,150 @@ TEST(ObsFleetTest, FleetMetricsFingerprintIsShardCountInvariant) {
   }
 }
 
+// The kObsTrace mix under an error storm and a latency-spike storm, with
+// an interactive SLO for the overload ladder to defend.
+const char kObsStormTrace[] =
+    "VQEWORK 1\n"
+    "seed 7\n"
+    "rounds 6\n"
+    "dataset nusc-night\n"
+    "scale 0.05\n"
+    "models 3\n"
+    "arrivals rate 0.6 alpha 1.6 cap 4\n"
+    "class interactive share 0.5 frames 8 skip bandit 2\n"
+    "class batch share 0.5 frames 12 skip off 0\n"
+    "slo interactive p99 50 shed 0.0\n"
+    "storm rounds 1 3 models 1 kind error rate 1.0\n"
+    "storm rounds 2 4 models 2 kind spike rate 0.5\n"
+    "end\n";
+
+// The registry is a view of the structs: after a served workload every
+// vqe_engine_* counter equals the sum of its RunResult field over the
+// streams, and the scheduler's mirrored counters equal ServeStats.
+TEST(ObsServeTest, MirroredSeriesEqualTheServeReport) {
+  const WorkloadTrace t =
+      std::move(ParseWorkloadTrace(kObsStormTrace)).value();
+  const WorkloadPlan plan = BuildWorkloadPlan(t);
+  const DetectorPool pool = MakePool(t.models);
+  Observability obs;
+  ServeOptions serve = MakeServeOptions(t, SmallServe(), true);
+  serve.obs = obs.metrics_handle();
+  const WorkloadRunReport report =
+      std::move(RunWorkloadOnScheduler(plan, pool, serve)).value();
+
+  std::vector<const RunResult*> runs;
+  for (const StreamReport& stream : report.serve.streams) {
+    ASSERT_TRUE(stream.status.ok()) << stream.status.ToString();
+    runs.push_back(&stream.result);
+  }
+  ASSERT_FALSE(runs.empty());
+  const std::map<std::string, uint64_t> engine =
+      Counters(obs.metrics(), "vqe_engine_");
+  EXPECT_EQ(engine, EngineLedger(runs));
+  EXPECT_GT(engine.at("vqe_engine_frames_skipped_total"), 0u);
+  EXPECT_GT(engine.at("vqe_engine_fault_ms_total"), 0u);
+
+  const ServeStats& stats = report.serve.stats;
+  const std::map<std::string, uint64_t> sched =
+      Counters(obs.metrics(), "vqe_sched_");
+  EXPECT_EQ(sched.at("vqe_sched_rounds_total"), stats.rounds);
+  EXPECT_EQ(sched.at("vqe_sched_admitted_total"), stats.admitted);
+  EXPECT_EQ(sched.at("vqe_sched_shed_total"), stats.shed_submissions);
+  EXPECT_EQ(sched.at("vqe_sched_stream_errors_total"), stats.failed_streams);
+  EXPECT_EQ(sched.at("vqe_sched_overload_transitions_total"),
+            stats.degradations.size());
+
+  // The four totals are their classes' sums.
+  uint64_t submitted = 0, admitted = 0, shed = 0, frames = 0;
+  for (const ServeStats::ClassStats& cs : stats.classes) {
+    submitted += cs.submitted;
+    admitted += cs.admitted;
+    shed += cs.shed_submissions;
+    frames += cs.frames;
+  }
+  EXPECT_EQ(stats.submitted, submitted);
+  EXPECT_EQ(stats.admitted, admitted);
+  EXPECT_EQ(stats.shed_submissions, shed);
+  EXPECT_EQ(stats.frames, frames);
+  EXPECT_EQ(stats.submitted, report.submitted);
+}
+
+// A chaos fleet whose streams all complete counts each logical frame
+// once: sessions lost with a killed shard or extracted for migration
+// publish nothing, and each completing session publishes its whole run.
+// So the engine counters equal the clean fleet's, and the fleet's own
+// counters equal FleetStats.
+TEST(ObsFleetTest, ChaosFleetCountsEachFrameOnce) {
+  const WorkloadTrace t = std::move(ParseWorkloadTrace(kObsTrace)).value();
+  const WorkloadPlan plan = BuildWorkloadPlan(t);
+  const DetectorPool pool = MakePool(t.models);
+  auto run = [&](const ChaosScript& chaos, Observability& obs) {
+    FleetOptions fleet;
+    fleet.num_shards = 3;
+    fleet.shard = MakeServeOptions(t, SmallServe(), false);
+    fleet.obs = obs.metrics_handle();
+    return std::move(RunWorkloadOnFleet(plan, pool, fleet, chaos)).value();
+  };
+  Observability clean_obs;
+  const FleetReport clean = run({}, clean_obs);
+
+  // Migrate the longest stream placed on shard 0 to shard 1 after one
+  // round, and kill shard 2 after one round.
+  std::string moved;
+  size_t moved_frames = 0;
+  for (size_t i = 0; i < clean.streams.size(); ++i) {
+    if (clean.streams[i].shard == 0 &&
+        clean.streams[i].report.frames > moved_frames) {
+      moved = clean.streams[i].name;
+      moved_frames = clean.streams[i].report.frames;
+    }
+  }
+  ASSERT_FALSE(moved.empty());
+  ChaosScript chaos;
+  ChaosEvent migrate;
+  migrate.kind = ChaosEvent::Kind::kMigrate;
+  migrate.at_round = 1;
+  migrate.shard = 0;
+  migrate.stream = moved;
+  migrate.target_shard = 1;
+  ChaosEvent kill;
+  kill.kind = ChaosEvent::Kind::kKillShard;
+  kill.at_round = 1;
+  kill.shard = 2;
+  chaos.events = {migrate, kill};
+  Observability chaos_obs;
+  const FleetReport report = run(chaos, chaos_obs);
+
+  const FleetStats& stats = report.stats;
+  ASSERT_EQ(stats.completed_streams, plan.sessions.size());
+  ASSERT_EQ(stats.migration.completed, 1u);
+  ASSERT_EQ(stats.shards_killed, 1);
+  ASSERT_GT(stats.failover_streams, 0u);
+  EXPECT_EQ(Counters(chaos_obs.metrics(), "vqe_engine_", true),
+            Counters(clean_obs.metrics(), "vqe_engine_", true));
+
+  const std::map<std::string, uint64_t> fleet =
+      Counters(chaos_obs.metrics(), "vqe_fleet_");
+  EXPECT_EQ(fleet.at("vqe_fleet_migrations_attempted_total"),
+            stats.migration.attempted);
+  EXPECT_EQ(fleet.at("vqe_fleet_migrations_completed_total"),
+            stats.migration.completed);
+  EXPECT_EQ(fleet.at("vqe_fleet_migrations_rejected_total"),
+            stats.migration.rejected_corrupt +
+                stats.migration.rejected_identity);
+  EXPECT_EQ(fleet.at("vqe_fleet_migration_fallback_restarts_total"),
+            stats.migration.fallback_restarts);
+  EXPECT_EQ(fleet.at("vqe_fleet_failover_streams_total"),
+            stats.failover_streams);
+  EXPECT_EQ(fleet.at("vqe_fleet_shards_killed_total"),
+            static_cast<uint64_t>(stats.shards_killed));
+  for (const MetricsRegistry::MetricView& v : chaos_obs.metrics().Snapshot()) {
+    if (v.name == "vqe_fleet_migration_latency_ms") {
+      EXPECT_EQ(v.histogram.count, stats.migration.completed);
+    }
+  }
+}
+
 // --------------------------------------------------- checkpoint interplay --
 
 // An instrumented run that crashes and resumes must end bit-identical to
@@ -577,13 +750,17 @@ TEST(ObsCheckpointTest, InstrumentedCrashResumeMatchesPlainBaseline) {
   engine.compute_regret = false;
   const Result<RunResult> baseline = run_once(engine);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  Observability uninterrupted_obs;
+  EngineOptions uninterrupted = engine;
+  uninterrupted.obs = uninterrupted_obs.handle();
+  ASSERT_TRUE(run_once(uninterrupted).ok());
 
   Observability obs;
   EngineOptions ck = engine;
   ck.obs = obs.handle();
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
-  ck.checkpoint.directory = ScratchDir("crash-resume");
+  ck.checkpoint.directory = ScratchDir(kScratch, "crash-resume");
 
   int invocations = 0;
   RunResult resumed;
@@ -602,10 +779,64 @@ TEST(ObsCheckpointTest, InstrumentedCrashResumeMatchesPlainBaseline) {
   EXPECT_TRUE(resumed.checkpoint.resumed);
   ExpectSameRun(*baseline, resumed);
 
-  // The instrumented invocations left real evidence behind: simulated
-  // frame metrics, and a wall-domain record of the checkpoint writes.
-  EXPECT_FALSE(obs.metrics().SimulatedFingerprint().empty());
+  // The crashed invocations published nothing and the last one its whole
+  // run, so every simulated engine counter reads as the uninterrupted
+  // run's, checkpoint writes aside: those are the last invocation's.
+  std::map<std::string, uint64_t> counters =
+      Counters(obs.metrics(), "vqe_engine_", true);
+  std::map<std::string, uint64_t> expected =
+      Counters(uninterrupted_obs.metrics(), "vqe_engine_", true);
+  EXPECT_EQ(counters.at("vqe_engine_checkpoint_writes_total"),
+            resumed.checkpoint.snapshots_written);
+  counters.erase("vqe_engine_checkpoint_writes_total");
+  expected.erase("vqe_engine_checkpoint_writes_total");
+  EXPECT_EQ(counters, expected);
+  EXPECT_EQ(counters.at("vqe_engine_frames_total"), resumed.frames_processed);
   EXPECT_GT(obs.trace().event_count(), 0u);
+}
+
+// A query publishes its QueryOutput once, when it completes: after a
+// plain query and after a crashed-then-resumed one the vqe_query_*
+// counters equal that invocation's output.
+TEST(ObsCheckpointTest, QueryCountersEqualTheQueryOutput) {
+  const std::string sql =
+      "SELECT frameID FROM (PROCESS nusc-night PRODUCE frameID, Detections "
+      "USING MES(yolov7-tiny@clear, yolov7-tiny@night; REF)) "
+      "WHERE COUNT(car) >= 1";
+  QueryEngineOptions options;
+  options.scene_scale = 0.02;
+  options.seed = 3;
+  options.retry.max_attempts = 2;
+  options.fault_scripts.resize(2);
+  options.fault_scripts[0].error_rate = 0.3;
+
+  Observability plain_obs;
+  QueryEngineOptions plain = options;
+  plain.obs = plain_obs.handle();
+  const QueryOutput out = std::move(ExecuteQuery(sql, plain)).value();
+  ASSERT_GT(out.fault_ms, 0.0);
+  EXPECT_EQ(Counters(plain_obs.metrics(), "vqe_query_"), QueryLedger(out));
+
+  Observability obs;
+  QueryEngineOptions ck = options;
+  ck.obs = obs.handle();
+  ck.checkpoint.every_frames = 5;
+  ck.checkpoint.crash_after_frames = 7;
+  ck.checkpoint.directory = ScratchDir(kScratch, "query-crash-resume");
+  QueryOutput resumed;
+  for (int attempt = 1;; ++attempt) {
+    ASSERT_LE(attempt, 64) << "crash-resume loop never completed";
+    Result<QueryOutput> run = ExecuteQuery(sql, ck);
+    if (run.ok()) {
+      resumed = std::move(run).value();
+      break;
+    }
+    ASSERT_EQ(run.status().code(), StatusCode::kAborted)
+        << run.status().ToString();
+  }
+  ASSERT_TRUE(resumed.checkpoint.resumed);
+  test::ExpectSameQuery(out, resumed);
+  EXPECT_EQ(Counters(obs.metrics(), "vqe_query_"), QueryLedger(resumed));
 }
 
 // ----------------------------------------------- emitted artifacts (sat 4) --

@@ -23,9 +23,9 @@
 
 #include "common/status.h"
 #include "core/baselines.h"
-#include "core/engine_snapshot.h"
 #include "core/ducb.h"
 #include "core/engine.h"
+#include "core/engine_snapshot.h"
 #include "core/experiment.h"
 #include "core/lazy_frame_evaluator.h"
 #include "core/mes.h"
@@ -37,99 +37,19 @@
 #include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
 #include "temporal/gate.h"
+#include "test_util.h"
 
 namespace vqe {
 namespace {
 
-DetectorPool MakePool(int m) {
-  const std::vector<std::string> names = {
-      "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7-tiny@rainy",
-      "yolov7@clear",      "yolov7-micro@clear"};
-  std::vector<DetectorProfile> profiles;
-  for (int i = 0; i < m; ++i) {
-    profiles.push_back(
-        std::move(ParseDetectorName(names[static_cast<size_t>(i)])).value());
-  }
-  return std::move(BuildPool(profiles)).value();
-}
+using test::ExpectSameQuery;
+using test::ExpectSameRun;
+using test::MakePool;
+using test::MakeStrategy;
+using test::MakeVideo;
+using test::ScratchDir;
 
-Video MakeVideo(double scene_scale, uint64_t seed) {
-  const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-night");
-  SampleOptions sample;
-  sample.scene_scale = scene_scale;
-  sample.seed = seed;
-  return std::move(SampleVideo(*spec, sample)).value();
-}
-
-/// Fresh (empty) checkpoint directory under the test temp root.
-std::string ScratchDir(const std::string& name) {
-  const std::string dir =
-      ::testing::TempDir() + "vqe_resume_test/" + name;
-  const int rc = std::system(("rm -rf '" + dir + "'").c_str());
-  EXPECT_EQ(rc, 0);
-  return dir;  // CheckpointManager::Init mkdir -p's it
-}
-
-std::unique_ptr<SelectionStrategy> MakeStrategy(const std::string& kind) {
-  if (kind == "MES") {
-    MesOptions o;
-    o.gamma = 2;
-    return std::make_unique<MesStrategy>(o);
-  }
-  if (kind == "MES-B") {
-    MesBOptions o;
-    o.gamma = 2;
-    return std::make_unique<MesBStrategy>(o);
-  }
-  if (kind == "SW-MES") {
-    SwMesOptions o;
-    o.gamma = 2;
-    o.window = 8;  // small enough that the window actually evicts
-    return std::make_unique<SwMesStrategy>(o);
-  }
-  if (kind == "D-MES") {
-    DucbOptions o;
-    o.gamma = 2;
-    return std::make_unique<DucbMesStrategy>(o);
-  }
-  if (kind == "RAND") return std::make_unique<RandomStrategy>();
-  if (kind == "EF") return std::make_unique<ExploreFirstStrategy>(2);
-  if (kind == "SGL") return std::make_unique<SingleBestStrategy>();
-  ADD_FAILURE() << "unknown strategy kind " << kind;
-  return nullptr;
-}
-
-/// Bit-identity over every deterministic RunResult field. algorithm_ms and
-/// the checkpoint report are wall-clock/process bookkeeping and are the
-/// only exclusions.
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.s_sum, b.s_sum);
-  EXPECT_EQ(a.avg_true_ap, b.avg_true_ap);
-  EXPECT_EQ(a.avg_norm_cost, b.avg_norm_cost);
-  EXPECT_EQ(a.frames_processed, b.frames_processed);
-  EXPECT_EQ(a.regret_available, b.regret_available);
-  EXPECT_EQ(a.regret, b.regret);
-  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
-  EXPECT_EQ(a.breakdown.detector_ms, b.breakdown.detector_ms);
-  EXPECT_EQ(a.breakdown.reference_ms, b.breakdown.reference_ms);
-  EXPECT_EQ(a.breakdown.ensembling_ms, b.breakdown.ensembling_ms);
-  EXPECT_EQ(a.breakdown.fault_ms, b.breakdown.fault_ms);
-  EXPECT_EQ(a.selection_counts, b.selection_counts);
-  EXPECT_EQ(a.cost_curve, b.cost_curve);
-  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
-  EXPECT_EQ(a.failed_frames, b.failed_frames);
-  ASSERT_EQ(a.model_availability.size(), b.model_availability.size());
-  for (size_t i = 0; i < a.model_availability.size(); ++i) {
-    EXPECT_EQ(a.model_availability[i].frames_selected,
-              b.model_availability[i].frames_selected);
-    EXPECT_EQ(a.model_availability[i].frames_failed,
-              b.model_availability[i].frames_failed);
-    EXPECT_EQ(a.model_availability[i].breaker_opens,
-              b.model_availability[i].breaker_opens);
-    EXPECT_EQ(a.model_availability[i].fault_ms,
-              b.model_availability[i].fault_ms);
-  }
-}
+constexpr char kScratch[] = "vqe_resume_test";
 
 /// One engine invocation: builds a fresh source + strategy (as a restarted
 /// process would) and runs it under `engine`.
@@ -249,8 +169,8 @@ void RunCrashMatrix(const Video& video, const DetectorPool& pool,
         ck.checkpoint.every_frames = 4;
         ck.checkpoint.crash_after_frames = 6;
         ck.checkpoint.directory = ScratchDir(
-            tag + "/" + kind + (lazy_backend ? "-lazy" : "-eager") + "-w" +
-            std::to_string(workers));
+            kScratch, tag + "/" + kind + (lazy_backend ? "-lazy" : "-eager") +
+                          "-w" + std::to_string(workers));
         int invocations = 0;
         const RunResult resumed = RunWithCrashes(run_once, ck, &invocations);
         ExpectSameRun(*baseline, resumed);
@@ -329,7 +249,7 @@ TEST(ResumeTest, RegretAndCostCurveSurviveResume) {
   EngineOptions ck = engine;
   ck.checkpoint.every_frames = 3;
   ck.checkpoint.crash_after_frames = 5;
-  ck.checkpoint.directory = ScratchDir("regret-curve");
+  ck.checkpoint.directory = ScratchDir(kScratch, "regret-curve");
   const RunResult resumed = RunWithCrashes(run_once, ck);
   ExpectSameRun(*baseline, resumed);
 }
@@ -355,7 +275,7 @@ TEST(ResumeTest, BudgetedRunStopsAtTheSameFrameAfterResume) {
   EngineOptions ck = engine;
   ck.checkpoint.every_frames = 2;
   ck.checkpoint.crash_after_frames = 3;
-  ck.checkpoint.directory = ScratchDir("budget");
+  ck.checkpoint.directory = ScratchDir(kScratch, "budget");
   const RunResult resumed = RunWithCrashes(run_once, ck);
   ExpectSameRun(*baseline, resumed);
 }
@@ -398,7 +318,7 @@ TEST(ResumeTest, RestoredLazySglRunRebuildsNoFrame) {
   EngineOptions ck = engine;
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
-  ck.checkpoint.directory = ScratchDir("lazy-sgl");
+  ck.checkpoint.directory = ScratchDir(kScratch, "lazy-sgl");
   const RunResult resumed = RunWithCrashes(run_once, ck);
   ExpectSameRun(solo, resumed);
   EXPECT_TRUE(resumed.checkpoint.resumed);
@@ -510,7 +430,7 @@ TEST(ResumeTest, FallsBackToPreviousGenerationWhenNewestIsCorrupt) {
   const Result<RunResult> baseline = run_once(engine);
   ASSERT_TRUE(baseline.ok());
 
-  const std::string dir = ScratchDir("fallback");
+  const std::string dir = ScratchDir(kScratch, "fallback");
   EngineOptions ck = engine;
   ck.checkpoint.every_frames = 2;
   ck.checkpoint.crash_after_frames = 7;
@@ -555,7 +475,7 @@ TEST(ResumeTest, StartsFreshWhenEveryGenerationIsCorrupt) {
   const Result<RunResult> baseline = run_once(engine);
   ASSERT_TRUE(baseline.ok());
 
-  const std::string dir = ScratchDir("all-corrupt");
+  const std::string dir = ScratchDir(kScratch, "all-corrupt");
   EngineOptions ck = engine;
   ck.checkpoint.every_frames = 2;
   ck.checkpoint.crash_after_frames = 7;
@@ -586,7 +506,7 @@ TEST(ResumeTest, MismatchedRunIdentityIsRejected) {
   ck.compute_regret = false;
   ck.checkpoint.every_frames = 2;
   ck.checkpoint.crash_after_frames = 5;
-  ck.checkpoint.directory = ScratchDir("identity");
+  ck.checkpoint.directory = ScratchDir(kScratch, "identity");
 
   const RunOnce mes = MakeRunOnce(video, pool, "MES", /*lazy=*/false,
                                   /*workers=*/1, MatrixOptions{},
@@ -615,20 +535,6 @@ TEST(ResumeTest, MismatchedRunIdentityIsRejected) {
 
 // ---------------------------------------------------------------------------
 // End-to-end query resume.
-
-void ExpectSameQuery(const QueryOutput& a, const QueryOutput& b) {
-  EXPECT_EQ(a.frame_ids, b.frame_ids);
-  EXPECT_EQ(a.frames_processed, b.frames_processed);
-  EXPECT_EQ(a.frames_matched, b.frames_matched);
-  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
-  EXPECT_EQ(a.reference_cost_ms, b.reference_cost_ms);
-  EXPECT_EQ(a.selection_counts, b.selection_counts);
-  EXPECT_EQ(a.model_names, b.model_names);
-  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
-  EXPECT_EQ(a.failed_frames, b.failed_frames);
-  EXPECT_EQ(a.fault_ms, b.fault_ms);
-  EXPECT_EQ(a.model_failures, b.model_failures);
-}
 
 QueryOutput RunQueryWithCrashes(const std::string& sql,
                                 const QueryEngineOptions& options,
@@ -665,7 +571,7 @@ TEST(QueryResumeTest, BasicQueryResumesBitIdentically) {
   QueryEngineOptions ck = opt;
   ck.checkpoint.every_frames = 5;
   ck.checkpoint.crash_after_frames = 7;
-  ck.checkpoint.directory = ScratchDir("query-basic");
+  ck.checkpoint.directory = ScratchDir(kScratch, "query-basic");
   int invocations = 0;
   const QueryOutput resumed = RunQueryWithCrashes(sql, ck, &invocations);
   ExpectSameQuery(*baseline, resumed);
@@ -688,7 +594,7 @@ TEST(QueryResumeTest, TracksQueryResumesBitIdentically) {
   QueryEngineOptions ck = opt;
   ck.checkpoint.every_frames = 5;
   ck.checkpoint.crash_after_frames = 8;
-  ck.checkpoint.directory = ScratchDir("query-tracks");
+  ck.checkpoint.directory = ScratchDir(kScratch, "query-tracks");
   const QueryOutput resumed = RunQueryWithCrashes(sql, ck);
   ExpectSameQuery(*baseline, resumed);
   EXPECT_TRUE(resumed.checkpoint.resumed);
@@ -717,7 +623,7 @@ TEST(QueryResumeTest, FaultedQueryResumesBitIdentically) {
   QueryEngineOptions ck = opt;
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
-  ck.checkpoint.directory = ScratchDir("query-faulted");
+  ck.checkpoint.directory = ScratchDir(kScratch, "query-faulted");
   const QueryOutput resumed = RunQueryWithCrashes(sql, ck);
   ExpectSameQuery(*baseline, resumed);
   EXPECT_TRUE(resumed.checkpoint.resumed);
@@ -732,7 +638,7 @@ TEST(QueryResumeTest, MismatchedQueryIdentityIsRejected) {
   QueryEngineOptions ck = SmallQueryOptions();
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
-  ck.checkpoint.directory = ScratchDir("query-identity");
+  ck.checkpoint.directory = ScratchDir(kScratch, "query-identity");
   ASSERT_EQ(ExecuteQuery(sql, ck).status().code(), StatusCode::kAborted);
 
   QueryEngineOptions other = ck;
@@ -762,7 +668,7 @@ QueryEngineOptions CrashedIdentityQuery(const std::string& name) {
   QueryEngineOptions ck = SmallQueryOptions();
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
-  ck.checkpoint.directory = ScratchDir(name);
+  ck.checkpoint.directory = ScratchDir(kScratch, name);
   EXPECT_EQ(ExecuteQuery(kIdentitySql, ck).status().code(),
             StatusCode::kAborted);
   ck.checkpoint.crash_after_frames = 0;
@@ -1080,6 +986,69 @@ TEST(IdentityResumeTest, UntaggedMetaFromOlderBuildsIsRefused) {
   const Status query_refused = ExecuteQuery(kIdentitySql, ck).status();
   EXPECT_EQ(query_refused.code(), StatusCode::kFailedPrecondition)
       << query_refused.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Snapshots carry no wall time.
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+// An engine snapshot holds run state only, so two runs of one
+// configuration export the same bytes at the same frame and write the
+// same checkpoint generations.
+TEST(ResumeTest, SnapshotsAreByteIdenticalAcrossRuns) {
+  const DetectorPool pool = MakePool(3);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/17);
+  const EngineOptions engine = IdentityEngineOptions();
+  LazyRun a(video, pool, "MES", engine);
+  LazyRun b(video, pool, "MES", engine);
+  a.StepTo(6);
+  b.StepTo(6);
+  EXPECT_EQ(std::move(a.run->ExportSnapshot()).value(),
+            std::move(b.run->ExportSnapshot()).value());
+
+  std::vector<std::vector<uint8_t>> generations[2];
+  for (int i = 0; i < 2; ++i) {
+    EngineOptions ck = engine;
+    ck.checkpoint.every_frames = 3;
+    ck.checkpoint.directory =
+        ScratchDir(kScratch, "byte-identical-" + std::to_string(i));
+    LazyRun(video, pool, "MES", ck).Finish();
+    const CheckpointManager manager(ck.checkpoint.directory);
+    for (const uint64_t sequence : manager.ListGenerations()) {
+      generations[i].push_back(ReadFile(manager.GenerationPath(sequence)));
+    }
+  }
+  ASSERT_EQ(generations[0].size(), 2u);
+  EXPECT_EQ(generations[0], generations[1]);
+}
+
+// Older builds also wrote the run's wall-clock strategy seconds into
+// engine.cursor. Their snapshots still restore, to the solo result.
+TEST(ResumeTest, CursorWithWallSecondsFromOlderBuildsRestores) {
+  const DetectorPool pool = MakePool(3);
+  const Video video = MakeVideo(/*scene_scale=*/0.02, /*seed=*/17);
+  const EngineOptions engine = IdentityEngineOptions();
+  const RunResult solo = LazyRun(video, pool, "MES", engine).Finish();
+  LazyRun origin(video, pool, "MES", engine);
+  origin.StepTo(6);
+  const SectionList sections = CopySections(origin.Export());
+  EXPECT_EQ(SectionPayload(sections, kEngineCursorSection).size(),
+            sizeof(uint64_t));
+  ByteWriter older;
+  older.U64(6);
+  older.F64(0.125);  // wall-clock strategy seconds
+  const SnapshotReader snapshot =
+      std::move(SnapshotReader::Parse(
+                    Rewrap(sections, kEngineCursorSection, older.bytes())))
+          .value();
+  LazyRun target(video, pool, "MES", engine);
+  ASSERT_TRUE(target.run->RestoreFromSnapshot(snapshot).ok());
+  EXPECT_EQ(target.run->next_frame(), 6u);
+  ExpectSameRun(solo, target.Finish());
 }
 
 }  // namespace

@@ -19,15 +19,20 @@
 #include "core/lazy_frame_evaluator.h"
 #include "core/mes.h"
 #include "models/model_zoo.h"
+#include "query/executor.h"
 #include "runtime/circuit_breaker.h"
 #include "runtime/fault_injection.h"
-#include "query/executor.h"
 #include "runtime/retry.h"
 #include "sim/dataset.h"
 #include "snapshot/checkpoint.h"
+#include "test_util.h"
 
 namespace vqe {
 namespace {
+
+using test::ExpectSameRun;
+using test::MakePool;
+using test::MakeVideo;
 
 // A detector with a fixed output and latency — the controlled inner model
 // for retry/breaker unit tests.
@@ -67,56 +72,6 @@ VideoFrame MakeFrame(int64_t index,
   frame.scene_id = 1;
   frame.context = context;
   return frame;
-}
-
-// Eight distinct structure@context detectors; pools take the first m.
-DetectorPool MakePool(int m) {
-  const std::vector<std::string> names = {
-      "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7-tiny@rainy",
-      "yolov7@clear",      "yolov7-micro@clear", "yolov7@night",
-      "faster-rcnn@clear", "yolov7-micro@rainy"};
-  std::vector<DetectorProfile> profiles;
-  for (int i = 0; i < m; ++i) {
-    profiles.push_back(
-        std::move(ParseDetectorName(names[static_cast<size_t>(i)])).value());
-  }
-  return std::move(BuildPool(profiles)).value();
-}
-
-Video MakeVideo(double scene_scale, uint64_t seed) {
-  const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-night");
-  SampleOptions sample;
-  sample.scene_scale = scene_scale;
-  sample.seed = seed;
-  return std::move(SampleVideo(*spec, sample)).value();
-}
-
-// Bit-identity over everything a faulted run reports, including the new
-// fault-tolerance counters.
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.s_sum, b.s_sum);
-  EXPECT_EQ(a.avg_true_ap, b.avg_true_ap);
-  EXPECT_EQ(a.avg_norm_cost, b.avg_norm_cost);
-  EXPECT_EQ(a.frames_processed, b.frames_processed);
-  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
-  EXPECT_EQ(a.breakdown.detector_ms, b.breakdown.detector_ms);
-  EXPECT_EQ(a.breakdown.reference_ms, b.breakdown.reference_ms);
-  EXPECT_EQ(a.breakdown.ensembling_ms, b.breakdown.ensembling_ms);
-  EXPECT_EQ(a.breakdown.fault_ms, b.breakdown.fault_ms);
-  EXPECT_EQ(a.selection_counts, b.selection_counts);
-  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
-  EXPECT_EQ(a.failed_frames, b.failed_frames);
-  ASSERT_EQ(a.model_availability.size(), b.model_availability.size());
-  for (size_t i = 0; i < a.model_availability.size(); ++i) {
-    EXPECT_EQ(a.model_availability[i].frames_selected,
-              b.model_availability[i].frames_selected);
-    EXPECT_EQ(a.model_availability[i].frames_failed,
-              b.model_availability[i].frames_failed);
-    EXPECT_EQ(a.model_availability[i].breaker_opens,
-              b.model_availability[i].breaker_opens);
-    EXPECT_EQ(a.model_availability[i].fault_ms,
-              b.model_availability[i].fault_ms);
-  }
 }
 
 // Records (t, eligible-at-select, selected) so tests can watch a model

@@ -36,63 +36,18 @@
 #include "serve/stream_session.h"
 #include "sim/dataset.h"
 #include "temporal/skip_policy.h"
+#include "test_util.h"
 
 namespace vqe {
 namespace {
 
-DetectorPool MakePool(int m) {
-  const std::vector<std::string> names = {
-      "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7-tiny@rainy",
-      "yolov7@clear",      "yolov7-micro@clear"};
-  std::vector<DetectorProfile> profiles;
-  for (int i = 0; i < m; ++i) {
-    profiles.push_back(
-        std::move(ParseDetectorName(names[static_cast<size_t>(i)])).value());
-  }
-  return std::move(BuildPool(profiles)).value();
-}
+using test::ExpectSameRun;
+using test::MakePool;
+using test::MakeStrategy;
+using test::MakeVideo;
+using test::ScratchDir;
 
-Video MakeVideo(double scene_scale, uint64_t seed) {
-  const DatasetSpec* spec = *DatasetCatalog::Default().Find("nusc-night");
-  SampleOptions sample;
-  sample.scene_scale = scene_scale;
-  sample.seed = seed;
-  return std::move(SampleVideo(*spec, sample)).value();
-}
-
-std::string ScratchDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "vqe_serve_test/" + name;
-  const int rc = std::system(("rm -rf '" + dir + "'").c_str());
-  EXPECT_EQ(rc, 0);
-  return dir;
-}
-
-std::unique_ptr<SelectionStrategy> MakeStrategy(const std::string& kind) {
-  if (kind == "MES") {
-    MesOptions o;
-    o.gamma = 2;
-    return std::make_unique<MesStrategy>(o);
-  }
-  if (kind == "MES-B") {
-    MesBOptions o;
-    o.gamma = 2;
-    return std::make_unique<MesBStrategy>(o);
-  }
-  if (kind == "SW-MES") {
-    SwMesOptions o;
-    o.gamma = 2;
-    o.window = 8;
-    return std::make_unique<SwMesStrategy>(o);
-  }
-  if (kind == "D-MES") {
-    DucbOptions o;
-    o.gamma = 2;
-    return std::make_unique<DucbMesStrategy>(o);
-  }
-  if (kind == "RAND") return std::make_unique<RandomStrategy>();
-  ADD_FAILURE() << "unknown strategy kind " << kind;
-  return nullptr;
-}
+constexpr char kScratch[] = "vqe_serve_test";
 
 /// The PR 3 fault mix: a scripted mid-video outage on model 0, random
 /// per-attempt errors on model 1.
@@ -178,38 +133,6 @@ std::unique_ptr<StreamSession> MakeServeSession(
                                          MakeStrategy(spec.strategy),
                                          std::move(owned)))
       .value();
-}
-
-/// Bit-identity over every deterministic RunResult field; algorithm_ms and
-/// the checkpoint report are wall-clock/process bookkeeping and are the
-/// only exclusions.
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.s_sum, b.s_sum);
-  EXPECT_EQ(a.avg_true_ap, b.avg_true_ap);
-  EXPECT_EQ(a.avg_norm_cost, b.avg_norm_cost);
-  EXPECT_EQ(a.frames_processed, b.frames_processed);
-  EXPECT_EQ(a.regret_available, b.regret_available);
-  EXPECT_EQ(a.regret, b.regret);
-  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
-  EXPECT_EQ(a.breakdown.detector_ms, b.breakdown.detector_ms);
-  EXPECT_EQ(a.breakdown.reference_ms, b.breakdown.reference_ms);
-  EXPECT_EQ(a.breakdown.ensembling_ms, b.breakdown.ensembling_ms);
-  EXPECT_EQ(a.breakdown.fault_ms, b.breakdown.fault_ms);
-  EXPECT_EQ(a.selection_counts, b.selection_counts);
-  EXPECT_EQ(a.cost_curve, b.cost_curve);
-  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
-  EXPECT_EQ(a.failed_frames, b.failed_frames);
-  ASSERT_EQ(a.model_availability.size(), b.model_availability.size());
-  for (size_t i = 0; i < a.model_availability.size(); ++i) {
-    EXPECT_EQ(a.model_availability[i].frames_selected,
-              b.model_availability[i].frames_selected);
-    EXPECT_EQ(a.model_availability[i].frames_failed,
-              b.model_availability[i].frames_failed);
-    EXPECT_EQ(a.model_availability[i].breaker_opens,
-              b.model_availability[i].breaker_opens);
-    EXPECT_EQ(a.model_availability[i].fault_ms,
-              b.model_availability[i].fault_ms);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +458,7 @@ TEST(StreamSchedulerTest, CrashingSessionRetiresWithoutStallingOthers) {
   StreamSpec healthy{"healthy", "MES", PriorityClass::kStandard, 9, 42};
   StreamSpec doomed{"doomed", "SW-MES", PriorityClass::kStandard, 10, 43};
   EngineOptions crash = MakeEngine(doomed);
-  crash.checkpoint.directory = ScratchDir("crash-contained");
+  crash.checkpoint.directory = ScratchDir(kScratch, "crash-contained");
   crash.checkpoint.every_frames = 4;
   crash.checkpoint.crash_after_frames = 5;
 
@@ -572,7 +495,7 @@ TEST(StreamSchedulerTest, SessionCheckpointResumesBitIdenticallyUnderServe) {
                                       /*faults=*/false);
 
   EngineOptions ck = MakeEngine(spec);
-  ck.checkpoint.directory = ScratchDir("serve-resume");
+  ck.checkpoint.directory = ScratchDir(kScratch, "serve-resume");
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
 

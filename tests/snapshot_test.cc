@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,13 +36,9 @@
 namespace vqe {
 namespace {
 
-// Fresh scratch directory per test; gtest's TempDir() is shared, so suffix
-// with the test name.
-std::string ScratchDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "vqe_snapshot_test/" + name;
-  std::system(("rm -rf '" + dir + "'").c_str());
-  return dir;
-}
+using test::ScratchDir;
+
+constexpr char kScratch[] = "vqe_snapshot_test";
 
 // ------------------------------------------------------------------ Wire --
 
@@ -257,14 +254,14 @@ TEST(SnapshotContainerTest, EmptySnapshotParses) {
 // ----------------------------------------------------- CheckpointManager --
 
 TEST(CheckpointManagerTest, EmptyDirectoryIsNotFound) {
-  CheckpointManager mgr(ScratchDir("empty"));
+  CheckpointManager mgr(ScratchDir(kScratch, "empty"));
   ASSERT_TRUE(mgr.Init().ok());
   EXPECT_EQ(mgr.LoadLatestGood().status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(mgr.ListGenerations().empty());
 }
 
 TEST(CheckpointManagerTest, WriteLoadRoundTrip) {
-  CheckpointManager mgr(ScratchDir("roundtrip"));
+  CheckpointManager mgr(ScratchDir(kScratch, "roundtrip"));
   ASSERT_TRUE(mgr.Write(1, MakeTwoSectionSnapshot()).ok());
   auto loaded = mgr.LoadLatestGood();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -274,7 +271,7 @@ TEST(CheckpointManagerTest, WriteLoadRoundTrip) {
 }
 
 TEST(CheckpointManagerTest, PrunesBeyondRetentionWindow) {
-  CheckpointManager mgr(ScratchDir("prune"), /*keep_generations=*/2);
+  CheckpointManager mgr(ScratchDir(kScratch, "prune"), /*keep_generations=*/2);
   for (uint64_t seq = 1; seq <= 5; ++seq) {
     ASSERT_TRUE(mgr.Write(seq, MakeTwoSectionSnapshot()).ok());
   }
@@ -282,7 +279,7 @@ TEST(CheckpointManagerTest, PrunesBeyondRetentionWindow) {
 }
 
 TEST(CheckpointManagerTest, FallsBackPastCorruptNewestGeneration) {
-  CheckpointManager mgr(ScratchDir("fallback"));
+  CheckpointManager mgr(ScratchDir(kScratch, "fallback"));
   ASSERT_TRUE(mgr.Write(1, MakeTwoSectionSnapshot()).ok());
   ASSERT_TRUE(mgr.Write(2, MakeTwoSectionSnapshot()).ok());
 
@@ -309,7 +306,7 @@ TEST(CheckpointManagerTest, FallsBackPastCorruptNewestGeneration) {
 }
 
 TEST(CheckpointManagerTest, AllGenerationsCorruptIsNotFound) {
-  CheckpointManager mgr(ScratchDir("all_bad"));
+  CheckpointManager mgr(ScratchDir(kScratch, "all_bad"));
   ASSERT_TRUE(mgr.Write(1, MakeTwoSectionSnapshot()).ok());
   {
     std::ofstream os(mgr.GenerationPath(1), std::ios::binary | std::ios::trunc);
@@ -322,7 +319,7 @@ TEST(CheckpointManagerTest, AllGenerationsCorruptIsNotFound) {
 // Loaded::rejected reports the skips of its own load only: a damaged
 // generation is counted again by every load that walks past it.
 TEST(CheckpointManagerTest, RejectedCountIsPerLoad) {
-  CheckpointManager mgr(ScratchDir("rejected_per_load"));
+  CheckpointManager mgr(ScratchDir(kScratch, "rejected_per_load"));
   ASSERT_TRUE(mgr.Write(1, MakeTwoSectionSnapshot()).ok());
   ASSERT_TRUE(mgr.Write(2, MakeTwoSectionSnapshot()).ok());
   ASSERT_TRUE(mgr.Write(3, MakeTwoSectionSnapshot()).ok());
@@ -492,6 +489,53 @@ TEST(CircuitBreakerSnapshotTest, RejectsCorruptState) {
   CircuitBreaker b;
   ByteReader r(bytes.data(), bytes.size());
   EXPECT_EQ(b.RestoreState(r).code(), StatusCode::kDataLoss);
+
+  // Counters the state machine cannot reach under the default options
+  // (failure_threshold 3, half_open_probes 1), among them values an int
+  // cannot hold. A refused payload leaves the target as it was.
+  auto closed_with = [](int64_t streak, int64_t probes) {
+    ByteWriter w;
+    w.U8(static_cast<uint8_t>(BreakerState::kClosed));
+    w.U64(0);  // opened_at
+    w.I64(streak);
+    w.I64(probes);
+    w.U64(5);  // successes
+    w.U64(4);  // failures
+    w.U64(2);  // opens
+    return w;
+  };
+  const int64_t wraps = int64_t{1} << 31;
+  const int64_t int_max = std::numeric_limits<int>::max();
+  const struct {
+    const char* name;
+    int64_t streak, probes;
+  } corpus[] = {
+      {"negative streak", -1, 0},      {"streak at threshold", 3, 0},
+      {"streak wraps an int", wraps, 0}, {"streak at INT_MAX", int_max, 0},
+      {"negative probes", 0, -1},      {"probes past half-open", 0, 2},
+      {"probes wrap an int", 0, wraps},
+  };
+  for (const auto& c : corpus) {
+    CircuitBreaker target;
+    target.RecordFailure(0);
+    const ByteWriter bad = closed_with(c.streak, c.probes);
+    ByteReader br(bad.bytes().data(), bad.size());
+    EXPECT_EQ(target.RestoreState(br).code(), StatusCode::kDataLoss)
+        << c.name;
+    EXPECT_EQ(target.failures(), 1u) << c.name;
+    target.RecordFailure(1);
+    target.RecordFailure(2);  // the untouched streak trips at three
+    EXPECT_EQ(target.opens(), 1u) << c.name;
+  }
+
+  // The reachable extremes restore.
+  const ByteWriter edge = closed_with(2, 1);
+  CircuitBreaker target;
+  ByteReader er(edge.bytes().data(), edge.size());
+  ASSERT_TRUE(target.RestoreState(er).ok());
+  EXPECT_EQ(target.failures(), 4u);
+  target.RecordFailure(0);  // the third consecutive failure trips it
+  EXPECT_EQ(target.opens(), 3u);
 }
 
 TEST(RunResultSnapshotTest, RoundTripsEveryField) {

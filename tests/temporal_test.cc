@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -37,6 +39,15 @@
 
 namespace vqe {
 namespace {
+
+using test::ExpectSameQuery;
+using test::ExpectSameRun;
+using test::MakePool;
+using test::MakeStrategy;
+using test::MakeVideo;
+using test::ScratchDir;
+
+constexpr char kScratch[] = "vqe_temporal_test";
 
 // ------------------------------------------------------------ options --
 
@@ -377,56 +388,42 @@ TEST(TrackPropagatorTest, SaveRestoreRoundTrip) {
   }
 }
 
+// Restored streaks are bounded by the longest episode a gate can plan,
+// and a refused payload leaves the propagator as it was.
+TEST(TrackPropagatorTest, RestoreRejectsUnreachableStreak) {
+  TrackPropagator source(PropagationTrackerDefaults(), 0.9);
+  source.ObserveDetections({Det(0, 0, 40, 40, 0.8)}, 0);
+  source.Propagate();
+  ByteWriter w;
+  ASSERT_TRUE(source.SaveState(w).ok());
+  auto with_streak = [&](int64_t streak) {
+    ByteWriter head;
+    head.I64(streak);
+    std::vector<uint8_t> bytes = w.bytes();
+    std::copy(head.bytes().begin(), head.bytes().end(), bytes.begin());
+    return bytes;
+  };
+  const int64_t longest = kMaxSkipBudget + kMaxSkipBoost;
+  for (const int64_t streak :
+       {int64_t{-1}, longest + 1, int64_t{1} << 31,
+        int64_t{std::numeric_limits<int>::max()}}) {
+    TrackPropagator target(PropagationTrackerDefaults(), 0.9);
+    target.ObserveDetections({Det(0, 0, 40, 40, 0.8)}, 0);
+    target.Propagate();
+    target.Propagate();
+    const std::vector<uint8_t> bytes = with_streak(streak);
+    ByteReader r(bytes.data(), bytes.size());
+    EXPECT_EQ(target.RestoreState(r).code(), StatusCode::kDataLoss) << streak;
+    EXPECT_EQ(target.coast_streak(), 2) << streak;
+  }
+  const std::vector<uint8_t> bytes = with_streak(longest);
+  TrackPropagator target(PropagationTrackerDefaults(), 0.9);
+  ByteReader r(bytes.data(), bytes.size());
+  ASSERT_TRUE(target.RestoreState(r).ok());
+  EXPECT_EQ(target.coast_streak(), longest);
+}
+
 // ------------------------------------------------- engine integration --
-
-DetectorPool MakePool(int m) {
-  const std::vector<std::string> names = {
-      "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7-tiny@rainy",
-      "yolov7@clear",      "yolov7-micro@clear"};
-  std::vector<DetectorProfile> profiles;
-  for (int i = 0; i < m; ++i) {
-    profiles.push_back(
-        std::move(ParseDetectorName(names[static_cast<size_t>(i)])).value());
-  }
-  return std::move(BuildPool(profiles)).value();
-}
-
-Video MakeVideo(const std::string& dataset, double scene_scale,
-                uint64_t seed) {
-  const DatasetSpec* spec = *DatasetCatalog::Default().Find(dataset);
-  SampleOptions sample;
-  sample.scene_scale = scene_scale;
-  sample.seed = seed;
-  return std::move(SampleVideo(*spec, sample)).value();
-}
-
-std::unique_ptr<SelectionStrategy> MakeStrategy(const std::string& kind) {
-  if (kind == "MES") {
-    MesOptions o;
-    o.gamma = 2;
-    return std::make_unique<MesStrategy>(o);
-  }
-  if (kind == "MES-B") {
-    MesBOptions o;
-    o.gamma = 2;
-    return std::make_unique<MesBStrategy>(o);
-  }
-  if (kind == "SW-MES") {
-    SwMesOptions o;
-    o.gamma = 2;
-    o.window = 8;
-    return std::make_unique<SwMesStrategy>(o);
-  }
-  if (kind == "D-MES") {
-    DucbOptions o;
-    o.gamma = 2;
-    return std::make_unique<DucbMesStrategy>(o);
-  }
-  if (kind == "RAND") return std::make_unique<RandomStrategy>();
-  if (kind == "EF") return std::make_unique<ExploreFirstStrategy>(2);
-  ADD_FAILURE() << "unknown strategy kind " << kind;
-  return nullptr;
-}
 
 /// One run on the chosen backend/worker count, fresh source each call.
 Result<RunResult> RunOnce(const Video& video, const DetectorPool& pool,
@@ -447,39 +444,13 @@ Result<RunResult> RunOnce(const Video& video, const DetectorPool& pool,
   return RunStrategy(*matrix, strategy.get(), engine);
 }
 
-/// Bit-identity over every deterministic RunResult field, the skip stats
-/// and tracker time included. algorithm_ms and the checkpoint report are
-/// wall-clock/process bookkeeping and are the only exclusions.
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.s_sum, b.s_sum);
-  EXPECT_EQ(a.avg_true_ap, b.avg_true_ap);
-  EXPECT_EQ(a.avg_norm_cost, b.avg_norm_cost);
-  EXPECT_EQ(a.frames_processed, b.frames_processed);
-  EXPECT_EQ(a.regret_available, b.regret_available);
-  EXPECT_EQ(a.regret, b.regret);
-  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
-  EXPECT_EQ(a.breakdown.detector_ms, b.breakdown.detector_ms);
-  EXPECT_EQ(a.breakdown.reference_ms, b.breakdown.reference_ms);
-  EXPECT_EQ(a.breakdown.ensembling_ms, b.breakdown.ensembling_ms);
-  EXPECT_EQ(a.breakdown.fault_ms, b.breakdown.fault_ms);
-  EXPECT_EQ(a.breakdown.tracker_ms, b.breakdown.tracker_ms);
-  EXPECT_EQ(a.selection_counts, b.selection_counts);
-  EXPECT_EQ(a.cost_curve, b.cost_curve);
-  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
-  EXPECT_EQ(a.failed_frames, b.failed_frames);
-  EXPECT_EQ(a.skip.skipped_frames, b.skip.skipped_frames);
-  EXPECT_EQ(a.skip.detect_frames, b.skip.detect_frames);
-  EXPECT_EQ(a.skip.forced_detects, b.skip.forced_detects);
-  EXPECT_EQ(a.skip.propagated_ap_sum, b.skip.propagated_ap_sum);
-}
-
 // The disabled-path invariant: with skipping off (the default, and the
 // explicit budget-0 spelling), every strategy on both backends at several
 // worker counts produces the same bits it produced before this subsystem
 // existed.
 TEST(TemporalEngineTest, DisabledPathIsBitIdenticalEverywhere) {
   const DetectorPool pool = MakePool(3);
-  const Video video = MakeVideo("nusc-night", 0.02, 17);
+  const Video video = MakeVideo(0.02, 17, "nusc-night");
   ASSERT_GT(video.size(), 12u);
 
   EngineOptions engine;
@@ -522,7 +493,7 @@ TEST(TemporalEngineTest, DisabledPathIsBitIdenticalEverywhere) {
 // boxes and ground-truth scoring) at every worker count.
 TEST(TemporalEngineTest, SkipEnabledRunsMatchAcrossBackendsAndWorkers) {
   const DetectorPool pool = MakePool(3);
-  const Video video = MakeVideo("nusc-lowmotion", 0.004, 17);
+  const Video video = MakeVideo(0.004, 17, "nusc-lowmotion");
   ASSERT_GT(video.size(), 12u);
 
   EngineOptions engine;
@@ -561,7 +532,7 @@ TEST(TemporalEngineTest, SkipEnabledRunsMatchAcrossBackendsAndWorkers) {
 
 TEST(TemporalEngineTest, EagerBackendWithoutTemporalOutputsIsRejected) {
   const DetectorPool pool = MakePool(2);
-  const Video video = MakeVideo("nusc-night", 0.02, 17);
+  const Video video = MakeVideo(0.02, 17, "nusc-night");
 
   EngineOptions engine;
   engine.compute_regret = false;
@@ -575,7 +546,7 @@ TEST(TemporalEngineTest, EagerBackendWithoutTemporalOutputsIsRejected) {
 
 TEST(TemporalEngineTest, LowMotionSkippingCutsSimulatedTime) {
   const DetectorPool pool = MakePool(3);
-  const Video video = MakeVideo("nusc-lowmotion", 0.004, 23);
+  const Video video = MakeVideo(0.004, 23, "nusc-lowmotion");
   ASSERT_GT(video.size(), 20u);
 
   EngineOptions plain;
@@ -608,21 +579,12 @@ TEST(TemporalEngineTest, LowMotionSkippingCutsSimulatedTime) {
             fast->frames_processed);
 }
 
-/// Fresh (empty) checkpoint directory under the test temp root.
-std::string ScratchDir(const std::string& name) {
-  const std::string dir =
-      ::testing::TempDir() + "vqe_temporal_test/" + name;
-  const int rc = std::system(("rm -rf '" + dir + "'").c_str());
-  EXPECT_EQ(rc, 0);
-  return dir;
-}
-
 // Crash mid-skip-run and resume: the gate (policy arms, open episode,
 // tracker, coast streak) is part of the snapshot, so the resumed run must
 // be bit-identical — bandit mode exercises all of that state.
 TEST(TemporalEngineTest, BanditSkipRunCrashResumesBitIdentically) {
   const DetectorPool pool = MakePool(3);
-  const Video video = MakeVideo("nusc-lowmotion", 0.004, 31);
+  const Video video = MakeVideo(0.004, 31, "nusc-lowmotion");
   ASSERT_GT(video.size(), 12u);
 
   EngineOptions engine;
@@ -639,7 +601,7 @@ TEST(TemporalEngineTest, BanditSkipRunCrashResumesBitIdentically) {
   EngineOptions ck = engine;
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
-  ck.checkpoint.directory = ScratchDir("bandit-crash");
+  ck.checkpoint.directory = ScratchDir(kScratch, "bandit-crash");
   int invocations = 0;
   RunResult resumed;
   for (int attempt = 1; attempt <= 64; ++attempt) {
@@ -661,7 +623,7 @@ TEST(TemporalEngineTest, BanditSkipRunCrashResumesBitIdentically) {
 // refused — the options are part of the run identity.
 TEST(TemporalEngineTest, ResumeWithDifferentSkipSettingsIsRejected) {
   const DetectorPool pool = MakePool(3);
-  const Video video = MakeVideo("nusc-lowmotion", 0.004, 31);
+  const Video video = MakeVideo(0.004, 31, "nusc-lowmotion");
 
   EngineOptions ck;
   ck.strategy_seed = 11;
@@ -670,7 +632,7 @@ TEST(TemporalEngineTest, ResumeWithDifferentSkipSettingsIsRejected) {
   ck.skip.skip_budget = 3;
   ck.checkpoint.every_frames = 4;
   ck.checkpoint.crash_after_frames = 6;
-  ck.checkpoint.directory = ScratchDir("skip-identity");
+  ck.checkpoint.directory = ScratchDir(kScratch, "skip-identity");
   ASSERT_EQ(RunOnce(video, pool, "MES", true, 1, ck).status().code(),
             StatusCode::kAborted);
 
@@ -689,18 +651,6 @@ TEST(TemporalEngineTest, ResumeWithDifferentSkipSettingsIsRejected) {
 }
 
 // -------------------------------------------------- query integration --
-
-void ExpectSameQuery(const QueryOutput& a, const QueryOutput& b) {
-  EXPECT_EQ(a.frame_ids, b.frame_ids);
-  EXPECT_EQ(a.frames_processed, b.frames_processed);
-  EXPECT_EQ(a.frames_matched, b.frames_matched);
-  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
-  EXPECT_EQ(a.selection_counts, b.selection_counts);
-  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
-  EXPECT_EQ(a.failed_frames, b.failed_frames);
-  EXPECT_EQ(a.skipped_frames, b.skipped_frames);
-  EXPECT_EQ(a.tracker_ms, b.tracker_ms);
-}
 
 constexpr char kCountSql[] =
     "SELECT frameID FROM (PROCESS nusc-lowmotion PRODUCE frameID, "
@@ -775,7 +725,7 @@ TEST(TemporalQueryTest, SkipQueryCrashResumesBitIdentically) {
   QueryEngineOptions ck = opt;
   ck.checkpoint.every_frames = 5;
   ck.checkpoint.crash_after_frames = 7;
-  ck.checkpoint.directory = ScratchDir("query-bandit-crash");
+  ck.checkpoint.directory = ScratchDir(kScratch, "query-bandit-crash");
   int invocations = 0;
   QueryOutput resumed;
   for (int attempt = 1; attempt <= 64; ++attempt) {
@@ -852,7 +802,7 @@ TEST(TemporalGateBoostTest, BoostCoastsEvenZeroPlans) {
 
 TEST(TemporalGateBoostTest, BoostIncreasesCoastedFramesEndToEnd) {
   const DetectorPool pool = MakePool(2);
-  const Video video = MakeVideo("nusc-night", 0.02, 7);
+  const Video video = MakeVideo(0.02, 7, "nusc-night");
   const auto run_with_boost = [&](int boost) {
     auto source = std::move(LazyFrameEvaluator::Create(video, pool,
                                                        /*trial_seed=*/9, {}))

@@ -1,28 +1,161 @@
-// Shared helpers for tests: synthetic frame matrices with controlled
-// per-arm reward structure (and optional concept drift), an eager
-// reference source for skip-enabled runs, and the per-trial runs an
-// experiment must reproduce.
+// Shared helpers for tests: the detector pools, videos and strategies the
+// suites run on, the bit-identity checks for RunResult and QueryOutput,
+// scratch directories, synthetic frame matrices with controlled per-arm
+// reward structure (and optional concept drift), an eager reference
+// source for skip-enabled runs, and the per-trial runs an experiment must
+// reproduce.
 
 #ifndef VQE_TESTS_TEST_UTIL_H_
 #define VQE_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/math_util.h"
 #include "common/rng.h"
+#include "core/baselines.h"
+#include "core/ducb.h"
 #include "core/engine.h"
 #include "core/evaluation_source.h"
 #include "core/experiment.h"
 #include "core/frame_eval.h"
 #include "core/frame_matrix.h"
+#include "core/mes.h"
+#include "core/mes_b.h"
 #include "detection/ap.h"
 #include "models/model_zoo.h"
+#include "query/executor.h"
+#include "sim/dataset.h"
 #include "sim/video.h"
 
 namespace vqe {
 namespace test {
+
+/// A pool of the first `m` (at most eight) of a fixed list of detectors.
+inline DetectorPool MakePool(int m) {
+  const std::vector<std::string> names = {
+      "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7-tiny@rainy",
+      "yolov7@clear",      "yolov7-micro@clear", "yolov7@night",
+      "faster-rcnn@clear", "yolov7-micro@rainy"};
+  std::vector<DetectorProfile> profiles;
+  for (int i = 0; i < m; ++i) {
+    profiles.push_back(
+        std::move(ParseDetectorName(names[static_cast<size_t>(i)])).value());
+  }
+  return std::move(BuildPool(profiles)).value();
+}
+
+/// A sampled replica of `dataset` at `scene_scale`.
+inline Video MakeVideo(double scene_scale, uint64_t seed,
+                       const std::string& dataset = "nusc-night") {
+  const DatasetSpec* spec = *DatasetCatalog::Default().Find(dataset);
+  SampleOptions sample;
+  sample.scene_scale = scene_scale;
+  sample.seed = seed;
+  return std::move(SampleVideo(*spec, sample)).value();
+}
+
+/// The online strategies the suites run, small enough (γ = 2, SW-MES
+/// window 8) that exploration and window eviction happen in short clips.
+inline std::unique_ptr<SelectionStrategy> MakeStrategy(
+    const std::string& kind) {
+  if (kind == "MES") {
+    MesOptions o;
+    o.gamma = 2;
+    return std::make_unique<MesStrategy>(o);
+  }
+  if (kind == "MES-B") {
+    MesBOptions o;
+    o.gamma = 2;
+    return std::make_unique<MesBStrategy>(o);
+  }
+  if (kind == "SW-MES") {
+    SwMesOptions o;
+    o.gamma = 2;
+    o.window = 8;
+    return std::make_unique<SwMesStrategy>(o);
+  }
+  if (kind == "D-MES") {
+    DucbOptions o;
+    o.gamma = 2;
+    return std::make_unique<DucbMesStrategy>(o);
+  }
+  if (kind == "RAND") return std::make_unique<RandomStrategy>();
+  if (kind == "EF") return std::make_unique<ExploreFirstStrategy>(2);
+  if (kind == "SGL") return std::make_unique<SingleBestStrategy>();
+  ADD_FAILURE() << "unknown strategy kind " << kind;
+  return nullptr;
+}
+
+/// A fresh (empty) directory `name` under `suite` in the test temp root.
+/// CheckpointManager::Init creates it.
+inline std::string ScratchDir(const std::string& suite,
+                              const std::string& name) {
+  const std::string dir = ::testing::TempDir() + suite + "/" + name;
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+  return dir;
+}
+
+/// Bit-identity over every deterministic RunResult field: the skip stats,
+/// tracker time, cost curve and per-model availability included.
+/// algorithm_ms and the checkpoint report are wall-clock or process
+/// bookkeeping and are the only exclusions.
+inline void ExpectSameRun(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.s_sum, b.s_sum);
+  EXPECT_EQ(a.avg_true_ap, b.avg_true_ap);
+  EXPECT_EQ(a.avg_norm_cost, b.avg_norm_cost);
+  EXPECT_EQ(a.frames_processed, b.frames_processed);
+  EXPECT_EQ(a.regret_available, b.regret_available);
+  EXPECT_EQ(a.regret, b.regret);
+  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
+  EXPECT_EQ(a.breakdown.detector_ms, b.breakdown.detector_ms);
+  EXPECT_EQ(a.breakdown.reference_ms, b.breakdown.reference_ms);
+  EXPECT_EQ(a.breakdown.ensembling_ms, b.breakdown.ensembling_ms);
+  EXPECT_EQ(a.breakdown.fault_ms, b.breakdown.fault_ms);
+  EXPECT_EQ(a.breakdown.tracker_ms, b.breakdown.tracker_ms);
+  EXPECT_EQ(a.selection_counts, b.selection_counts);
+  EXPECT_EQ(a.cost_curve, b.cost_curve);
+  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
+  EXPECT_EQ(a.failed_frames, b.failed_frames);
+  EXPECT_EQ(a.skip.skipped_frames, b.skip.skipped_frames);
+  EXPECT_EQ(a.skip.detect_frames, b.skip.detect_frames);
+  EXPECT_EQ(a.skip.forced_detects, b.skip.forced_detects);
+  EXPECT_EQ(a.skip.propagated_ap_sum, b.skip.propagated_ap_sum);
+  ASSERT_EQ(a.model_availability.size(), b.model_availability.size());
+  for (size_t i = 0; i < a.model_availability.size(); ++i) {
+    EXPECT_EQ(a.model_availability[i].frames_selected,
+              b.model_availability[i].frames_selected);
+    EXPECT_EQ(a.model_availability[i].frames_failed,
+              b.model_availability[i].frames_failed);
+    EXPECT_EQ(a.model_availability[i].breaker_opens,
+              b.model_availability[i].breaker_opens);
+    EXPECT_EQ(a.model_availability[i].fault_ms,
+              b.model_availability[i].fault_ms);
+  }
+}
+
+/// Bit-identity over every QueryOutput field but the wall clock and the
+/// per-invocation checkpoint report.
+inline void ExpectSameQuery(const QueryOutput& a, const QueryOutput& b) {
+  EXPECT_EQ(a.frame_ids, b.frame_ids);
+  EXPECT_EQ(a.frames_processed, b.frames_processed);
+  EXPECT_EQ(a.frames_matched, b.frames_matched);
+  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
+  EXPECT_EQ(a.reference_cost_ms, b.reference_cost_ms);
+  EXPECT_EQ(a.selection_counts, b.selection_counts);
+  EXPECT_EQ(a.model_names, b.model_names);
+  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
+  EXPECT_EQ(a.failed_frames, b.failed_frames);
+  EXPECT_EQ(a.fault_ms, b.fault_ms);
+  EXPECT_EQ(a.model_failures, b.model_failures);
+  EXPECT_EQ(a.skipped_frames, b.skipped_frames);
+  EXPECT_EQ(a.tracker_ms, b.tracker_ms);
+}
 
 /// Builds a synthetic matrix with per-arm mean true APs (arm_ap indexed by
 /// mask; index 0 unused) and per-model costs. When drift_flip is set, the

@@ -17,11 +17,15 @@
 #include "models/model_zoo.h"
 #include "serve/overload.h"
 #include "serve/scheduler.h"
+#include "test_util.h"
 #include "workload/trace.h"
 #include "workload/workload.h"
 
 namespace vqe {
 namespace {
+
+using test::ExpectSameRun;
+using test::MakePool;
 
 // A small, fully featured reference trace: every line kind appears once.
 const char kGoodTrace[] =
@@ -41,17 +45,6 @@ const char kGoodTrace[] =
     "storm rounds 1 3 models 1 kind error rate 1.0\n"
     "storm rounds 2 4 models 2 kind spike rate 0.5\n"
     "end\n";
-
-DetectorPool MakePool(int m) {
-  const std::vector<std::string> names = {
-      "yolov7-tiny@clear", "yolov7-tiny@night", "yolov7-tiny@rainy"};
-  std::vector<DetectorProfile> profiles;
-  for (int i = 0; i < m; ++i) {
-    profiles.push_back(
-        std::move(ParseDetectorName(names[static_cast<size_t>(i)])).value());
-  }
-  return std::move(BuildPool(profiles)).value();
-}
 
 /// Deep plan equality, fault scripts included.
 void ExpectSamePlan(const WorkloadPlan& a, const WorkloadPlan& b) {
@@ -83,18 +76,6 @@ void ExpectSamePlan(const WorkloadPlan& a, const WorkloadPlan& b) {
       }
     }
   }
-}
-
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.s_sum, b.s_sum);
-  EXPECT_EQ(a.avg_true_ap, b.avg_true_ap);
-  EXPECT_EQ(a.frames_processed, b.frames_processed);
-  EXPECT_EQ(a.charged_cost_ms, b.charged_cost_ms);
-  EXPECT_EQ(a.selection_counts, b.selection_counts);
-  EXPECT_EQ(a.fallback_frames, b.fallback_frames);
-  EXPECT_EQ(a.failed_frames, b.failed_frames);
-  EXPECT_EQ(a.skip.skipped_frames, b.skip.skipped_frames);
-  EXPECT_EQ(a.skip.detect_frames, b.skip.detect_frames);
 }
 
 // ------------------------------------------------------------- parser --

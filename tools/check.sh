@@ -17,7 +17,8 @@
 # fresh checkout (CI) compiles, and so checks, every file.
 #
 # The sanitizer passes rebuild into build-asan/, build-tsan/ and
-# build-ubsan/ (all .gitignore'd) and run the suites that exercise the
+# build-ubsan/ (all .gitignore'd) and run every test of the suites that
+# tests/CMakeLists.txt labels `sanitize`. Those exercise the
 # shared thread pool, the chunked ParallelFor scheduler, the class-major
 # fuse-and-score kernel, the per-frame stores reloaded in place (frame
 # contexts, SoA store, ground-truth indexes — a source pointer that
@@ -147,13 +148,11 @@ run_sanitizer() {
   san="$1"
   dir="build-$2"
   cmake -B "$dir" -S . -DVQE_SANITIZE="$san" >/dev/null
-  build_gated "$dir" -j --target \
-    thread_pool_test determinism_test fusion_test class_major_test \
-    lazy_eval_test alloc_regression_test runtime_test snapshot_test \
-    resume_test serve_test fleet_test temporal_test \
-    tracker_test workload_test obs_test
-  ctest --test-dir "$dir" --output-on-failure -j 4 \
-    -R "ThreadPool|ParallelFor|ResolveWorkers|Determinism|LazyEval|LazyMemo|FrameEvalReload|FusionProperty|FrameSoA|GroundTruthIndex|WbfInPlace|ClassMajorKernel|FaultInjection|RetryTest|CircuitBreaker|QueryBreaker|EngineFaultTolerance|ExperimentFault|Wire|Crc32|SnapshotContainer|CheckpointManager|CheckpointPolicy|ArmStatsSnapshot|SlidingWindowSnapshot|CircuitBreakerSnapshot|RunResultSnapshot|SnapshotIdentity|IdentityResume|RngSnapshot|CrashMatrix|ResumeTest|QueryResume|Serve|StreamScheduler|StreamSession|BreakerRegistry|PriorityClass|TimeBreakdown|MigrationPayload|SessionImplant|SchedulerMigration|FleetOptions|ChaosScript|ShardedServer|FleetPlacement|SkipOptions|SkipPolicy|Difficulty|TrackPropagator|TemporalEngine|TemporalQuery|TrackerCoast|TrackerOptions|TrackerTest|TrackerState|Workload|Overload|SamplePercentile|LatencyHistogram|EngineDegradation|TemporalGateBoost|MetricsRegistry|TraceRecorder|ChromeTraceValidator|MetricsText|ObsIdentity|ObsServe|ObsFleet|ObsCheckpoint|ObsExport|EngineSteadyState|AllocRegression|LazyRetainedHeap|ArenaSteadyState"
+  # tests/CMakeLists.txt names the suites (VQE_SANITIZE_SUITES): the
+  # sanitize_tests target builds them, and every test they hold carries
+  # the sanitize label.
+  build_gated "$dir" -j --target sanitize_tests
+  ctest --test-dir "$dir" --output-on-failure -j 4 -L sanitize
 }
 
 stage() {
